@@ -9,6 +9,7 @@ import pathlib
 import platform
 import selectors
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -108,6 +109,122 @@ def percentile(values: list[float], q: float) -> float:
 
 def median(values: list[float]) -> float:
     return percentile(values, 50.0)
+
+
+def windowed_percentile(values: list[float], q: float, windows: int) -> float:
+    """Median over ``windows`` consecutive slices of ``values`` of each
+    slice's ``q``-th percentile; one stall moves one slice, not the result."""
+    size = max(1, len(values) // windows)
+    slices = [values[i * size:(i + 1) * size] for i in range(windows)]
+    return median([percentile(part, q) for part in slices if part])
+
+
+# ----------------------------------------------------------------------
+# Host speed
+# ----------------------------------------------------------------------
+# The shared 2-vCPU hosts this benchmark runs on change speed by up to a
+# third within seconds (a fixed interpreter loop spreads 0.30 IQR/median
+# across 30-second windows), and each vCPU changes on its own.  Every
+# timing is therefore taken beside a fixed probe on the CPUs the timed
+# work ran on and reported at the reference speed: raw seconds times
+# PROBE_REF_S over the probe's time around the measurement.  On a host
+# whose probe takes PROBE_REF_S the two are equal; the raw wall times are
+# printed in the table too.  Work that runs in one process at a time is
+# pinned to one CPU (:func:`pin`), so the probe measures that CPU.
+
+#: Seconds :func:`probe` takes on an unloaded Intel Xeon 2-vCPU host.
+PROBE_REF_S = 0.003
+
+_PROBE_ARRAY = None
+_PROBE_DOC = [{"cell": i, "value": i * 0.25} for i in range(200)]
+
+
+def probe() -> float:
+    """CPU seconds one fixed mix of interpreter, json and numpy work takes
+    now.  CPU time, so that a probe sharing its CPU with other work still
+    measures the CPU's speed."""
+    global _PROBE_ARRAY
+    import numpy as np
+
+    if _PROBE_ARRAY is None:
+        _PROBE_ARRAY = np.arange(4096, dtype=np.float64)
+    start = time.thread_time()
+    tally: dict[int, int] = {}
+    for i in range(12_000):
+        tally[i % 211] = tally.get(i % 211, 0) + i
+    for _ in range(4):
+        json.loads(json.dumps(_PROBE_DOC))
+    for _ in range(20):
+        np.sort(_PROBE_ARRAY[::-1]).sum()
+    return time.thread_time() - start
+
+
+#: The CPUs the benchmark may use, and the one it pins serial work to.
+ALL_CPUS = frozenset(os.sched_getaffinity(0))
+ONE_CPU = frozenset({min(ALL_CPUS)})
+
+
+def pin(cpus: frozenset) -> None:
+    """Run this process, and the processes it starts from now on, on ``cpus``."""
+    os.sched_setaffinity(0, cpus)
+
+
+def speed(repeats: int = 3) -> float:
+    """Host speed now relative to the reference (below 1 when slower):
+    :data:`PROBE_REF_S` over the median of ``repeats`` probes, averaged
+    over the CPUs this process may run on, each probed in turn."""
+    own = frozenset(os.sched_getaffinity(0))
+    speeds = []
+    for cpu in sorted(own):
+        if len(own) > 1:
+            pin(frozenset({cpu}))
+        speeds.append(PROBE_REF_S / median([probe() for _ in range(repeats)]))
+    if len(own) > 1:
+        pin(own)
+    return sum(speeds) / len(speeds)
+
+
+class Timed:
+    """Times a long block at the reference speed: a ``SIGALRM`` handler
+    probes the speed every :data:`TICK_S` seconds while the block runs, and
+    the probes' own time is left out of ``seconds``.  The CPU may change
+    speed several times within the block, so a probe at each end would
+    not do.  Interval timers are not inherited across ``fork``, so pool
+    workers never tick."""
+
+    TICK_S = 0.2
+
+    def __enter__(self) -> "Timed":
+        self.speeds = [speed(repeats=1)]
+        self.cost = 0.0
+        self._previous = signal.signal(signal.SIGALRM, self._tick)
+        signal.setitimer(signal.ITIMER_REAL, self.TICK_S, self.TICK_S)
+        self._start = time.perf_counter()
+        return self
+
+    def _tick(self, signum: int, frame: Any) -> None:
+        start = time.perf_counter()
+        self.speeds.append(speed(repeats=1))
+        self.cost += time.perf_counter() - start
+
+    def __exit__(self, *exc: Any) -> None:
+        elapsed = time.perf_counter() - self._start
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, self._previous)
+        self.speeds.append(speed(repeats=1))
+        #: Raw seconds of the block, and the same at the reference speed.
+        self.seconds = elapsed - self.cost
+        self.at_ref = self.seconds * sum(self.speeds) / len(self.speeds)
+
+
+def local_speeds(probes: list[float], count: int, reach: int = 1) -> list[float]:
+    """Speed around each of ``count`` timed operations interleaved with
+    ``probes`` (probe ``i`` ran just before operation ``i``): the median
+    of the probes within ``reach`` places."""
+    return [
+        PROBE_REF_S / median(probes[max(0, i - reach + 1):i + reach + 1])
+        for i in range(count)
+    ]
 
 
 def canonical(rows: Any) -> bytes:

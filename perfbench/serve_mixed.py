@@ -6,12 +6,17 @@ a reader.
 
 * Bulk phase, closed loop: each server ingests pre-encoded wire batches
   into a fresh epoch per round, one request in flight at a time.
-* Read phase, open loop: ``GET /frequencies`` at :data:`READ_RATE` per
-  second across the servers, cycling ``raw`` / ``recover`` /
-  ``recover_star`` with rotating target sets, each read timed from when it
-  was due.  Meanwhile a collector posts :data:`COLLECT_BATCH`-report
-  batches at :data:`COLLECT_RATE` per second into the same epoch, so
-  cached views go dirty and recompute.
+* Read phase, open loop in windows of :data:`READ_WINDOW_S`: ``GET
+  /frequencies`` at :data:`READ_RATE` per second across the servers,
+  cycling ``raw`` / ``recover`` / ``recover_star`` with rotating target
+  sets, each read timed from when it was due.  Meanwhile a collector posts
+  :data:`COLLECT_BATCH`-report batches at :data:`COLLECT_RATE` per second
+  into the same epoch, so cached views go dirty and recompute.
+
+The client and the servers share one CPU (:func:`common.pin`), whose
+speed is probed (:func:`common.speed`) between protocols of a bulk round
+and between read windows, while no request is in flight; timings are
+reported at the reference speed.
 
 Afterwards every epoch's ``raw`` view must byte-equal the frequencies of
 all reports sent to it, and ``recover`` / ``recover_star`` must byte-equal
@@ -37,9 +42,12 @@ DOMAIN = 1024
 ETA = 0.2
 PROTOCOLS = ("grr", "oue", "olh")
 
-#: (reports per bulk batch, batches per bulk round) per protocol.
+#: (reports per bulk batch, batches per bulk round) per protocol.  GRR
+#: decodes and folds two orders of magnitude faster than OUE and OLH, so
+#: its batches are larger and more; each protocol takes about a third of
+#: a round.
 BULK = {
-    "full": {"grr": (10_000, 200), "oue": (500, 200), "olh": (150, 200)},
+    "full": {"grr": (40_000, 150), "oue": (500, 100), "olh": (150, 100)},
     "tiny": {"grr": (1_000, 8), "oue": (100, 8), "olh": (50, 8)},
 }
 #: Distinct batches generated per protocol; rounds cycle through them.
@@ -53,9 +61,15 @@ COLLECT_BATCH = 200
 TARGET_SETS = 6
 TARGETS_PER_SET = 10
 METHODS = ("raw", "recover", "recover_star")
-SETUP_ROUNDS = 3
+SETUP_ROUNDS = 5
 BULK_SHARE = 0.4
 MIN_READ_S = {"full": 4.0, "tiny": 1.0}
+#: The read phase runs in windows of about this many seconds with a speed
+#: probe between them; a CPU's speed holds for about a second.
+READ_WINDOW_S = 0.5
+#: ``read_p99_ms`` is the median of the p99s of this many consecutive
+#: slices of the reads.
+READ_SLICES = 9
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +142,8 @@ class Server:
     proc: subprocess.Popen
     port: int
     boot_s: float
+    #: ``boot_s`` at the reference speed.
+    boot_ref_s: float
     spans_path: Optional[pathlib.Path] = None
 
 
@@ -143,6 +159,7 @@ def boot(name: str, traced: bool, work: pathlib.Path) -> Server:
         cmd = [sys.executable, "-B", str(common.HERE / "serve_launcher.py"), str(spans_path)]
     else:
         cmd = [sys.executable, "-B", "-m", "repro.cli"]
+    before = common.speed()
     start = time.perf_counter()
     proc = subprocess.Popen(cmd + args, stdout=subprocess.PIPE, env=common.child_env())
     try:
@@ -155,7 +172,8 @@ def boot(name: str, traced: bool, work: pathlib.Path) -> Server:
         common.reap(proc, timeout=5.0)
         raise RuntimeError(f"{name} server did not start: {line!r}")
     port = int(line.strip().rsplit(":", 1)[1])
-    return Server(name, proc, port, boot_s, spans_path)
+    boot_ref_s = boot_s * (before + common.speed()) / 2
+    return Server(name, proc, port, boot_s, boot_ref_s, spans_path)
 
 
 def stop_all(servers: list[Server]) -> float:
@@ -255,8 +273,14 @@ class Client:
     #: Client-observed seconds and counts of requests, per endpoint.
     request_s: dict[str, float] = field(default_factory=lambda: {"ingest": 0.0, "frequencies": 0.0})
     requests: dict[str, int] = field(default_factory=lambda: {"ingest": 0, "frequencies": 0})
+    #: Raw read latencies, and per read window the latencies at the
+    #: reference speed.
     read_latency: list[float] = field(default_factory=list)
+    read_windows: list[list[float]] = field(default_factory=list)
+    #: Raw wall seconds of each bulk round, per protocol.
+    raw_rounds: list[dict[str, float]] = field(default_factory=list)
     late: list[float] = field(default_factory=list)
+    collected: int = 0
 
     async def ingest(self, name: str, epoch: str, batch: Batch) -> float:
         status, _body, seconds = await self.writers[name].request(_post(epoch, batch))
@@ -277,8 +301,10 @@ class Client:
         return status, body
 
     async def bulk_round(self, epoch: str, scale: str) -> dict[str, float]:
-        """Closed-loop ingest of one round per server; wall per protocol."""
-        walls = {}
+        """Closed-loop ingest of one round per server; returns the wall
+        time per protocol at the reference speed (raw in ``raw_rounds``)."""
+        walls, scaled = {}, {}
+        before = common.speed()
         for name in PROTOCOLS:
             pool = self.inputs.bulk[name]
             latencies = self.ingest_latency.setdefault(name, [])
@@ -286,14 +312,32 @@ class Client:
             for i in range(BULK[scale][name][1]):
                 latencies.append(await self.ingest(name, epoch, pool[i % len(pool)]))
             walls[name] = time.perf_counter() - start
-        return walls
+            after = common.speed()
+            scaled[name] = walls[name] * (before + after) / 2
+            before = after
+        self.raw_rounds.append(walls)
+        return scaled
 
     async def read_phase(self, seconds: float) -> None:
-        """Open-loop reads plus the collector, both on fixed schedules."""
+        """Windows of open-loop reads plus the collector, both on fixed
+        schedules, with a speed probe between windows."""
         for name in PROTOCOLS:
             await self.ingest(name, "live", self.inputs.collect[name][0])
+        windows = max(1, round(seconds / READ_WINDOW_S))
+        window_s = seconds / windows
+        before = common.speed()
+        for _ in range(windows):
+            first = len(self.read_latency)
+            await self._read_window(window_s)
+            after = common.speed()
+            factor = (before + after) / 2
+            self.read_windows.append([lat * factor for lat in self.read_latency[first:]])
+            before = after
+
+    async def _read_window(self, seconds: float) -> None:
         start = time.perf_counter()
         read_tasks: list[asyncio.Task] = []
+        base = len(self.late)
 
         async def one_read(k: int, due: float) -> None:
             name = PROTOCOLS[k % len(PROTOCOLS)]
@@ -309,9 +353,11 @@ class Client:
                 if due - start >= seconds:
                     return
                 await asyncio.sleep(max(0.0, due - time.perf_counter()))
-                name = PROTOCOLS[k % len(PROTOCOLS)]
+                n = self.collected
+                name = PROTOCOLS[n % len(PROTOCOLS)]
                 pool = self.inputs.collect[name]
-                await self.ingest(name, "live", pool[(k // len(PROTOCOLS)) % len(pool)])
+                await self.ingest(name, "live", pool[(n // len(PROTOCOLS)) % len(pool)])
+                self.collected += 1
                 k += 1
 
         collect_task = asyncio.ensure_future(collector())
@@ -322,7 +368,7 @@ class Client:
                 break
             await asyncio.sleep(max(0.0, due - time.perf_counter()))
             self.late.append(time.perf_counter() - due)
-            read_tasks.append(asyncio.ensure_future(one_read(k, due)))
+            read_tasks.append(asyncio.ensure_future(one_read(base + k, due)))
             k += 1
         await asyncio.gather(*read_tasks)
         await collect_task
@@ -414,6 +460,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, scale: str) -> in
     checks = common.Checks()
     metrics = common.Metrics()
     inputs = make_inputs(seed, scale)
+    common.pin(common.ONE_CPU)
     with common.WorkDir() as work:
         if trace:
             _traced(inputs, checks, metrics, scale, work)
@@ -426,15 +473,13 @@ def _untraced(
     inputs: Inputs, checks: common.Checks, metrics: common.Metrics,
     scale: str, seconds: float, work: pathlib.Path,
 ) -> None:
-    setups = []
+    trios = []
     for _ in range(SETUP_ROUNDS - 1):
         trio = boot_all(False, work)
-        try:
-            setups.append(sum(server.boot_s for server in trio))
-        finally:
-            stop_all(trio)
+        trios.append(trio)
+        stop_all(trio)
     servers = boot_all(False, work)
-    setups.append(sum(server.boot_s for server in servers))
+    trios.append(servers)
     try:
         bulk_s = BULK_SHARE * seconds
         read_s = max(MIN_READ_S[scale], seconds - bulk_s)
@@ -442,19 +487,32 @@ def _untraced(
     finally:
         rss = stop_all(servers)
     rounds = session.rounds
+    client = session.client
+    setups = [sum(server.boot_ref_s for server in trio) for trio in trios]
     metrics.add("setup_s", common.median(setups), "s", len(setups))
     metrics.add("run_s", common.median([sum(r.values()) for r in rounds]), "s", len(rounds))
     metrics.add("peak_rss_mb", rss, "MB", len(servers))
-    reads = session.client.read_latency
+    reads = [lat for window in client.read_windows for lat in window]
     metrics.add("read_p50_ms", 1e3 * common.percentile(reads, 50), "ms", len(reads))
-    metrics.add("read_p99_ms", 1e3 * common.percentile(reads, 99), "ms", len(reads))
+    metrics.add(
+        "read_p99_ms", 1e3 * common.windowed_percentile(reads, 99, READ_SLICES), "ms", len(reads)
+    )
     for name in PROTOCOLS:
         rate = _ingest_rate(session, name, scale)
         metrics.note(f"ingest_{name}_reports_per_s", rate, "reports/s", len(rounds))
+        share = common.median([r[name] / sum(r.values()) for r in rounds])
+        metrics.note(f"run_share_{name}", share, "ratio", len(rounds))
+    raw_setups = [sum(server.boot_s for server in trio) for trio in trios]
+    metrics.note("setup_wall_s", common.median(raw_setups), "s", len(raw_setups))
+    raw_rounds = [sum(r.values()) for r in client.raw_rounds]
+    metrics.note("run_wall_s", common.median(raw_rounds), "s", len(raw_rounds))
+    raw_reads = client.read_latency
+    metrics.note("read_wall_p50_ms", 1e3 * common.percentile(raw_reads, 50), "ms", len(raw_reads))
 
 
 def _ingest_rate(session: Session, name: str, scale: str) -> float:
-    """Bulk-phase reports per second of one server (median round)."""
+    """Bulk-phase reports per second of one server (median round, at the
+    reference speed)."""
     reports = session.client.inputs.bulk[name][0].n * BULK[scale][name][1]
     return reports / common.median([r[name] for r in session.rounds])
 
@@ -516,5 +574,7 @@ def _traced(
     extra = _client_metrics(plain, scale)
     extra["serve.http.ingest_s"] = http_self["ingest"]
     extra["serve.http.frequencies_s"] = http_self["frequencies"]
-    overhead = sum(traced_session.rounds[0].values()) - sum(plain.rounds[0].values())
+    overhead = sum(traced_session.client.raw_rounds[0].values()) - sum(
+        plain.client.raw_rounds[0].values()
+    )
     tracing.report(metrics, summary, request_s, overhead, extra)

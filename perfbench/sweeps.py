@@ -10,6 +10,8 @@ reports, OLH hashing and pool dispatch.
 
 One timed pass runs the workload's exhibits once against a fresh cell
 cache.  A warm read re-renders the same exhibits from that now-warm cache.
+Host speed is probed (:func:`common.probe`) throughout a cold pass and
+between warm reads, and timings are reported at the reference speed.
 """
 
 from __future__ import annotations
@@ -54,9 +56,12 @@ EXHIBITS: dict[str, dict[str, list[tuple[str, dict[str, Any]]]]] = {
 #: Datasets an exhibit loads, where not just IPUMS.
 _DATASETS = {"table1": ("ipums", "fire")}
 
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 COLD_PASSES = 2
 MIN_WARM_READS = 300
+#: ``read_p99_ms`` is the median of the p99s of this many consecutive
+#: slices of the warm reads.
+READ_WINDOWS = 9
 
 
 def configs(workload: str, scale: str, seed: int) -> list[Any]:
@@ -81,19 +86,22 @@ def setup(workload: str, scale: str, cache_dir: pathlib.Path) -> None:
     CellCache(cache_dir)
 
 
-def _probe_setup(workload: str, scale: str, work: pathlib.Path) -> float:
-    """Seconds from spawning a cold interpreter to its ready line."""
+def _probe_setup(workload: str, scale: str, work: pathlib.Path) -> tuple[float, float]:
+    """Seconds from spawning a cold interpreter to its ready line, at the
+    reference speed and raw."""
     cmd = [
         sys.executable, "-B", str(common.HERE / "probe.py"),
         workload, scale, str(common.fresh_dir(work)),
     ]
+    before = common.speed()
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, env=common.child_env())
     line = common.read_line(proc, timeout=120.0)
     code, _rss = common.reap(proc, timeout=30.0)
     if code != 0 or not line or not line.startswith("ready "):
         raise RuntimeError(f"setup probe failed (exit {code}, output {line!r})")
-    return float(line.split()[1]) - start
+    seconds = float(line.split()[1]) - start
+    return seconds * (before + common.speed()) / 2, seconds
 
 
 def _finite(value: Any) -> bool:
@@ -162,13 +170,17 @@ def shape_checks(figure: str, rows: list[dict[str, Any]]) -> list[tuple[bool, st
     return []
 
 
-def _cold_pass(cfgs: list[Any], cache_dir: pathlib.Path) -> tuple[float, list[Any], Any]:
+def _cold_pass(
+    cfgs: list[Any], cache_dir: pathlib.Path
+) -> tuple[float, float, list[Any], Any]:
+    """Run every exhibit against a fresh cache; returns the raw wall time,
+    the wall time at the reference speed, the rows and the cache."""
     from repro.sim.cache import CellCache
 
     cache = CellCache(cache_dir)
-    start = time.perf_counter()
-    rows = [cfg.run(cache) for cfg in cfgs]
-    return time.perf_counter() - start, rows, cache
+    with common.Timed() as timed:
+        rows = [cfg.run(cache) for cfg in cfgs]
+    return timed.seconds, timed.at_ref, rows, cache
 
 
 def _check_rows(
@@ -212,10 +224,12 @@ def run(workload: str, seed: int, seconds: float, trace: bool, scale: str) -> in
             setup(workload, scale, common.fresh_dir(work))
             _traced(configs(workload, scale, seed), work, checks, metrics, scale)
         else:
+            common.pin(common.ONE_CPU)
             setups = [_probe_setup(workload, scale, work) for _ in range(SETUP_REPEATS)]
             setup(workload, scale, common.fresh_dir(work))
             _untraced(configs(workload, scale, seed), work, seconds, checks, metrics, scale)
-            metrics.add("setup_s", common.median(setups), "s", len(setups))
+            metrics.add("setup_s", common.median([s for s, _raw in setups]), "s", len(setups))
+            metrics.note("setup_wall_s", common.median([raw for _s, raw in setups]), "s", len(setups))
             metrics.add("peak_rss_mb", _peak_rss_mb(), "MB")
     return common.emit(common.provenance(workload, seed, trace), checks, metrics)
 
@@ -229,25 +243,46 @@ def _untraced(
     scale: str,
 ) -> None:
     """:data:`COLD_PASSES` cold passes, then warm reads until ``seconds``
-    have passed (at least :data:`MIN_WARM_READS` of them)."""
+    have passed (at least :data:`MIN_WARM_READS` of them).  Runs on one
+    CPU, except cold passes whose exhibits use a process pool."""
     deadline = time.perf_counter() + seconds
+    pooled = any(cfg.workers > 1 for cfg in cfgs)
     walls: list[float] = []
+    scaled: list[float] = []
     expected = b""
     cache = None
     for _ in range(COLD_PASSES):
-        wall, rows, cache = _cold_pass(cfgs, common.fresh_dir(work))
+        common.pin(common.ALL_CPUS if pooled else common.ONE_CPU)
+        try:
+            wall, at_ref, rows, cache = _cold_pass(cfgs, common.fresh_dir(work))
+        finally:
+            common.pin(common.ONE_CPU)
         walls.append(wall)
+        scaled.append(at_ref)
         if not expected:
             expected = common.canonical(rows)
             _check_rows(checks, cfgs, rows, scale)
         else:
             checks.op(common.canonical(rows) == expected, "cold passes agree")
     reads: list[float] = []
+    probes: list[float] = []
     while len(reads) < MIN_WARM_READS or time.perf_counter() < deadline:
+        probes.append(common.probe())
         reads.append(_warm_read(checks, cfgs, cache, expected))
-    metrics.add("run_s", common.median(walls), "s", len(walls))
-    metrics.add("read_p50_ms", 1e3 * common.percentile(reads, 50), "ms", len(reads))
-    metrics.add("read_p99_ms", 1e3 * common.percentile(reads, 99), "ms", len(reads))
+    probes.append(common.probe())
+    speeds = common.local_speeds(probes, len(reads))
+    at_ref_reads = [read * speed for read, speed in zip(reads, speeds)]
+    metrics.add("run_s", common.median(scaled), "s", len(scaled))
+    metrics.add("read_p50_ms", 1e3 * common.percentile(at_ref_reads, 50), "ms", len(reads))
+    metrics.add(
+        "read_p99_ms",
+        1e3 * common.windowed_percentile(at_ref_reads, 99, READ_WINDOWS),
+        "ms",
+        len(reads),
+    )
+    metrics.note("run_wall_s", common.median(walls), "s", len(walls))
+    metrics.note("read_wall_p50_ms", 1e3 * common.percentile(reads, 50), "ms", len(reads))
+    metrics.note("host_speed", common.median(speeds), "ratio", len(probes))
 
 
 def _traced(
@@ -260,14 +295,14 @@ def _traced(
     """One untraced and one traced cold pass; per-layer table of the latter."""
     import tracing
 
-    untraced_wall, rows, cache = _cold_pass(cfgs, common.fresh_dir(work))
+    untraced_wall, _scaled, rows, cache = _cold_pass(cfgs, common.fresh_dir(work))
     expected = common.canonical(rows)
     _check_rows(checks, cfgs, rows, scale)
     _warm_read(checks, cfgs, cache, expected)
     recorder = tracing.Recorder()
     uninstall = tracing.install(recorder)
     try:
-        traced_wall, traced_rows, _cache = _cold_pass(cfgs, common.fresh_dir(work))
+        traced_wall, _scaled, traced_rows, _cache = _cold_pass(cfgs, common.fresh_dir(work))
     finally:
         uninstall()
     checks.op(common.canonical(traced_rows) == expected, "rows identical with tracing on")

@@ -68,10 +68,18 @@ recomputation (``GET /frequencies``), and exposes ``/healthz`` and
 ``/stats``; ``--snapshot-dir`` enables crash-safe state snapshots
 (``POST /snapshot``) that ``--resume`` restores on the next boot.
 
-Beyond the paper's figures, registered *scenario exhibits*
-(:mod:`repro.sim.scenarios`) — key-value recovery (``--exhibit kv``) and
-heavy-hitter promotion/repair (``--exhibit heavyhitter``) — dispatch
-through the same ``run``/``shard`` machinery, caches included.
+Every exhibit — the paper's figures and the *scenario exhibits*
+key-value recovery (``--exhibit kv``), heavy-hitter promotion/repair
+(``--exhibit heavyhitter``), evolving populations (``--exhibit epochs``)
+and the defense shoot-out (``--exhibit defenses``) — is one entry of the
+registry :data:`repro.sim.scenarios.EXHIBITS`.  The ``run``/``shard``
+choices, the ``list`` text and the ``--chunk-users`` note all derive
+from it, so adding an exhibit is one registration
+(:func:`repro.sim.scenarios.register_scenario`).
+
+Library errors (:class:`~repro.exceptions.ReproError`, e.g. an invalid
+flag value) print one ``error: ...`` line and exit 2; ``shard merge``
+over an incomplete cache exits 1.
 
 The same functions back the ``benchmarks/`` suite; the CLI simply prints
 the row tables.
@@ -83,10 +91,10 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.exceptions import InvalidParameterError, ReproError, ShardIncompleteError
+from repro.exceptions import ReproError, ShardIncompleteError
 from repro.sim.cache import resolve_cache
 from repro.sim.experiment import format_table
-from repro.sim.scenarios import SCENARIOS
+from repro.sim.scenarios import EXHIBITS
 from repro.sim.shard import (
     DEFAULT_CLAIM_TTL,
     SweepConfig,
@@ -95,16 +103,16 @@ from repro.sim.shard import (
     sweep_status,
 )
 
-def _exhibits() -> tuple[str, ...]:
-    """The regenerable exhibits (``--figure``/``--exhibit`` choices of
-    ``run`` and ``shard``): the paper figures plus the scenario sweeps
-    registered *at call time* — computed lazily so a scenario registered
-    after this module imported still dispatches through the CLI."""
-    return SweepConfig.exhibit_names()
-
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
-    """The :class:`SweepConfig` described by parsed ``run``/``shard`` flags."""
+    """The :class:`SweepConfig` described by parsed ``run``/``shard`` flags
+    (noting on stderr a ``--chunk-users`` the exhibit ignores)."""
+    if args.chunk_users is not None and "chunk_users" not in EXHIBITS[args.figure].consumes:
+        print(
+            f"note: --chunk-users is ignored for {args.figure} "
+            f"(this exhibit never runs the chunked report-level simulation)",
+            file=sys.stderr,
+        )
     return SweepConfig(
         figure=args.figure,
         dataset=args.dataset,
@@ -120,34 +128,24 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         trial_batch=args.trial_batch,
     )
 
-_FIGURE_DESCRIPTIONS = {
-    "fig3": "MSE of LDPRecover / LDPRecover* / Detection per attack-protocol cell",
-    "fig4": "frequency gain of MGA before/after recovery",
-    "fig5": "parameter sweeps (beta / epsilon / eta) under AA on IPUMS",
-    "fig6": "parameter sweeps (beta / epsilon / eta) under AA on Fire",
-    "fig7": "MSE of estimated vs true malicious frequencies",
-    "fig8": "MGA vs MGA-IPA poisoning strength",
-    "fig9": "LDPRecover-KM vs plain k-means under MGA-IPA",
-    "fig10": "multi-attacker adaptive attacks",
-    "table1": "LDPRecover on unpoisoned frequencies",
-}
+def _list_command(args: argparse.Namespace) -> int:
+    """The ``list`` subcommand: every registered exhibit, one per line."""
+    for name in sorted(EXHIBITS):
+        print(f"{name:12s} {EXHIBITS[name].description}")
+    return 0
 
 
-def _descriptions() -> dict[str, str]:
-    """One-line descriptions per exhibit (``list`` output), registry-fresh."""
-    return {
-        **_FIGURE_DESCRIPTIONS,
-        **{name: exhibit.description for name, exhibit in SCENARIOS.items()},
-    }
-
-
-def _chunkless() -> tuple[str, ...]:
-    """Exhibits for which ``--chunk-users`` cannot apply: the report-level
-    figures (materialized reports required) plus scenario sweeps that do
-    not declare the knob."""
-    return ("fig3", "fig4", "fig9") + tuple(
-        name for name, exhibit in SCENARIOS.items() if not exhibit.uses_chunk_users
-    )
+def _run_command(args: argparse.Namespace) -> int:
+    """The ``run`` subcommand: regenerate one exhibit and print its rows."""
+    config = _sweep_config(args)
+    cache = resolve_cache(cache_dir=args.cache_dir, no_cache=args.no_cache)
+    rows = config.run(cache)
+    print(format_table(rows))
+    if cache is not None and args.cache_stats:
+        print(cache.stats.summary())
+    if args.output:
+        _write_rows(rows, args.output)
+    return 0
 
 
 def _demo(args: argparse.Namespace) -> int:
@@ -260,42 +258,27 @@ def _shard_command(args: argparse.Namespace) -> int:
     cache = resolve_cache(cache_dir=args.cache_dir)
     assert cache is not None  # no_cache is not offered on this subcommand
     if args.action == "run":
-        try:
-            report = run_shard(
-                config,
-                cache,
-                shard_index=args.shard_index,
-                shard_count=args.shard_count,
-                claims=args.claims,
-                claim_ttl=args.claim_ttl,
-                label=args.label,
-            )
-        except InvalidParameterError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = run_shard(
+            config,
+            cache,
+            shard_index=args.shard_index,
+            shard_count=args.shard_count,
+            claims=args.claims,
+            claim_ttl=args.claim_ttl,
+            label=args.label,
+        )
         print(report.summary())
         if args.cache_stats:
             print(cache.stats.summary())
         return 0
     if args.action == "status":
-        try:
-            status = sweep_status(config, cache, claim_ttl=args.claim_ttl)
-        except InvalidParameterError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        status = sweep_status(config, cache, claim_ttl=args.claim_ttl)
         print(status.summary())
         for report in status.reports:
             print(f"  {report.summary()}")
         return 0 if status.complete else 1
     if args.action == "merge":
-        try:
-            rows = merge_sweep(config, cache, require_complete=not args.allow_missing)
-        except ShardIncompleteError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except InvalidParameterError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        rows = merge_sweep(config, cache, require_complete=not args.allow_missing)
         print(format_table(rows))
         if args.cache_stats:
             print(cache.stats.summary())
@@ -338,18 +321,14 @@ def _lint_command(args: argparse.Namespace) -> int:
             for part in chunk.split(",")
             if part.strip()
         ]
-    try:
-        report = lint_paths(
-            paths,
-            select=select,
-            baseline_path=pathlib.Path(args.baseline) if args.baseline else None,
-            use_baseline=not args.no_baseline,
-            run_contracts=not args.no_contracts,
-            changed_only=args.changed_only,
-        )
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = lint_paths(
+        paths,
+        select=select,
+        baseline_path=pathlib.Path(args.baseline) if args.baseline else None,
+        use_baseline=not args.no_baseline,
+        run_contracts=not args.no_contracts,
+        changed_only=args.changed_only,
+    )
     output = report.render(args.format)
     if output:
         print(output)
@@ -368,7 +347,7 @@ def _write_rows(rows: list[dict[str, object]], path: str) -> None:
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the sweep-defining flags shared by ``run`` and ``shard``."""
     parser.add_argument("--figure", "--exhibit", dest="figure", required=True,
-                        choices=sorted(_exhibits()),
+                        choices=sorted(EXHIBITS),
                         help="paper figure or scenario exhibit to regenerate "
                              "(--exhibit is an alias: scenario sweeps like "
                              "'kv'/'heavyhitter' dispatch identically)")
@@ -564,37 +543,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  A library error
+    (:class:`~repro.exceptions.ReproError`) prints one ``error: ...`` line
+    on stderr and exits 2; an incomplete ``shard merge`` exits 1.
+    """
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        descriptions = _descriptions()
-        for name in sorted(_exhibits()):
-            print(f"{name:12s} {descriptions.get(name, '(registered scenario)')}")
-        return 0
-    if args.command == "demo":
-        return _demo(args)
-    if args.command == "serve":
-        return _serve_command(args)
-    if args.command == "cache":
-        return _cache_command(args)
-    if args.command == "lint":
-        return _lint_command(args)
-    if args.chunk_users is not None and args.figure in _chunkless():
-        print(
-            f"note: --chunk-users is ignored for {args.figure} "
-            f"(this exhibit never runs the chunked report-level simulation)",
-            file=sys.stderr,
-        )
-    if args.command == "shard":
-        return _shard_command(args)
-    cache = resolve_cache(cache_dir=args.cache_dir, no_cache=args.no_cache)
-    rows = _sweep_config(args).run(cache)
-    print(format_table(rows))
-    if cache is not None and args.cache_stats:
-        print(cache.stats.summary())
-    if args.output:
-        _write_rows(rows, args.output)
-    return 0
+    command = {
+        "list": _list_command,
+        "run": _run_command,
+        "shard": _shard_command,
+        "demo": _demo,
+        "serve": _serve_command,
+        "lint": _lint_command,
+        "cache": _cache_command,
+    }[args.command]
+    try:
+        return command(args)
+    except ShardIncompleteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

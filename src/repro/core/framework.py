@@ -113,16 +113,3 @@ def poisoned_frequency_law(genuine: NormalLaw, malicious: NormalLaw, eta: float)
     mean = genuine.mean / scale + eta * malicious.mean / scale
     variance = genuine.variance / scale**2 + eta**2 * malicious.variance / scale**2
     return NormalLaw(mean=mean, variance=variance)
-
-
-def decompose_poisoned_frequency(
-    poisoned_freq: np.ndarray, malicious_freq: np.ndarray, eta: float
-) -> np.ndarray:
-    """Invert Eq. 14 given the malicious frequencies (the Eq. 19 estimator).
-
-    Exposed here for symmetry with :func:`mixture_frequency`; the estimator
-    proper (with moments) lives in :mod:`repro.core.estimator`.
-    """
-    poisoned = np.asarray(poisoned_freq, dtype=np.float64)
-    malicious = np.asarray(malicious_freq, dtype=np.float64)
-    return (1.0 + eta) * poisoned - eta * malicious

@@ -18,9 +18,11 @@ is the execution substrate for that grid:
   partial sums, so report-level OUE/SUE simulations of tens of millions of
   users fit in RAM (an ``(n, d)`` boolean report matrix never exists).
 
-:func:`repro.sim.experiment.evaluate_recovery` is a thin shell over
-:func:`trial_metrics` + :func:`parallel_map`; the figure functions and the
-CLI expose the ``workers`` / ``chunk_users`` knobs end to end.
+:func:`run_trials` is every cell's trial step — fixed-budget through
+:func:`parallel_map`, or adaptive through :func:`run_adaptive_trials`;
+:func:`repro.sim.experiment.evaluate_recovery` runs it over
+:func:`trial_metrics`, and the exhibit generators and the CLI expose the
+``workers`` / ``chunk_users`` knobs end to end.
 """
 
 from __future__ import annotations
@@ -373,6 +375,33 @@ def run_adaptive_trials(
         blocks_reused=blocks_reused,
         blocks_run=blocks_run,
     )
+
+
+def run_trials(
+    metrics_fn: Callable[[Any], dict[str, float]],
+    task_for: Callable[[np.random.SeedSequence], Any],
+    seeds: Sequence[np.random.SeedSequence],
+    workers: Optional[int] = 1,
+    budget: Optional[TrialBudget] = None,
+    store: Optional[TrialBlockStore] = None,
+) -> tuple[dict[str, MetricStats], Optional[AdaptiveOutcome]]:
+    """One cell's trial step, fixed-budget or adaptive.
+
+    Without a ``budget`` every seed in ``seeds`` becomes one task via
+    ``task_for`` and the tasks run through :func:`parallel_map` with
+    ``metrics_fn`` over ``workers`` processes; the outcome is ``None``.
+    With a :class:`TrialBudget` the trials run through
+    :func:`run_adaptive_trials` instead, resuming from and appending to
+    the trial-block ``store`` when one is given.  Returns the aggregated
+    per-metric statistics and the adaptive outcome.
+    """
+    if budget is None:
+        tasks = [task_for(seed) for seed in seeds]
+        return aggregate_metrics(parallel_map(metrics_fn, tasks, workers=workers)), None
+    outcome = run_adaptive_trials(
+        budget, metrics_fn, task_for, seeds, workers=workers, store=store
+    )
+    return outcome.stats, outcome
 
 
 # ----------------------------------------------------------------------
@@ -827,5 +856,6 @@ __all__ = [
     "resolve_workers",
     "run_adaptive_trials",
     "run_chunked_trial",
+    "run_trials",
     "trial_metrics",
 ]

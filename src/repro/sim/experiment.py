@@ -19,45 +19,47 @@ Completed cells can persist across runs: pass a
 cell by the canonical hash of its full spec (dataset, protocol, attack,
 ``beta``, ``eta``, ``trials``, mode, seeds — but *not* ``workers`` or
 ``chunk_users``, which cannot change results) and serves repeat calls
-from disk without running a single trial.
+from disk without running a single trial.  Exhibit cells whose payload is
+a row rather than an evaluation go through :func:`run_cell`, the one cell
+runner that owns seeds, spec, cache lookup, trials and store for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Optional, Sequence
+from typing import Any, Callable, ClassVar, Optional, Sequence
 
-from repro._rng import RngLike, spawn, spawn_sequences
+import numpy as np
+
+from repro._rng import RngLike, spawn_sequences
 from repro.attacks.base import PoisoningAttack
 from repro.datasets.base import Dataset
 from repro.exceptions import InvalidParameterError
 from repro.protocols.base import FrequencyOracle
 from repro.sim.cache import (
+    SHARD_PLACEHOLDER_KEY,
     CellCache,
     evaluation_cell_spec,
     resolved_cohort_chunk,
     trial_stream_spec,
 )
 from repro.sim.engine import (
-    AdaptiveOutcome,
     MetricStats,
     TrialBudget,
     TrialTask,
-    aggregate_metrics,
-    parallel_map,
     resolve_star_targets,
-    run_adaptive_trials,
+    run_trials,
     trial_metrics,
 )
 from repro.sim.pipeline import SimulationMode, malicious_count
 
 __all__ = [
     "RecoveryEvaluation",
-    "SweepResult",
+    "apply_olh_cohort",
     "evaluate_recovery",
     "format_table",
     "resolve_star_targets",
-    "sweep_parameter",
+    "run_cell",
 ]
 
 
@@ -226,8 +228,7 @@ def evaluate_recovery(
             "does not retain reports); use mode='chunked' without detection"
         )
     if olh_cohort is not None:
-        with_cohort = getattr(protocol, "with_cohort", None)
-        if with_cohort is None:
+        if not hasattr(protocol, "with_cohort"):
             raise InvalidParameterError(
                 f"olh_cohort requires a cohort-capable protocol (OLH/BLH), "
                 f"got {protocol.name!r}"
@@ -235,14 +236,7 @@ def evaluate_recovery(
         # The cohort-configured copy is used everywhere below, including
         # the cache spec: cohort mode changes the report distribution, so
         # it must (and does, via the protocol fingerprint) change the key.
-        # In mode="fast" the distributional sampler is cohort-independent,
-        # so the knob is a deliberate no-op there: fast cells keep sharing
-        # the per-user-seed cache entry instead of re-simulating identical
-        # rows under a forked key.  The copy is still built first so an
-        # invalid cohort size raises in every mode.
-        cohorted = with_cohort(olh_cohort)
-        if mode != "fast":
-            protocol = cohorted
+        protocol = apply_olh_cohort(protocol, olh_cohort, mode)
     if attack is not None:
         # Surface the m=0 rounding problem at the cell level — under
         # strict_beta this fails fast before any worker spawns, and the
@@ -277,6 +271,9 @@ def evaluate_recovery(
         cached = cache.get_evaluation(spec)
         if cached is not None:
             return cached
+    store = None
+    if budget is not None and cache is not None and spec is not None:
+        store = cache.block_store(trial_stream_spec(spec))
 
     def _task(seed) -> TrialTask:
         return TrialTask(
@@ -293,19 +290,7 @@ def evaluate_recovery(
             chunk_users=chunk_users,
         )
 
-    outcome: Optional[AdaptiveOutcome] = None
-    if budget is not None:
-        store = None
-        if cache is not None and spec is not None:
-            store = cache.block_store(trial_stream_spec(spec))
-        outcome = run_adaptive_trials(
-            budget, trial_metrics, _task, seeds, workers=workers, store=store
-        )
-        stats = outcome.stats
-        trials = outcome.trials
-    else:
-        tasks = [_task(seed) for seed in seeds]
-        stats = aggregate_metrics(parallel_map(trial_metrics, tasks, workers=workers))
+    stats, outcome = run_trials(trial_metrics, _task, seeds, workers, budget, store)
 
     def _mean(metric: str) -> Optional[float]:
         entry = stats.get(metric)
@@ -317,7 +302,7 @@ def evaluate_recovery(
         attack=attack.describe() if attack is not None else "none",
         beta=beta,
         eta=eta,
-        trials=trials,
+        trials=trials if outcome is None else outcome.trials,
         mse_before=_mean("mse_before") or 0.0,
         mse_recover=_mean("mse_recover") or 0.0,
         mse_recover_star=_mean("mse_recover_star"),
@@ -337,37 +322,84 @@ def evaluate_recovery(
     return evaluation
 
 
-@dataclass
-class SweepResult:
-    """One varied parameter value and its evaluation."""
+def apply_olh_cohort(
+    protocol: FrequencyOracle, olh_cohort: Optional[int], mode: str
+) -> FrequencyOracle:
+    """The one ``olh_cohort`` rule of every exhibit cell.
 
-    parameter: str
-    value: float
-    evaluation: RecoveryEvaluation
-
-
-def sweep_parameter(
-    parameter: str,
-    values: Iterable[float],
-    evaluate: Callable[[float, RngLike], RecoveryEvaluation],
-    rng: RngLike = None,
-) -> list[SweepResult]:
-    """Evaluate over a parameter grid with independent child RNGs.
-
-    ``parameter`` names the swept knob (recorded in each
-    :class:`SweepResult`), ``values`` is its grid, and
-    ``evaluate(value, rng)`` builds and runs one cell — Figures 5-6's
-    beta/epsilon/eta sweeps are thin closures over
-    :func:`evaluate_recovery`.  Each grid point receives an independent
-    child of ``rng``, so inserting or removing values never perturbs the
-    other cells' streams.
+    For a cohort-capable ``protocol`` (one with a ``with_cohort`` hook,
+    i.e. OLH/BLH) the cohort size ``olh_cohort`` is validated in every
+    ``mode`` but applied only where the cell materializes reports: the
+    ``"fast"`` sampler draws marginals, which are cohort-independent, so
+    fast cells keep their per-user-seed protocol — and cache key.
+    Protocols without seed cohorts, and ``olh_cohort=None``, return
+    ``protocol`` unchanged.
     """
-    values = list(values)
-    rngs = spawn(rng, len(values))
-    return [
-        SweepResult(parameter=parameter, value=float(v), evaluation=evaluate(v, child))
-        for v, child in zip(values, rngs)
-    ]
+    with_cohort = None if olh_cohort is None else getattr(protocol, "with_cohort", None)
+    if with_cohort is None:
+        return protocol
+    cohorted: FrequencyOracle = with_cohort(olh_cohort)
+    return protocol if mode == "fast" else cohorted
+
+
+def run_cell(
+    rng: RngLike,
+    spec_for: Callable[[list[np.random.SeedSequence]], dict[str, Any]],
+    metrics_fn: Callable[[Any], dict[str, float]],
+    task_for: Callable[[np.random.SeedSequence], Any],
+    payload_for: Callable[[dict[str, MetricStats]], dict[str, object]],
+    trials: int = 5,
+    workers: Optional[int] = 1,
+    cache: Optional[CellCache] = None,
+    budget: Optional[TrialBudget] = None,
+    rows_for: Optional[Callable[[dict[str, Any]], list[dict[str, object]]]] = None,
+) -> list[dict[str, object]]:
+    """Run one cached row cell of an exhibit and return its rows.
+
+    The cell runner behind every exhibit whose cells are row payloads
+    (Figures 8-9, Table I and the scenario sweeps):
+
+    1. spawn the per-trial seeds off ``rng`` — ``trials`` of them, or
+       the budget's ``max_trials`` — before any lookup, so the parent
+       stream advances identically on hits and misses;
+    2. with a ``cache``, key the cell by ``spec_for(seeds)`` plus the
+       ``budget`` fingerprint and serve a stored payload;
+    3. otherwise run the trials through
+       :func:`repro.sim.engine.run_trials` — ``metrics_fn`` over the
+       tasks ``task_for(seed)`` builds, on ``workers`` processes, fixed
+       or adaptive under ``budget`` (resuming the cell's cached trial
+       blocks) — and turn the aggregated statistics into the payload
+       with ``payload_for``, stored with the adaptive outcome as entry
+       metadata;
+    4. expand the payload into rows with ``rows_for`` (default: the
+       payload is the one row).  Placeholder payloads of the shard and
+       enumeration caches pass through unexpanded: their callers discard
+       the rows.
+
+    Raises :class:`~repro.exceptions.InvalidParameterError` for
+    ``trials < 1``.
+    """
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    seeds = spawn_sequences(rng, trials if budget is None else budget.max_trials)
+    spec: Optional[dict[str, Any]] = None
+    payload: Optional[dict[str, Any]] = None
+    if cache is not None:
+        spec = spec_for(seeds)
+        if budget is not None:
+            spec["budget"] = budget.fingerprint()
+        payload = cache.get(spec)
+    if payload is None:
+        store = None
+        if budget is not None and cache is not None and spec is not None:
+            store = cache.block_store(trial_stream_spec(spec))
+        stats, outcome = run_trials(metrics_fn, task_for, seeds, workers, budget, store)
+        payload = payload_for(stats)
+        if cache is not None and spec is not None:
+            cache.put(spec, payload, meta=None if outcome is None else outcome.meta())
+    if rows_for is None or SHARD_PLACEHOLDER_KEY in payload:
+        return [payload]
+    return rows_for(payload)
 
 
 def format_table(rows: Sequence[dict[str, object]], float_format: str = "{:.3e}") -> str:

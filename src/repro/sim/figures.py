@@ -37,11 +37,11 @@ trial contributed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro._rng import RngLike, as_generator, spawn, spawn_sequences
+from repro._rng import RngLike, as_generator, spawn
 from repro.attacks import (
     AdaptiveAttack,
     InputPoisoningAttack,
@@ -55,20 +55,14 @@ from repro.core.recover import recover_frequencies
 from repro.datasets import Dataset, fire_like, ipums_like
 from repro.exceptions import InvalidParameterError
 from repro.protocols import PROTOCOL_NAMES, FrequencyOracle, make_protocol
-from repro.sim.cache import (
-    CellCache,
-    resolved_cohort_chunk,
-    row_cell_spec,
-    trial_stream_spec,
+from repro.sim.cache import CellCache, resolved_cohort_chunk, row_cell_spec
+from repro.sim.engine import MetricStats, TrialBudget
+from repro.sim.experiment import (
+    RecoveryEvaluation,
+    apply_olh_cohort,
+    evaluate_recovery,
+    run_cell,
 )
-from repro.sim.engine import (
-    MetricStats,
-    TrialBudget,
-    aggregate_metrics,
-    parallel_map,
-    run_adaptive_trials,
-)
-from repro.sim.experiment import RecoveryEvaluation, evaluate_recovery
 from repro.sim.metrics import mse
 from repro.sim.pipeline import SimulationMode, run_trial
 
@@ -94,43 +88,28 @@ def load_dataset(name: str, num_users: Optional[int]) -> Dataset:
     raise InvalidParameterError(f"unknown dataset {name!r}; use 'ipums' or 'fire'")
 
 
-# NOTE: the cell-row toolkit below (_cell_protocol, _cohort_for,
-# _row_cell_params, _metric_columns, _stat_columns, _cached_cell_row) is
-# shared infrastructure: repro.sim.scenarios builds its registered
-# scenario exhibits on these helpers, so renames/signature changes must
-# update both modules (the scenario test suite pins the contract).
+# NOTE: the cell-row toolkit below (_cell_protocol, _row_cell_params,
+# _make_attack, _stat_columns) is shared infrastructure: repro.sim.scenarios
+# builds its scenario exhibits on these helpers, so renames/signature
+# changes must update both modules (the scenario test suite pins the
+# contract).
 def _cell_protocol(
-    name: str, epsilon: float, domain_size: int, olh_cohort: Optional[int] = None
+    name: str,
+    epsilon: float,
+    domain_size: int,
+    olh_cohort: Optional[int] = None,
+    mode: SimulationMode = "sampled",
 ) -> FrequencyOracle:
-    """Build one cell's protocol; ``olh_cohort`` applies to OLH cells only.
+    """Build one cell's protocol under the ``olh_cohort`` rule.
 
     The cohort knob is meaningless for GRR/OUE, so exhibits that iterate
     every protocol forward it here and only the hashing-based cells pick
-    it up (entering their cache keys through the protocol fingerprint).
-    Used directly by the report-level (``sampled``-mode) exhibits; the
-    fast-capable exhibits instead pass :func:`_cohort_for` through
-    :func:`~repro.sim.experiment.evaluate_recovery`, which applies the
-    cohort only when the cell actually materializes reports.
+    it up (entering their cache keys through the protocol fingerprint) —
+    validated in every ``mode``, applied only where the cell materializes
+    reports (see :func:`~repro.sim.experiment.apply_olh_cohort`).
     """
     protocol = make_protocol(name, epsilon=epsilon, domain_size=domain_size)
-    cohort = _cohort_for(protocol, olh_cohort)
-    if cohort is not None:
-        # ``with_cohort`` only exists on cohort-capable oracles (OLH); the
-        # _cohort_for gate above guarantees the hook is present here.
-        protocol = getattr(protocol, "with_cohort")(cohort)
-    return protocol
-
-
-def _cohort_for(protocol: object, olh_cohort: Optional[int]) -> Optional[int]:
-    """``olh_cohort`` when ``protocol`` supports seed cohorts, else ``None``.
-
-    Capability-based (``with_cohort`` hook) rather than a name list, so a
-    newly registered cohort-capable protocol picks the knob up without
-    touching the exhibit generators.
-    """
-    if olh_cohort is None or not hasattr(protocol, "with_cohort"):
-        return None
-    return olh_cohort
+    return apply_olh_cohort(protocol, olh_cohort, mode)
 
 
 def _row_cell_params(
@@ -182,71 +161,16 @@ def _metric_columns(
 
 
 def _stat_columns(
-    stats: dict[str, MetricStats], columns: Iterable[str]
+    stats: dict[str, MetricStats], columns: Iterable[str], suffix: str = ""
 ) -> dict[str, object]:
-    """Columns ``{col: mean, col±: ci95}`` from aggregated trial stats."""
+    """Columns ``{col: mean, col±: ci95}`` from aggregated trial stats,
+    reading each column off metric ``f"{col}{suffix}"``."""
     out: dict[str, object] = {}
     for column in columns:
-        entry = stats[column]
+        entry = stats[f"{column}{suffix}"]
         out[column] = entry.mean
         out[f"{column}±"] = entry.ci95_halfwidth
     return out
-
-
-def _cached_cell_row(
-    cache: Optional[CellCache],
-    spec: Optional[dict[str, object]],
-    compute: Callable[[], dict[str, object]],
-    meta: Optional[Callable[[], Optional[dict[str, object]]]] = None,
-) -> dict[str, object]:
-    """Serve one exhibit row from ``cache`` under ``spec``, or ``compute``
-    and store it — the shared lookup/store protocol of the generators
-    whose cells do not go through :func:`evaluate_recovery`.  ``meta`` is
-    an optional zero-argument callable evaluated *after* ``compute`` whose
-    result (adaptive-budget trial counts, achieved half-widths) is stored
-    on the entry next to — never inside — the row payload."""
-    if cache is not None and spec is not None:
-        cached = cache.get(spec)
-        if cached is not None:
-            return cached
-    row = compute()
-    if cache is not None and spec is not None:
-        cache.put(spec, row, meta=None if meta is None else meta())
-    return row
-
-
-def _cell_trial_stats(
-    metrics_fn: Callable[[object], dict[str, float]],
-    task_for: Callable[[np.random.SeedSequence], object],
-    seeds: list[np.random.SeedSequence],
-    workers: Optional[int],
-    budget: Optional[TrialBudget],
-    cache: Optional[CellCache],
-    spec: Optional[dict[str, object]],
-) -> tuple[dict[str, MetricStats], Optional[dict[str, object]]]:
-    """Aggregate one row cell's trial metrics, fixed-budget or adaptive.
-
-    With ``budget`` ``None`` every seed in ``seeds`` becomes one task via
-    ``task_for`` and runs through :func:`parallel_map` with
-    ``metrics_fn`` — the historical fixed-budget path, byte-identical
-    cache keys and all.  With a :class:`~repro.sim.engine.TrialBudget`,
-    trials run in batches until the budget's stopping rule is met,
-    resuming from (and appending to) the cell's trial-block store when
-    ``cache`` and the cell's summary ``spec`` are given.  Returns the
-    aggregated stats plus the adaptive outcome metadata (``None`` on the
-    fixed path).
-    """
-    if budget is None:
-        tasks = [task_for(seed) for seed in seeds]
-        stats = aggregate_metrics(parallel_map(metrics_fn, tasks, workers=workers))
-        return stats, None
-    store = None
-    if cache is not None and spec is not None:
-        store = cache.block_store(trial_stream_spec(spec))
-    outcome = run_adaptive_trials(
-        budget, metrics_fn, task_for, seeds, workers=workers, store=store
-    )
-    return outcome.stats, outcome.meta()
 
 
 #: The (attack, protocol) cells of Figures 3-4: Manip is shown on GRR only
@@ -465,6 +389,7 @@ def sweep_rows(
         )
     values = tuple(values) or grids[parameter]
     dataset = load_dataset(dataset_name, num_users)
+    mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     rows = []
     rngs = spawn(rng, len(PROTOCOL_NAMES) * len(values))
     idx = 0
@@ -475,7 +400,9 @@ def sweep_rows(
             beta = value if parameter == "beta" else DEFAULT_BETA
             epsilon = value if parameter == "epsilon" else DEFAULT_EPSILON
             eta = value if parameter == "eta" else DEFAULT_ETA
-            protocol = _cell_protocol(protocol_name, epsilon, dataset.domain_size)
+            protocol = _cell_protocol(
+                protocol_name, epsilon, dataset.domain_size, olh_cohort, mode
+            )
             attack = AdaptiveAttack(domain_size=dataset.domain_size, rng=gen)
             evaluation = evaluate_recovery(
                 dataset,
@@ -484,12 +411,11 @@ def sweep_rows(
                 beta=beta,
                 eta=eta,
                 trials=trials,
-                mode="fast",
+                mode=mode,
                 aa_top_k=DEFAULT_R // 2,
                 rng=gen,
                 workers=workers,
                 chunk_users=chunk_users,
-                olh_cohort=_cohort_for(protocol, olh_cohort),
                 cache=cache,
                 budget=budget,
             )
@@ -534,6 +460,7 @@ def figure7_rows(
     allocation.
     """
     dataset = load_dataset("ipums", num_users)
+    mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     rows = []
     rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG7_BETAS))
     idx = 0
@@ -541,7 +468,9 @@ def figure7_rows(
         for beta in FIG7_BETAS:
             gen = as_generator(rngs[idx])
             idx += 1
-            protocol = _cell_protocol(protocol_name, DEFAULT_EPSILON, dataset.domain_size)
+            protocol = _cell_protocol(
+                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
+            )
             attack = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
             evaluation = evaluate_recovery(
                 dataset,
@@ -550,11 +479,10 @@ def figure7_rows(
                 beta=beta,
                 eta=DEFAULT_ETA,
                 trials=trials,
-                mode="fast",
+                mode=mode,
                 rng=gen,
                 workers=workers,
                 chunk_users=chunk_users,
-                olh_cohort=_cohort_for(protocol, olh_cohort),
                 cache=cache,
                 budget=budget,
             )
@@ -632,49 +560,33 @@ def figure8_rows(
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     columns = ("mse_mga", "mse_mga_ipa")
-    rows = []
+    rows: list[dict[str, object]] = []
     rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG8_BETAS))
     idx = 0
     for protocol_name in PROTOCOL_NAMES:
         for beta in FIG8_BETAS:
             gen = as_generator(rngs[idx])
             idx += 1
-            # Cohort mode only exists at the report level: fast-mode cells
-            # sample marginals, so the knob is a no-op (and key-neutral).
             protocol = _cell_protocol(
-                protocol_name,
-                DEFAULT_EPSILON,
-                dataset.domain_size,
-                olh_cohort if mode == "chunked" else None,
+                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
             )
             mga = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
             ipa = InputPoisoningAttack(mga)
-            seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-            spec = None
-            if cache is not None:
-                params = _row_cell_params(protocol, mode, chunk_users, beta=beta, mode=mode)
-                spec = row_cell_spec(
+            params = _row_cell_params(protocol, mode, chunk_users, beta=beta, mode=mode)
+            rows += run_cell(
+                gen,
+                lambda seeds: row_cell_spec(
                     "figure8", dataset, protocol, (mga, ipa), params, seeds
-                )
-                if budget is not None:
-                    spec["budget"] = budget.fingerprint()
-
-            def task_for(seed: np.random.SeedSequence) -> _Fig8Task:
-                return _Fig8Task(dataset, protocol, mga, ipa, beta, mode, chunk_users, seed)
-
-            cell_meta: list[Optional[dict[str, object]]] = [None]
-
-            def compute() -> dict[str, object]:
-                stats, cell_meta[0] = _cell_trial_stats(
-                    _figure8_trial, task_for, seeds, workers, budget, cache, spec
-                )
-                return {
-                    "cell": f"{protocol_name}",
-                    "beta": beta,
-                    **_stat_columns(stats, columns),
-                }
-
-            rows.append(_cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0]))
+                ),
+                _figure8_trial,
+                lambda seed: _Fig8Task(
+                    dataset, protocol, mga, ipa, beta, mode, chunk_users, seed
+                ),
+                lambda stats: {
+                    "cell": protocol_name, "beta": beta, **_stat_columns(stats, columns)
+                },
+                trials=trials, workers=workers, cache=cache, budget=budget,
+            )
     return rows
 
 
@@ -733,7 +645,7 @@ def figure9_rows(
     """
     dataset = load_dataset("ipums", num_users)
     columns = ("mse_before", "mse_kmeans", "mse_ldprecover_km")
-    rows = []
+    rows: list[dict[str, object]] = []
     rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG9_XIS))
     idx = 0
     for protocol_name in PROTOCOL_NAMES:
@@ -745,41 +657,17 @@ def figure9_rows(
             )
             mga = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
             attack = InputPoisoningAttack(mga)
-            seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-            spec = None
-            if cache is not None:
-                spec = row_cell_spec(
-                    "figure9",
-                    dataset,
-                    protocol,
-                    (attack,),
-                    {
-                        "beta": beta,
-                        "xi": xi,
-                        "num_subsets": FIG9_NUM_SUBSETS,
-                        "mode": "sampled",
-                    },
-                    seeds,
-                )
-                if budget is not None:
-                    spec["budget"] = budget.fingerprint()
-
-            def task_for(seed: np.random.SeedSequence) -> _Fig9Task:
-                return _Fig9Task(dataset, protocol, attack, beta, xi, seed)
-
-            cell_meta: list[Optional[dict[str, object]]] = [None]
-
-            def compute() -> dict[str, object]:
-                stats, cell_meta[0] = _cell_trial_stats(
-                    _figure9_trial, task_for, seeds, workers, budget, cache, spec
-                )
-                return {
-                    "cell": f"{protocol_name}",
-                    "xi": xi,
-                    **_stat_columns(stats, columns),
-                }
-
-            rows.append(_cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0]))
+            params = {"beta": beta, "xi": xi, "num_subsets": FIG9_NUM_SUBSETS, "mode": "sampled"}
+            rows += run_cell(
+                gen,
+                lambda seeds: row_cell_spec(
+                    "figure9", dataset, protocol, (attack,), params, seeds
+                ),
+                _figure9_trial,
+                lambda seed: _Fig9Task(dataset, protocol, attack, beta, xi, seed),
+                lambda stats: {"cell": protocol_name, "xi": xi, **_stat_columns(stats, columns)},
+                trials=trials, workers=workers, cache=cache, budget=budget,
+            )
     return rows
 
 
@@ -808,6 +696,7 @@ def figure10_rows(
     allocation.
     """
     dataset = load_dataset("ipums", num_users)
+    mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     rows = []
     rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG10_BETAS))
     idx = 0
@@ -815,7 +704,9 @@ def figure10_rows(
         for beta in FIG10_BETAS:
             gen = as_generator(rngs[idx])
             idx += 1
-            protocol = _cell_protocol(protocol_name, DEFAULT_EPSILON, dataset.domain_size)
+            protocol = _cell_protocol(
+                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
+            )
             attackers = [
                 AdaptiveAttack(domain_size=dataset.domain_size, rng=child)
                 for child in spawn(gen, FIG10_NUM_ATTACKERS)
@@ -828,12 +719,11 @@ def figure10_rows(
                 beta=beta,
                 eta=DEFAULT_ETA,
                 trials=trials,
-                mode="fast",
+                mode=mode,
                 with_star=False,
                 rng=gen,
                 workers=workers,
                 chunk_users=chunk_users,
-                olh_cohort=_cohort_for(protocol, olh_cohort),
                 cache=cache,
                 budget=budget,
             )
@@ -899,7 +789,7 @@ def table1_rows(
     ``cache`` reuses completed cells, and ``budget`` switches the cells
     to adaptive CI-targeted trial allocation.
     """
-    rows = []
+    rows: list[dict[str, object]] = []
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     columns = ("mse_before_recovery", "mse_after_recovery")
     datasets = [load_dataset("ipums", num_users), load_dataset("fire", num_users)]
@@ -909,37 +799,22 @@ def table1_rows(
         for protocol_name in PROTOCOL_NAMES:
             gen = as_generator(rngs[idx])
             idx += 1
-            # Cohort mode only exists at the report level (see figure8_rows).
             protocol = _cell_protocol(
-                protocol_name,
-                DEFAULT_EPSILON,
-                dataset.domain_size,
-                olh_cohort if mode == "chunked" else None,
+                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
             )
-            seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-            spec = None
-            if cache is not None:
-                params = _row_cell_params(
-                    protocol, mode, chunk_users, beta=0.0, eta=DEFAULT_ETA, mode=mode
-                )
-                spec = row_cell_spec("table1", dataset, protocol, (), params, seeds)
-                if budget is not None:
-                    spec["budget"] = budget.fingerprint()
-
-            def task_for(seed: np.random.SeedSequence) -> _Table1Task:
-                return _Table1Task(dataset, protocol, mode, chunk_users, seed)
-
-            cell_meta: list[Optional[dict[str, object]]] = [None]
-
-            def compute() -> dict[str, object]:
-                stats, cell_meta[0] = _cell_trial_stats(
-                    _table1_trial, task_for, seeds, workers, budget, cache, spec
-                )
-                return {
+            params = _row_cell_params(
+                protocol, mode, chunk_users, beta=0.0, eta=DEFAULT_ETA, mode=mode
+            )
+            rows += run_cell(
+                gen,
+                lambda seeds: row_cell_spec("table1", dataset, protocol, (), params, seeds),
+                _table1_trial,
+                lambda seed: _Table1Task(dataset, protocol, mode, chunk_users, seed),
+                lambda stats: {
                     "dataset": dataset.name,
                     "protocol": protocol_name,
                     **_stat_columns(stats, columns),
-                }
-
-            rows.append(_cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0]))
+                },
+                trials=trials, workers=workers, cache=cache, budget=budget,
+            )
     return rows

@@ -1,36 +1,42 @@
-"""Scenario exhibits: first-class sweeps beyond the paper's figures.
+"""Scenario exhibits, and the one registry of every exhibit.
 
 The paper's conclusion names poisoning of "more complex tasks, such as
 key-value pairs collection" as future work, and heavy hitters are what
 targeted promotion actually attacks (MGA's stated goal is promoting its
-targets into the popular list).  This module promotes both workloads
-from library sketches to first-class *scenario exhibits* that ride the
-full experiment stack:
+targets into the popular list).  This module promotes both workloads —
+plus evolving populations (``epochs``) and a defense shoot-out
+(``defenses``) — to first-class *scenario exhibits* that ride the full
+experiment stack:
 
-* **Engine** — every cell fans its trials out as picklable tasks through
-  :func:`repro.sim.engine.parallel_map` with per-trial
-  :class:`~numpy.random.SeedSequence` streams (``workers=N`` is
-  bit-identical to ``workers=1``), and metrics accumulate through
-  streaming Welford statistics into
-  :class:`~repro.sim.engine.MetricStats`, so every column carries a
-  ``±`` 95%-CI companion.
+* **Engine** — every cell runs through the cell runner
+  :func:`repro.sim.experiment.run_cell`, which fans its trials out as
+  picklable tasks through :func:`repro.sim.engine.parallel_map` with
+  per-trial :class:`~numpy.random.SeedSequence` streams (``workers=N``
+  is bit-identical to ``workers=1``); metrics accumulate through
+  streaming Welford statistics into :class:`~repro.sim.engine.MetricStats`,
+  so every column carries a ``±`` 95%-CI companion.
 * **Cache** — each cell emits one cacheable row payload keyed by a
   canonical :func:`repro.sim.cache.scenario_cell_spec`, so interrupted
   sweeps resume and warm reruns execute zero simulation tasks.
-* **Sharding** — scenarios register in the :data:`SCENARIOS` registry
-  consumed by :class:`repro.sim.shard.SweepConfig`, so ``ldprecover run
-  --exhibit kv|heavyhitter`` and ``shard run|status|merge`` dispatch
-  them exactly like any paper figure, and a sharded scenario sweep
-  merges bit-identical to the unsharded run.
+* **Registry** — :data:`EXHIBITS` holds every exhibit, the nine paper
+  figures of :mod:`repro.sim.figures` first, each an :class:`Exhibit`
+  naming its generator and the optional sweep fields it consumes.
+  :class:`repro.sim.shard.SweepConfig` derives its dispatch and digests
+  from it and the CLI its choices, ``list`` text and ``--chunk-users``
+  note, so ``ldprecover run --exhibit kv`` and ``shard
+  run|status|merge`` treat a scenario exactly like a paper figure, and a
+  sharded sweep merges bit-identical to the unsharded run.
 
-Adding a new workload is one :class:`ScenarioExhibit` registration
-(:func:`register_scenario`), not a fork of :mod:`repro.sim.figures`.
+Adding an exhibit is one :class:`Exhibit` registration
+(:func:`register_scenario`), not a fork of :mod:`repro.sim.figures` or of
+the dispatch code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, cast
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,30 +51,24 @@ from repro.datasets.base import Dataset
 from repro.datasets.synthetic import zipf_dataset
 from repro.exceptions import InvalidParameterError
 from repro.kv import KeyValueProtocol, KVPoisoningAttack, recover_key_value
-from repro.sim.cache import (
-    SHARD_PLACEHOLDER_KEY,
-    CellCache,
-    fingerprint_attack_schedule,
-    scenario_cell_spec,
-)
-from repro.sim.engine import (
-    MetricStats,
-    TrialBlockStore,
-    TrialBudget,
-    aggregate_metrics,
-    parallel_map,
-    resolve_star_targets,
-    run_adaptive_trials,
-)
+from repro.sim.cache import CellCache, fingerprint_attack_schedule, scenario_cell_spec
+from repro.sim.engine import MetricStats, TrialBudget, resolve_star_targets, run_trials
+from repro.sim.experiment import run_cell
 from repro.sim.figures import (
     DEFAULT_EPSILON,
-    _cached_cell_row,
     _cell_protocol,
-    _cell_trial_stats,
     _make_attack,
     _row_cell_params,
     _stat_columns,
+    figure3_rows,
+    figure4_rows,
+    figure7_rows,
+    figure8_rows,
+    figure9_rows,
+    figure10_rows,
     load_dataset,
+    sweep_rows,
+    table1_rows,
 )
 from repro.sim.history import AttackSchedule, drift_dataset
 from repro.sim.metrics import frequency_gain, mse
@@ -89,6 +89,8 @@ __all__ = [
     "EPOCH_HISTORY_MIN",
     "EPOCH_SCHEDULES",
     "EPOCH_TARGET_COUNT",
+    "EXHIBITS",
+    "Exhibit",
     "HH_BETAS",
     "HH_KS",
     "HH_TARGET_COUNT",
@@ -98,8 +100,7 @@ __all__ = [
     "KV_TARGET_COUNT",
     "KVPopulation",
     "KVTrialTask",
-    "SCENARIOS",
-    "ScenarioExhibit",
+    "SWEEP_OPTIONS",
     "defenses_rows",
     "detection_f1",
     "epochs_rows",
@@ -109,7 +110,6 @@ __all__ = [
     "kv_rows",
     "kv_trial_metrics",
     "register_scenario",
-    "scenario_names",
 ]
 
 
@@ -287,9 +287,7 @@ def evaluate_kv_recovery(
     trials: int = 10,
     rng: RngLike = None,
     workers: Optional[int] = 1,
-    seeds: Optional[Sequence[np.random.SeedSequence]] = None,
     budget: Optional[TrialBudget] = None,
-    store: Optional[TrialBlockStore] = None,
 ) -> dict[str, MetricStats]:
     """Run one key-value recovery cell and average over ``trials``.
 
@@ -298,27 +296,21 @@ def evaluate_kv_recovery(
     independent poisoning rounds of ``attack`` against ``protocol`` over
     ``population`` at malicious fraction ``beta`` become picklable
     :class:`KVTrialTask` units — each owning a
-    :class:`~numpy.random.SeedSequence` child spawned from ``rng`` (or
-    taken from ``seeds``, which overrides ``rng``/``trials`` when the
-    caller pre-spawned them for a cache spec) — fanned out through
-    :func:`repro.sim.engine.parallel_map` over ``workers`` processes and
-    folded into streaming per-metric statistics.  ``eta`` is the
-    server-side ratio knob of both recovery variants.  With a
-    :class:`~repro.sim.engine.TrialBudget` in ``budget`` the cell instead
-    runs adaptively over the first ``budget.max_trials`` seeds of the
-    same canonical stream (``trials`` is superseded), stopping at the
-    first checkpoint whose 95% CI half-widths meet the target and
-    resuming from ``store`` (a trial-block store) when one is given.
-    Returns the ``{metric: MetricStats}`` aggregation of
-    :func:`kv_trial_metrics` (mean / variance / stderr / count per
-    metric); results are bit-identical for any ``workers``.
+    :class:`~numpy.random.SeedSequence` child spawned from ``rng`` —
+    run through the cell trial step :func:`repro.sim.engine.run_trials`
+    over ``workers`` processes and folded into streaming per-metric
+    statistics.  ``eta`` is the server-side ratio knob of both recovery
+    variants.  With a :class:`~repro.sim.engine.TrialBudget` in
+    ``budget`` the cell instead runs adaptively over the first
+    ``budget.max_trials`` seeds of the same canonical stream (``trials``
+    is superseded), stopping at the first checkpoint whose 95% CI
+    half-widths meet the target.  Returns the ``{metric: MetricStats}``
+    aggregation of :func:`kv_trial_metrics` (mean / variance / stderr /
+    count per metric); results are bit-identical for any ``workers``.
     """
-    if seeds is None:
-        if trials < 1:
-            raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-        seeds = spawn_sequences(rng, trials if budget is None else budget.max_trials)
-    elif not len(seeds):
-        raise InvalidParameterError("seeds must be non-empty when provided")
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    seeds = spawn_sequences(rng, trials if budget is None else budget.max_trials)
     malicious_count(population.num_users, beta)  # surface m == 0 rounding early
 
     def task_for(seed: np.random.SeedSequence) -> KVTrialTask:
@@ -331,13 +323,7 @@ def evaluate_kv_recovery(
             eta=eta,
         )
 
-    if budget is not None:
-        outcome = run_adaptive_trials(
-            budget, kv_trial_metrics, task_for, list(seeds), workers=workers, store=store
-        )
-        return outcome.stats
-    tasks = [task_for(seed) for seed in seeds]
-    return aggregate_metrics(parallel_map(kv_trial_metrics, tasks, workers=workers))
+    return run_trials(kv_trial_metrics, task_for, seeds, workers, budget)[0]
 
 
 #: Total privacy budgets of the ``kv`` sweep (split evenly key/value).
@@ -385,8 +371,9 @@ def kv_rows(
     workload, and both recovery variants run —
     :func:`repro.kv.recover_key_value` without attack knowledge and with
     the attacker's target keys.  ``num_users`` sizes the genuine
-    population (``None`` = 100k), ``trials`` rounds are averaged per cell
-    through :func:`evaluate_kv_recovery`, ``rng`` seeds the cells
+    population (``None`` = 100k), ``trials`` rounds of
+    :func:`kv_trial_metrics` are averaged per cell through the cell
+    runner :func:`repro.sim.experiment.run_cell`, ``rng`` seeds the cells
     independently, ``workers`` fans trials over the process pool,
     ``cache`` serves completed cells across runs (row payloads keyed by
     :func:`repro.sim.cache.scenario_cell_spec`), and ``budget`` switches
@@ -394,14 +381,12 @@ def kv_rows(
     canonical seed stream (cached trial blocks are resumed and extended
     rather than recomputed).
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     population = kv_population(
         num_keys=KV_NUM_KEYS,
         num_users=_KV_DEFAULT_USERS if num_users is None else int(num_users),
     )
     targets = tail_items(population.frequencies, KV_TARGET_COUNT)
-    rows = []
+    rows: list[dict[str, object]] = []
     rngs = spawn(rng, len(KV_EPSILONS) * len(KV_BETAS))
     idx = 0
     for epsilon in KV_EPSILONS:
@@ -414,44 +399,25 @@ def kv_rows(
             attack = KVPoisoningAttack(
                 num_keys=KV_NUM_KEYS, targets=targets, target_bit=1
             )
-            seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-            spec = None
-            if cache is not None:
-                spec = scenario_cell_spec(
-                    "kv",
-                    population,
-                    protocol,
-                    (attack,),
-                    {"beta": beta, "epsilon": epsilon, "eta": DEFAULT_ETA},
-                    seeds,
-                )
-                if budget is not None:
-                    spec["budget"] = budget.fingerprint()
-
-            def task_for(seed: np.random.SeedSequence) -> KVTrialTask:
-                return KVTrialTask(
-                    population=population,
-                    protocol=protocol,
-                    attack=attack,
-                    seed=seed,
-                    beta=beta,
-                    eta=DEFAULT_ETA,
-                )
-
-            cell_meta: list[Optional[dict[str, object]]] = [None]
-
-            def compute() -> dict[str, object]:
-                stats, cell_meta[0] = _cell_trial_stats(
-                    kv_trial_metrics, task_for, seeds, workers, budget, cache, spec
-                )
-                return {
+            params = {"beta": beta, "epsilon": epsilon, "eta": DEFAULT_ETA}
+            rows += run_cell(
+                gen,
+                lambda seeds: scenario_cell_spec(
+                    "kv", population, protocol, (attack,), params, seeds
+                ),
+                kv_trial_metrics,
+                lambda seed: KVTrialTask(
+                    population=population, protocol=protocol, attack=attack,
+                    seed=seed, beta=beta, eta=DEFAULT_ETA,
+                ),
+                lambda stats: {
                     "cell": attack.describe(),
                     "epsilon": epsilon,
                     "beta": beta,
                     **_stat_columns(stats, _KV_COLUMNS),
-                }
-
-            rows.append(_cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0]))
+                },
+                trials=trials, workers=workers, cache=cache, budget=budget,
+            )
     return rows
 
 
@@ -558,78 +524,56 @@ def heavyhitter_rows(
     ``budget`` switches the cells to adaptive CI-targeted trial
     allocation.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     targets = tail_items(dataset.frequencies, HH_TARGET_COUNT)
-    rows = []
+    rows: list[dict[str, object]] = []
     rngs = spawn(rng, len(PROTOCOL_NAMES) * len(HH_BETAS))
     idx = 0
     for protocol_name in PROTOCOL_NAMES:
         for beta in HH_BETAS:
             gen = as_generator(rngs[idx])
             idx += 1
-            # Cohort mode only exists at the report level (see figure8_rows).
             protocol = _cell_protocol(
-                protocol_name,
-                DEFAULT_EPSILON,
-                dataset.domain_size,
-                olh_cohort if mode == "chunked" else None,
+                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
             )
             attack = MGAAttack(domain_size=dataset.domain_size, targets=targets)
-            seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-            spec = None
-            if cache is not None:
-                params = _row_cell_params(
-                    protocol, mode, chunk_users,
-                    beta=beta, ks=list(HH_KS), eta=DEFAULT_ETA, mode=mode,
-                )
-                spec = scenario_cell_spec(
+            params = _row_cell_params(
+                protocol, mode, chunk_users,
+                beta=beta, ks=list(HH_KS), eta=DEFAULT_ETA, mode=mode,
+            )
+            # One cell per (protocol, beta): the simulation does not depend
+            # on k, so every HH_KS entry is read off the same trials and the
+            # cached payload carries all of them.
+            rows += run_cell(
+                gen,
+                lambda seeds: scenario_cell_spec(
                     "heavyhitter", dataset, protocol, (attack,), params, seeds
-                )
-                if budget is not None:
-                    spec["budget"] = budget.fingerprint()
-
-            def task_for(seed: np.random.SeedSequence) -> _HHTask:
-                return _HHTask(
+                ),
+                _heavyhitter_trial,
+                lambda seed: _HHTask(
                     dataset, protocol, attack, beta, HH_KS, DEFAULT_ETA,
                     mode, chunk_users, seed,
-                )
-
-            cell_meta: list[Optional[dict[str, object]]] = [None]
-
-            def compute() -> dict[str, object]:
-                # One cell per (protocol, beta): the simulation does not
-                # depend on k, so every HH_KS entry is read off the same
-                # trials and the cached payload carries all of them.
-                stats, cell_meta[0] = _cell_trial_stats(
-                    _heavyhitter_trial, task_for, seeds, workers, budget, cache, spec
-                )
-                per_k = {
-                    str(k): _stat_columns(
-                        {metric: stats[f"{metric}_k{k}"] for metric in _HH_COLUMNS},
-                        _HH_COLUMNS,
-                    )
-                    for k in HH_KS
-                }
-                return {"cell": f"mga-{protocol_name}", "beta": beta, "per_k": per_k}
-
-            payload = _cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0])
-            if SHARD_PLACEHOLDER_KEY in payload:
-                # Placeholder payload from the shard/enumeration cache
-                # adapters (the cell belongs to another shard, or only its
-                # spec is being recorded): those callers discard the rows,
-                # so pass it through instead of expanding.  Any other
-                # payload must carry the per-k schema — fail loudly if not.
-                rows.append(payload)
-                continue
-            per_k = cast("dict[str, dict[str, object]]", payload["per_k"])
-            for k in HH_KS:
-                rows.append(
-                    {"cell": payload["cell"], "beta": beta, "k": k, **per_k[str(k)]}
-                )
+                ),
+                lambda stats: {
+                    "cell": f"mga-{protocol_name}",
+                    "beta": beta,
+                    "per_k": {
+                        str(k): _stat_columns(stats, _HH_COLUMNS, f"_k{k}") for k in HH_KS
+                    },
+                },
+                trials=trials, workers=workers, cache=cache, budget=budget,
+                rows_for=_heavyhitter_rows_of,
+            )
     return rows
+
+
+def _heavyhitter_rows_of(payload: dict[str, Any]) -> list[dict[str, object]]:
+    """One row per :data:`HH_KS` entry of a ``heavyhitter`` cell payload."""
+    return [
+        {"cell": payload["cell"], "beta": payload["beta"], "k": k, **payload["per_k"][str(k)]}
+        for k in HH_KS
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -828,8 +772,6 @@ def epochs_rows(
     runs, and ``budget`` switches the cells to adaptive CI-targeted
     trial allocation.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     dataset = load_dataset(
         "ipums", _EPOCH_DEFAULT_USERS if num_users is None else int(num_users)
     )
@@ -842,7 +784,7 @@ def epochs_rows(
         (protocol_name, EPOCH_SCHEDULES[1], EPOCH_COLLECTORS)
         for protocol_name in PROTOCOL_NAMES
     ]
-    rows = []
+    rows: list[dict[str, object]] = []
     rngs = spawn(rng, len(cells))
     for (protocol_name, schedule, collectors), cell_rng in zip(cells, rngs):
         gen = as_generator(cell_rng)
@@ -852,28 +794,23 @@ def epochs_rows(
             schedule,
             EPOCH_COUNT,
         )
-        seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-        spec = None
-        if cache is not None:
-            spec = scenario_cell_spec(
-                "epochs",
-                dataset,
-                protocol,
-                (scheduled.attack,),
-                {
-                    "schedule": fingerprint_attack_schedule(schedule),
-                    "epochs": EPOCH_COUNT,
-                    "drift": EPOCH_DRIFT,
-                    "eta": DEFAULT_ETA,
-                    "collectors": collectors,
-                },
-                seeds,
-            )
-            if budget is not None:
-                spec["budget"] = budget.fingerprint()
-
-        def task_for(seed: np.random.SeedSequence) -> _EpochTask:
-            return _EpochTask(
+        params = {
+            "schedule": fingerprint_attack_schedule(schedule),
+            "epochs": EPOCH_COUNT,
+            "drift": EPOCH_DRIFT,
+            "eta": DEFAULT_ETA,
+            "collectors": collectors,
+        }
+        # One cell per (protocol, schedule, collectors): every epoch is read
+        # off the same streamed trials, so the cached payload carries all of
+        # them (the per_k pattern of heavyhitter_rows).
+        rows += run_cell(
+            gen,
+            lambda seeds: scenario_cell_spec(
+                "epochs", dataset, protocol, (scheduled.attack,), params, seeds
+            ),
+            _epoch_trial,
+            lambda seed: _EpochTask(
                 dataset=dataset,
                 protocol=protocol,
                 scheduled=scheduled,
@@ -882,60 +819,43 @@ def epochs_rows(
                 collectors=collectors,
                 chunk_users=chunk_users,
                 seed=seed,
-            )
-
-        cell_meta: list[Optional[dict[str, object]]] = [None]
-
-        def compute() -> dict[str, object]:
-            # One cell per (protocol, schedule, collectors): every epoch
-            # is read off the same streamed trials, so the cached payload
-            # carries all of them (the per_k pattern of heavyhitter_rows).
-            stats, cell_meta[0] = _cell_trial_stats(
-                _epoch_trial, task_for, seeds, workers, budget, cache, spec
-            )
-            per_epoch = {
-                str(epoch): _stat_columns(
-                    {
-                        metric: stats[f"{metric}_e{epoch}"]
-                        for metric in _epoch_columns(epoch)
-                    },
-                    _epoch_columns(epoch),
-                )
-                for epoch in range(EPOCH_COUNT)
-            }
-            return {
+            ),
+            lambda stats: {
                 "cell": f"{schedule.kind}-{protocol_name}-c{collectors}",
                 "protocol": protocol_name,
                 "schedule": schedule.describe(),
                 "collectors": collectors,
                 "betas": list(schedule.betas(EPOCH_COUNT)),
-                "per_epoch": per_epoch,
-            }
+                "per_epoch": {
+                    str(epoch): _stat_columns(stats, _epoch_columns(epoch), f"_e{epoch}")
+                    for epoch in range(EPOCH_COUNT)
+                },
+            },
+            trials=trials, workers=workers, cache=cache, budget=budget,
+            rows_for=_epoch_rows_of,
+        )
+    return rows
 
-        payload = _cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0])
-        if SHARD_PLACEHOLDER_KEY in payload:
-            # Placeholder from the shard/enumeration cache adapters — the
-            # callers discard the rows, so pass it through unexpanded.
-            rows.append(payload)
-            continue
-        per_epoch = cast("dict[str, dict[str, object]]", payload["per_epoch"])
-        betas = cast("list[float]", payload["betas"])
-        for epoch in range(EPOCH_COUNT):
-            row: dict[str, object] = {
-                "cell": payload["cell"],
-                "schedule": payload["schedule"],
-                "collectors": payload["collectors"],
-                "epoch": epoch,
-                "beta": betas[epoch],
-                **per_epoch[str(epoch)],
-            }
-            if epoch < EPOCH_HISTORY_MIN:
-                # The exporters require uniform columns across rows, so
-                # warm-up epochs (no usable history yet) carry null
-                # detection scores instead of omitting the columns.
-                row["detection_f1"] = None
-                row["detection_f1±"] = None
-            rows.append(row)
+
+def _epoch_rows_of(payload: dict[str, Any]) -> list[dict[str, object]]:
+    """One row per epoch of an ``epochs`` cell payload."""
+    rows: list[dict[str, object]] = []
+    for epoch in range(EPOCH_COUNT):
+        row: dict[str, object] = {
+            "cell": payload["cell"],
+            "schedule": payload["schedule"],
+            "collectors": payload["collectors"],
+            "epoch": epoch,
+            "beta": payload["betas"][epoch],
+            **payload["per_epoch"][str(epoch)],
+        }
+        if epoch < EPOCH_HISTORY_MIN:
+            # The exporters require uniform columns across rows, so warm-up
+            # epochs (no usable history yet) carry null detection scores
+            # instead of omitting the columns.
+            row["detection_f1"] = None
+            row["detection_f1±"] = None
+        rows.append(row)
     return rows
 
 
@@ -1056,12 +976,10 @@ def defenses_rows(
     runs, and ``budget`` switches the cells to adaptive CI-targeted
     trial allocation.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     dataset = load_dataset(
         "ipums", _DEFENSE_DEFAULT_USERS if num_users is None else int(num_users)
     )
-    rows = []
+    rows: list[dict[str, object]] = []
     cells = [
         (attack_kind, epsilon, beta)
         for attack_kind in DEFENSE_ATTACKS
@@ -1073,28 +991,20 @@ def defenses_rows(
         gen = as_generator(cell_rng)
         protocol = _cell_protocol("oue", epsilon, dataset.domain_size)
         attack = _make_attack(attack_kind, dataset.domain_size, gen)
-        seeds = spawn_sequences(gen, trials if budget is None else budget.max_trials)
-        spec = None
-        if cache is not None:
-            spec = scenario_cell_spec(
-                "defenses",
-                dataset,
-                protocol,
-                (attack,),
-                {
-                    "beta": beta,
-                    "epsilon": epsilon,
-                    "eta": DEFAULT_ETA,
-                    "aa_top_k": 5,
-                    "mode": "sampled",
-                },
-                seeds,
-            )
-            if budget is not None:
-                spec["budget"] = budget.fingerprint()
-
-        def task_for(seed: np.random.SeedSequence) -> _DefenseTask:
-            return _DefenseTask(
+        params = {
+            "beta": beta,
+            "epsilon": epsilon,
+            "eta": DEFAULT_ETA,
+            "aa_top_k": 5,
+            "mode": "sampled",
+        }
+        rows += run_cell(
+            gen,
+            lambda seeds: scenario_cell_spec(
+                "defenses", dataset, protocol, (attack,), params, seeds
+            ),
+            _defense_trial,
+            lambda seed: _DefenseTask(
                 dataset=dataset,
                 protocol=protocol,
                 attack=attack,
@@ -1102,147 +1012,143 @@ def defenses_rows(
                 eta=DEFAULT_ETA,
                 aa_top_k=5,
                 seed=seed,
-            )
-
-        cell_meta: list[Optional[dict[str, object]]] = [None]
-
-        def compute() -> dict[str, object]:
-            stats, cell_meta[0] = _cell_trial_stats(
-                _defense_trial, task_for, seeds, workers, budget, cache, spec
-            )
-            winner = min(DEFENSE_METHODS, key=lambda m: stats[f"mse_{m}"].mean)
-            return {
+            ),
+            lambda stats: {
                 "cell": f"{attack_kind}-oue",
                 "attack": attack_kind,
                 "epsilon": epsilon,
                 "beta": beta,
-                "winner": winner,
+                "winner": min(DEFENSE_METHODS, key=lambda m: stats[f"mse_{m}"].mean),
                 **_stat_columns(stats, _DEFENSE_COLUMNS),
-            }
-
-        rows.append(_cached_cell_row(cache, spec, compute, meta=lambda: cell_meta[0]))
+            },
+            trials=trials, workers=workers, cache=cache, budget=budget,
+        )
     return rows
 
 
 # ----------------------------------------------------------------------
-# The scenario registry
+# The exhibit registry
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScenarioExhibit:
-    """One registered scenario sweep: a generator plus its engine knobs.
+#: The optional :class:`repro.sim.shard.SweepConfig` fields an exhibit may
+#: consume (every generator takes ``num_users``/``trials``/``rng``/
+#: ``workers``/``cache``, and ``budget`` when it supports adaptive trials).
+SWEEP_OPTIONS = ("dataset", "parameter", "chunk_users", "olh_cohort")
 
-    ``name`` is the registry key (the CLI's ``--exhibit`` value),
-    ``description`` the one-liner shown by ``ldprecover list``, and
-    ``rows`` the generator callable (``kv_rows``-shaped: it must accept
+
+@dataclass(frozen=True)
+class Exhibit:
+    """One registered exhibit: a paper figure or a scenario sweep.
+
+    ``name`` is the registry key (the CLI's ``--figure``/``--exhibit``
+    value), ``description`` the one-liner shown by ``ldprecover list``,
+    and ``rows`` the generator callable: it must accept the
     ``num_users``, ``trials``, ``rng``, ``workers`` and ``cache``
-    keywords, plus ``budget`` to support adaptive CI-targeted sweeps).
-    ``uses_chunk_users`` / ``uses_olh_cohort`` declare which
-    optional engine knobs the generator additionally accepts — the sweep
-    dispatch (:meth:`run`) forwards only declared knobs, and
-    :meth:`repro.sim.shard.SweepConfig.digest` drops undeclared ones so
-    workers passing an inapplicable flag still report under the same
-    sweep digest.
+    keywords, plus ``budget`` to support adaptive CI-targeted sweeps.
+    ``consumes`` names the :data:`SWEEP_OPTIONS` the generator also takes
+    (``dataset`` arrives as its ``dataset_name`` keyword).
+    :class:`repro.sim.shard.SweepConfig` forwards only consumed fields and
+    keeps only them in its digest, so a worker passing a flag its
+    exhibit ignores still reports under the same sweep digest, and the
+    CLI notes an ignored ``--chunk-users``.
     """
 
     name: str
     description: str
     rows: Callable[..., list[dict[str, object]]]
-    uses_chunk_users: bool = False
-    uses_olh_cohort: bool = False
+    consumes: tuple[str, ...] = ()
 
-    def run(
-        self,
-        *,
-        num_users: Optional[int] = None,
-        trials: int = 5,
-        rng: RngLike = None,
-        workers: Optional[int] = 1,
-        chunk_users: Optional[int] = None,
-        olh_cohort: Optional[int] = None,
-        cache: Optional[CellCache] = None,
-        budget: Optional[TrialBudget] = None,
-    ) -> list[dict[str, object]]:
-        """Execute the scenario sweep and return its exhibit rows.
-
-        ``num_users`` / ``trials`` / ``rng`` / ``workers`` / ``cache``
-        forward to the generator unconditionally; ``chunk_users`` and
-        ``olh_cohort`` forward only when the exhibit declares support for
-        them (undeclared knobs are dropped — they cannot shape the
-        cells, exactly like the figure generators that ignore them), and
-        ``budget`` forwards only when one is actually set, so generators
-        that predate adaptive budgets keep working for fixed-budget
-        sweeps (requesting ``--target-ci`` against one fails loudly).
-        """
-        kwargs: dict[str, object] = {
-            "num_users": num_users,
-            "trials": trials,
-            "rng": rng,
-            "workers": workers,
-            "cache": cache,
-        }
-        if budget is not None:
-            kwargs["budget"] = budget
-        if self.uses_chunk_users:
-            kwargs["chunk_users"] = chunk_users
-        if self.uses_olh_cohort:
-            kwargs["olh_cohort"] = olh_cohort
-        return self.rows(**kwargs)
+    def __post_init__(self) -> None:
+        unknown = [option for option in self.consumes if option not in SWEEP_OPTIONS]
+        if unknown:
+            raise InvalidParameterError(
+                f"exhibit {self.name!r} consumes unknown sweep options {unknown}; "
+                f"pick from {list(SWEEP_OPTIONS)}"
+            )
 
 
-#: Registered scenario exhibits by name; :class:`repro.sim.shard.SweepConfig`
-#: and the CLI dispatch any name in here exactly like a paper figure.
-SCENARIOS: dict[str, ScenarioExhibit] = {
-    "kv": ScenarioExhibit(
-        name="kv",
-        description="key-value poisoning recovery across epsilon and beta",
-        rows=kv_rows,
-    ),
-    "heavyhitter": ScenarioExhibit(
-        name="heavyhitter",
-        description="top-k heavy-hitter promotion and repair across protocols, beta and k",
-        rows=heavyhitter_rows,
-        uses_chunk_users=True,
-        uses_olh_cohort=True,
-    ),
-    "epochs": ScenarioExhibit(
-        name="epochs",
-        description=(
-            "evolving-population recovery per epoch under drift and "
-            "mid-stream attack schedules, streamed through the recovery service"
+_CHUNKED_COHORT = ("chunk_users", "olh_cohort")
+
+#: Every dispatchable exhibit by name, paper figures first:
+#: :class:`repro.sim.shard.SweepConfig` and the CLI derive their exhibit
+#: choices, dispatch, digests, ``list`` text and ``--chunk-users`` note
+#: from here.
+EXHIBITS: dict[str, Exhibit] = {
+    exhibit.name: exhibit
+    for exhibit in (
+        Exhibit(
+            "fig3",
+            "MSE of LDPRecover / LDPRecover* / Detection per attack-protocol cell",
+            figure3_rows,
+            ("dataset", "olh_cohort"),
         ),
-        rows=epochs_rows,
-        uses_chunk_users=True,
-    ),
-    "defenses": ScenarioExhibit(
-        name="defenses",
-        description=(
+        Exhibit(
+            "fig4",
+            "frequency gain of MGA before/after recovery",
+            figure4_rows,
+            ("dataset", "olh_cohort"),
+        ),
+        Exhibit(
+            "fig5",
+            "parameter sweeps (beta / epsilon / eta) under AA on IPUMS",
+            partial(sweep_rows, "ipums"),
+            ("parameter",) + _CHUNKED_COHORT,
+        ),
+        Exhibit(
+            "fig6",
+            "parameter sweeps (beta / epsilon / eta) under AA on Fire",
+            partial(sweep_rows, "fire"),
+            ("parameter",) + _CHUNKED_COHORT,
+        ),
+        Exhibit(
+            "fig7",
+            "MSE of estimated vs true malicious frequencies",
+            figure7_rows,
+            _CHUNKED_COHORT,
+        ),
+        Exhibit("fig8", "MGA vs MGA-IPA poisoning strength", figure8_rows, _CHUNKED_COHORT),
+        Exhibit(
+            "fig9",
+            "LDPRecover-KM vs plain k-means under MGA-IPA",
+            figure9_rows,
+            ("olh_cohort",),
+        ),
+        Exhibit("fig10", "multi-attacker adaptive attacks", figure10_rows, _CHUNKED_COHORT),
+        Exhibit(
+            "table1", "LDPRecover on unpoisoned frequencies", table1_rows, _CHUNKED_COHORT
+        ),
+        Exhibit("kv", "key-value poisoning recovery across epsilon and beta", kv_rows),
+        Exhibit(
+            "heavyhitter",
+            "top-k heavy-hitter promotion and repair across protocols, beta and k",
+            heavyhitter_rows,
+            _CHUNKED_COHORT,
+        ),
+        Exhibit(
+            "epochs",
+            "evolving-population recovery per epoch under drift and "
+            "mid-stream attack schedules, streamed through the recovery service",
+            epochs_rows,
+            ("chunk_users",),
+        ),
+        Exhibit(
+            "defenses",
             "defense shoot-out: Detection, k-means, normalization, LDPRecover "
             "and LDPRecover* on one (attack, epsilon, beta) grid with a winner "
-            "per regime"
+            "per regime",
+            defenses_rows,
         ),
-        rows=defenses_rows,
-    ),
+    )
 }
 
 
-def scenario_names() -> tuple[str, ...]:
-    """Registered scenario exhibit names, in registration order."""
-    return tuple(SCENARIOS)
+def register_scenario(exhibit: Exhibit) -> None:
+    """Add ``exhibit`` to the :data:`EXHIBITS` registry.
 
-
-def register_scenario(exhibit: ScenarioExhibit) -> None:
-    """Add ``exhibit`` to the :data:`SCENARIOS` registry.
-
-    The name must not collide with an existing scenario or with a paper
-    figure (:attr:`repro.sim.shard.SweepConfig.FIGURES`); once
-    registered, ``SweepConfig(figure=exhibit.name)`` — and therefore
-    ``ldprecover run|shard --exhibit <name>`` — dispatches it like any
-    built-in exhibit.
+    The name must not collide with a registered exhibit (paper figure or
+    scenario); once registered, ``SweepConfig(figure=exhibit.name)`` — and
+    therefore ``ldprecover run|shard --exhibit <name>`` — dispatches it
+    like any built-in exhibit.
     """
-    from repro.sim.shard import SweepConfig  # deferred: shard imports this module
-
-    if exhibit.name in SCENARIOS or exhibit.name in SweepConfig.FIGURES:
-        raise InvalidParameterError(
-            f"scenario name {exhibit.name!r} is already taken"
-        )
-    SCENARIOS[exhibit.name] = exhibit
+    if exhibit.name in EXHIBITS:
+        raise InvalidParameterError(f"exhibit name {exhibit.name!r} is already taken")
+    EXHIBITS[exhibit.name] = exhibit

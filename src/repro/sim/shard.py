@@ -53,7 +53,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional, Protocol
 
 from repro.exceptions import InvalidParameterError, ShardIncompleteError
-from repro.sim import figures, scenarios
 from repro.sim.cache import (
     SHARD_PLACEHOLDER_KEY,
     CellBlockStore,
@@ -62,6 +61,7 @@ from repro.sim.cache import (
 )
 from repro.sim.engine import TASK_COUNTER, TrialBudget, Welford
 from repro.sim.experiment import RecoveryEvaluation
+from repro.sim.scenarios import EXHIBITS, SWEEP_OPTIONS
 
 __all__ = [
     "DEFAULT_CLAIM_TTL",
@@ -92,17 +92,16 @@ class SweepConfig:
     """One exhibit sweep: which figure to regenerate, with which knobs.
 
     Mirrors the CLI's ``run``/``shard`` flags — ``figure`` picks the
-    generator (a paper figure from :attr:`FIGURES` or a registered
-    scenario exhibit from :data:`repro.sim.scenarios.SCENARIOS`),
-    ``dataset``/``parameter`` apply to the exhibits that take
-    them, ``num_users``/``trials``/``seed`` shape the cells, and
-    ``workers``/``chunk_users``/``olh_cohort`` are forwarded to the
-    engine.  Only ``workers`` is a pure execution knob that shards may
-    vary freely (it never enters a cell key); every other field must
-    match across the fleet — including ``chunk_users``, whose *presence*
-    switches fast-mode exhibits to ``mode="chunked"``, a spec field of
-    every cell key (and whose resolved size additionally keys
-    cohort-mode OLH cells).  ``target_ci``/``max_trials``/``trial_batch``
+    exhibit (a paper figure or scenario sweep registered in
+    :data:`repro.sim.scenarios.EXHIBITS`), ``dataset``/``parameter``
+    apply to the exhibits that consume them, ``num_users``/``trials``/
+    ``seed`` shape the cells, and ``workers``/``chunk_users``/
+    ``olh_cohort`` are forwarded to the engine.  Only ``workers`` is a
+    pure execution knob that shards may vary freely (it never enters a
+    cell key); every other field must match across the fleet —
+    including ``chunk_users``, whose *presence* switches fast-mode
+    exhibits to ``mode="chunked"``, a spec field of every cell key (and
+    whose resolved size additionally keys cohort-mode OLH cells).  ``target_ci``/``max_trials``/``trial_batch``
     select adaptive CI-targeted trial allocation (see :meth:`budget`);
     they shape every cell's budget checkpoints and therefore must also
     match across the fleet.
@@ -121,21 +120,15 @@ class SweepConfig:
     max_trials: Optional[int] = None
     trial_batch: Optional[int] = None
 
-    #: Paper figures runnable as sharded sweeps (the CLI's ``--figure``
-    #: names); scenario exhibits (:data:`repro.sim.scenarios.SCENARIOS`)
-    #: dispatch through the same machinery — see :meth:`exhibit_names`.
-    FIGURES = (
-        "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table1",
-    )
-
     @classmethod
     def exhibit_names(cls) -> tuple[str, ...]:
-        """Every dispatchable exhibit: paper figures plus registered
-        scenario sweeps (``--figure`` / ``--exhibit`` choices)."""
-        return cls.FIGURES + scenarios.scenario_names()
+        """Every dispatchable exhibit, in registration order: paper
+        figures, then scenario sweeps (``--figure`` / ``--exhibit``
+        choices)."""
+        return tuple(EXHIBITS)
 
     def __post_init__(self) -> None:
-        if self.figure not in self.exhibit_names():
+        if self.figure not in EXHIBITS:
             raise InvalidParameterError(
                 f"figure must be one of {list(self.exhibit_names())}, "
                 f"got {self.figure!r}"
@@ -167,87 +160,49 @@ class SweepConfig:
 
         This is the single dispatch point shared by the CLI's ``run``
         subcommand, shard execution, enumeration, and merging — so every
-        one of them reproduces the exact same cells.
+        one of them reproduces the exact same cells.  The exhibit's
+        generator receives the cell-shaping fields every exhibit takes,
+        plus only the :data:`~repro.sim.scenarios.SWEEP_OPTIONS` it
+        consumes; ``budget`` is forwarded only when one is set, so
+        generators without adaptive support run fixed-budget sweeps.
         """
-        budget = self.budget()
-        scenario = scenarios.SCENARIOS.get(self.figure)
-        if scenario is not None:
-            return scenario.run(
-                num_users=self.num_users,
-                trials=self.trials,
-                rng=self.seed,
-                workers=self.workers,
-                chunk_users=self.chunk_users,
-                olh_cohort=self.olh_cohort,
-                cache=cache,
-                budget=budget,
-            )
-        common: dict[str, Any] = dict(
+        exhibit = EXHIBITS[self.figure]
+        kwargs: dict[str, Any] = dict(
             num_users=self.num_users,
             trials=self.trials,
             rng=self.seed,
             workers=self.workers,
-            olh_cohort=self.olh_cohort,
             cache=cache,
-            budget=budget,
         )
-        chunked = dict(common, chunk_users=self.chunk_users)
-        if self.figure == "fig3":
-            return figures.figure3_rows(dataset_name=self.dataset, **common)
-        if self.figure == "fig4":
-            return figures.figure4_rows(dataset_name=self.dataset, **common)
-        if self.figure in ("fig5", "fig6"):
-            dataset = {"fig5": "ipums", "fig6": "fire"}[self.figure]
-            return figures.sweep_rows(dataset, self.parameter, **chunked)
-        if self.figure == "fig7":
-            return figures.figure7_rows(**chunked)
-        if self.figure == "fig8":
-            return figures.figure8_rows(**chunked)
-        if self.figure == "fig9":
-            return figures.figure9_rows(**common)
-        if self.figure == "fig10":
-            return figures.figure10_rows(**chunked)
-        if self.figure == "table1":
-            return figures.table1_rows(**chunked)
-        raise AssertionError(f"unhandled figure {self.figure!r}")  # pragma: no cover
+        budget = self.budget()
+        if budget is not None:
+            kwargs["budget"] = budget
+        for option in exhibit.consumes:
+            kwargs["dataset_name" if option == "dataset" else option] = getattr(self, option)
+        return exhibit.rows(**kwargs)
 
     def digest(self) -> str:
         """Short stable id of this sweep's cell-defining fields.
 
         Groups shard reports of the same sweep together, so only fields
         the chosen ``figure`` actually consumes participate: ``workers``
-        never (it cannot change the cells), ``dataset`` only for the
-        exhibits that take one (fig3/fig4), ``parameter`` only for the
-        sweeps (fig5/fig6), ``chunk_users`` only where the generator
-        accepts it.  A worker that passes a flag its figure ignores
-        (``--dataset fire`` on fig8) therefore still reports under the
-        same digest as every other worker of that sweep.  The adaptive
-        budget knobs participate only when at least one is set, so every
-        fixed-budget digest is byte-identical to what it was before the
-        knobs existed.
+        never (it cannot change the cells), and of the
+        :data:`~repro.sim.scenarios.SWEEP_OPTIONS` only those the
+        exhibit's registration consumes.  A worker that passes a flag its
+        figure ignores (``--dataset fire`` on fig8) therefore still
+        reports under the same digest as every other worker of that
+        sweep.  The adaptive budget knobs participate only when at least
+        one is set, so every fixed-budget digest is byte-identical to what
+        it was before the knobs existed.
         """
         spec = asdict(self)
         spec.pop("workers")
         if self.budget() is None:
             for knob in ("target_ci", "max_trials", "trial_batch"):
                 spec.pop(knob)
-        scenario = scenarios.SCENARIOS.get(self.figure)
-        if scenario is not None:
-            # Scenario generators never take dataset/parameter; the other
-            # engine knobs participate only when the exhibit declares them.
-            spec.pop("dataset")
-            spec.pop("parameter")
-            if not scenario.uses_chunk_users:
-                spec.pop("chunk_users")
-            if not scenario.uses_olh_cohort:
-                spec.pop("olh_cohort")
-            return canonical_key(spec)[:12]
-        if self.figure not in ("fig3", "fig4"):
-            spec.pop("dataset")
-        if self.figure not in ("fig5", "fig6"):
-            spec.pop("parameter")
-        if self.figure in ("fig3", "fig4", "fig9"):
-            spec.pop("chunk_users")
+        for option in SWEEP_OPTIONS:
+            if option not in EXHIBITS[self.figure].consumes:
+                spec.pop(option)
         return canonical_key(spec)[:12]
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -268,3 +271,44 @@ class TestShardWorkflow:
         assert main(["shard", "run"] + flags + ["--shard-index", "0",
                                                 "--shard-count", "1"]) == 0
         assert "0 run, 6 served" in capsys.readouterr().out
+
+
+class TestErrors:
+    """Bad input ends in one ``error:`` line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--figure", "table1", "--trials", "0", "--no-cache"],
+            ["run", "--figure", "fig8", "--trials", "0", "--no-cache"],
+            ["run", "--figure", "fig9", "--trials", "0", "--no-cache"],
+            ["run", "--figure", "fig3", "--target-ci", "-1"],
+            ["run", "--figure", "fig3", "--num-users", "-5", "--no-cache"],
+            ["run", "--figure", "table1", "--workers", "-2", "--no-cache",
+             "--num-users", "3000", "--trials", "1"],
+            ["run", "--figure", "table1", "--olh-cohort", "0", "--no-cache",
+             "--num-users", "3000", "--trials", "1"],
+            ["demo", "--beta", "2"],
+            ["serve", "--epsilon", "-1"],
+            ["shard", "run", "--figure", "table1", "--shard-index", "3",
+             "--shard-count", "2"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_repro_error_exits_2_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_entry_point_prints_no_traceback(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", "--figure", "fig3",
+             "--target-ci", "-1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: target_halfwidth")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.estimator import genuine_frequency_estimate
 from repro.core.framework import (
-    decompose_poisoned_frequency,
     genuine_frequency_law,
     malicious_frequency_law,
     mixture_frequency,
@@ -45,7 +45,7 @@ class TestMixture:
         malicious = np.array([0.9, 0.1])
         n, m = 1000, 200
         mixed = mixture_frequency(genuine, malicious, n, m)
-        recovered = decompose_poisoned_frequency(mixed, malicious, eta=m / n)
+        recovered = genuine_frequency_estimate(mixed, malicious, eta=m / n)
         np.testing.assert_allclose(recovered, genuine, atol=1e-12)
 
 

@@ -12,6 +12,8 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.sim import figures
+from repro.sim.scenarios import EXHIBITS
+from repro.sim.shard import SweepConfig
 
 SCALE = 15_000  # users; keeps each exhibit under a couple of seconds
 
@@ -175,3 +177,12 @@ class TestTable1:
         others = [r for r in rows if r["protocol"] in ("oue", "olh")]
         ratios = [r["mse_after_recovery"] / r["mse_before_recovery"] for r in others]
         assert min(ratios) > 0.05
+
+
+class TestValidation:
+    """Every exhibit validates ``trials`` before simulating."""
+
+    @pytest.mark.parametrize("figure", list(EXHIBITS))
+    def test_zero_trials_rejected(self, figure):
+        with pytest.raises(InvalidParameterError, match="trials"):
+            SweepConfig(figure=figure, num_users=2_000, trials=0).run(None)

@@ -23,6 +23,7 @@ from repro.protocols import GRR, OLH
 from repro.sim.cache import CellCache, canonical_key, evaluation_cell_spec
 from repro.sim.engine import TASK_COUNTER, chunked_genuine_counts
 from repro.sim.experiment import evaluate_recovery
+from repro.sim.shard import SweepConfig
 
 D = 16
 DATASET = zipf_dataset(domain_size=D, num_users=8_000, exponent=1.0, rng=6)
@@ -106,6 +107,15 @@ class TestCohortEngine:
                 DATASET, OLH(epsilon=0.5, domain_size=D), None,
                 trials=1, rng=0, olh_cohort=-4, chunk_users=1_000,
             )
+
+    @pytest.mark.parametrize("cohort", [0, -3])
+    @pytest.mark.parametrize("figure", ["fig8", "table1", "heavyhitter"])
+    def test_invalid_cohort_rejected_by_fast_mode_exhibits(self, figure, cohort):
+        # Their fast cells ignore the cohort, like fig5/fig7/fig10's, and
+        # must reject an invalid size just the same.
+        config = SweepConfig(figure=figure, num_users=2_000, trials=1, olh_cohort=cohort)
+        with pytest.raises(InvalidParameterError, match="cohort"):
+            config.run(None)
 
     def test_olh_cohort_requires_cohort_capable_protocol(self):
         with pytest.raises(InvalidParameterError, match="cohort-capable"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro._rng import spawn
 from repro.attacks import AdaptiveAttack, MGAAttack
 from repro.datasets import zipf_dataset
 from repro.exceptions import InvalidParameterError
@@ -13,7 +14,6 @@ from repro.sim.experiment import (
     evaluate_recovery,
     format_table,
     resolve_star_targets,
-    sweep_parameter,
 )
 from repro.sim.pipeline import run_trial
 
@@ -119,24 +119,13 @@ class TestResolveStarTargets:
 
 
 class TestSweep:
-    def test_values_and_children(self, proto):
-        attack = AdaptiveAttack(domain_size=D, rng=0)
-
-        def evaluate(beta, rng):
-            return evaluate_recovery(DATASET, proto, attack, beta=beta, trials=1, rng=rng)
-
-        results = sweep_parameter("beta", [0.01, 0.05], evaluate, rng=3)
-        assert [r.value for r in results] == [0.01, 0.05]
-        assert all(r.parameter == "beta" for r in results)
-
     def test_poisoning_grows_with_beta(self, proto):
         attack = AdaptiveAttack(domain_size=D, rng=1)
-
-        def evaluate(beta, rng):
-            return evaluate_recovery(DATASET, proto, attack, beta=beta, trials=3, rng=rng)
-
-        results = sweep_parameter("beta", [0.01, 0.2], evaluate, rng=4)
-        assert results[1].evaluation.mse_before > results[0].evaluation.mse_before
+        low, high = (
+            evaluate_recovery(DATASET, proto, attack, beta=beta, trials=3, rng=child)
+            for beta, child in zip((0.01, 0.2), spawn(4, 2))
+        )
+        assert high.mse_before > low.mse_before
 
 
 class TestFormatTable:

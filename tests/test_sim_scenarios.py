@@ -29,14 +29,14 @@ from repro.sim.scenarios import (
     DEFENSE_EPSILONS,
     DEFENSE_METHODS,
     EPOCH_COUNT,
+    EXHIBITS,
     EPOCH_SCHEDULES,
     HH_BETAS,
     HH_KS,
     KV_BETAS,
     KV_EPSILONS,
-    SCENARIOS,
+    Exhibit,
     KVPopulation,
-    ScenarioExhibit,
     defenses_rows,
     detection_f1,
     epochs_rows,
@@ -45,7 +45,6 @@ from repro.sim.scenarios import (
     kv_population,
     kv_rows,
     register_scenario,
-    scenario_names,
 )
 from repro.sim.shard import SweepConfig, enumerate_cells, merge_sweep, run_shard
 
@@ -59,6 +58,8 @@ HH_ROWS = HH_CELLS * len(HH_KS)
 EPOCH_CELLS = 3 * len(EPOCH_SCHEDULES) + 3
 EPOCH_ROWS = EPOCH_CELLS * EPOCH_COUNT
 DEFENSE_CELLS = len(DEFENSE_ATTACKS) * len(DEFENSE_EPSILONS) * len(DEFENSE_BETAS)
+#: The scenario exhibits, registered after the nine paper figures.
+SCENARIO_NAMES = ("kv", "heavyhitter", "epochs", "defenses")
 
 
 class TestKVPopulation:
@@ -406,7 +407,7 @@ class TestScenarioCellSpec:
 
 class TestSweepConfigDispatch:
     def test_scenarios_are_valid_exhibits(self):
-        assert set(scenario_names()) <= set(SweepConfig.exhibit_names())
+        assert set(SCENARIO_NAMES) <= set(SweepConfig.exhibit_names())
         SweepConfig(figure="kv")
         SweepConfig(figure="heavyhitter")
 
@@ -437,15 +438,15 @@ class TestSweepConfigDispatch:
 
 class TestRegistry:
     def test_builtin_scenarios_registered(self):
-        assert scenario_names() == ("kv", "heavyhitter", "epochs", "defenses")
-        for exhibit in SCENARIOS.values():
+        assert tuple(EXHIBITS)[-len(SCENARIO_NAMES):] == SCENARIO_NAMES
+        for exhibit in EXHIBITS.values():
             assert exhibit.description
 
     def test_register_rejects_name_collisions(self):
-        taken = ScenarioExhibit(name="kv", description="dup", rows=kv_rows)
+        taken = Exhibit(name="kv", description="dup", rows=kv_rows)
         with pytest.raises(InvalidParameterError):
             register_scenario(taken)
-        figure = ScenarioExhibit(name="fig3", description="dup", rows=kv_rows)
+        figure = Exhibit(name="fig3", description="dup", rows=kv_rows)
         with pytest.raises(InvalidParameterError):
             register_scenario(figure)
 
@@ -456,7 +457,7 @@ class TestRegistry:
             calls["args"] = (num_users, trials, rng, workers)
             return [{"cell": "toy", "value": 1.0}]
 
-        register_scenario(ScenarioExhibit(name="toy", description="toy", rows=toy_rows))
+        register_scenario(Exhibit(name="toy", description="toy", rows=toy_rows))
         try:
             config = SweepConfig(figure="toy", num_users=123, trials=2, seed=7)
             assert config.run(None) == [{"cell": "toy", "value": 1.0}]
@@ -479,6 +480,6 @@ class TestRegistry:
                 figure="toy", num_users=123, trials=2, seed=7, chunk_users=64,
             ).digest()
         finally:
-            del SCENARIOS["toy"]
+            del EXHIBITS["toy"]
         with pytest.raises(InvalidParameterError):
             SweepConfig(figure="toy")

@@ -29,8 +29,8 @@ from repro.sim.scenarios import (
     DEFENSE_EPSILONS,
     DEFENSE_METHODS,
     EPOCH_COUNT,
-    EXHIBITS,
     EPOCH_SCHEDULES,
+    EXHIBITS,
     HH_BETAS,
     HH_KS,
     KV_BETAS,

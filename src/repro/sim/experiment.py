@@ -1,4 +1,4 @@
-"""Experiment harness: multi-trial recovery evaluation and sweeps.
+"""Experiment harness: multi-trial recovery evaluation and the cell runner.
 
 This is the layer the benchmarks and CLI sit on.  One call to
 :func:`evaluate_recovery` reproduces one cell of the paper's figures:

@@ -59,12 +59,17 @@ def detect_and_aggregate(
     reports:
         The full (poisoned) report batch.
     target_items:
-        The attacker-selected items the server believes in.
+        The attacker-selected items the server believes in; each must lie
+        in ``[0, d)``.
     min_support_fraction:
         A report is flagged when it supports at least
         ``ceil(min_support_fraction * |T|)`` of the targets (minimum 1).
     """
-    targets = np.unique(np.asarray(list(target_items), dtype=np.int64))
+    items = [int(t) for t in target_items]
+    d = protocol.domain_size
+    if not all(0 <= t < d for t in items):
+        raise RecoveryError(f"target items must lie in [0, {d})")
+    targets = np.unique(np.asarray(items, dtype=np.int64))
     if targets.size == 0:
         raise RecoveryError("Detection needs a non-empty target item set")
     if not 0.0 < min_support_fraction <= 1.0:

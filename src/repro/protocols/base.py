@@ -326,10 +326,10 @@ class FrequencyOracle(ABC):
         (or a previous fold); it is updated in place and returned.
         ``reports`` is walked through :meth:`slice_reports` in slices of at
         most ``chunk_users`` reports (default :data:`DEFAULT_CHUNK_USERS`),
-        with the protocol's internal scan budget capped to the same slice
-        via :meth:`scan_bounded`, so peak transient memory is one slice's
-        worth regardless of the batch size or the chunking: any split of
-        the same reports folds to byte-equal counts.
+        so peak transient memory is one slice's worth regardless of the
+        batch size (OLH's per-user scan is further bounded by its fixed
+        hash tile), and any split of the same reports folds to byte-equal
+        counts.
         """
         arr = np.asarray(state)
         if arr.shape != (self.domain_size,) or arr.dtype != np.int64:
@@ -340,25 +340,12 @@ class FrequencyOracle(ABC):
         chunk = DEFAULT_CHUNK_USERS if chunk_users is None else int(chunk_users)
         if chunk < 1:
             raise InvalidParameterError(f"chunk_users must be >= 1, got {chunk_users}")
-        bounded = self.scan_bounded(chunk)
-        n = bounded.num_reports(reports)
+        n = self.num_reports(reports)
         for start in range(0, n, chunk):
-            arr += bounded.support_counts(
-                bounded.slice_reports(reports, start, min(start + chunk, n))
+            arr += self.support_counts(
+                self.slice_reports(reports, start, min(start + chunk, n))
             )
         return arr
-
-    def scan_bounded(self, chunk_users: int) -> "FrequencyOracle":
-        """A copy whose internal scan budget fits a ``chunk_users`` slice.
-
-        The default is ``self``: most protocols' :meth:`support_counts`
-        already costs one slice's memory.  Protocols that walk a
-        (reports x domain) grid internally (OLH's ``chunk_cells``)
-        override this to cap that budget at ``chunk_users * d`` cells.
-        Execution-only — the returned oracle must aggregate bit-identically
-        to ``self``.
-        """
-        return self
 
     # ------------------------------------------------------------------
     # Wire serialization (repro.serve ingest payloads)

@@ -24,11 +24,8 @@ class BLH(OLH):
         epsilon: float,
         domain_size: int,
         cohort: int | None = None,
-        chunk_cells: int | None = None,
     ) -> None:
-        super().__init__(
-            epsilon, domain_size, g=2, cohort=cohort, chunk_cells=chunk_cells
-        )
+        super().__init__(epsilon, domain_size, g=2, cohort=cohort)
 
     def theoretical_variance(self, n: int, frequency: float = 0.0) -> float:
         """Low-frequency variance from the unified support model:

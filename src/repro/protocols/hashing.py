@@ -23,15 +23,41 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 #: Upper bound (exclusive) for seeds drawn for the family.
 SEED_SPACE = 2**63 - 1
 
+#: (report, item) cells per tile of :func:`support_matches`.  Its two
+#: uint64 buffers and one bool buffer (~0.55 MB) fit one core's L2 cache,
+#: so every in-place pass over a tile runs from cache; the scan's memory
+#: is bounded by this constant whatever the batch size.
+TILE_CELLS = 32_768
+
+
+def _finalize(z: np.ndarray, scratch: np.ndarray) -> None:
+    """The splitmix64 finalizer, in place on uint64 ``z`` (``scratch``: same shape)."""
+    z += _GOLDEN
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+
+
+def _reduce(z: np.ndarray, g: np.uint64, scratch: np.ndarray) -> None:
+    """``z %= g`` in place, computed exactly as ``z - (z // g) * g``.
+
+    Equal to ``z % g`` bit for bit on uint64; numpy divides by a scalar
+    through libdivide, which is several times faster than its ``%``.
+    """
+    np.floor_divide(z, g, out=scratch)
+    scratch *= g
+    z -= scratch
+
 
 def mix64(x: np.ndarray) -> np.ndarray:
     """Apply the splitmix64 finalizer elementwise to a uint64 array."""
-    z = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z += _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
+    z = np.array(x, dtype=np.uint64)
+    _finalize(z, np.empty_like(z))
     return z
 
 
@@ -60,10 +86,57 @@ def hash_items(seeds: np.ndarray, items: np.ndarray, g: int) -> np.ndarray:
     if g < 2:
         raise ValueError(f"hash range g must be >= 2, got {g}")
     s = np.asarray(seeds, dtype=np.uint64)
-    x = np.asarray(items, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h = mix64(mix64(x) ^ s)
-    return h % np.uint64(g)
+    x = mix64(np.asarray(items, dtype=np.uint64))
+    z = np.bitwise_xor(x, s, out=np.empty(np.broadcast_shapes(x.shape, s.shape), np.uint64))
+    scratch = np.empty_like(z)
+    _finalize(z, scratch)
+    _reduce(z, np.uint64(g), scratch)
+    return z
+
+
+def support_matches(
+    seeds: np.ndarray, values: np.ndarray, items: np.ndarray, g: int, axis: int
+) -> np.ndarray:
+    """Count matches over the (reports x items) grid, tile by tile.
+
+    The per-user OLH support scan: cell ``(j, i)`` matches when
+    ``hash_items(seeds[j], items[i], g) == values[j]``.  Returns the int64
+    match counts summed along ``axis`` of that grid: ``axis=0`` gives one
+    count per item, ``axis=1`` one per report.  A reported value outside
+    ``[0, g)`` never matches (negative values wrap past ``2**63``).
+
+    ``items`` is pre-mixed once.  The grid is then walked in tiles of at
+    most :data:`TILE_CELLS` cells (read at call time), each hashed in
+    place in preallocated buffers, so the scan holds one tile whatever the
+    batch or domain size.  A tile is laid out (items x reports), so the
+    per-report operands (seed, value) are contiguous rows.
+    """
+    s = np.asarray(seeds, dtype=np.uint64)
+    want = np.asarray(values).astype(np.uint64)
+    mixed = mix64(np.asarray(items, dtype=np.uint64))
+    counts = np.zeros(mixed.size if axis == 0 else s.size, dtype=np.int64)
+    cols = max(1, min(s.size, TILE_CELLS))
+    rows = max(1, TILE_CELLS // cols)
+    z = np.empty(rows * cols, dtype=np.uint64)
+    scratch = np.empty_like(z)
+    hit = np.empty(rows * cols, dtype=bool)
+    modulus = np.uint64(g)
+    for c in range(0, s.size, cols):
+        c_end = min(c + cols, s.size)
+        for r in range(0, mixed.size, rows):
+            r_end = min(r + rows, mixed.size)
+            shape = (r_end - r, c_end - c)
+            size = shape[0] * shape[1]
+            tile, tmp, match = (buf[:size].reshape(shape) for buf in (z, scratch, hit))
+            np.bitwise_xor(mixed[r:r_end, None], s[c:c_end], out=tile)
+            _finalize(tile, tmp)
+            _reduce(tile, modulus, tmp)
+            np.equal(tile, want[c:c_end], out=match)
+            if axis == 0:
+                counts[r:r_end] += match.sum(axis=1)
+            else:
+                counts[c:c_end] += match.sum(axis=0)
+    return counts
 
 
 def hash_domain(seed: int, domain_size: int, g: int) -> np.ndarray:

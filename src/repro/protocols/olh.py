@@ -13,8 +13,8 @@ Two seed-drawing policies are supported:
 
 * **Per-user seeds** (default, the paper's protocol): every user draws a
   fresh hash key, so aggregation must hash the full (users x domain) grid
-  — O(n*d) splitmix64 evaluations, walked in bounded slices of at most
-  ``chunk_cells`` grid cells.
+  — O(n*d) splitmix64 evaluations, walked in cache-sized tiles of
+  :data:`repro.protocols.hashing.TILE_CELLS` grid cells.
 * **Seed cohorts** (``cohort=K``): each ``perturb`` batch draws ``K``
   fresh shared seeds and every user picks one uniformly.  A uniformly
   chosen random seed is still a uniformly random family member, so
@@ -24,7 +24,7 @@ Two seed-drawing policies are supported:
   instead of O(n*d).  The trade-off: users sharing a seed (and item) have
   correlated support sets, which mildly inflates estimate variance for
   small ``K``; cohort mode therefore changes the report distribution and
-  is part of the protocol's cache fingerprint, unlike ``chunk_cells``.
+  is part of the protocol's cache fingerprint.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -80,26 +80,9 @@ class OLH(FrequencyOracle):
         paper's one-fresh-seed-per-user policy.  Changes the report
         distribution (shared seeds correlate users' support sets), so it
         is part of the protocol's cache fingerprint.
-    chunk_cells:
-        Grid-cell budget per support-scan slice (default
-        :data:`_CHUNK_CELLS`).  Execution-only: it bounds transient memory
-        but cannot change any aggregation result, so it is excluded from
-        the cache fingerprint like the engine's ``workers``/``chunk_users``.
     """
 
     name = "olh"
-
-    #: Grid-cell budget per support-scan slice: the transient boolean/hash
-    #: grids materialized by the aggregation paths never exceed this many
-    #: (report, item) cells.  NOT a user count — the number of users per
-    #: slice is ``chunk_cells // domain_size`` (or ``chunk_cells //
-    #: len(targets)`` in the target-scan paths).
-    _CHUNK_CELLS = 4_000_000
-
-    #: Execution-only attributes excluded from cache fingerprints: they
-    #: bound transient memory but cannot change aggregation results, like
-    #: the engine's ``workers`` / ``chunk_users`` knobs.
-    FINGERPRINT_EXCLUDE: ClassVar[frozenset[str]] = frozenset({"chunk_cells"})
 
     def __init__(
         self,
@@ -107,7 +90,6 @@ class OLH(FrequencyOracle):
         domain_size: int,
         g: int | None = None,
         cohort: int | None = None,
-        chunk_cells: int | None = None,
     ) -> None:
         super().__init__(epsilon, domain_size)
         e_eps = math.exp(self.epsilon)
@@ -115,9 +97,6 @@ class OLH(FrequencyOracle):
         if self.g < 2:
             raise InvalidParameterError(f"hash range g must be >= 2, got {self.g}")
         self.cohort = self._validate_cohort(cohort)
-        self.chunk_cells = self._validate_chunk_cells(
-            self._CHUNK_CELLS if chunk_cells is None else chunk_cells
-        )
         # Perturbation probabilities of GRR over the hashed domain.
         self._p_perturb = e_eps / (e_eps + self.g - 1.0)
         # Aggregation probabilities (support-based).
@@ -133,51 +112,17 @@ class OLH(FrequencyOracle):
             raise InvalidParameterError(f"cohort size must be >= 1, got {cohort}")
         return k
 
-    @staticmethod
-    def _validate_chunk_cells(chunk_cells: int) -> int:
-        cells = int(chunk_cells)
-        if cells < 1:
-            raise InvalidParameterError(f"chunk_cells must be >= 1, got {chunk_cells}")
-        return cells
-
     def with_cohort(self, cohort: Optional[int]) -> "OLH":
         """A copy of this oracle in seed-cohort mode (``None`` = per-user).
 
-        Everything else (``epsilon``, ``domain_size``, ``g``,
-        ``chunk_cells``) is preserved — including the concrete subclass,
-        so :class:`~repro.protocols.blh.BLH` stays BLH.  ``cohort`` alters
-        the report distribution, hence the copy fingerprints (and caches)
-        differently from its parent.
+        Everything else (``epsilon``, ``domain_size``, ``g``) is preserved
+        — including the concrete subclass, so :class:`~repro.protocols.blh.BLH`
+        stays BLH.  ``cohort`` alters the report distribution, hence the
+        copy fingerprints (and caches) differently from its parent.
         """
         clone = copy.copy(self)
         clone.cohort = self._validate_cohort(cohort)
         return clone
-
-    def with_chunk_cells(self, chunk_cells: int) -> "OLH":
-        """A copy with a different support-scan grid budget.
-
-        ``chunk_cells`` is execution-only (excluded from the cache
-        fingerprint), so the copy produces bit-identical results to its
-        parent with a different transient-memory bound — this is the hook
-        the engine uses to cap the scan at its own per-chunk cell budget.
-        """
-        clone = copy.copy(self)
-        clone.chunk_cells = self._validate_chunk_cells(chunk_cells)
-        return clone
-
-    def scan_bounded(self, chunk_users: int) -> "OLH":
-        """Cap :attr:`chunk_cells` at a ``chunk_users``-report slice's grid.
-
-        The streaming fold (and the engine's chunked paths) hand this
-        oracle slices of at most ``chunk_users`` reports; capping the scan
-        budget at ``chunk_users * d`` cells keeps the internal hash grid
-        within the memory the caller already budgets per slice.  Execution-
-        only, like :meth:`with_chunk_cells`.
-        """
-        budget = min(self.chunk_cells, int(chunk_users) * self.domain_size)
-        if budget >= self.chunk_cells:
-            return self
-        return self.with_chunk_cells(budget)
 
     # ------------------------------------------------------------------
     # Report-level path
@@ -236,17 +181,12 @@ class OLH(FrequencyOracle):
         """``C(v) = #{j : H_j(v) = y_j}``, scanned in bounded memory.
 
         Per-user-seed batches walk the (users x domain) hash grid in
-        slices of at most ``chunk_cells`` cells.  Cohort batches instead
-        hash the domain once per distinct seed and fold per-seed
-        histograms of the reported values — O(K*d + n) rather than
-        O(n*d) — with bit-identical counts.
+        cache-sized tiles (:func:`repro.protocols.hashing.support_matches`).
+        Cohort batches instead hash the domain once per distinct seed and
+        fold per-seed histograms of the reported values — O(K*d + n)
+        rather than O(n*d) — with bit-identical counts.
         """
         reports = self._validate_olh(reports)
-        d = self.domain_size
-        counts = np.zeros(d, dtype=np.int64)
-        n = len(reports)
-        if n == 0:
-            return counts
         grouped = self._grouped_seeds(reports)
         if grouped is not None:
             unique_seeds, inverse = grouped
@@ -254,29 +194,22 @@ class OLH(FrequencyOracle):
                 inverse, reports.values, unique_seeds.size, self.g
             )
             return self._fold_seed_histograms(unique_seeds, histograms)
-        chunk = max(1, self.chunk_cells // d)
-        domain = np.arange(d, dtype=np.uint64)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            grid = hashing.hash_items(
-                reports.seeds[start:stop, None], domain[None, :], self.g
-            )
-            matches = grid == reports.values[start:stop, None].astype(np.uint64)
-            counts += matches.sum(axis=0)
-        return counts
+        return hashing.support_matches(
+            reports.seeds, reports.values, np.arange(self.domain_size), self.g, axis=0
+        )
 
     def _fold_seed_histograms(
         self, unique_seeds: np.ndarray, histograms: np.ndarray
     ) -> np.ndarray:
-        """``counts[v] = sum_s histograms[s, H_s(v)]``, chunked over seeds.
+        """``counts[v] = sum_s histograms[s, H_s(v)]``, sliced over seeds.
 
         One :func:`repro.protocols.hashing.hash_domains` grid per slice of
-        cohort seeds (at most ``chunk_cells`` cells live), gathered
-        through the per-seed reported-value histograms.
+        cohort seeds (at most ``TILE_CELLS`` cells, or one domain row,
+        live), gathered through the per-seed reported-value histograms.
         """
         d = self.domain_size
         counts = np.zeros(d, dtype=np.int64)
-        chunk = max(1, self.chunk_cells // d)
+        chunk = max(1, hashing.TILE_CELLS // d)
         for start in range(0, unique_seeds.size, chunk):
             stop = min(start + chunk, unique_seeds.size)
             grid = hashing.hash_domains(unique_seeds[start:stop], d, self.g).astype(
@@ -317,35 +250,30 @@ class OLH(FrequencyOracle):
         """Boolean mask of reports whose support intersects ``items``.
 
         Delegates to :meth:`target_support_counts` (a report supports any
-        target iff it supports at least one), inheriting its bounded-memory
-        chunked scan and the cohort-grouped fast path.
+        target iff it supports at least one), inheriting its tiled scan and
+        the cohort-grouped fast path.
         """
-        reports = self._validate_olh(reports)
-        idx = list(items)
-        if len(idx) == 0 or len(reports) == 0:
-            return np.zeros(len(reports), dtype=bool)
-        return self.target_support_counts(reports, idx) > 0
+        return self.target_support_counts(reports, items) > 0
 
     def target_support_counts(self, reports: OLHReports, items: Sequence[int]) -> np.ndarray:
         """Per-report count of supported target ``items``, in bounded memory.
 
         The per-user-seed path scans the (reports x targets) hash grid in
-        slices of at most ``chunk_cells`` cells — never the unchunked
-        (n x targets) grid.  Cohort batches bucket the target hashes per
-        distinct seed instead and gather each report's count from its
-        seed's bucket row: O(K*t + n).
+        cache-sized tiles — never the whole (n x targets) grid.  Cohort
+        batches bucket the target hashes per distinct seed instead (in
+        slices of at most ``TILE_CELLS`` cells) and gather each report's
+        count from its seed's bucket row: O(K*t + n).
         """
         reports = self._validate_olh(reports)
         idx = np.asarray(list(items), dtype=np.uint64)
-        n = len(reports)
-        if idx.size == 0 or n == 0:
-            return np.zeros(n, dtype=np.int64)
+        if idx.size == 0:
+            return np.zeros(len(reports), dtype=np.int64)
         grouped = self._grouped_seeds(reports)
         if grouped is not None:
             unique_seeds, inverse = grouped
             k = unique_seeds.size
             buckets = np.zeros((k, self.g), dtype=np.int64)
-            chunk = max(1, self.chunk_cells // idx.size)
+            chunk = max(1, hashing.TILE_CELLS // idx.size)
             for start in range(0, k, chunk):
                 stop = min(start + chunk, k)
                 grid = hashing.hash_items(
@@ -356,16 +284,7 @@ class OLH(FrequencyOracle):
                     rows, grid.ravel(), stop - start, self.g
                 )
             return buckets[inverse, reports.values]
-        out = np.empty(n, dtype=np.int64)
-        chunk = max(1, self.chunk_cells // idx.size)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            grid = hashing.hash_items(
-                reports.seeds[start:stop, None], idx[None, :], self.g
-            )
-            matches = grid == reports.values[start:stop, None].astype(np.uint64)
-            out[start:stop] = matches.sum(axis=1)
-        return out
+        return hashing.support_matches(reports.seeds, reports.values, idx, self.g, axis=1)
 
     def select_reports(self, reports: OLHReports, mask: np.ndarray) -> OLHReports:
         reports = self._validate_olh(reports)

@@ -60,11 +60,20 @@ class FrequencyView:
     recomputed: bool
 
 
-def _normalize_targets(targets: Optional[Sequence[int]]) -> tuple[int, ...]:
-    """Canonical (sorted, deduplicated) tuple form of a target-item list."""
+def _normalize_targets(
+    targets: Optional[Sequence[int]], domain_size: int
+) -> tuple[int, ...]:
+    """Canonical (sorted, deduplicated) tuple form of a target-item list.
+
+    Rejects items outside ``[0, domain_size)`` before they can key a
+    cached view or reach numpy (where ``2**70`` would overflow int64).
+    """
     if targets is None:
         return ()
-    return tuple(sorted({int(t) for t in targets}))
+    normalized = tuple(sorted({int(t) for t in targets}))
+    if normalized and (normalized[0] < 0 or normalized[-1] >= domain_size):
+        raise InvalidParameterError(f"target items must lie in [0, {domain_size})")
+    return normalized
 
 
 class RecoveryService:
@@ -84,8 +93,9 @@ class RecoveryService:
     retain_reports:
         Keep every ingested batch in memory (O(total reports)) so the
         ``detection`` view — which must rescan raw reports — is
-        available.  Off by default: the streaming partial sums alone are
-        O(d) per epoch.
+        available.  Batches are listed per epoch and joined once per
+        ``detection`` recompute, so ingest stays O(batch).  Off by
+        default: the streaming partial sums alone are O(d) per epoch.
     """
 
     def __init__(
@@ -106,7 +116,7 @@ class RecoveryService:
         self.ingested_batches = 0
         self._dirty: set[str] = set()
         self._views: dict[str, dict[tuple[str, tuple[int, ...]], np.ndarray]] = {}
-        self._retained: dict[str, Any] = {}
+        self._retained: dict[str, list[Any]] = {}
         self._started = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -120,10 +130,7 @@ class RecoveryService:
         """
         n = self.state.ingest(epoch, reports)
         if self.retain_reports:
-            held = self._retained.get(epoch)
-            self._retained[epoch] = (
-                reports if held is None else self.protocol.concat_reports(held, reports)
-            )
+            self._retained.setdefault(epoch, []).append(reports)
         self.ingested_reports += n
         self.ingested_batches += 1
         self._dirty.add(epoch)
@@ -168,8 +175,9 @@ class RecoveryService:
         ``recover_star`` and ``detection`` and ignored by the others; its
         order does not matter.  Raises
         :class:`~repro.exceptions.InvalidParameterError` for unknown
-        epochs, empty epochs, unknown methods, or a ``detection`` read on
-        a service built without ``retain_reports``.
+        epochs, empty epochs, unknown methods, targets outside the domain,
+        or a ``detection`` read on a service built without
+        ``retain_reports``.
         """
         if method not in METHODS:
             raise InvalidParameterError(
@@ -182,7 +190,7 @@ class RecoveryService:
         if epoch in self._dirty:
             self._views.pop(epoch, None)
             self._dirty.discard(epoch)
-        key = (method, _normalize_targets(targets))
+        key = (method, _normalize_targets(targets, self.protocol.domain_size))
         cached = self._views.setdefault(epoch, {})
         freq = cached.get(key)
         recomputed = freq is None
@@ -211,13 +219,19 @@ class RecoveryService:
             return recover_frequencies(
                 raw, self.protocol, eta=self.eta, target_items=list(targets)
             ).frequencies
-        reports = self._retained.get(epoch)
-        if reports is None:
+        batches = self._retained.get(epoch)
+        if not batches:
             raise InvalidParameterError(
                 "detection needs raw reports; start the service with "
                 "retain_reports=True (note the O(total reports) memory cost)"
             )
-        return detect_and_aggregate(self.protocol, reports, list(targets)).frequencies
+        # Balanced pairwise joins copy each report O(log batches) times.
+        while len(batches) > 1:
+            pairs = zip(batches[::2], batches[1::2])
+            joined = [self.protocol.concat_reports(a, b) for a, b in pairs]
+            batches = joined + batches[len(joined) * 2 :]
+        self._retained[epoch] = batches
+        return detect_and_aggregate(self.protocol, batches[0], list(targets)).frequencies
 
     # ------------------------------------------------------------------
     # Observability and persistence

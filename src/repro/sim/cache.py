@@ -163,10 +163,10 @@ def fingerprint_object(obj: Any) -> dict[str, Any]:
     sub-attacks, IPA's inner attack) recurse, and RNG state is skipped
     (see :func:`_fingerprint_value`).  Classes may declare a
     ``FINGERPRINT_EXCLUDE`` set of execution-only attribute names that
-    cannot change results (e.g. OLH's ``chunk_cells`` support-scan
-    budget); those are omitted, exactly like the engine's ``workers`` /
-    ``chunk_users`` knobs are omitted from the cell spec.  Attributes that
-    *do* change the report distribution (e.g. OLH's ``cohort``) stay in.
+    cannot change results; those are omitted, exactly like the engine's
+    ``workers`` / ``chunk_users`` knobs are omitted from the cell spec.
+    Attributes that *do* change the report distribution (e.g. OLH's
+    ``cohort``) stay in.
     The concrete class name is always included so two classes with
     identical attributes cannot collide.
     """

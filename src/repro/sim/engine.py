@@ -559,19 +559,6 @@ def _validate_chunk(chunk_users: Optional[int]) -> int:
     return chunk
 
 
-def _bound_scan(protocol: FrequencyOracle, chunk_users: int) -> FrequencyOracle:
-    """Cap a protocol's internal support-scan budget at the engine's chunk.
-
-    Delegates to :meth:`repro.protocols.base.FrequencyOracle.scan_bounded`:
-    protocols whose support counting walks a (reports x domain) grid (OLH's
-    ``chunk_cells``) cap that budget at ``chunk_users * d`` cells so the
-    scan's transient grid never exceeds the per-chunk memory the engine
-    already budgets for; everything else passes through unchanged.  The
-    cap is execution-only — it cannot change results.
-    """
-    return protocol.scan_bounded(chunk_users)
-
-
 def chunked_support_counts(
     protocol: FrequencyOracle, reports: Any, chunk_users: Optional[int] = None
 ) -> np.ndarray:
@@ -612,16 +599,12 @@ def chunked_genuine_counts(
     correlation structure (per-user marginals are unchanged, joint
     distribution is not) — which is why
     :func:`repro.sim.cache.resolved_cohort_chunk` puts the resolved chunk
-    size into those cells' cache keys.  Protocols with an internal support-scan
-    budget (OLH's ``chunk_cells``) have it capped at the chunk's cell
-    count, so ``chunk_users`` bounds their transient grids too; for a
-    cohort-mode OLH oracle every chunk draws a fresh cohort of shared
-    seeds, which is what makes its grouped O(K*d + n) aggregation apply
-    per chunk.
+    size into those cells' cache keys.  For a cohort-mode OLH oracle every
+    chunk draws a fresh cohort of shared seeds, which is what makes its
+    grouped O(K*d + n) aggregation apply per chunk.
     """
     gen = as_generator(rng)
     chunk = _validate_chunk(chunk_users)
-    protocol = _bound_scan(protocol, chunk)
     remaining = np.asarray(true_counts, dtype=np.int64).copy()
     d = remaining.size
     total = np.zeros(d, dtype=np.int64)
@@ -662,7 +645,6 @@ def chunked_malicious_counts(
     """
     gen = as_generator(rng)
     chunk = _validate_chunk(chunk_users)
-    protocol = _bound_scan(protocol, chunk)
     if not getattr(attack, "iid_reports", True):
         return chunked_support_counts(protocol, attack.craft(protocol, m, gen), chunk)
     total = np.zeros(protocol.domain_size, dtype=np.int64)

@@ -46,10 +46,10 @@ def protocol_key(protocol: FrequencyOracle) -> str:
 
     The cache layer's content fingerprint
     (:func:`repro.sim.cache.fingerprint_object` hashed through
-    :func:`repro.sim.cache.canonical_key`): execution-only attributes
-    (OLH's ``chunk_cells``) are excluded, distribution-shaping ones
-    (``epsilon``, ``domain_size``, OLH's ``cohort``) are in — exactly the
-    identity under which folded counts are interchangeable.
+    :func:`repro.sim.cache.canonical_key`): the distribution-shaping
+    attributes (``epsilon``, ``domain_size``, OLH's ``cohort``) are in and
+    execution knobs such as ``chunk_users`` are not — exactly the identity
+    under which folded counts are interchangeable.
     """
     return canonical_key(fingerprint_object(protocol))
 

@@ -49,6 +49,14 @@ class TestDetectionMechanics:
         with pytest.raises(RecoveryError):
             detect_and_aggregate(proto, np.array([0, 1]), target_items=[])
 
+    @pytest.mark.parametrize("proto_cls", [GRR, OUE, OLH])
+    @pytest.mark.parametrize("targets", [[D], [0, D + 3], [-1], [2**70], [1, -(2**70)]])
+    def test_out_of_domain_targets_rejected(self, proto_cls, targets):
+        proto = proto_cls(epsilon=0.5, domain_size=D)
+        reports = proto.perturb(np.arange(D), np.random.default_rng(0))
+        with pytest.raises(RecoveryError, match="must lie in"):
+            detect_and_aggregate(proto, reports, target_items=targets)
+
     def test_bad_fraction_rejected(self):
         proto = GRR(epsilon=0.5, domain_size=D)
         with pytest.raises(RecoveryError):

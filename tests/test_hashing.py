@@ -82,6 +82,64 @@ class TestHashItems:
             hash_items(np.uint64(0), np.arange(3), g=1)
 
 
+def _splitmix64(z: int) -> int:
+    """Pure-Python splitmix64 finalizer (the reference the kernels must match)."""
+    mask = 2**64 - 1
+    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestGolden:
+    """Literal hash values: any change to the family or its reduction fails here.
+
+    OLH reports carry hash keys, so cached cells, snapshots and wire batches
+    all depend on these exact values.
+    """
+
+    SEEDS = [0, 1, 2**62 + 12345, 2**63 - 2]
+    ITEMS = [0, 1, 101, 1023, 2**32 + 7]
+    VALUES = {
+        2: [[1, 0, 0, 0, 1], [0, 0, 1, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 1, 1]],
+        3: [[0, 2, 0, 0, 0], [1, 1, 0, 2, 0], [2, 0, 2, 2, 1], [2, 0, 2, 2, 0]],
+        4: [[3, 2, 0, 0, 3], [2, 2, 1, 2, 1], [1, 2, 2, 2, 0], [2, 1, 0, 1, 3]],
+        6: [[3, 2, 0, 0, 3], [4, 4, 3, 2, 3], [5, 0, 2, 2, 4], [2, 3, 2, 5, 3]],
+        9: [[0, 2, 3, 0, 0], [7, 4, 6, 5, 0], [8, 0, 8, 8, 4], [8, 6, 2, 2, 3]],
+    }
+    MIXED = [
+        0xE220A8397B1DCDAF,
+        0x910A2DEC89025CC1,
+        0xD1024A5FAD64D717,
+        0xC99070D0B823C1BF,
+        0x27CF1707C6E1D01F,
+    ]
+
+    @pytest.mark.parametrize("g", sorted(VALUES))
+    def test_grid_and_elementwise_pairs(self, g):
+        seeds = np.array(self.SEEDS, dtype=np.uint64)
+        items = np.array(self.ITEMS, dtype=np.uint64)
+        grid = hash_items(seeds[:, None], items[None, :], g)
+        assert grid.dtype == np.uint64
+        assert grid.tolist() == self.VALUES[g]
+        pairs = hash_items(np.repeat(seeds, items.size), np.tile(items, seeds.size), g)
+        assert pairs.tolist() == grid.ravel().tolist()
+
+    def test_mix64(self):
+        assert mix64(np.array(self.ITEMS, dtype=np.uint64)).tolist() == self.MIXED
+
+    @pytest.mark.parametrize("g", [2, 3, 7, 2**40 + 3, 2**63 + 5])
+    def test_matches_python_reference(self, g):
+        rng = np.random.default_rng(g % 1000)
+        seeds = rng.integers(0, 2**63 - 1, size=300, dtype=np.int64).astype(np.uint64)
+        items = rng.integers(0, 2**40, size=300, dtype=np.int64).astype(np.uint64)
+        expected = [
+            _splitmix64(_splitmix64(int(x)) ^ int(s)) % g
+            for s, x in zip(seeds.tolist(), items.tolist())
+        ]
+        assert hash_items(seeds, items, g).tolist() == expected
+
+
 class TestHashDomain:
     def test_shape_and_range(self):
         values = hash_domain(seed=7, domain_size=123, g=3)

@@ -7,8 +7,7 @@ The contract under test (ISSUE 3 acceptance criteria):
 * the engine's chunked path draws a fresh cohort per chunk and stays
   ``workers=N`` bit-identical to ``workers=1``;
 * ``olh_cohort`` enters the canonical cell-spec hash (a cohort run never
-  hits a per-user-seed cache entry), while OLH's ``chunk_cells`` scan
-  budget — an execution-only knob — does not.
+  hits a per-user-seed cache entry).
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ class TestCohortEngine:
 
 
 class TestCohortCacheKey:
-    """olh_cohort is part of the cell identity; chunk_cells is not."""
+    """olh_cohort is part of the cell identity."""
 
     def _spec(self, protocol):
         return evaluation_cell_spec(
@@ -148,13 +147,6 @@ class TestCohortCacheKey:
         k16 = canonical_key(self._spec(OLH(epsilon=0.5, domain_size=D, cohort=16)))
         k8 = canonical_key(self._spec(OLH(epsilon=0.5, domain_size=D, cohort=8)))
         assert len({base, k16, k8}) == 3
-
-    def test_chunk_cells_is_execution_only(self):
-        base = canonical_key(self._spec(OLH(epsilon=0.5, domain_size=D)))
-        tuned = canonical_key(
-            self._spec(OLH(epsilon=0.5, domain_size=D, chunk_cells=1_234))
-        )
-        assert base == tuned
 
     def test_fast_mode_cohort_is_a_no_op_and_key_neutral(self, tmp_path):
         """mode='fast' samples marginals, which cohorts cannot change: the

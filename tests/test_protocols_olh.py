@@ -68,16 +68,15 @@ class TestAggregation:
             manual[v] = int(np.sum(hashes == reports.values.astype(np.uint64)))
         np.testing.assert_array_equal(counts, manual)
 
-    def test_support_counts_chunking_boundary(self, proto, rng):
-        # Force multiple chunks and verify identical results.
+    def test_support_counts_chunking_boundary(self, proto, rng, monkeypatch):
+        # Tiles narrower than the domain, ragged tiles, one-cell tiles and
+        # one tile for the whole batch all count identically.
         items = rng.integers(0, proto.domain_size, size=1000)
         reports = proto.perturb(items, rng)
         full = proto.support_counts(reports)
-        proto_small = OLH(epsilon=1.0, domain_size=12, chunk_cells=37)  # tiny chunks
-        np.testing.assert_array_equal(proto_small.support_counts(reports), full)
-        np.testing.assert_array_equal(
-            proto.with_chunk_cells(37).support_counts(reports), full
-        )
+        for cells in (1, 11, 12, 13, 37, 12 * 17, 12_000, 10**7):
+            monkeypatch.setattr(hashing, "TILE_CELLS", cells)
+            np.testing.assert_array_equal(proto.support_counts(reports), full)
 
     def test_empty_reports(self, proto):
         empty = OLHReports(
@@ -192,10 +191,10 @@ class TestSeedCohorts:
     def test_with_cohort_preserves_params_and_subclass(self):
         from repro.protocols import BLH
 
-        base = OLH(epsilon=0.7, domain_size=20, g=6, chunk_cells=99)
+        base = OLH(epsilon=0.7, domain_size=20, g=6)
         cohorted = base.with_cohort(32)
         assert cohorted.cohort == 32 and base.cohort is None
-        assert (cohorted.epsilon, cohorted.g, cohorted.chunk_cells) == (0.7, 6, 99)
+        assert (cohorted.epsilon, cohorted.domain_size, cohorted.g) == (0.7, 20, 6)
         assert cohorted.with_cohort(None).cohort is None
         blh = BLH(epsilon=0.5, domain_size=10).with_cohort(4)
         assert isinstance(blh, BLH) and blh.g == 2 and blh.cohort == 4
@@ -205,8 +204,6 @@ class TestSeedCohorts:
 
         with pytest.raises(InvalidParameterError):
             OLH(epsilon=1.0, domain_size=12, cohort=0)
-        with pytest.raises(InvalidParameterError):
-            OLH(epsilon=1.0, domain_size=12, chunk_cells=0)
         with pytest.raises(InvalidParameterError):
             OLH(epsilon=1.0, domain_size=12).with_cohort(-3)
 
@@ -233,9 +230,11 @@ class TestReportOps:
         )
         np.testing.assert_array_equal(fast, slow)
 
-    def test_target_support_counts_chunked_matches_unchunked(self, proto, rng):
-        """The bounded-memory target scan is bit-identical to the single
-        (n x targets) grid it replaces, across ragged chunk boundaries."""
+    def test_target_support_counts_chunked_matches_unchunked(
+        self, proto, rng, monkeypatch
+    ):
+        """The tiled target scan is bit-identical to the single
+        (n x targets) grid it replaces, across ragged tile boundaries."""
         items = rng.integers(0, proto.domain_size, size=501)
         reports = proto.perturb(items, rng)
         targets = [1, 4, 8, 11]
@@ -245,12 +244,12 @@ class TestReportOps:
             (grid == reports.values[:, None].astype(np.uint64)).sum(axis=1)
         ).astype(np.int64)
         for cells in (1, 7, 501 * len(targets), 10**9):
-            chunked = proto.with_chunk_cells(cells)
+            monkeypatch.setattr(hashing, "TILE_CELLS", cells)
             np.testing.assert_array_equal(
-                chunked.target_support_counts(reports, targets), unchunked
+                proto.target_support_counts(reports, targets), unchunked
             )
             np.testing.assert_array_equal(
-                chunked.reports_supporting_any(reports, targets), unchunked > 0
+                proto.reports_supporting_any(reports, targets), unchunked > 0
             )
 
     def test_empty_targets_and_reports(self, proto, rng):
@@ -266,3 +265,96 @@ class TestReportOps:
         reports = proto.perturb(rng.integers(0, proto.domain_size, size=10), rng)
         kept = proto.select_reports(reports, np.arange(10) % 2 == 0)
         assert proto.num_reports(kept) == 5
+
+
+def _reference_grid(oracle: OLH, reports: OLHReports, items) -> np.ndarray:
+    """The explicit (reports x items) support grid every scan must equal."""
+    items = np.asarray(items, dtype=np.uint64)
+    grid = hashing.hash_items(reports.seeds[:, None], items[None, :], oracle.g)
+    return grid == reports.values[:, None].astype(np.uint64)
+
+
+def _assert_matches_reference(oracle: OLH, reports: OLHReports, targets) -> None:
+    full = _reference_grid(oracle, reports, np.arange(oracle.domain_size))
+    np.testing.assert_array_equal(oracle.support_counts(reports), full.sum(axis=0))
+    hits = _reference_grid(oracle, reports, targets).sum(axis=1)
+    np.testing.assert_array_equal(oracle.target_support_counts(reports, targets), hits)
+    np.testing.assert_array_equal(oracle.reports_supporting_any(reports, targets), hits > 0)
+
+
+def _forged_values(reports: OLHReports, g: int, rng) -> OLHReports:
+    """Overwrite every third value with one outside ``[0, g)``, as a forged
+    wire batch may carry; such reports support nothing."""
+    values = reports.values.copy()
+    bad = np.arange(0, values.size, 3)
+    values[bad] = rng.choice([-1, -(2**40), g, g + 5, 2**62], size=bad.size)
+    return OLHReports(seeds=reports.seeds, values=values)
+
+
+_ORACLES = [
+    pytest.param(dict(epsilon=1.0), id="g4"),
+    pytest.param(dict(epsilon=0.5), id="g3"),
+    pytest.param(dict(epsilon=0.5, g=2), id="g2"),
+    pytest.param(dict(epsilon=0.5, cohort=5), id="cohort"),
+]
+
+
+class TestScanReference:
+    """support_counts / target_support_counts / reports_supporting_any
+    against the explicit full grid, across scan-tile boundaries."""
+
+    # With 32,768-cell tiles, 6,001 reports x 12 items scan as two full
+    # 5-item tiles and a ragged 2-item one; 70,001 reports as 32,768 +
+    # 32,768 + 4,465 reports per item.
+    @pytest.mark.parametrize("n", [6_001, 70_001])
+    @pytest.mark.parametrize("kwargs", _ORACLES)
+    def test_several_tiles_and_a_ragged_one(self, kwargs, n, rng):
+        oracle = OLH(domain_size=12, **kwargs)
+        reports = oracle.perturb(rng.integers(0, 12, size=n), rng)
+        _assert_matches_reference(oracle, reports, [0, 3, 7, 11])
+
+    def test_domain_larger_than_one_tile(self, rng):
+        d = 40_000
+        oracle = OLH(epsilon=0.5, domain_size=d)
+        reports = oracle.perturb(rng.integers(0, d, size=7), rng)
+        _assert_matches_reference(oracle, reports, np.arange(d))
+
+    @pytest.mark.parametrize("kwargs", _ORACLES)
+    def test_empty_batch(self, kwargs):
+        oracle = OLH(domain_size=12, **kwargs)
+        empty = OLHReports(
+            seeds=np.empty(0, dtype=np.uint64), values=np.empty(0, dtype=np.int64)
+        )
+        assert oracle.support_counts(empty).tolist() == [0] * 12
+        assert oracle.target_support_counts(empty, [1, 2]).shape == (0,)
+        assert oracle.reports_supporting_any(empty, [1, 2]).shape == (0,)
+        _assert_matches_reference(oracle, empty, [1, 2])
+
+    @pytest.mark.parametrize("kwargs", _ORACLES)
+    def test_out_of_range_values_never_match(self, kwargs, rng):
+        oracle = OLH(domain_size=12, **kwargs)
+        reports = oracle.perturb(rng.integers(0, 12, size=3_001), rng)
+        forged = _forged_values(reports, oracle.g, rng)
+        _assert_matches_reference(oracle, forged, [0, 5, 6])
+        targets = np.arange(12)
+        assert not oracle.target_support_counts(forged, targets)[::3].any()
+        trimmed = oracle.select_reports(forged, np.arange(len(forged)) % 3 != 0)
+        np.testing.assert_array_equal(
+            oracle.support_counts(forged), oracle.support_counts(trimmed)
+        )
+
+
+class TestSmallTiles:
+    """The same reference checks with ``TILE_CELLS`` shrunk, so ragged row
+    and column tiles, one-cell tiles and tiles narrower than the domain
+    (and than the target list) all occur at test scale."""
+
+    @pytest.mark.parametrize("cells", [1, 5, 12, 37, 12 * 7, 100])
+    @pytest.mark.parametrize("kwargs", _ORACLES)
+    def test_matches_reference(self, kwargs, cells, rng, monkeypatch):
+        oracle = OLH(domain_size=12, **kwargs)
+        reports = oracle.perturb(rng.integers(0, 12, size=203), rng)
+        forged = _forged_values(reports, oracle.g, rng)
+        monkeypatch.setattr(hashing, "TILE_CELLS", cells)
+        _assert_matches_reference(oracle, reports, [0, 3, 4, 7, 8, 9, 11])
+        _assert_matches_reference(oracle, forged, [2, 5])

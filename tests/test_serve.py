@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import numpy as np
 import pytest
@@ -83,6 +84,63 @@ class TestRoundTripMatchesBatch:
         second = service.frequencies("e", "recover_star", targets=[1, 2, 2])
         assert np.array_equal(first.frequencies, second.frequencies)
         assert second.recomputed is False  # same normalized key
+
+
+class TestRetainedReports:
+    """retain_reports keeps a batch list per epoch and joins it only on
+    a detection recompute, so ingest cost is linear in the batch count."""
+
+    @pytest.mark.parametrize("name", ["grr", "oue", "olh"])
+    def test_detection_views_equal_batch_detection(self, name):
+        protocol, reports = _poisoned_reports(name)
+        n = protocol.num_reports(reports)
+        cuts = [0, 1, 2, 40, 41, 700, 1500, 1501, 2222, 3000, n]
+        service = RecoveryService(protocol, retain_reports=True)
+        for stop_index, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+            service.ingest("e", protocol.slice_reports(reports, start, stop))
+            if stop_index in (4, 7):  # join mid-stream, then keep appending
+                head = protocol.slice_reports(reports, 0, stop)
+                assert np.array_equal(
+                    service.frequencies("e", "detection", targets=TARGETS).frequencies,
+                    detect_and_aggregate(protocol, head, TARGETS).frequencies,
+                )
+        assert np.array_equal(
+            service.frequencies("e", "detection", targets=TARGETS).frequencies,
+            detect_and_aggregate(protocol, reports, TARGETS).frequencies,
+        )
+
+    def test_ingest_never_concatenates(self, monkeypatch):
+        protocol = make_protocol("oue", EPSILON, DOMAIN)
+        joins = []
+        concat = protocol.concat_reports
+        monkeypatch.setattr(
+            protocol, "concat_reports", lambda a, b: joins.append(1) or concat(a, b)
+        )
+        batch = protocol.perturb(np.arange(DOMAIN), np.random.default_rng(0))
+        service = RecoveryService(protocol, retain_reports=True)
+        for _ in range(64):
+            service.ingest("e", batch)
+        assert joins == []
+        service.frequencies("e", "detection", targets=TARGETS)
+        assert len(joins) == 63  # a balanced merge of 64 batches
+
+    def test_ingest_time_is_linear_in_batches(self):
+        protocol = make_protocol("oue", EPSILON, 102)
+        batch = protocol.perturb(
+            np.random.default_rng(0).integers(0, 102, size=2_000),
+            np.random.default_rng(1),
+        )
+
+        def ingest_seconds(batches):
+            service = RecoveryService(protocol, retain_reports=True)
+            start = time.perf_counter()
+            for _ in range(batches):
+                service.ingest("e", batch)
+            return time.perf_counter() - start
+
+        small = min(ingest_seconds(100) for _ in range(3))
+        large = min(ingest_seconds(400) for _ in range(3))
+        assert large <= 5 * small
 
 
 class TestLazyRecomputation:

@@ -12,7 +12,9 @@ modes a long-lived deployment actually hits (ISSUE 10 satellite 4):
   snapshot fails the CLI fast with exit code 2;
 * ingests racing a ``/frequencies`` recompute over concurrent
   connections interleave without corrupting state — the final views are
-  byte-equal to an uncontended service fed the same reports.
+  byte-equal to an uncontended service fed the same reports;
+* target items outside the domain (``d``, ``-1``, ``2**70``) answer 400
+  on every protocol and method, and never key a cached view.
 """
 
 from __future__ import annotations
@@ -266,3 +268,38 @@ class TestConcurrentIngestDuringRecompute:
             "e", protocol.slice_reports(reports, half, protocol.num_reports(reports))
         )
         assert service.frequencies("e", "recover").recomputed is True
+
+
+class TestOutOfDomainTargets:
+    """Bad ``targets`` end in a JSON 400, never a 500 or a phantom item."""
+
+    D = 10
+
+    def _server(self, name):
+        protocol = make_protocol(name, EPSILON, self.D)
+        items = np.random.default_rng(0).integers(0, self.D, size=500)
+        service = RecoveryService(protocol, retain_reports=True)
+        service.ingest("e", protocol.perturb(items, np.random.default_rng(1)))
+        return RecoveryHTTPServer(service)
+
+    @pytest.mark.parametrize("name", ["grr", "oue", "olh"])
+    @pytest.mark.parametrize("method", ["raw", "recover", "recover_star", "detection"])
+    @pytest.mark.parametrize("targets", ["10", "-1", str(2**70), "1,10", "-1,2"])
+    def test_answers_400(self, name, method, targets):
+        server = self._server(name)
+        status, doc = server._dispatch(
+            "GET", f"/frequencies?epoch=e&method={method}&targets={targets}", b""
+        )
+        assert status == 400
+        assert "target items must lie in [0, 10)" in doc["error"]
+        assert server.service.recomputes.count == 0
+        assert not server.service._views.get("e")
+
+    @pytest.mark.parametrize("name", ["grr", "oue", "olh"])
+    def test_in_domain_edges_still_served(self, name):
+        server = self._server(name)
+        for method in ("recover_star", "detection"):
+            status, doc = server._dispatch(
+                "GET", f"/frequencies?epoch=e&method={method}&targets=0,9", b""
+            )
+            assert status == 200 and len(doc["frequencies"]) == self.D

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.attacks import AdaptiveAttack, MGAAttack
 from repro.datasets import zipf_dataset
 from repro.exceptions import InvalidParameterError
+from repro.protocols import OLH, hashing
 from repro.sim import engine
 from repro.sim.engine import (
     MetricStats,
@@ -418,18 +421,23 @@ class TestStrictBeta:
 
 
 class TestBoundScan:
-    """The engine's chunk_users knob caps OLH's internal grid budget."""
+    """OLH's support scan is bounded by its fixed hash tile, not by the
+    engine's chunk_users knob, and neither bound changes counts."""
 
-    def test_caps_olh_scan_budget(self, olh):
-        bounded = engine._bound_scan(olh, 10)
-        assert bounded.chunk_cells == 10 * olh.domain_size
-        assert olh.chunk_cells == olh._CHUNK_CELLS  # original untouched
-
-    def test_no_op_when_chunk_is_larger(self, olh):
-        assert engine._bound_scan(olh, 10**9) is olh
-
-    def test_pass_through_for_protocols_without_hook(self, grr):
-        assert engine._bound_scan(grr, 10) is grr
+    def test_caps_olh_scan_budget(self):
+        # 20,000 reports x 1,024 items: the full uint64 grid would be
+        # 164 MB; the tiled scan's peak is a few tiles' scratch plus O(n + d).
+        d, n = 1_024, 20_000
+        olh = OLH(epsilon=0.5, domain_size=d)
+        reports = olh.perturb(np.random.default_rng(3).integers(0, d, size=n), 4)
+        tracemalloc.start()
+        try:
+            olh.support_counts(reports)
+            olh.target_support_counts(reports, np.arange(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 17 * hashing.TILE_CELLS + 32 * (n + d)
 
     def test_bounded_scan_results_identical(self, olh):
         items = np.random.default_rng(3).integers(0, D, size=1_037)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, ProtocolError
-from repro.protocols import decode_array, encode_array, make_protocol
+from repro.protocols import decode_array, encode_array, hashing, make_protocol
 from repro.sim import AggregatorState, chunked_support_counts
 from repro.sim.streaming import protocol_key
 
@@ -101,19 +101,17 @@ class TestFoldBitIdentity:
                 protocol.init_support_state(), reports, chunk_users=0
             )
 
-    def test_scan_bounded_caps_olh_grid_without_changing_counts(self):
+    def test_scan_bounded_caps_olh_grid_without_changing_counts(self, monkeypatch):
+        """OLH's scan tile bounds the hash grid independently of the fold's
+        slice size; neither changes the folded counts."""
         protocol, reports = _reports_for("olh", {})
-        bounded = protocol.scan_bounded(3)
-        assert bounded.chunk_cells == 3 * DOMAIN
-        assert bounded is not protocol
-        assert protocol.scan_bounded(10**9) is protocol
-        assert np.array_equal(
-            bounded.support_counts(reports), protocol.support_counts(reports)
-        )
-
-    def test_scan_bounded_is_identity_by_default(self):
-        protocol, _ = _reports_for("grr", {})
-        assert protocol.scan_bounded(1) is protocol
+        batch = protocol.support_counts(reports)
+        monkeypatch.setattr(hashing, "TILE_CELLS", 3 * DOMAIN - 1)
+        for chunk in (1, 3, 50, USERS):
+            folded = protocol.fold_support_counts(
+                protocol.init_support_state(), reports, chunk_users=chunk
+            )
+            assert np.array_equal(folded, batch)
 
 
 class TestWireCodec:
@@ -242,6 +240,6 @@ class TestAggregatorState:
 
     def test_protocol_key_tracks_distribution_not_execution(self):
         base = make_protocol("olh", EPSILON, DOMAIN)
-        assert protocol_key(base) == protocol_key(base.with_chunk_cells(17))
+        assert protocol_key(base) == protocol_key(make_protocol("olh", EPSILON, DOMAIN))
         assert protocol_key(base) != protocol_key(base.with_cohort(8))
         assert protocol_key(base) != protocol_key(make_protocol("blh", EPSILON, DOMAIN))

@@ -8,9 +8,10 @@ import pytest
 from repro.attacks import InputPoisoningAttack, MGAAttack
 from repro.core.kmeans import KMeansDefense, kmeans, recover_with_kmeans
 from repro.core.projection import is_probability_vector
+from repro.core.recover import DEFAULT_ETA, recover_frequencies
 from repro.datasets import zipf_dataset
 from repro.exceptions import InvalidParameterError
-from repro.protocols import GRR
+from repro.protocols import GRR, OLH, OUE, hashing
 from repro.sim import mse, run_trial
 
 D = 16
@@ -115,3 +116,113 @@ class TestRecoverWithKMeans:
         recovery, km = recover_with_kmeans(proto, trial.reports, rng=2)
         if km.malicious_frequencies is not None:
             assert recovery.scenario == "external"
+
+
+def _per_subset_reference(defense, protocol, reports, gen):
+    """The k-means defense aggregated subset by subset, kept as a pin.
+
+    Every subset and the genuine-cluster union are re-aggregated through
+    ``select_reports`` + ``aggregate``, and the union is built from the
+    drawn index arrays.  Any faster counting must reproduce this output
+    byte for byte.
+    """
+    n = protocol.num_reports(reports)
+    subset_size = max(1, int(round(defense.sample_rate * n)))
+    vectors = np.empty((defense.num_subsets, protocol.domain_size), dtype=np.float64)
+    subset_indices = []
+    for s in range(defense.num_subsets):
+        idx = gen.choice(n, size=subset_size, replace=False)
+        mask = np.zeros(n, dtype=bool)
+        mask[idx] = True
+        vectors[s] = protocol.aggregate(protocol.select_reports(reports, mask))
+        subset_indices.append(idx)
+    labels, _ = kmeans(vectors, k=2, rng=gen)
+    sizes = np.bincount(labels, minlength=2)
+    genuine_cluster = int(sizes.argmax())
+    malicious_cluster = 1 - genuine_cluster
+    union = np.zeros(n, dtype=bool)
+    for s in np.flatnonzero(labels == genuine_cluster):
+        union[subset_indices[s]] = True
+    frequencies = protocol.aggregate(protocol.select_reports(reports, union))
+    malicious_vectors = vectors[labels == malicious_cluster]
+    malicious = malicious_vectors.mean(axis=0) if malicious_vectors.shape[0] else None
+    eta = sizes[malicious_cluster] / sizes[genuine_cluster] if sizes[genuine_cluster] else 0.0
+    return {
+        "frequencies": frequencies,
+        "malicious_frequencies": malicious,
+        "labels": labels,
+        "genuine_cluster": genuine_cluster,
+        "eta_estimate": float(eta),
+    }
+
+
+def _reference_recover(defense, protocol, reports, rng):
+    """LDPRecover-KM over :func:`_per_subset_reference` and a full aggregate."""
+    gen = np.random.default_rng(rng)
+    result = _per_subset_reference(defense, protocol, reports, gen)
+    poisoned = protocol.aggregate(reports)
+    if result["malicious_frequencies"] is None:
+        return recover_frequencies(poisoned, protocol, eta=0.0), result
+    recovery = recover_frequencies(
+        poisoned,
+        protocol,
+        eta=min(result["eta_estimate"], DEFAULT_ETA),
+        malicious_estimate=result["malicious_frequencies"],
+    )
+    return recovery, result
+
+
+def _assert_bytes_equal(actual, expected):
+    if expected is None:
+        assert actual is None
+        return
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
+
+
+_PIN_PROTOCOLS = [
+    pytest.param(lambda: GRR(epsilon=0.5, domain_size=D), id="grr"),
+    pytest.param(lambda: OUE(epsilon=0.5, domain_size=D), id="oue"),
+    pytest.param(lambda: OLH(epsilon=0.5, domain_size=D), id="olh"),
+    pytest.param(lambda: OLH(epsilon=0.5, domain_size=D, cohort=8), id="olh-cohort8"),
+]
+_PIN_DATASET = zipf_dataset(domain_size=D, num_users=2_500, exponent=1.0, rng=6)
+
+
+class TestMatchesPerSubsetReference:
+    """``KMeansDefense.run`` and ``recover_with_kmeans`` equal the
+    per-subset re-aggregation byte for byte.  At ``sample_rate=1.0`` every
+    subset is the whole batch, so nothing is excluded from the union."""
+
+    def _check(self, protocol, reports, defense, seed):
+        recovery, result = recover_with_kmeans(
+            protocol, reports, defense=defense, rng=np.random.default_rng(seed)
+        )
+        ref_recovery, ref = _reference_recover(defense, protocol, reports, seed)
+        direct = defense.run(protocol, reports, rng=np.random.default_rng(seed))
+        for got in (result, direct):
+            for name, expected in ref.items():
+                _assert_bytes_equal(getattr(got, name), expected)
+        _assert_bytes_equal(recovery.frequencies, ref_recovery.frequencies)
+        assert recovery.eta == ref_recovery.eta
+        assert recovery.scenario == ref_recovery.scenario
+
+    @pytest.mark.parametrize("sample_rate", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("make_protocol", _PIN_PROTOCOLS)
+    def test_equals_reference(self, make_protocol, sample_rate):
+        protocol = make_protocol()
+        attack = InputPoisoningAttack(MGAAttack(domain_size=D, r=3, rng=0))
+        trial = run_trial(_PIN_DATASET, protocol, attack, beta=0.1, mode="sampled", rng=3)
+        defense = KMeansDefense(sample_rate=sample_rate, num_subsets=9)
+        self._check(protocol, trial.reports, defense, seed=4)
+
+    def test_output_poisoned_olh_across_report_tiles(self, monkeypatch):
+        protocol = OLH(epsilon=0.5, domain_size=D)
+        attack = MGAAttack(domain_size=D, r=3, rng=0)
+        trial = run_trial(_PIN_DATASET, protocol, attack, beta=0.1, mode="sampled", rng=5)
+        # 100-cell tiles: a 100-report column per item, so every subset
+        # and the excluded side span dozens of report tiles.
+        monkeypatch.setattr(hashing, "TILE_CELLS", 100)
+        defense = KMeansDefense(sample_rate=0.3, num_subsets=6)
+        self._check(protocol, trial.reports, defense, seed=6)

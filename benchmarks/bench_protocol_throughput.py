@@ -44,6 +44,16 @@ def test_support_counts_throughput(benchmark, protocol):
     benchmark(lambda: protocol.support_counts(reports))
 
 
+def test_subset_support_counts_throughput(benchmark, protocol):
+    """Eleven report subsets counted in one call, the shape of a k-means
+    defense pass: ten random subsets plus the whole batch."""
+    rng = np.random.default_rng(0)
+    reports = protocol.perturb(rng.integers(0, D, size=N_USERS), 1)
+    masks = rng.random((11, N_USERS)) < 0.1
+    masks[-1] = True
+    benchmark(lambda: protocol.subset_support_counts(reports, masks))
+
+
 def test_fast_path_throughput(benchmark, protocol):
     counts = DATASET.counts
     benchmark(lambda: protocol.sample_genuine_counts(counts, 1))

@@ -49,6 +49,7 @@ def detect_and_aggregate(
     reports: Any,
     target_items: Sequence[int],
     min_support_fraction: float = 0.5,
+    counts: np.ndarray | None = None,
 ) -> DetectionResult:
     """Drop reports matching the target-item signature, then aggregate.
 
@@ -64,6 +65,13 @@ def detect_and_aggregate(
     min_support_fraction:
         A report is flagged when it supports at least
         ``ceil(min_support_fraction * |T|)`` of the targets (minimum 1).
+    counts:
+        ``protocol.support_counts(reports)`` when the caller already
+        holds it.  The kept reports' counts are then these minus the
+        flagged reports' counts, so only the flagged side is rescanned;
+        without it the kept reports are aggregated directly.  Either way
+        the result is the same, as long as ``counts`` is exactly the
+        support count of ``reports``.
     """
     items = [int(t) for t in target_items]
     d = protocol.domain_size
@@ -80,13 +88,16 @@ def detect_and_aggregate(
     threshold = max(1, math.ceil(min_support_fraction * cap))
     support = protocol.target_support_counts(reports, targets)
     flagged = support >= threshold
-    kept_reports = protocol.select_reports(reports, ~flagged)
-    kept = protocol.num_reports(kept_reports)
+    removed = int(flagged.sum())
+    kept = flagged.size - removed
     if kept == 0:
         raise RecoveryError("Detection removed every report; cannot aggregate")
-    frequencies = protocol.aggregate(kept_reports)
+    scanned = protocol.support_counts(
+        protocol.select_reports(reports, ~flagged if counts is None else flagged)
+    )
+    kept_counts = scanned if counts is None else counts - scanned
     return DetectionResult(
-        frequencies=frequencies,
-        removed=int(flagged.sum()),
+        frequencies=protocol.estimate_frequencies(kept_counts, kept),
+        removed=removed,
         kept=kept,
     )

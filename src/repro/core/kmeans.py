@@ -92,6 +92,10 @@ class KMeansDefenseResult:
     genuine_cluster: int
     #: Estimated malicious/genuine user ratio from cluster sizes.
     eta_estimate: float
+    #: int64 support counts of the whole report batch, counted in the
+    #: same pass as the subsets; LDPRecover-KM estimates the poisoned
+    #: frequencies from them instead of re-aggregating the batch.
+    support_counts: np.ndarray
 
 
 class KMeansDefense:
@@ -120,30 +124,36 @@ class KMeansDefense:
         reports: Any,
         rng: RngLike = None,
     ) -> KMeansDefenseResult:
-        """Cluster subset frequency vectors and split genuine/malicious."""
+        """Cluster subset frequency vectors and split genuine/malicious.
+
+        All subsets and the whole batch are counted in one
+        :meth:`~repro.protocols.base.FrequencyOracle.subset_support_counts`
+        pass; the genuine cluster's counts are the batch's minus those of
+        the reports its subsets never drew, so only that side is rescanned.
+        """
         gen = as_generator(rng)
         n = protocol.num_reports(reports)
         subset_size = max(1, int(round(self.sample_rate * n)))
-        vectors = np.empty((self.num_subsets, protocol.domain_size), dtype=np.float64)
-        subset_indices = []
+        masks = np.zeros((self.num_subsets + 1, n), dtype=bool)
+        masks[-1] = True
         for s in range(self.num_subsets):
-            idx = gen.choice(n, size=subset_size, replace=False)
-            mask = np.zeros(n, dtype=bool)
-            mask[idx] = True
-            subset = protocol.select_reports(reports, mask)
-            vectors[s] = protocol.aggregate(subset)
-            subset_indices.append(idx)
+            masks[s, gen.choice(n, size=subset_size, replace=False)] = True
+        subset_counts = protocol.subset_support_counts(reports, masks)
+        full_counts = subset_counts[-1]
+        vectors = np.array(
+            [protocol.estimate_frequencies(c, subset_size) for c in subset_counts[:-1]]
+        )
         labels, _ = kmeans(vectors, k=2, rng=gen)
         counts = np.bincount(labels, minlength=2)
         genuine_cluster = int(counts.argmax())
         malicious_cluster = 1 - genuine_cluster
-        genuine_mask = self._union_mask(
-            [subset_indices[s] for s in np.flatnonzero(labels == genuine_cluster)], n
-        )
+        genuine_mask = masks[:-1][labels == genuine_cluster].any(axis=0)
         if not genuine_mask.any():
             raise RecoveryError("k-means defense produced an empty genuine cluster")
-        genuine_reports = protocol.select_reports(reports, genuine_mask)
-        frequencies = protocol.aggregate(genuine_reports)
+        excluded = protocol.support_counts(protocol.select_reports(reports, ~genuine_mask))
+        frequencies = protocol.estimate_frequencies(
+            full_counts - excluded, int(genuine_mask.sum())
+        )
         malicious_vectors = vectors[labels == malicious_cluster]
         if malicious_vectors.shape[0]:
             malicious_freq = malicious_vectors.mean(axis=0)
@@ -160,14 +170,8 @@ class KMeansDefense:
             labels=labels,
             genuine_cluster=genuine_cluster,
             eta_estimate=float(eta_estimate),
+            support_counts=full_counts,
         )
-
-    @staticmethod
-    def _union_mask(index_arrays: list[np.ndarray], n: int) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        for idx in index_arrays:
-            mask[idx] = True
-        return mask
 
 
 def recover_with_kmeans(
@@ -186,7 +190,9 @@ def recover_with_kmeans(
     defense = defense or KMeansDefense()
     gen = as_generator(rng)
     result = defense.run(protocol, reports, gen)
-    poisoned = protocol.aggregate(reports)
+    poisoned = protocol.estimate_frequencies(
+        result.support_counts, protocol.num_reports(reports)
+    )
     if result.malicious_frequencies is None:
         # Clustering found no malicious cluster: fall back to plain
         # non-knowledge LDPRecover on the poisoned aggregate.

@@ -283,6 +283,30 @@ class FrequencyOracle(ABC):
         """Keep only the reports where ``mask`` is True."""
         raise NotImplementedError
 
+    def subset_support_counts(self, reports: Any, masks: np.ndarray) -> np.ndarray:
+        """Support counts of several report subsets, as a ``(k, d)`` int64 array.
+
+        ``masks`` is a ``(k, n)`` bool array over the batch's ``n``
+        reports; row ``i`` of the result equals
+        ``support_counts(select_reports(reports, masks[i]))``.  The
+        report-level defenses count their subsets through this, so a
+        protocol whose scan is costly per report (per-user OLH) can count
+        all ``k`` subsets in one pass over the batch.  This default runs
+        exactly that loop, one subset at a time.
+        """
+        rows = self._validate_masks(reports, masks)
+        counts = np.zeros((rows.shape[0], self.domain_size), dtype=np.int64)
+        for i, row in enumerate(rows):
+            counts[i] = self.support_counts(self.select_reports(reports, row))
+        return counts
+
+    def _validate_masks(self, reports: Any, masks: np.ndarray) -> np.ndarray:
+        rows = np.asarray(masks, dtype=bool)
+        n = self.num_reports(reports)
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise ProtocolError(f"masks must have shape (k, {n}), got {rows.shape}")
+        return rows
+
     def slice_reports(self, reports: Any, start: int, stop: int) -> Any:
         """The contiguous sub-batch ``reports[start:stop]``.
 

@@ -95,7 +95,8 @@ def hash_items(seeds: np.ndarray, items: np.ndarray, g: int) -> np.ndarray:
 
 
 def support_matches(
-    seeds: np.ndarray, values: np.ndarray, items: np.ndarray, g: int, axis: int
+    seeds: np.ndarray, values: np.ndarray, items: np.ndarray, g: int, axis: int,
+    masks: np.ndarray | None = None,
 ) -> np.ndarray:
     """Count matches over the (reports x items) grid, tile by tile.
 
@@ -104,6 +105,14 @@ def support_matches(
     match counts summed along ``axis`` of that grid: ``axis=0`` gives one
     count per item, ``axis=1`` one per report.  A reported value outside
     ``[0, g)`` never matches (negative values wrap past ``2**63``).
+
+    ``masks``, a ``(k, n)`` bool array over the ``n`` reports, counts
+    ``k`` report subsets in the same pass (``axis=0`` only): row ``i`` of
+    the ``(k, len(items))`` result sums the matches of the reports where
+    ``masks[i]`` is True.  Each tile adds ``masks_tile @ match_tile``,
+    multiplied in float32, which is exact because a tile's partial sums
+    never exceed :data:`TILE_CELLS` < ``2**24``; only one report slice of
+    the masks is converted at a time.
 
     ``items`` is pre-mixed once.  The grid is then walked in tiles of at
     most :data:`TILE_CELLS` cells (read at call time), each hashed in
@@ -114,7 +123,10 @@ def support_matches(
     s = np.asarray(seeds, dtype=np.uint64)
     want = np.asarray(values).astype(np.uint64)
     mixed = mix64(np.asarray(items, dtype=np.uint64))
-    counts = np.zeros(mixed.size if axis == 0 else s.size, dtype=np.int64)
+    if masks is not None and (axis != 0 or masks.shape[1:] != s.shape):
+        raise ValueError(f"masks need axis=0 and shape (k, {s.size}), got {masks.shape}")
+    width = mixed.size if axis == 0 else s.size
+    counts = np.zeros(width if masks is None else (len(masks), width), dtype=np.int64)
     cols = max(1, min(s.size, TILE_CELLS))
     rows = max(1, TILE_CELLS // cols)
     z = np.empty(rows * cols, dtype=np.uint64)
@@ -123,6 +135,8 @@ def support_matches(
     modulus = np.uint64(g)
     for c in range(0, s.size, cols):
         c_end = min(c + cols, s.size)
+        if masks is not None:
+            weights = masks[:, c:c_end].astype(np.float32)
         for r in range(0, mixed.size, rows):
             r_end = min(r + rows, mixed.size)
             shape = (r_end - r, c_end - c)
@@ -132,7 +146,9 @@ def support_matches(
             _finalize(tile, tmp)
             _reduce(tile, modulus, tmp)
             np.equal(tile, want[c:c_end], out=match)
-            if axis == 0:
+            if masks is not None:
+                counts[:, r:r_end] += (weights @ match.T.astype(np.float32)).astype(np.int64)
+            elif axis == 0:
                 counts[r:r_end] += match.sum(axis=1)
             else:
                 counts[c:c_end] += match.sum(axis=0)

@@ -198,6 +198,23 @@ class OLH(FrequencyOracle):
             reports.seeds, reports.values, np.arange(self.domain_size), self.g, axis=0
         )
 
+    def subset_support_counts(self, reports: OLHReports, masks: np.ndarray) -> np.ndarray:
+        """``(k, d)`` support counts of ``k`` report subsets (see the base class).
+
+        A per-user-seed batch is scanned once, with every subset counted
+        inside the same tiles
+        (:func:`repro.protocols.hashing.support_matches` with ``masks``).
+        Cohort batches count subset by subset on the grouped path, which
+        is already O(K*d + n) each.
+        """
+        reports = self._validate_olh(reports)
+        if self._grouped_seeds(reports) is not None:
+            return super().subset_support_counts(reports, masks)
+        return hashing.support_matches(
+            reports.seeds, reports.values, np.arange(self.domain_size), self.g, axis=0,
+            masks=self._validate_masks(reports, masks),
+        )
+
     def _fold_seed_histograms(
         self, unique_seeds: np.ndarray, histograms: np.ndarray
     ) -> np.ndarray:

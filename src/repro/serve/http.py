@@ -47,14 +47,19 @@ _STATUS_TEXT = {
 }
 
 
-class _PayloadTooLarge(Exception):
-    """A request declared a body beyond :data:`MAX_BODY_BYTES`.
+class _Unframeable(Exception):
+    """A request whose body cannot be framed off the stream.
 
-    Raised by the request parser *before* reading the body, so the
-    handler can render a ``413`` and close instead of buffering an
-    arbitrarily large upload; the unread body makes the stream
-    unrecoverable, hence no keep-alive after it.
+    Raised by the request parser *before* reading the body, with the
+    status to answer: ``413`` for a declared body beyond
+    :data:`MAX_BODY_BYTES` (never buffered), ``400`` for a
+    ``Content-Length`` that is not a plain decimal number.  The unread
+    body makes the stream unrecoverable, hence a close after the answer.
     """
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class RecoveryHTTPServer:
@@ -123,10 +128,10 @@ class RecoveryHTTPServer:
             while True:
                 try:
                     request = await self._read_request(reader)
-                except _PayloadTooLarge as exc:
-                    # The oversized body is still unread, so the stream
-                    # cannot be resynchronized: answer and close.
-                    writer.write(_render_response(413, {"error": str(exc)}, False))
+                except _Unframeable as exc:
+                    # The body is still unread, so the stream cannot be
+                    # resynchronized: answer and close.
+                    writer.write(_render_response(exc.status, {"error": str(exc)}, False))
                     await writer.drain()
                     break
                 if request is None:
@@ -168,11 +173,15 @@ class RecoveryHTTPServer:
                 break
             name, _sep, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _Unframeable(400, f"malformed Content-Length {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise _PayloadTooLarge(
+            raise _Unframeable(
+                413,
                 f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit; split the batch"
+                f"{MAX_BODY_BYTES}-byte limit; split the batch",
             )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body

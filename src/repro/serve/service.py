@@ -207,7 +207,14 @@ class RecoveryService:
         )
 
     def _compute(self, epoch: str, method: str, targets: tuple[int, ...]) -> np.ndarray:
-        """One actual recovery computation (the thing the counter counts)."""
+        """One actual recovery computation (the thing the counter counts).
+
+        The detection view aggregates the retained reports themselves and
+        passes Detection no ``counts``: the epoch's streamed counts also
+        hold ``absorb()``ed collector state and snapshot-restored reports
+        that the retained batches lack, so subtracting the flagged
+        reports from them would not give the retained kept side.
+        """
         raw = self.state.estimate_frequencies(epoch)
         if method == "raw":
             return raw

@@ -797,7 +797,9 @@ def trial_metrics(task: TrialTask) -> dict[str, float]:
 
     detection_freq = None
     if task.with_detection and star_targets is not None and star_targets.size:
-        detection = detect_and_aggregate(protocol, trial.reports, star_targets)
+        detection = detect_and_aggregate(
+            protocol, trial.reports, star_targets, counts=trial.support_counts
+        )
         detection_freq = detection.frequencies
         out["mse_detection"] = mse(truth, detection_freq)
 

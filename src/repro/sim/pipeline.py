@@ -71,6 +71,10 @@ class TrialResult:
     #: Mask over ``reports`` marking the malicious tail (ground truth for
     #: defense evaluation; a real server never sees it).
     malicious_mask: Optional[np.ndarray] = None
+    #: int64 ``support_counts`` of ``reports`` (``sampled`` mode only),
+    #: the genuine plus malicious counts the trial already folded.  The
+    #: report-level defenses subtract from them instead of rescanning.
+    support_counts: Optional[np.ndarray] = None
 
     @property
     def beta(self) -> float:
@@ -154,7 +158,8 @@ def run_trial(
         malicious_reports = attack.craft(protocol, m, gen)
         malicious_counts = protocol.support_counts(malicious_reports)
         malicious_freq = protocol.estimate_frequencies(malicious_counts, m)
-        poisoned_freq = protocol.estimate_frequencies(genuine_counts + malicious_counts, n + m)
+        total_counts = genuine_counts + malicious_counts
+        poisoned_freq = protocol.estimate_frequencies(total_counts, n + m)
         reports = None
         malicious_mask = None
         if mode == "sampled":
@@ -162,6 +167,7 @@ def run_trial(
             malicious_mask = np.zeros(n + m, dtype=bool)
             malicious_mask[n:] = True
     else:
+        total_counts = genuine_counts
         malicious_freq = None
         poisoned_freq = genuine_freq
         reports = genuine_reports
@@ -176,4 +182,5 @@ def run_trial(
         m=m,
         reports=reports,
         malicious_mask=malicious_mask,
+        support_counts=total_counts if mode == "sampled" else None,
     )

@@ -931,7 +931,7 @@ def _defense_trial(task: _DefenseTask) -> dict[str, float]:
         "before": poisoned,
         "normalization": project_onto_simplex_sort(poisoned),
         "detection": detect_and_aggregate(
-            task.protocol, trial.reports, target_list
+            task.protocol, trial.reports, target_list, counts=trial.support_counts
         ).frequencies,
         "kmeans": kmeans_recovery.frequencies,
         "recover": recover_frequencies(

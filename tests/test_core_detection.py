@@ -114,3 +114,46 @@ class TestDetectionBehaviour:
             det_mse.append(mse(trial.true_frequencies, detection.frequencies))
             rec_mse.append(mse(trial.true_frequencies, recovery.frequencies))
         assert np.mean(rec_mse) < np.mean(det_mse)
+
+
+_SMALL = zipf_dataset(domain_size=D, num_users=3_000, exponent=1.0, rng=3)
+
+
+def _both_ways(proto, reports, targets, **kwargs):
+    direct = detect_and_aggregate(proto, reports, targets, **kwargs)
+    counts = proto.support_counts(reports)
+    shortcut = detect_and_aggregate(proto, reports, targets, counts=counts, **kwargs)
+    assert shortcut.frequencies.tobytes() == direct.frequencies.tobytes()
+    assert (shortcut.removed, shortcut.kept) == (direct.removed, direct.kept)
+    return direct
+
+
+class TestCountsShortcut:
+    """With the batch's support counts passed in, Detection subtracts the
+    flagged reports' counts instead of aggregating the kept ones; the
+    result is byte-identical either way."""
+
+    @pytest.mark.parametrize("make", [GRR, OUE, OLH])
+    def test_poisoned_batch(self, make):
+        proto = make(epsilon=0.5, domain_size=D)
+        attack = MGAAttack(domain_size=D, r=3, rng=0)
+        trial = run_trial(_SMALL, proto, attack, beta=0.05, mode="sampled", rng=1)
+        result = _both_ways(proto, trial.reports, attack.target_items)
+        assert result.removed > 0 and result.kept > 0
+
+    @pytest.mark.parametrize("make", [GRR, OUE, OLH])
+    def test_nothing_flagged(self, make):
+        proto = make(epsilon=0.5, domain_size=D)
+        reports = proto.perturb(np.arange(200) % D, 0)
+        clean = proto.select_reports(reports, ~proto.reports_supporting_any(reports, [0]))
+        result = _both_ways(proto, clean, [0])
+        assert result.removed == 0 and result.kept == proto.num_reports(clean) > 0
+
+    @pytest.mark.parametrize("make", [GRR, OUE, OLH])
+    def test_everything_flagged_raises(self, make):
+        proto = make(epsilon=0.5, domain_size=D)
+        reports = proto.craft_supporting(np.zeros(5, dtype=np.int64), 0)
+        counts = proto.support_counts(reports)
+        for kwargs in ({}, {"counts": counts}):
+            with pytest.raises(RecoveryError, match="removed every report"):
+                detect_and_aggregate(proto, reports, [0], **kwargs)

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, ProtocolError
-from repro.protocols import GRR, OLH, OUE, ProtocolParams, counts_to_items
+from repro.protocols import (
+    GRR,
+    OLH,
+    OUE,
+    ProtocolParams,
+    available_protocols,
+    counts_to_items,
+    make_protocol,
+)
 from repro.protocols.base import (
     FrequencyOracle,
     validate_domain_size,
@@ -217,3 +225,47 @@ class TestItemValidation:
         counts[0] = -1
         with pytest.raises(ProtocolError):
             protocol.sample_genuine_counts(counts)
+
+
+_SUBSET_ORACLES = [pytest.param(name, {}, id=name) for name in available_protocols()] + [
+    pytest.param("olh", {"cohort": 8}, id="olh-cohort8")
+]
+
+
+class TestSubsetSupportCounts:
+    """Row ``i`` equals ``support_counts(select_reports(reports, masks[i]))``
+    for every registered protocol, including the cohort OLH grouped path."""
+
+    @pytest.mark.parametrize("name,kwargs", _SUBSET_ORACLES)
+    def test_equals_stacked_support_counts(self, name, kwargs, rng):
+        protocol = make_protocol(name, 0.5, 12, **kwargs)
+        reports = protocol.perturb(rng.integers(0, 12, size=1_001), rng)
+        # Rows: all false, all true, then random rows of several densities.
+        rates = np.array([0.0, 1.0, 0.05, 0.5, 0.95, 0.5])
+        masks = rng.random((rates.size, 1_001)) < rates[:, None]
+        got = protocol.subset_support_counts(reports, masks)
+        expected = np.stack(
+            [protocol.support_counts(protocol.select_reports(reports, row)) for row in masks]
+        )
+        assert got.dtype == np.int64 and got.shape == (rates.size, 12)
+        np.testing.assert_array_equal(got, expected)
+        assert not got[0].any()
+        np.testing.assert_array_equal(got[1], protocol.support_counts(reports))
+
+    @pytest.mark.parametrize("name,kwargs", _SUBSET_ORACLES)
+    def test_no_masks_and_no_reports(self, name, kwargs, rng):
+        protocol = make_protocol(name, 0.5, 12, **kwargs)
+        reports = protocol.perturb(rng.integers(0, 12, size=50), rng)
+        none = protocol.subset_support_counts(reports, np.zeros((0, 50), dtype=bool))
+        assert none.shape == (0, 12) and none.dtype == np.int64
+        empty = protocol.select_reports(reports, np.zeros(50, dtype=bool))
+        counts = protocol.subset_support_counts(empty, np.zeros((3, 0), dtype=bool))
+        assert counts.shape == (3, 12) and not counts.any()
+
+    @pytest.mark.parametrize("name,kwargs", _SUBSET_ORACLES)
+    @pytest.mark.parametrize("shape", [(50,), (2, 49), (2, 51), (1, 2, 50)])
+    def test_rejects_misshapen_masks(self, name, kwargs, shape, rng):
+        protocol = make_protocol(name, 0.5, 12, **kwargs)
+        reports = protocol.perturb(rng.integers(0, 12, size=50), rng)
+        with pytest.raises(ProtocolError, match="masks must have shape"):
+            protocol.subset_support_counts(reports, np.ones(shape, dtype=bool))

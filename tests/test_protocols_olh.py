@@ -358,3 +358,65 @@ class TestSmallTiles:
         monkeypatch.setattr(hashing, "TILE_CELLS", cells)
         _assert_matches_reference(oracle, reports, [0, 3, 4, 7, 8, 9, 11])
         _assert_matches_reference(oracle, forged, [2, 5])
+
+
+def _assert_subsets_match_reference(oracle: OLH, reports: OLHReports, masks) -> None:
+    grid = _reference_grid(oracle, reports, np.arange(oracle.domain_size))
+    expected = masks.astype(np.int64) @ grid.astype(np.int64)
+    np.testing.assert_array_equal(oracle.subset_support_counts(reports, masks), expected)
+
+
+def _subset_masks(n: int, rng) -> np.ndarray:
+    """An all-false row, an all-true row and random rows over ``n`` reports."""
+    rates = np.array([0.0, 1.0, 0.1, 0.5, 0.9])
+    return rng.random((rates.size, n)) < rates[:, None]
+
+
+class TestSubsetScan:
+    """subset_support_counts against the explicit full grid: every subset
+    is counted inside the same scan tiles, exactly."""
+
+    @pytest.mark.parametrize("cells", [1, 37, 100])
+    @pytest.mark.parametrize("kwargs", _ORACLES)
+    def test_small_tiles_match_reference(self, kwargs, cells, rng, monkeypatch):
+        oracle = OLH(domain_size=12, **kwargs)
+        reports = oracle.perturb(rng.integers(0, 12, size=203), rng)
+        forged = _forged_values(reports, oracle.g, rng)
+        masks = _subset_masks(203, rng)
+        monkeypatch.setattr(hashing, "TILE_CELLS", cells)
+        _assert_subsets_match_reference(oracle, reports, masks)
+        _assert_subsets_match_reference(oracle, forged, masks)
+
+    @pytest.mark.parametrize("cells", [1, 37, 100])
+    def test_forged_values_never_match(self, cells, rng, monkeypatch):
+        oracle = OLH(epsilon=0.5, domain_size=12)
+        seeds = hashing.draw_seeds(90, rng)
+        values = np.resize(np.array([-1, oracle.g, 2**62], dtype=np.int64), 90)
+        forged = OLHReports(seeds=seeds, values=values)
+        monkeypatch.setattr(hashing, "TILE_CELLS", cells)
+        counts = oracle.subset_support_counts(forged, _subset_masks(90, rng))
+        assert counts.shape == (5, 12) and not counts.any()
+
+    def test_a_full_tile_of_matches_counts_exactly(self, rng):
+        # At n = TILE_CELLS a tile is one item by TILE_CELLS reports.  Every
+        # report supports item 0, so item 0's all-true product is the
+        # largest partial sum a float32 tile product ever holds.
+        oracle = OLH(epsilon=0.5, domain_size=12)
+        n = hashing.TILE_CELLS
+        reports = oracle.craft_supporting(np.zeros(n, dtype=np.int64), rng)
+        masks = _subset_masks(n, rng)
+        assert oracle.subset_support_counts(reports, masks)[1, 0] == hashing.TILE_CELLS
+        _assert_subsets_match_reference(oracle, reports, masks)
+
+    def test_several_report_tiles(self, rng):
+        oracle = OLH(epsilon=0.5, domain_size=12)
+        reports = oracle.perturb(rng.integers(0, 12, size=70_001), rng)
+        _assert_subsets_match_reference(oracle, reports, _subset_masks(70_001, rng))
+
+    def test_support_matches_masks_need_axis_0_and_one_column_per_report(self, rng):
+        seeds = hashing.draw_seeds(10, rng)
+        values = rng.integers(0, 3, size=10)
+        items = np.arange(4)
+        for axis, masks in ((1, np.ones((2, 10), bool)), (0, np.ones((2, 9), bool))):
+            with pytest.raises(ValueError, match="masks need axis=0"):
+                hashing.support_matches(seeds, values, items, 3, axis=axis, masks=masks)

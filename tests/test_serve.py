@@ -24,6 +24,7 @@ from repro.core.recover import recover_frequencies
 from repro.exceptions import InvalidParameterError
 from repro.protocols import make_protocol
 from repro.serve import RecoveryHTTPServer, RecoveryService, SnapshotStore
+from repro.sim.streaming import AggregatorState
 
 EPSILON = 1.0
 DOMAIN = 16
@@ -107,6 +108,26 @@ class TestRetainedReports:
         assert np.array_equal(
             service.frequencies("e", "detection", targets=TARGETS).frequencies,
             detect_and_aggregate(protocol, reports, TARGETS).frequencies,
+        )
+
+    @pytest.mark.parametrize("name", ["grr", "oue", "olh"])
+    def test_detection_after_absorb_covers_retained_reports_only(self, name):
+        """Absorbed collector state joins the streamed counts but not the
+        retained batches, so the detection view must not subtract from
+        those counts: it stays batch detection over the retained reports."""
+        protocol, reports = _poisoned_reports(name)
+        n = protocol.num_reports(reports)
+        cut = 1_000
+        retained = protocol.slice_reports(reports, cut, n)
+        service = RecoveryService(protocol, retain_reports=True)
+        service.ingest("e", retained)
+        collector = AggregatorState(protocol)
+        collector.ingest("e", protocol.slice_reports(reports, 0, cut))
+        service.absorb(collector)
+        assert service.state.num_reports("e") == n
+        assert np.array_equal(
+            service.frequencies("e", "detection", targets=TARGETS).frequencies,
+            detect_and_aggregate(protocol, retained, TARGETS).frequencies,
         )
 
     def test_ingest_never_concatenates(self, monkeypatch):

@@ -14,7 +14,9 @@ modes a long-lived deployment actually hits (ISSUE 10 satellite 4):
   connections interleave without corrupting state — the final views are
   byte-equal to an uncontended service fed the same reports;
 * target items outside the domain (``d``, ``-1``, ``2**70``) answer 400
-  on every protocol and method, and never key a cached view.
+  on every protocol and method, and never key a cached view;
+* a ``Content-Length`` that is not a plain decimal number answers a JSON
+  ``400`` and closes, and the server keeps serving new connections.
 """
 
 from __future__ import annotations
@@ -124,6 +126,47 @@ class TestOversizedBody:
             await server.stop()
 
         asyncio.run(scenario())
+
+
+class TestMalformedContentLength:
+    """The body of such a request cannot be framed, so, like the 413
+    path, the server answers and closes instead of raising out of the
+    connection callback (which left the client an empty reply)."""
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1e3", "+5", "1_000", "\u0663"])
+    def test_answers_400_then_close_and_stays_live(self, declared):
+        protocol, _ = _poisoned_reports()
+        service = RecoveryService(protocol)
+
+        async def scenario():
+            server = RecoveryHTTPServer(service)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            head = (
+                "POST /ingest HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {declared}\r\n\r\n"
+            )
+            # EOF after the head: a server that mis-framed the body and
+            # waits for more bytes fails here instead of hanging the test.
+            writer.write(head.encode("utf-8") + b"{}")
+            writer.write_eof()
+            await writer.drain()
+            status, headers, doc = await _read_response(reader)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert "malformed Content-Length" in doc["error"]
+            assert await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            status, _, doc = await _request(reader, writer, "GET", "/healthz")
+            assert (status, doc) == (200, {"status": "ok"})
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+
+        asyncio.run(scenario())
+        assert service.ingested_reports == 0
 
 
 class TestTruncatedJSONMidKeepAlive:

@@ -8,6 +8,7 @@ import pytest
 from repro.attacks import AdaptiveAttack, MGAAttack
 from repro.datasets import zipf_dataset
 from repro.exceptions import InvalidParameterError
+from repro.protocols import make_protocol
 from repro.sim.pipeline import malicious_count, run_trial
 
 D = 16
@@ -131,3 +132,27 @@ class TestRunTrial:
         )
         err = np.abs(trial.genuine_frequencies - trial.true_frequencies).max()
         assert err < 5 * sigma
+
+
+class TestTrialSupportCounts:
+    """Sampled trials carry the support counts of their reports, which the
+    report-level defenses subtract from; other modes hold no reports."""
+
+    @pytest.mark.parametrize("attacked", [True, False], ids=["attacked", "clean"])
+    @pytest.mark.parametrize("name", ["grr", "oue", "olh"])
+    def test_sampled_counts_equal_a_fresh_scan(self, name, attacked):
+        proto = make_protocol(name, 0.5, D)
+        attack = MGAAttack(domain_size=D, r=3, rng=0) if attacked else None
+        trial = run_trial(DATASET, proto, attack, beta=0.05, mode="sampled", rng=2)
+        assert (trial.m > 0) == attacked
+        assert trial.support_counts.dtype == np.int64
+        np.testing.assert_array_equal(
+            trial.support_counts, proto.support_counts(trial.reports)
+        )
+
+    @pytest.mark.parametrize("mode,kwargs", [("fast", {}), ("chunked", {"chunk_users": 3_000})])
+    def test_other_modes_carry_none(self, mode, kwargs):
+        proto = make_protocol("oue", 0.5, D)
+        attack = MGAAttack(domain_size=D, r=3, rng=0)
+        trial = run_trial(DATASET, proto, attack, beta=0.05, mode=mode, rng=2, **kwargs)
+        assert trial.reports is None and trial.support_counts is None

@@ -211,8 +211,8 @@ class RecoveryService:
 
         The detection view aggregates the retained reports themselves and
         passes Detection no ``counts``: the epoch's streamed counts also
-        hold ``absorb()``ed collector state and snapshot-restored reports
-        that the retained batches lack, so subtracting the flagged
+        hold collector state merged by :meth:`absorb` and snapshot-restored
+        reports that the retained batches lack, so subtracting the flagged
         reports from them would not give the retained kept side.
         """
         raw = self.state.estimate_frequencies(epoch)

@@ -263,9 +263,9 @@ class TestSubsetSupportCounts:
         assert counts.shape == (3, 12) and not counts.any()
 
     @pytest.mark.parametrize("name,kwargs", _SUBSET_ORACLES)
-    @pytest.mark.parametrize("shape", [(50,), (2, 49), (2, 51), (1, 2, 50)])
-    def test_rejects_misshapen_masks(self, name, kwargs, shape, rng):
+    def test_rejects_misshapen_masks(self, name, kwargs, rng):
         protocol = make_protocol(name, 0.5, 12, **kwargs)
         reports = protocol.perturb(rng.integers(0, 12, size=50), rng)
-        with pytest.raises(ProtocolError, match="masks must have shape"):
-            protocol.subset_support_counts(reports, np.ones(shape, dtype=bool))
+        for shape in [(50,), (2, 49), (2, 51), (1, 2, 50)]:
+            with pytest.raises(ProtocolError, match="masks must have shape"):
+                protocol.subset_support_counts(reports, np.ones(shape, dtype=bool))

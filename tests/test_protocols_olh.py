@@ -420,3 +420,96 @@ class TestSubsetScan:
         for axis, masks in ((1, np.ones((2, 10), bool)), (0, np.ones((2, 9), bool))):
             with pytest.raises(ValueError, match="masks need axis=0"):
                 hashing.support_matches(seeds, values, items, 3, axis=axis, masks=masks)
+
+
+def _repeating_batch(g: int, distinct: int, repeats: int, rng) -> OLHReports:
+    """``distinct`` reports with fresh seeds, then ``repeats`` reports that
+    share three seeds, with in-range values throughout."""
+    shared = hashing.draw_seeds(3, rng)
+    seeds = np.concatenate(
+        [hashing.draw_seeds(distinct, rng), shared[rng.integers(0, 3, size=repeats)]]
+    )
+    return OLHReports(seeds=seeds, values=rng.integers(0, g, size=seeds.size))
+
+
+def _forged_extremes(reports: OLHReports, g: int) -> OLHReports:
+    """Overwrite every third value with -1, ``g`` or ``2**62`` in turn."""
+    values = reports.values.copy()
+    bad = np.arange(0, values.size, 3)
+    values[bad] = np.resize(np.array([-1, g, 2**62], dtype=np.int64), bad.size)
+    return OLHReports(seeds=reports.seeds, values=values)
+
+
+def _assert_every_scan_matches_reference(oracle: OLH, reports: OLHReports, rng) -> None:
+    _assert_matches_reference(oracle, reports, [0, 4, 9, 10, 39])
+    _assert_subsets_match_reference(oracle, reports, _subset_masks(len(reports), rng))
+
+
+_PER_USER = [
+    pytest.param(dict(epsilon=0.5), id="olh"),
+    pytest.param(dict(epsilon=0.5, g=2), id="blh"),
+]
+
+
+def _per_user_oracle(kwargs) -> OLH:
+    from repro.protocols import BLH
+
+    if kwargs.get("g") == 2:
+        return BLH(epsilon=kwargs["epsilon"], domain_size=40)
+    return OLH(domain_size=40, **kwargs)
+
+
+class TestRepeatedSeedBatches:
+    """Per-user OLH and BLH oracles counting batches whose seeds repeat
+    (MGA's crafted reports reuse a few winning keys) or repeat only late,
+    against the explicit full grid: whichever counting path a batch
+    takes, every scan is exact."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 600, 5_000])
+    @pytest.mark.parametrize("kwargs", _PER_USER)
+    def test_mga_crafted_batches(self, kwargs, m, rng):
+        from repro.attacks import MGAAttack
+
+        oracle = _per_user_oracle(kwargs)
+        crafted = MGAAttack(domain_size=40, r=6, rng=rng).craft(oracle, m, rng)
+        if m >= 600:  # a handful of winning keys, each reused many times
+            assert 2 * np.unique(crafted.seeds).size <= m
+        _assert_every_scan_matches_reference(oracle, crafted, rng)
+
+    @pytest.mark.parametrize("distinct", [1_022, 1_023, 1_024, 1_025, 2_000])
+    @pytest.mark.parametrize("kwargs", _PER_USER)
+    def test_first_repeat_late_in_the_batch(self, kwargs, distinct, rng):
+        oracle = _per_user_oracle(kwargs)
+        reports = _repeating_batch(oracle.g, distinct, 6_000, rng)
+        _assert_every_scan_matches_reference(oracle, reports, rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 500, 1_023])
+    @pytest.mark.parametrize("kwargs", _PER_USER)
+    def test_short_batches(self, kwargs, n, rng):
+        oracle = _per_user_oracle(kwargs)
+        repeated = _repeating_batch(oracle.g, 0, n, rng)
+        fresh = _repeating_batch(oracle.g, n, 0, rng)
+        _assert_every_scan_matches_reference(oracle, repeated, rng)
+        _assert_every_scan_matches_reference(oracle, fresh, rng)
+
+    @pytest.mark.parametrize("kwargs", _PER_USER)
+    def test_empty_batch(self, kwargs, rng):
+        oracle = _per_user_oracle(kwargs)
+        empty = _repeating_batch(oracle.g, 0, 0, rng)
+        assert oracle.support_counts(empty).tolist() == [0] * 40
+        _assert_every_scan_matches_reference(oracle, empty, rng)
+
+    @pytest.mark.parametrize("kwargs", _PER_USER)
+    def test_forged_values_never_match(self, kwargs, rng):
+        from repro.attacks import MGAAttack
+
+        oracle = _per_user_oracle(kwargs)
+        crafted = MGAAttack(domain_size=40, r=6, rng=rng).craft(oracle, 3_000, rng)
+        for reports in (crafted, _repeating_batch(oracle.g, 100, 3_000, rng)):
+            forged = _forged_extremes(reports, oracle.g)
+            _assert_every_scan_matches_reference(oracle, forged, rng)
+            assert not oracle.target_support_counts(forged, np.arange(40))[::3].any()
+            kept = oracle.select_reports(forged, np.arange(len(forged)) % 3 != 0)
+            np.testing.assert_array_equal(
+                oracle.support_counts(forged), oracle.support_counts(kept)
+            )

@@ -25,6 +25,11 @@ Two seed-drawing policies are supported:
   correlated support sets, which mildly inflates estimate variance for
   small ``K``; cohort mode therefore changes the report distribution and
   is part of the protocol's cache fingerprint.
+
+Which counting path runs is decided by the batch, not by the policy: any
+batch whose ``K`` distinct seeds satisfy ``2*K <= n`` is counted grouped,
+including MGA's crafted batches, which reuse a handful of winning keys
+although the attacker draws them per report.  Both paths count exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ from repro._rng import RngLike, as_generator
 from repro.exceptions import InvalidParameterError, ProtocolError
 from repro.protocols import hashing
 from repro.protocols.base import FrequencyOracle, decode_array, encode_array
+
+#: Leading seeds of a batch probed for a repeat before the grouped
+#: counting path is considered (see :meth:`OLH._grouped_seeds`).
+_REPEAT_PROBE = 1_024
 
 
 @dataclass
@@ -157,20 +166,24 @@ class OLH(FrequencyOracle):
     def _grouped_seeds(
         self, reports: OLHReports
     ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """``(unique_seeds, inverse)`` when the cohort fast path applies.
+        """``(unique_seeds, inverse)`` when the grouped counting path applies.
 
-        The grouped aggregation is only attempted in cohort mode (per-user
-        batches would pay an O(n log n) sort for nothing), only pays off
-        when seeds actually repeat (a crafted/malicious batch aggregated
-        through a cohort-mode oracle still has one seed per report), and
-        requires in-range reported values (the histograms index by value).
-        Returns ``None`` whenever the per-user grid scan should run; both
-        paths count exactly, so the choice never changes results.
+        Grouping pays off only when seeds repeat, which the batch itself
+        shows: cohort batches and MGA's crafted batches repeat a few keys,
+        while per-user genuine batches have one fresh key per report.  A
+        sort of the first :data:`_REPEAT_PROBE` seeds tells them apart, so
+        a per-user batch never pays the full O(n log n) ``np.unique``.
+        Only after a repeat is found does the batch have to pass the
+        ``2*K <= n`` test over all its seeds and hold in-range reported
+        values (the histograms index by value).  Returns ``None`` whenever
+        the per-user grid scan should run; both paths count exactly, so
+        the choice never changes results.
         """
-        if self.cohort is None:
+        probe = reports.seeds[:_REPEAT_PROBE]
+        if np.unique(probe).size == probe.size:
             return None
         values = reports.values
-        if values.size and (values.min() < 0 or values.max() >= self.g):
+        if values.min() < 0 or values.max() >= self.g:
             return None
         unique_seeds, inverse = np.unique(reports.seeds, return_inverse=True)
         if 2 * unique_seeds.size > len(reports):
@@ -182,9 +195,10 @@ class OLH(FrequencyOracle):
 
         Per-user-seed batches walk the (users x domain) hash grid in
         cache-sized tiles (:func:`repro.protocols.hashing.support_matches`).
-        Cohort batches instead hash the domain once per distinct seed and
-        fold per-seed histograms of the reported values — O(K*d + n)
-        rather than O(n*d) — with bit-identical counts.
+        Batches with repeated seeds (cohort batches, MGA's crafted
+        batches; see :meth:`_grouped_seeds`) instead hash the domain once
+        per distinct seed and fold per-seed histograms of the reported
+        values — O(K*d + n) rather than O(n*d) — with bit-identical counts.
         """
         reports = self._validate_olh(reports)
         grouped = self._grouped_seeds(reports)
@@ -204,8 +218,8 @@ class OLH(FrequencyOracle):
         A per-user-seed batch is scanned once, with every subset counted
         inside the same tiles
         (:func:`repro.protocols.hashing.support_matches` with ``masks``).
-        Cohort batches count subset by subset on the grouped path, which
-        is already O(K*d + n) each.
+        Batches with repeated seeds count subset by subset on the grouped
+        path, which is already O(K*d + n) each.
         """
         reports = self._validate_olh(reports)
         if self._grouped_seeds(reports) is not None:
@@ -268,7 +282,7 @@ class OLH(FrequencyOracle):
 
         Delegates to :meth:`target_support_counts` (a report supports any
         target iff it supports at least one), inheriting its tiled scan and
-        the cohort-grouped fast path.
+        the grouped path for repeated seeds.
         """
         return self.target_support_counts(reports, items) > 0
 
@@ -276,10 +290,10 @@ class OLH(FrequencyOracle):
         """Per-report count of supported target ``items``, in bounded memory.
 
         The per-user-seed path scans the (reports x targets) hash grid in
-        cache-sized tiles — never the whole (n x targets) grid.  Cohort
-        batches bucket the target hashes per distinct seed instead (in
-        slices of at most ``TILE_CELLS`` cells) and gather each report's
-        count from its seed's bucket row: O(K*t + n).
+        cache-sized tiles — never the whole (n x targets) grid.  Batches
+        with repeated seeds bucket the target hashes per distinct seed
+        instead (in slices of at most ``TILE_CELLS`` cells) and gather each
+        report's count from its seed's bucket row: O(K*t + n).
         """
         reports = self._validate_olh(reports)
         idx = np.asarray(list(items), dtype=np.uint64)

@@ -9,7 +9,11 @@ is the execution substrate for that grid:
   Every trial owns a :class:`numpy.random.SeedSequence` child spawned from
   the cell's parent (see :func:`repro._rng.spawn_sequences`), so results
   are bit-identical whether the tasks run inline (``workers=1``) or across
-  a pool, and trial streams never overlap.
+  a pool, and trial streams never overlap.  The pool lives as long as the
+  enclosing :func:`run_scope` — one exhibit run, opened by
+  :meth:`repro.sim.shard.SweepConfig.run` — so every cell, adaptive block
+  and exhibit call of that run reuses the same workers; a call outside
+  any scope gets a pool of its own.
 * **Streaming metric accumulation** — :class:`Welford` keeps running
   mean/variance/count per metric instead of materializing per-trial metric
   lists, so cells can report confidence intervals at no extra memory cost.
@@ -31,8 +35,10 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -41,7 +47,7 @@ from repro.attacks.base import PoisoningAttack
 from repro.core.detection import detect_and_aggregate
 from repro.core.recover import recover_frequencies
 from repro.datasets.base import Dataset
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, ReproError
 from repro.protocols.base import DEFAULT_CHUNK_USERS, FrequencyOracle
 from repro.sim.metrics import frequency_gain, mse
 from repro.sim.outliers import top_increase_items
@@ -526,6 +532,36 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
+#: Worker pools of the open :func:`run_scope`, by worker count; ``None``
+#: outside any scope.
+_RUN_POOLS: Optional[dict[int, ProcessPoolExecutor]] = None
+
+
+@contextmanager
+def run_scope() -> Iterator[dict[int, ProcessPoolExecutor]]:
+    """Share worker pools among every :func:`parallel_map` call inside.
+
+    A pool forks lazily, on the first call that needs one, so a run served
+    from cache or run inline forks nothing.  On exit every pool is shut
+    down with ``wait=True``, so no worker outlives the scope and each one
+    is reaped.  A scope opened inside another is a no-op: the outer scope
+    owns the pools.  Forking per scope rather than once per process means
+    the workers see module state (test monkeypatches, an installed
+    tracer) as it stood when the run began.
+    """
+    global _RUN_POOLS
+    if _RUN_POOLS is not None:
+        yield _RUN_POOLS
+        return
+    _RUN_POOLS = pools = {}
+    try:
+        yield pools
+    finally:
+        _RUN_POOLS = None
+        for pool in pools.values():
+            pool.shutdown(wait=True)
+
+
 def parallel_map(
     fn: Callable[[T], R], tasks: Sequence[T], workers: Optional[int] = 1
 ) -> list[R]:
@@ -537,16 +573,30 @@ def parallel_map(
     ``workers > 1`` (module-level functions and dataclasses of arrays are).
     Every call adds ``len(tasks)`` to :data:`TASK_COUNTER`, which is how
     tests measure that cached cells skip simulation entirely.
+
+    A pooled call runs on the enclosing :func:`run_scope`'s pool of
+    ``resolve_workers(workers)`` processes, forking it if this is the
+    scope's first pooled call; outside any scope the call opens its own,
+    so its pool lives for this call only.  A worker that dies (killed,
+    out of memory, ``os._exit``) raises :class:`~repro.exceptions.ReproError`
+    and the broken pool is dropped, so a later call forks a fresh one.
     """
     tasks = list(tasks)
     TASK_COUNTER.add(len(tasks))
     count = resolve_workers(workers)
     if count == 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    max_workers = min(count, len(tasks))
-    chunksize = max(1, len(tasks) // (max_workers * 4))
-    with ProcessPoolExecutor(max_workers=max_workers, mp_context=_pool_context()) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+    chunksize = max(1, len(tasks) // (min(count, len(tasks)) * 4))
+    with run_scope() as pools:
+        if count not in pools:
+            pools[count] = ProcessPoolExecutor(max_workers=count, mp_context=_pool_context())
+        try:
+            return list(pools[count].map(fn, tasks, chunksize=chunksize))
+        except BrokenProcessPool as exc:
+            pools.pop(count).shutdown(wait=True)
+            raise ReproError(
+                f"a worker process died while running {len(tasks)} tasks: {exc}"
+            ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -840,6 +890,7 @@ __all__ = [
     "resolve_workers",
     "run_adaptive_trials",
     "run_chunked_trial",
+    "run_scope",
     "run_trials",
     "trial_metrics",
 ]

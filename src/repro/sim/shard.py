@@ -59,7 +59,7 @@ from repro.sim.cache import (
     CellCache,
     canonical_key,
 )
-from repro.sim.engine import TASK_COUNTER, TrialBudget, Welford
+from repro.sim.engine import TASK_COUNTER, TrialBudget, Welford, run_scope
 from repro.sim.experiment import RecoveryEvaluation
 from repro.sim.scenarios import EXHIBITS, SWEEP_OPTIONS
 
@@ -165,6 +165,11 @@ class SweepConfig:
         plus only the :data:`~repro.sim.scenarios.SWEEP_OPTIONS` it
         consumes; ``budget`` is forwarded only when one is set, so
         generators without adaptive support run fixed-budget sweeps.
+
+        The run owns one worker pool (:func:`~repro.sim.engine.run_scope`):
+        it forks on the first pooled trial batch, serves every later cell
+        of the run, and is shut down, its workers reaped, before this
+        returns.  A run that simulates nothing in a pool forks nothing.
         """
         exhibit = EXHIBITS[self.figure]
         kwargs: dict[str, Any] = dict(
@@ -179,7 +184,8 @@ class SweepConfig:
             kwargs["budget"] = budget
         for option in exhibit.consumes:
             kwargs["dataset_name" if option == "dataset" else option] = getattr(self, option)
-        return exhibit.rows(**kwargs)
+        with run_scope():
+            return exhibit.rows(**kwargs)
 
     def digest(self) -> str:
         """Short stable id of this sweep's cell-defining fields.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -273,6 +274,17 @@ class TestShardWorkflow:
         assert "0 run, 6 served" in capsys.readouterr().out
 
 
+#: The test process's pid: pool workers are forked from it.
+_TEST_PID = os.getpid()
+
+
+def _exit_in_worker(*args, **kwargs):
+    """Stand-in for a trial that kills the pool worker running it."""
+    if os.getpid() != _TEST_PID:
+        os._exit(3)
+    raise AssertionError("a pooled trial ran inline")
+
+
 class TestErrors:
     """Bad input ends in one ``error:`` line and exit 2, never a traceback."""
 
@@ -300,6 +312,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_dead_worker_exits_2_and_the_next_run_succeeds(self, capsys, monkeypatch):
+        from repro.sim import figures
+
+        argv = ["run", "--figure", "fig8", "--num-users", "3000", "--trials", "2",
+                "--workers", "2", "--no-cache"]
+        monkeypatch.setattr(figures, "run_trial", _exit_in_worker)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died") and err.count("\n") == 1
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert "mse_mga" in capsys.readouterr().out
 
     def test_entry_point_prints_no_traceback(self):
         result = subprocess.run(

@@ -513,3 +513,32 @@ class TestRepeatedSeedBatches:
             np.testing.assert_array_equal(
                 oracle.support_counts(forged), oracle.support_counts(kept)
             )
+
+    @pytest.mark.parametrize("kwargs", _PER_USER)
+    def test_mga_batches_skip_the_grid_scan(self, kwargs, rng, monkeypatch):
+        from repro.attacks import MGAAttack
+
+        oracle = _per_user_oracle(kwargs)
+        crafted = MGAAttack(domain_size=40, r=6, rng=rng).craft(oracle, 5_000, rng)
+        masks = rng.random((3, 5_000)) < np.array([[0.1], [0.5], [1.0]])
+        targets = [0, 4, 9]
+        expected = [
+            _reference_grid(oracle, crafted, np.arange(40)).sum(axis=0),
+            masks.astype(np.int64) @ _reference_grid(oracle, crafted, np.arange(40)),
+            _reference_grid(oracle, crafted, targets).sum(axis=1),
+        ]
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("an MGA batch reached the per-report grid scan")
+
+        monkeypatch.setattr(hashing, "support_matches", no_scan)
+        np.testing.assert_array_equal(oracle.support_counts(crafted), expected[0])
+        np.testing.assert_array_equal(
+            oracle.subset_support_counts(crafted, masks), expected[1]
+        )
+        np.testing.assert_array_equal(
+            oracle.target_support_counts(crafted, targets), expected[2]
+        )
+        np.testing.assert_array_equal(
+            oracle.reports_supporting_any(crafted, targets), expected[2] > 0
+        )

@@ -117,6 +117,26 @@ class TestSweepConfig:
             SweepConfig(figure="table1", trials=2, trial_batch=0)
 
 
+class TestRunOwnsOnePool:
+    def test_fig8_run_forks_one_pool_and_reaps_it(self, monkeypatch):
+        from repro.sim import engine
+
+        built: list[int] = []
+        real = engine.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", counting)
+        config = SweepConfig(figure="fig8", num_users=3000, trials=2, workers=2)
+        rows = config.run(None)
+        assert built == [2]
+        assert not multiprocessing.active_children()
+        assert rows == dataclasses.replace(config, workers=1).run(None)
+        assert built == [2]
+
+
 class TestEnumeration:
     def test_enumerates_without_simulating(self):
         TASK_COUNTER.reset()

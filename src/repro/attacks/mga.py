@@ -115,6 +115,17 @@ class MGAAttack(ItemSamplingAttack):
         return super().craft(protocol, m, gen)
 
     def _craft_oue(self, protocol: OUE, m: int, gen: np.random.Generator) -> np.ndarray:
+        """``m`` bit vectors: every target bit on, plus ``pad`` padding bits.
+
+        Each report's padding is a uniform ``pad``-subset of the ``k``
+        non-target bits, drawn by Knuth's selection sampling (Algorithm S)
+        for all reports at once: walking the non-target columns in
+        ascending order, column ``j`` is taken with probability
+        ``need / (k - j)``, where ``need`` counts the bits the report still
+        lacks, so every row ends with exactly ``pad`` of them.  It draws
+        exactly one double per (report, non-target column), ``m * k`` in
+        all, and needs O(m) scratch memory beyond the output.
+        """
         d = protocol.domain_size
         bits = np.zeros((m, d), dtype=bool)
         bits[:, self._targets] = True
@@ -127,13 +138,12 @@ class MGAAttack(ItemSamplingAttack):
         non_targets = np.setdiff1d(np.arange(d, dtype=np.int64), self._targets)
         pad = min(pad, non_targets.size)
         if pad and m:
-            # Per-report sample of `pad` distinct non-target bits via the
-            # random-key argpartition trick (vectorized sampling without
-            # replacement).
-            keys = gen.random((m, non_targets.size))
-            chosen = np.argpartition(keys, pad - 1, axis=1)[:, :pad]
-            rows = np.repeat(np.arange(m), pad)
-            bits[rows, non_targets[chosen].ravel()] = True
+            k = non_targets.size
+            need = np.full(m, pad, dtype=np.int64)
+            for j, column in enumerate(non_targets):
+                take = gen.random(m) * (k - j) < need
+                bits[:, column] = take
+                need -= take
         return bits
 
     def _craft_olh(self, protocol: OLH, m: int, gen: np.random.Generator) -> OLHReports:

@@ -106,6 +106,49 @@ class TestMGAOUE:
         np.testing.assert_array_equal(bits.sum(axis=1), expected)
 
 
+class TestMGAOUEPaddingLaw:
+    """Each crafted OUE report pads a uniform ``pad``-subset of the ``k``
+    non-target bits, and crafting draws exactly ``m * k`` doubles."""
+
+    TARGETS = [2, 11]
+
+    def _craft(self, m: int, seed: int = 1):
+        proto = OUE(epsilon=0.5, domain_size=D)
+        attack = MGAAttack(domain_size=D, targets=self.TARGETS, rng=0)
+        gen = np.random.default_rng(seed)
+        bits = attack.craft(proto, m, gen)
+        pad = round(proto.p + (D - 1) * proto.q) - len(self.TARGETS)
+        non_targets = np.setdiff1d(np.arange(D), self.TARGETS)
+        return bits, bits[:, non_targets], pad, gen
+
+    def test_exactly_pad_bits_per_row_never_on_a_target(self):
+        bits, padding, pad, _ = self._craft(5_000)
+        assert pad == 9 and padding.shape[1] == D - 2
+        assert bits[:, self.TARGETS].all()
+        np.testing.assert_array_equal(padding.sum(axis=1), pad)
+        np.testing.assert_array_equal(bits.sum(axis=1), pad + len(self.TARGETS))
+
+    def test_single_and_pairwise_inclusion(self):
+        m = 60_000
+        _, padding, pad, _ = self._craft(m)
+        k = padding.shape[1]
+        single = pad / k
+        ones = padding.mean(axis=0)
+        assert np.abs(ones - single).max() < 5 * np.sqrt(single * (1 - single) / m)
+        pair = pad * (pad - 1) / (k * (k - 1))
+        both = (padding.T.astype(np.int64) @ padding.astype(np.int64)) / m
+        off_diagonal = both[~np.eye(k, dtype=bool)]
+        assert np.abs(off_diagonal - pair).max() < 5 * np.sqrt(pair * (1 - pair) / m)
+
+    @pytest.mark.parametrize("m", [1, 7, 3_000])
+    def test_draws_exactly_m_times_k_doubles(self, m):
+        _, padding, _, gen = self._craft(m, seed=5)
+        reference = np.random.default_rng(5)
+        reference.random(m * padding.shape[1])
+        assert gen.bit_generator.state == reference.bit_generator.state
+        assert gen.random() == reference.random()
+
+
 class TestMGAOLH:
     def test_reports_support_many_targets(self):
         proto = OLH(epsilon=0.5, domain_size=D)

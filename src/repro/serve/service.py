@@ -11,9 +11,11 @@ and is therefore only available with ``retain_reports=True``).
 Views are **recomputed lazily with dirty-epoch invalidation**: every
 ingest marks its epoch dirty; a read of a dirty epoch drops that epoch's
 cached views and recomputes on demand; warm reads after no new ingests
-run zero recovery recomputation.  The :class:`repro.sim.CallCounter` at
-:attr:`RecoveryService.recomputes` makes that claim testable, exactly
-like the engine's ``TASK_COUNTER`` does for cached cells.
+run zero recovery recomputation.  Each epoch caches at most
+``_MAX_VIEWS_PER_EPOCH`` views, evicting the least recently read.  The
+:class:`repro.sim.CallCounter` at :attr:`RecoveryService.recomputes`
+makes that claim testable, exactly like the engine's ``TASK_COUNTER``
+does for cached cells.
 
 Every number the service produces is byte-equal to the batch pipeline on
 the same reports: ingest folds through
@@ -25,6 +27,7 @@ exact recovery functions the exhibits use.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -39,6 +42,11 @@ from repro.sim.streaming import AggregatorState
 
 #: The frequency views a service can serve per epoch.
 METHODS = ("raw", "recover", "recover_star", "detection")
+
+#: Cached views kept per epoch; the least recently read is evicted first.
+#: ``raw`` and ``recover`` take one slot each whatever the targets, so only
+#: distinct ``recover_star``/``detection`` target sets compete for the rest.
+_MAX_VIEWS_PER_EPOCH = 32
 
 #: Snapshot wire-format version of :meth:`RecoveryService.snapshot`.
 SERVICE_SNAPSHOT_FORMAT = 1
@@ -96,6 +104,12 @@ class RecoveryService:
         available.  Batches are listed per epoch and joined once per
         ``detection`` recompute, so ingest stays O(batch).  Off by
         default: the streaming partial sums alone are O(d) per epoch.
+
+    Cached views are bounded: each epoch keeps at most
+    ``_MAX_VIEWS_PER_EPOCH`` of them (O(d) floats each) in
+    least-recently-read order, keyed by method and, for the two methods
+    that use them, the normalized targets.  An evicted view recomputes
+    byte-equal on its next read.
     """
 
     def __init__(
@@ -115,7 +129,7 @@ class RecoveryService:
         self.ingested_reports = 0
         self.ingested_batches = 0
         self._dirty: set[str] = set()
-        self._views: dict[str, dict[tuple[str, tuple[int, ...]], np.ndarray]] = {}
+        self._views: dict[str, OrderedDict[tuple[str, tuple[int, ...]], np.ndarray]] = {}
         self._retained: dict[str, list[Any]] = {}
         self._started = time.monotonic()
 
@@ -172,8 +186,9 @@ class RecoveryService:
         """The ``method`` frequency view of ``epoch``, recomputed if stale.
 
         ``targets`` (attacker-selected items) is required by
-        ``recover_star`` and ``detection`` and ignored by the others; its
-        order does not matter.  Raises
+        ``recover_star`` and ``detection`` and ignored by the others, which
+        therefore cache one view whatever the targets; its order does not
+        matter.  Raises
         :class:`~repro.exceptions.InvalidParameterError` for unknown
         epochs, empty epochs, unknown methods, targets outside the domain,
         or a ``detection`` read on a service built without
@@ -190,14 +205,19 @@ class RecoveryService:
         if epoch in self._dirty:
             self._views.pop(epoch, None)
             self._dirty.discard(epoch)
-        key = (method, _normalize_targets(targets, self.protocol.domain_size))
-        cached = self._views.setdefault(epoch, {})
+        normalized = _normalize_targets(targets, self.protocol.domain_size)
+        key = (method, normalized if method in ("recover_star", "detection") else ())
+        cached = self._views.setdefault(epoch, OrderedDict())
         freq = cached.get(key)
         recomputed = freq is None
         if freq is None:
             freq = self._compute(epoch, method, key[1])
             cached[key] = freq
+            if len(cached) > _MAX_VIEWS_PER_EPOCH:
+                cached.popitem(last=False)
             self.recomputes.add(1)
+        else:
+            cached.move_to_end(key)
         return FrequencyView(
             epoch=epoch,
             method=method,

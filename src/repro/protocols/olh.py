@@ -47,7 +47,7 @@ from repro.protocols import hashing
 from repro.protocols.base import FrequencyOracle, decode_array, encode_array
 
 #: Leading seeds of a batch probed for a repeat before the grouped
-#: counting path is considered (see :meth:`OLH._grouped_seeds`).
+#: counting path is considered (see ``OLH._grouped_seeds``).
 _REPEAT_PROBE = 1_024
 
 
@@ -171,7 +171,7 @@ class OLH(FrequencyOracle):
         Grouping pays off only when seeds repeat, which the batch itself
         shows: cohort batches and MGA's crafted batches repeat a few keys,
         while per-user genuine batches have one fresh key per report.  A
-        sort of the first :data:`_REPEAT_PROBE` seeds tells them apart, so
+        sort of the first ``_REPEAT_PROBE`` seeds tells them apart, so
         a per-user batch never pays the full O(n log n) ``np.unique``.
         Only after a repeat is found does the batch have to pass the
         ``2*K <= n`` test over all its seeds and hold in-range reported
@@ -196,7 +196,7 @@ class OLH(FrequencyOracle):
         Per-user-seed batches walk the (users x domain) hash grid in
         cache-sized tiles (:func:`repro.protocols.hashing.support_matches`).
         Batches with repeated seeds (cohort batches, MGA's crafted
-        batches; see :meth:`_grouped_seeds`) instead hash the domain once
+        batches; see ``_grouped_seeds``) instead hash the domain once
         per distinct seed and fold per-seed histograms of the reported
         values — O(K*d + n) rather than O(n*d) — with bit-identical counts.
         """

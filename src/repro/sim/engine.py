@@ -553,7 +553,8 @@ def run_scope() -> Iterator[dict[int, ProcessPoolExecutor]]:
     if _RUN_POOLS is not None:
         yield _RUN_POOLS
         return
-    _RUN_POOLS = pools = {}
+    pools: dict[int, ProcessPoolExecutor] = {}
+    _RUN_POOLS = pools
     try:
         yield pools
     finally:

@@ -30,6 +30,22 @@ def _isolated_cell_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture()
+def pool_sizes(monkeypatch) -> list[int]:
+    """The size of every process pool the engine builds during the test."""
+    from repro.sim import engine
+
+    built: list[int] = []
+    real = engine.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", counting)
+    return built
+
+
+@pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 

@@ -125,25 +125,11 @@ def _die_in_worker(x: float) -> float:
     raise AssertionError("a pooled task ran inline")
 
 
-def _count_pools(monkeypatch) -> list[int]:
-    """Record the size of every process pool the engine builds."""
-    built: list[int] = []
-    real = engine.ProcessPoolExecutor
-
-    def counting(*args, **kwargs):
-        built.append(kwargs["max_workers"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", counting)
-    return built
-
-
 class TestRunScope:
     """One pool per run scope; one pool per call outside any scope; a
     dead worker is a ReproError, and no worker outlives its scope."""
 
-    def test_one_pool_serves_every_call_of_a_scope(self, monkeypatch):
-        built = _count_pools(monkeypatch)
+    def test_one_pool_serves_every_call_of_a_scope(self, pool_sizes):
         with engine.run_scope() as pools:
             assert pools == {}
             for n in (3, 7, 2):
@@ -153,21 +139,19 @@ class TestRunScope:
                 assert inner is pools
                 assert parallel_map(_double, [1.0, 2.0], workers=2) == [2.0, 4.0]
             assert parallel_map(_double, [5.0], workers=2) == [10.0]
-        assert built == [2]
+        assert pool_sizes == [2]
         assert not multiprocessing.active_children()
 
-    def test_calls_outside_a_scope_get_a_pool_each(self, monkeypatch):
-        built = _count_pools(monkeypatch)
+    def test_calls_outside_a_scope_get_a_pool_each(self, pool_sizes):
         for _ in range(2):
             assert parallel_map(_double, [1.0, 2.0, 3.0], workers=2) == [2.0, 4.0, 6.0]
-        assert built == [2, 2]
+        assert pool_sizes == [2, 2]
         assert not multiprocessing.active_children()
 
-    def test_a_scope_without_pooled_calls_forks_nothing(self, monkeypatch):
-        built = _count_pools(monkeypatch)
+    def test_a_scope_without_pooled_calls_forks_nothing(self, pool_sizes):
         with engine.run_scope():
             assert parallel_map(_double, [1.0, 2.0], workers=1) == [2.0, 4.0]
-        assert built == []
+        assert pool_sizes == []
 
     def test_dead_worker_raises_repro_error(self):
         with pytest.raises(ReproError, match="worker process died"):
@@ -175,14 +159,13 @@ class TestRunScope:
         assert not multiprocessing.active_children()
         assert parallel_map(_double, [1.0, 2.0], workers=2) == [2.0, 4.0]
 
-    def test_broken_pool_is_dropped_and_replaced_inside_a_scope(self, monkeypatch):
-        built = _count_pools(monkeypatch)
+    def test_broken_pool_is_dropped_and_replaced_inside_a_scope(self, pool_sizes):
         with engine.run_scope() as pools:
             with pytest.raises(ReproError, match="worker process died"):
                 parallel_map(_die_in_worker, [1.0, 2.0], workers=2)
             assert pools == {}
             assert parallel_map(_double, [1.0, 2.0], workers=2) == [2.0, 4.0]
-        assert built == [2, 2]
+        assert pool_sizes == [2, 2]
         assert not multiprocessing.active_children()
 
 

@@ -118,23 +118,13 @@ class TestSweepConfig:
 
 
 class TestRunOwnsOnePool:
-    def test_fig8_run_forks_one_pool_and_reaps_it(self, monkeypatch):
-        from repro.sim import engine
-
-        built: list[int] = []
-        real = engine.ProcessPoolExecutor
-
-        def counting(*args, **kwargs):
-            built.append(kwargs["max_workers"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", counting)
+    def test_fig8_run_forks_one_pool_and_reaps_it(self, pool_sizes):
         config = SweepConfig(figure="fig8", num_users=3000, trials=2, workers=2)
         rows = config.run(None)
-        assert built == [2]
+        assert pool_sizes == [2]
         assert not multiprocessing.active_children()
         assert rows == dataclasses.replace(config, workers=1).run(None)
-        assert built == [2]
+        assert pool_sizes == [2]
 
 
 class TestEnumeration:

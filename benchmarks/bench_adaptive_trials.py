@@ -23,6 +23,7 @@ from conftest import bench_trials, bench_users, bench_workers, show
 from repro.sim import figures
 from repro.sim.cache import CellCache
 from repro.sim.engine import TASK_COUNTER, TrialBudget
+from repro.sim.experiment import RunContext
 
 
 def test_adaptive_budget_saves_trials(run_once, benchmark, tmp_path):
@@ -34,7 +35,8 @@ def test_adaptive_budget_saves_trials(run_once, benchmark, tmp_path):
         # The fixed reference: every cell runs exactly max_trials.
         TASK_COUNTER.reset()
         fixed = figures.figure8_rows(
-            num_users=num_users, trials=max_trials, rng=8, workers=workers
+            num_users=num_users, trials=max_trials, rng=8,
+            ctx=RunContext(workers=workers),
         )
         tasks_fixed = TASK_COUNTER.count
         # Target from the fixed run's own precision: three times the
@@ -49,18 +51,15 @@ def test_adaptive_budget_saves_trials(run_once, benchmark, tmp_path):
             target_halfwidth=target, min_trials=2, max_trials=max_trials, batch=2
         )
         cache = CellCache(tmp_path / "adaptive-cache")
+        ctx = RunContext(workers=workers, cache=cache, budget=budget)
         TASK_COUNTER.reset()
-        adaptive = figures.figure8_rows(
-            num_users=num_users, rng=8, workers=workers, cache=cache, budget=budget
-        )
+        adaptive = figures.figure8_rows(num_users=num_users, rng=8, ctx=ctx)
         tasks_adaptive = TASK_COUNTER.count
         trials_per_cell = [entry.meta["trials"] for entry in cache.entries()]
         # Warm rerun: the summary entries (and behind them the appendable
         # trial blocks) serve the whole sweep without a single task.
         TASK_COUNTER.reset()
-        warm = figures.figure8_rows(
-            num_users=num_users, rng=8, workers=workers, cache=cache, budget=budget
-        )
+        warm = figures.figure8_rows(num_users=num_users, rng=8, ctx=ctx)
         return {
             "cells": len(fixed),
             "tasks_fixed": tasks_fixed,

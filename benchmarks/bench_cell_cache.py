@@ -11,16 +11,20 @@ populations grow.
 
 from __future__ import annotations
 
-from conftest import bench_trials, bench_users, show
+from conftest import bench_trials, bench_users, bench_workers, show
 from repro.sim.cache import CellCache
 from repro.sim.engine import TASK_COUNTER
+from repro.sim.experiment import RunContext
 from repro.sim.figures import sweep_rows
 
 
 def test_cell_cache_warm_regeneration(run_once, tmp_path):
     cache = CellCache(tmp_path / "cells")
     kwargs = dict(
-        num_users=bench_users(60_000), trials=bench_trials(5), rng=5, cache=cache
+        num_users=bench_users(60_000),
+        trials=bench_trials(5),
+        rng=5,
+        ctx=RunContext(workers=bench_workers(), cache=cache),
     )
     cold = sweep_rows("ipums", "beta", **kwargs)
     assert cache.stats.stores == len(cold)

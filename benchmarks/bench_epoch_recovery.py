@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import bench_cache, bench_trials, bench_users, bench_workers, show
+from conftest import bench_context, bench_trials, bench_users, show
 from repro.sim.scenarios import (
     DEFENSE_METHODS,
     EPOCH_COUNT,
@@ -37,8 +37,7 @@ def test_epoch_recovery(run_once):
             num_users=bench_users(20_000),
             trials=bench_trials(3),
             rng=13,
-            workers=bench_workers(),
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show("Scenario: evolving-population epochs", rows)
@@ -86,8 +85,7 @@ def test_defense_shootout(run_once):
             num_users=bench_users(40_000),
             trials=bench_trials(3),
             rng=14,
-            workers=bench_workers(),
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show("Scenario: defense shoot-out (winner per regime)", rows)

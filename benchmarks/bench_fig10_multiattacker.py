@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import bench_cache, bench_trials, bench_users, column, show
+from conftest import bench_context, bench_trials, bench_users, column, show
 from repro.sim.figures import figure10_rows
 
 
@@ -20,7 +20,7 @@ def test_fig10(run_once):
             num_users=bench_users(60_000),
             trials=bench_trials(5),
             rng=10,
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show("Figure 10 (IPUMS): multi-attacker AA", rows)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bench_cache, bench_trials, bench_users, bench_workers, column, show
+from conftest import bench_context, bench_trials, bench_users, column, show
 from repro.sim.figures import figure3_rows
 
 
@@ -22,8 +22,7 @@ def test_fig3(dataset, run_once):
             num_users=bench_users(40_000),
             trials=bench_trials(5),
             rng=3,
-            cache=bench_cache(),
-            workers=bench_workers(1),
+            ctx=bench_context(),
         )
     )
     show(f"Figure 3 ({dataset}): MSE before/after recovery", rows)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bench_cache, bench_trials, bench_users, column, show
+from conftest import bench_context, bench_trials, bench_users, column, show
 from repro.sim.figures import figure4_rows
 
 
@@ -22,7 +22,7 @@ def test_fig4(dataset, run_once):
             num_users=bench_users(40_000),
             trials=bench_trials(5),
             rng=4,
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show(f"Figure 4 ({dataset}): MGA frequency gain", rows)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bench_cache, bench_trials, bench_users, column, show
+from conftest import bench_context, bench_trials, bench_users, column, show
 from repro.sim.figures import sweep_rows
 
 
@@ -23,7 +23,7 @@ def test_fig5(parameter, run_once):
             num_users=bench_users(60_000),
             trials=bench_trials(5),
             rng=5,
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show(f"Figure 5 (IPUMS): AA sweep over {parameter}", rows)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import bench_cache, bench_trials, bench_users, column, show
+from conftest import bench_context, bench_trials, bench_users, column, show
 from repro.sim.figures import sweep_rows
 
 
@@ -21,7 +21,7 @@ def test_fig6(parameter, run_once):
             num_users=bench_users(60_000),
             trials=bench_trials(5),
             rng=6,
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show(f"Figure 6 (Fire): AA sweep over {parameter}", rows)

@@ -8,7 +8,7 @@ every beta — the mechanism behind its lower recovery MSE.
 
 from __future__ import annotations
 
-from conftest import bench_cache, bench_trials, bench_users, column, show
+from conftest import bench_context, bench_trials, bench_users, column, show
 from repro.sim.figures import figure7_rows
 
 
@@ -18,7 +18,7 @@ def test_fig7(run_once):
             num_users=bench_users(60_000),
             trials=bench_trials(5),
             rng=7,
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show("Figure 7 (IPUMS): malicious-frequency estimation MSE", rows)

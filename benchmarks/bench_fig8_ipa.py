@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import bench_cache, bench_trials, bench_users, column, show
+from conftest import bench_context, bench_trials, bench_users, column, show
 from repro.sim.figures import figure8_rows
 
 
@@ -19,7 +19,7 @@ def test_fig8(run_once):
             num_users=bench_users(60_000),
             trials=bench_trials(5),
             rng=8,
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show("Figure 8 (IPUMS): MGA vs MGA-IPA", rows)

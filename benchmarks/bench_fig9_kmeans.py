@@ -7,7 +7,7 @@ the paper reports a 48.9% improvement for GRR.
 
 from __future__ import annotations
 
-from conftest import bench_cache, bench_trials, bench_users, column, show
+from conftest import bench_context, bench_trials, bench_users, column, show
 from repro.sim.figures import figure9_rows
 
 
@@ -17,7 +17,7 @@ def test_fig9(run_once):
             num_users=bench_users(20_000),
             trials=bench_trials(3),
             rng=9,
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show("Figure 9 (IPUMS): LDPRecover-KM vs k-means under MGA-IPA", rows)

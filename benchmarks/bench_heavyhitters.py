@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import bench_cache, bench_trials, bench_users, bench_workers, column, show
+from conftest import bench_context, bench_trials, bench_users, column, show
 from repro.sim.scenarios import heavyhitter_rows
 
 
@@ -23,8 +23,7 @@ def test_heavyhitter_repair(run_once):
             num_users=bench_users(120_000),
             trials=bench_trials(3),
             rng=12,
-            workers=bench_workers(),
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show("Scenario: heavy-hitter promotion & repair (heavyhitter)", rows)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import bench_cache, bench_trials, bench_users, bench_workers, column, show
+from conftest import bench_context, bench_trials, bench_users, column, show
 from repro.sim.scenarios import kv_rows
 
 
@@ -23,8 +23,7 @@ def test_kv_recovery(run_once):
             num_users=bench_users(60_000),
             trials=bench_trials(3),
             rng=11,
-            workers=bench_workers(),
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show("Scenario: key-value recovery (kv)", rows)

@@ -28,7 +28,7 @@ from repro.attacks import MGAAttack
 from repro.datasets import ipums_like, zipf_dataset
 from repro.protocols import OLH
 from repro.sim.engine import chunked_genuine_counts
-from repro.sim.experiment import evaluate_recovery
+from repro.sim.experiment import RunContext, evaluate_recovery
 
 #: The acceptance scale: d=1024, n=1e6 (override n via REPRO_BENCH_USERS).
 D = 1024
@@ -114,7 +114,7 @@ def test_olh_cohort_workers_bit_identical():
             rng=7,
             chunk_users=5_000,
             olh_cohort=64,
-            workers=workers,
+            ctx=RunContext(workers=workers),
         )
 
     serial = cell(1)

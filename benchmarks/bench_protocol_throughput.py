@@ -21,7 +21,7 @@ from repro.core.recover import recover_frequencies
 from repro.datasets import ipums_like
 from repro.protocols import make_protocol
 from repro.sim.engine import run_chunked_trial
-from repro.sim.experiment import evaluate_recovery
+from repro.sim.experiment import RunContext, evaluate_recovery
 
 N_USERS = 20_000
 DATASET = ipums_like(num_users=N_USERS)
@@ -87,7 +87,7 @@ def test_engine_parallel_speedup(benchmark):
     def cell(workers):
         return evaluate_recovery(
             dataset, proto, attack, beta=0.05, trials=trials, mode="sampled",
-            rng=3, workers=workers,
+            rng=3, ctx=RunContext(workers=workers),
         )
 
     start = time.perf_counter()

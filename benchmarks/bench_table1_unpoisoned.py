@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import bench_cache, bench_trials, bench_users, show
+from conftest import bench_context, bench_trials, bench_users, show
 from repro.sim.figures import table1_rows
 
 
@@ -21,7 +21,7 @@ def test_table1(run_once):
             num_users=bench_users(None),  # full paper populations by default
             trials=bench_trials(5),
             rng=1,
-            cache=bench_cache(),
+            ctx=bench_context(),
         )
     )
     show("Table I: LDPRecover on unpoisoned frequencies", rows)

@@ -16,10 +16,11 @@ Scale knobs: set ``REPRO_BENCH_USERS`` / ``REPRO_BENCH_TRIALS`` /
 (minutes-level, serial) configuration; unset ``REPRO_BENCH_USERS`` and
 pass 0 to use the paper's full populations, ``REPRO_BENCH_WORKERS=0``
 to fan trials out over every core.  Set ``REPRO_BENCH_CACHE_DIR`` to a
-directory to run every exhibit benchmark (``bench_fig*.py`` /
-``bench_table1*.py``) against a persistent cell cache (see
-:mod:`repro.sim.cache`): a warm directory turns exhibit regeneration into
-pure cache reads, which is also what ``bench_cell_cache.py`` measures.
+directory to run every exhibit benchmark against a persistent cell cache
+(see :mod:`repro.sim.cache`): a warm directory turns exhibit regeneration
+into pure cache reads, which is also what ``bench_cell_cache.py``
+measures.  The exhibit benchmarks read both knobs through one
+:func:`bench_context`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.sim.cache import CellCache
-from repro.sim.experiment import format_table
+from repro.sim.experiment import RunContext, format_table
 
 
 def bench_users(default: int) -> int | None:
@@ -55,6 +56,12 @@ def bench_cache() -> CellCache | None:
     """Cell cache from ``REPRO_BENCH_CACHE_DIR``, or ``None`` (no caching)."""
     raw = os.environ.get("REPRO_BENCH_CACHE_DIR")
     return CellCache(raw) if raw else None
+
+
+def bench_context() -> RunContext:
+    """The exhibit benchmarks' run context: :func:`bench_workers` workers
+    and the :func:`bench_cache` cell cache."""
+    return RunContext(workers=bench_workers(), cache=bench_cache())
 
 
 #: Exhibit tables accumulated during the run; flushed after capture ends.

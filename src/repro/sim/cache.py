@@ -25,15 +25,16 @@ Writes are atomic (temp file + ``os.replace``) so a Ctrl-C never
 leaves a truncated entry behind; unreadable entries are treated as misses
 and reported by :meth:`CellCache.verify`.
 
-The cache stores two kinds of payloads:
+Every cell is read and written through one path,
+:func:`repro.sim.experiment.run_cell` (:meth:`CellCache.get` /
+:meth:`CellCache.put`), and its payload is one of two kinds:
 
 * ``"evaluation"`` — a serialized
   :class:`~repro.sim.experiment.RecoveryEvaluation` (including its
-  per-metric :class:`~repro.sim.engine.MetricStats`), written by
+  per-metric :class:`~repro.sim.engine.MetricStats`), the cells of
   :func:`repro.sim.experiment.evaluate_recovery`;
-* ``"row"`` — one flat exhibit row dict, written by the figure generators
-  whose cells do not go through ``evaluate_recovery`` (Figure 8/9,
-  Table I).
+* ``"row"`` — an exhibit row payload, the cells of every other
+  generator (Figures 8/9, Table I and the scenario sweeps).
 
 The CLI exposes the store via ``--cache-dir`` / ``--no-cache`` /
 ``--cache-stats`` on ``run`` and a ``cache`` subcommand (``ls`` /
@@ -91,10 +92,10 @@ __all__ = [
 CACHE_SCHEMA = 1
 
 #: Marker key present on every placeholder row payload produced by the
-#: shard / enumeration cache adapters (:mod:`repro.sim.shard`).  Row
-#: generators that post-process their cached payloads (rather than
-#: returning them verbatim) must pass marked payloads through untouched —
-#: the callers that produce them discard the rows.
+#: shard / enumeration cache adapters (:mod:`repro.sim.shard`).  Code that
+#: post-processes a cell's payload (``run_cell``'s ``rows_for``,
+#: ``evaluate_recovery``'s decode) must pass marked payloads through
+#: untouched — the callers that produce them discard the rows.
 SHARD_PLACEHOLDER_KEY = "__shard_placeholder__"
 
 #: Environment variable that overrides the default cache directory.
@@ -266,11 +267,13 @@ def evaluation_cell_spec(
     ``dataset``, ``protocol``, ``attack`` (all content-fingerprinted),
     ``beta``, ``eta``, ``trials``, the *resolved* simulation ``mode``, the
     evaluation switches ``with_star`` / ``with_detection`` / ``aa_top_k``,
-    and the per-trial ``seeds``.  Execution-only knobs (``workers``,
-    ``chunk_users``) are deliberately absent — except for cohort-mode
-    chunked cells, whose resolved chunk size arrives via
-    ``cohort_chunk_users`` (see :func:`resolved_cohort_chunk`) because
-    there it shapes the report distribution.
+    and the per-trial ``seeds``.  The run's
+    :class:`~repro.sim.experiment.RunContext` enters only through its
+    budget, whose fingerprint :func:`~repro.sim.experiment.run_cell`
+    adds; ``workers`` and ``chunk_users`` cannot change results and stay
+    out — except for cohort-mode chunked cells, whose resolved chunk size
+    arrives via ``cohort_chunk_users`` (see :func:`resolved_cohort_chunk`)
+    because there it shapes the report distribution.
     """
     spec = {
         "kind": "evaluation",
@@ -682,13 +685,15 @@ class CellCache:
         """The canonical content key of a cell spec."""
         return canonical_key(spec)
 
-    def _load(self, spec: dict[str, Any]) -> tuple[Optional[dict[str, Any]], bool]:
-        """Read ``spec``'s payload from disk without touching the counters.
+    def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
+        """Return the cached payload for ``spec``, or ``None`` on a miss.
 
-        Returns ``(payload, had_error)``: ``(None, False)`` for a clean
-        miss (no entry file), ``(None, True)`` for an unreadable or
-        mismatched entry.  The typed lookup wrappers layer decoding on top
-        and count each lookup's outcome exactly once.
+        Unreadable or mismatched entries (truncated files, foreign kinds)
+        count as misses and bump :attr:`CacheStats.errors`.  So does an
+        ``"evaluation"`` payload that no longer decodes into the current
+        :class:`~repro.sim.experiment.RecoveryEvaluation` shape (e.g. a
+        field renamed by an in-place code edit under the same cache tag):
+        the cell is recomputed, not raised.  Each lookup is counted once.
         """
         path = self._path(self.key_for(spec))
         try:
@@ -696,23 +701,17 @@ class CellCache:
                 entry = json.load(handle)
             if entry.get("kind") != spec.get("kind"):
                 raise ValueError("cached kind does not match requested kind")
-            return entry["payload"], False
+            payload = entry["payload"]
+            if payload is None:
+                raise ValueError("cached entry has no payload")
+            if entry["kind"] == "evaluation":
+                payload_to_evaluation(payload)  # raises on a stale shape
         except FileNotFoundError:
-            return None, False
-        except (ValueError, KeyError, OSError):
-            return None, True
-
-    def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
-        """Return the cached payload for ``spec``, or ``None`` on a miss.
-
-        Unreadable or mismatched entries (truncated files, foreign kinds)
-        count as misses and bump :attr:`CacheStats.errors`.
-        """
-        payload, had_error = self._load(spec)
-        if payload is None:
             self.stats.misses += 1
-            if had_error:
-                self.stats.errors += 1
+            return None
+        except (ValueError, KeyError, TypeError, OSError):
+            self.stats.misses += 1
+            self.stats.errors += 1
             return None
         self.stats.hits += 1
         return payload
@@ -765,44 +764,6 @@ class CellCache:
             raise
         self.stats.stores += 1
         return path
-
-    # -- typed convenience wrappers ------------------------------------
-    def get_evaluation(self, spec: dict[str, Any]) -> Optional["RecoveryEvaluation"]:
-        """Cached :class:`RecoveryEvaluation` for an evaluation spec, if any.
-
-        A payload that no longer matches the current
-        :class:`RecoveryEvaluation` shape (e.g. a field was renamed by an
-        in-place code edit under the same cache tag) is treated as a miss
-        and recomputed, not raised.  The lookup outcome is counted once,
-        *after* decoding — a first-access shape mismatch is one miss plus
-        one error, never a negative hit count.
-        """
-        payload, had_error = self._load(spec)
-        evaluation = None
-        if payload is not None:
-            try:
-                evaluation = payload_to_evaluation(payload)
-            except (KeyError, TypeError, ValueError):
-                had_error = True
-        if evaluation is None:
-            self.stats.misses += 1
-            if had_error:
-                self.stats.errors += 1
-            return None
-        self.stats.hits += 1
-        return evaluation
-
-    def put_evaluation(
-        self,
-        spec: dict[str, Any],
-        evaluation: "RecoveryEvaluation",
-        meta: Optional[dict[str, Any]] = None,
-    ) -> pathlib.Path:
-        """Store a completed :class:`RecoveryEvaluation` under its spec.
-
-        ``meta`` is forwarded to :meth:`put` (adaptive-run annotations).
-        """
-        return self.put(spec, evaluation_to_payload(evaluation), meta=meta)
 
     # -- appendable trial blocks (adaptive budgets) --------------------
     def block_store(self, stream_spec: dict[str, Any]) -> "CellBlockStore":

@@ -23,10 +23,12 @@ is the execution substrate for that grid:
   users fit in RAM (an ``(n, d)`` boolean report matrix never exists).
 
 :func:`run_trials` is every cell's trial step — fixed-budget through
-:func:`parallel_map`, or adaptive through :func:`run_adaptive_trials`;
-:func:`repro.sim.experiment.evaluate_recovery` runs it over
-:func:`trial_metrics`, and the exhibit generators and the CLI expose the
-``workers`` / ``chunk_users`` knobs end to end.
+:func:`parallel_map`, or adaptive through :func:`run_adaptive_trials`.
+Every exhibit cell reaches it through
+:func:`repro.sim.experiment.run_cell`, which reads ``workers`` and the
+budget off the run's :class:`~repro.sim.experiment.RunContext`;
+:func:`repro.sim.experiment.evaluate_recovery` cells run
+:func:`trial_metrics` that way.
 """
 
 from __future__ import annotations

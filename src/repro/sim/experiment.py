@@ -1,27 +1,25 @@
-"""Experiment harness: multi-trial recovery evaluation and the cell runner.
+"""Experiment harness: the one cell runner and multi-trial recovery evaluation.
 
-This is the layer the benchmarks and CLI sit on.  One call to
-:func:`evaluate_recovery` reproduces one cell of the paper's figures:
-it runs ``trials`` independent poisoning rounds, applies every recovery
-method under evaluation (before-recovery, LDPRecover, LDPRecover*,
-Detection) and averages the metrics — exactly the paper's protocol of
-averaging MSE/FG over 10 trials (Section VI-B).
+This is the layer the benchmarks and CLI sit on.  Every cell of every
+exhibit runs through :func:`run_cell`, which owns seed spawning, the
+cell spec, the cache lookup, the trials, the trial-block store and the
+store of the result.  :func:`evaluate_recovery` is one such cell: it runs
+``trials`` independent poisoning rounds, applies every recovery method
+under evaluation (before-recovery, LDPRecover, LDPRecover*, Detection)
+and averages the metrics — exactly the paper's protocol of averaging
+MSE/FG over 10 trials (Section VI-B).
 
 Execution is delegated to :mod:`repro.sim.engine`: trials become picklable
-:class:`~repro.sim.engine.TrialTask` units with ``SeedSequence``-spawned
-child streams, run inline (``workers=1``) or across a fork-safe process
-pool (``workers=N``) with bit-identical results, and metrics accumulate
+units with ``SeedSequence``-spawned child streams, run inline or across a
+fork-safe process pool with bit-identical results, and metrics accumulate
 through streaming :class:`~repro.sim.engine.Welford` statistics so every
 cell also carries variance/CI information.
 
-Completed cells can persist across runs: pass a
-:class:`repro.sim.cache.CellCache` and :func:`evaluate_recovery` keys the
-cell by the canonical hash of its full spec (dataset, protocol, attack,
-``beta``, ``eta``, ``trials``, mode, seeds — but *not* ``workers`` or
-``chunk_users``, which cannot change results) and serves repeat calls
-from disk without running a single trial.  Exhibit cells whose payload is
-a row rather than an evaluation go through :func:`run_cell`, the one cell
-runner that owns seeds, spec, cache lookup, trials and store for them.
+How the cells of a run execute is one :class:`RunContext` — worker
+fan-out, the :class:`repro.sim.cache.CellCache` that serves and stores
+completed cells, and the adaptive trial budget — built once by
+:meth:`repro.sim.shard.SweepConfig.run` and passed on unchanged by every
+exhibit generator to :func:`run_cell`, its only reader.
 """
 
 from __future__ import annotations
@@ -40,6 +38,8 @@ from repro.sim.cache import (
     SHARD_PLACEHOLDER_KEY,
     CellCache,
     evaluation_cell_spec,
+    evaluation_to_payload,
+    payload_to_evaluation,
     resolved_cohort_chunk,
     trial_stream_spec,
 )
@@ -48,6 +48,7 @@ from repro.sim.engine import (
     TrialBudget,
     TrialTask,
     resolve_star_targets,
+    resolve_workers,
     run_trials,
     trial_metrics,
 )
@@ -55,12 +56,43 @@ from repro.sim.pipeline import SimulationMode, malicious_count
 
 __all__ = [
     "RecoveryEvaluation",
+    "RunContext",
     "apply_olh_cohort",
     "evaluate_recovery",
     "format_table",
     "resolve_star_targets",
     "run_cell",
 ]
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """How the cells of one run execute: the knobs every exhibit passes on.
+
+    ``workers`` fans each cell's trials over a process pool (``None``/``0``
+    = all cores).  It never changes a result — pooled trials are
+    bit-identical to ``workers=1`` — so it never enters a cell key.
+
+    ``budget`` is an optional :class:`~repro.sim.engine.TrialBudget`.  It
+    supersedes ``trials``: each cell runs adaptive trial batches until its
+    CI target is met, and its fingerprint enters the cell key.
+
+    ``cache`` is an optional :class:`~repro.sim.cache.CellCache`.  It
+    serves completed cells and stores new ones; under a ``budget`` it also
+    keeps each cell's appendable trial blocks, so a larger budget resumes.
+
+    Exhibit generators only pass a context on; :func:`run_cell` is the
+    only reader of its fields.  Construction rejects a negative
+    ``workers`` with :class:`~repro.exceptions.InvalidParameterError`, so a
+    bad count fails before any cell is served from cache.
+    """
+
+    workers: Optional[int] = 1
+    cache: Optional[CellCache] = None
+    budget: Optional[TrialBudget] = None
+
+    def __post_init__(self) -> None:
+        resolve_workers(self.workers)
 
 
 @dataclass
@@ -143,14 +175,12 @@ def evaluate_recovery(
     with_detection: bool = False,
     aa_top_k: int = 5,
     rng: RngLike = None,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
     strict_beta: bool = False,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> RecoveryEvaluation:
-    """Run one experimental cell and average over ``trials``.
+    """Run one experimental cell through :func:`run_cell` and average over ``trials``.
 
     Parameters
     ----------
@@ -180,14 +210,11 @@ def evaluate_recovery(
     rng:
         Seed or generator; per-trial streams are ``SeedSequence`` children
         spawned from it.
-    workers:
-        Trial fan-out over a process pool (``None``/``0`` = all cores);
-        results are bit-identical to the serial ``workers=1`` path under
-        the same seed, so this never affects the cell's cache key.
     chunk_users:
         Users simulated per chunk in the bounded-memory exact path;
-        passing it upgrades ``mode="fast"`` to ``"chunked"``.  Like
-        ``workers`` it is an execution knob excluded from the cache key.
+        passing it upgrades ``mode="fast"`` to ``"chunked"``.  Like the
+        context's ``workers`` it is an execution knob excluded from the
+        cache key.
     olh_cohort:
         Run a cohort-capable protocol (OLH) in seed-cohort mode: each
         perturb batch draws this many shared hash seeds, enabling the
@@ -202,19 +229,15 @@ def evaluate_recovery(
     strict_beta:
         Turn the "beta rounds to zero malicious users" warning into an
         error before any trial runs.
-    cache:
-        Optional :class:`repro.sim.cache.CellCache`.  On a hit the cached
-        :class:`RecoveryEvaluation` is returned without running any
-        trials; on a miss the freshly computed cell is stored.
-    budget:
-        Optional :class:`repro.sim.engine.TrialBudget`.  When given,
-        ``trials`` is superseded: the cell runs adaptive trial batches
-        through :func:`repro.sim.engine.run_adaptive_trials` until every
-        metric's 95% CI half-width reaches the budget's target (or its
-        ``max_trials`` cap), and — with a ``cache`` — trials persist as
-        appendable blocks so a later, larger budget resumes instead of
-        recomputing.  The result is bit-identical to a fixed-budget call
-        at the achieved trial count under the same ``rng``.
+    ctx:
+        The run's :class:`RunContext`.  Its ``cache`` serves a stored cell
+        without running any trials and stores a computed one.  Its
+        ``budget`` supersedes ``trials``: the cell runs adaptive trial
+        batches until every metric's 95% CI half-width reaches the
+        target (or ``max_trials``), bit-identical to a fixed-budget call
+        at the achieved trial count under the same ``rng``; with a
+        ``cache`` the trials persist as appendable blocks, so a later,
+        larger budget resumes instead of recomputing.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -244,36 +267,7 @@ def evaluate_recovery(
         # (Trials may re-warn from run_trial in their own processes.)
         malicious_count(dataset.num_users, beta, strict=strict_beta)
 
-    # Seeds are spawned before the cache lookup so the parent RNG advances
-    # identically on hits and misses — later cells see the same streams
-    # whether or not this one came from disk.  A budget spawns the full
-    # max_trials stream up front: the first k children are identical to a
-    # fixed k-trial run's seeds, which is the bit-identity anchor.
-    seeds = spawn_sequences(rng, trials if budget is None else budget.max_trials)
-    spec = None
-    if cache is not None:
-        spec = evaluation_cell_spec(
-            dataset,
-            protocol,
-            attack,
-            beta=beta,
-            eta=eta,
-            trials=trials if budget is None else budget.max_trials,
-            mode=mode,
-            with_star=with_star,
-            with_detection=with_detection,
-            aa_top_k=aa_top_k,
-            seeds=seeds,
-            cohort_chunk_users=resolved_cohort_chunk(protocol, mode, chunk_users),
-        )
-        if budget is not None:
-            spec["budget"] = budget.fingerprint()
-        cached = cache.get_evaluation(spec)
-        if cached is not None:
-            return cached
-    store = None
-    if budget is not None and cache is not None and spec is not None:
-        store = cache.block_store(trial_stream_spec(spec))
+    attack_name = attack.describe() if attack is not None else "none"
 
     def _task(seed) -> TrialTask:
         return TrialTask(
@@ -290,36 +284,46 @@ def evaluate_recovery(
             chunk_users=chunk_users,
         )
 
-    stats, outcome = run_trials(trial_metrics, _task, seeds, workers, budget, store)
-
-    def _mean(metric: str) -> Optional[float]:
-        entry = stats.get(metric)
-        return entry.mean if entry is not None else None
-
-    evaluation = RecoveryEvaluation(
-        dataset=dataset.name,
-        protocol=protocol.name,
-        attack=attack.describe() if attack is not None else "none",
-        beta=beta,
-        eta=eta,
-        trials=trials if outcome is None else outcome.trials,
-        mse_before=_mean("mse_before") or 0.0,
-        mse_recover=_mean("mse_recover") or 0.0,
-        mse_recover_star=_mean("mse_recover_star"),
-        mse_detection=_mean("mse_detection"),
-        fg_before=_mean("fg_before"),
-        fg_recover=_mean("fg_recover"),
-        fg_recover_star=_mean("fg_recover_star"),
-        fg_detection=_mean("fg_detection"),
-        mse_malicious_estimate=_mean("mse_malicious_estimate"),
-        mse_malicious_estimate_star=_mean("mse_malicious_estimate_star"),
-        stats=stats,
-    )
-    if cache is not None and spec is not None:
-        cache.put_evaluation(
-            spec, evaluation, meta=None if outcome is None else outcome.meta()
+    def _payload(stats: dict[str, MetricStats]) -> dict[str, object]:
+        means = {
+            metric: stats[metric].mean if metric in stats else None
+            for metric in RecoveryEvaluation.METRIC_COLUMNS
+        }
+        # trial_metrics always emits mse_before (and mse_recover), so its
+        # count is the trials run: ``trials``, or a budget's achieved count.
+        evaluation = RecoveryEvaluation(
+            dataset.name, protocol.name, attack_name, beta, eta,
+            trials=stats["mse_before"].count, stats=stats, **means,
         )
-    return evaluation
+        return evaluation_to_payload(evaluation)
+
+    (payload,) = run_cell(
+        rng,
+        lambda seeds: evaluation_cell_spec(
+            dataset,
+            protocol,
+            attack,
+            beta=beta,
+            eta=eta,
+            trials=len(seeds),
+            mode=mode,
+            with_star=with_star,
+            with_detection=with_detection,
+            aa_top_k=aa_top_k,
+            seeds=seeds,
+            cohort_chunk_users=resolved_cohort_chunk(protocol, mode, chunk_users),
+        ),
+        trial_metrics,
+        _task,
+        _payload,
+        trials=trials,
+        ctx=ctx,
+    )
+    if SHARD_PLACEHOLDER_KEY in payload:
+        # A cell this process does not simulate (enumeration, or a peer
+        # shard's cell): the caller discards its rows.
+        return RecoveryEvaluation(dataset.name, protocol.name, attack_name, beta, eta, trials)
+    return payload_to_evaluation(payload)
 
 
 def apply_olh_cohort(
@@ -349,28 +353,26 @@ def run_cell(
     task_for: Callable[[np.random.SeedSequence], Any],
     payload_for: Callable[[dict[str, MetricStats]], dict[str, object]],
     trials: int = 5,
-    workers: Optional[int] = 1,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
     rows_for: Optional[Callable[[dict[str, Any]], list[dict[str, object]]]] = None,
 ) -> list[dict[str, object]]:
-    """Run one cached row cell of an exhibit and return its rows.
+    """Run one cached cell of an exhibit and return its rows.
 
-    The cell runner behind every exhibit whose cells are row payloads
-    (Figures 8-9, Table I and the scenario sweeps):
+    The one cell runner behind every exhibit, evaluation cells
+    (:func:`evaluate_recovery`) included:
 
     1. spawn the per-trial seeds off ``rng`` — ``trials`` of them, or
-       the budget's ``max_trials`` — before any lookup, so the parent
-       stream advances identically on hits and misses;
-    2. with a ``cache``, key the cell by ``spec_for(seeds)`` plus the
-       ``budget`` fingerprint and serve a stored payload;
+       the ``ctx.budget``'s ``max_trials`` — before any lookup, so the
+       parent stream advances identically on hits and misses;
+    2. with a ``ctx.cache``, key the cell by ``spec_for(seeds)`` plus the
+       budget fingerprint and serve a stored payload;
     3. otherwise run the trials through
        :func:`repro.sim.engine.run_trials` — ``metrics_fn`` over the
-       tasks ``task_for(seed)`` builds, on ``workers`` processes, fixed
-       or adaptive under ``budget`` (resuming the cell's cached trial
-       blocks) — and turn the aggregated statistics into the payload
-       with ``payload_for``, stored with the adaptive outcome as entry
-       metadata;
+       tasks ``task_for(seed)`` builds, on ``ctx.workers`` processes,
+       fixed or adaptive under the budget (resuming the cell's cached
+       trial blocks) — and turn the aggregated statistics into the
+       payload with ``payload_for``, stored with the adaptive outcome as
+       entry metadata;
     4. expand the payload into rows with ``rows_for`` (default: the
        payload is the one row).  Placeholder payloads of the shard and
        enumeration caches pass through unexpanded: their callers discard
@@ -381,6 +383,9 @@ def run_cell(
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    cache, budget = ctx.cache, ctx.budget
+    # A budget spawns its whole max_trials stream up front: the first k
+    # children equal a fixed k-trial run's seeds (the bit-identity anchor).
     seeds = spawn_sequences(rng, trials if budget is None else budget.max_trials)
     spec: Optional[dict[str, Any]] = None
     payload: Optional[dict[str, Any]] = None
@@ -393,7 +398,9 @@ def run_cell(
         store = None
         if budget is not None and cache is not None and spec is not None:
             store = cache.block_store(trial_stream_spec(spec))
-        stats, outcome = run_trials(metrics_fn, task_for, seeds, workers, budget, store)
+        stats, outcome = run_trials(
+            metrics_fn, task_for, seeds, ctx.workers, budget, store
+        )
         payload = payload_for(stats)
         if cache is not None and spec is not None:
             cache.put(spec, payload, meta=None if outcome is None else outcome.meta())

@@ -12,26 +12,26 @@ here are tuned so the full suite finishes in minutes on a laptop —
 reports) run at a scaled population, pure-aggregate exhibits run in
 ``fast`` mode.  Pass ``num_users=None`` for the paper's full populations.
 
-Every exhibit takes ``workers=`` (trial fan-out over the process pool of
-:mod:`repro.sim.engine`; ``None``/``0`` = all cores, results bit-identical
-to ``workers=1``), and the fast-mode exhibits take ``chunk_users=`` to
-switch to the bounded-memory exact simulation path.  Every exhibit also
-takes ``olh_cohort=``: its OLH cells then draw hash keys from cohorts of
-that many shared seeds, collapsing report-level aggregation from O(n*d)
-to O(K*d + n) per chunk (a different report distribution, hence a
-different cache key — see :class:`repro.protocols.OLH`).
+Every exhibit takes ``ctx=`` (a :class:`repro.sim.experiment.RunContext`)
+and passes it on unchanged to each cell, which runs through
+:func:`repro.sim.experiment.run_cell`.  The context carries worker fan-out
+(results bit-identical to ``workers=1``), the adaptive trial budget, and the
+:class:`repro.sim.cache.CellCache` that keys completed cells by the
+canonical hash of their full spec and serves them on repeat runs.  An
+interrupted sweep therefore resumes where it stopped, warm regeneration
+performs zero simulation trials, and :mod:`repro.sim.shard` merges
+multi-machine sweeps by rendering every row from cached payloads,
+bit-identical to the run that produced them.
 
-Every exhibit also takes ``cache=`` (a
-:class:`repro.sim.cache.CellCache`): completed cells are keyed by the
-canonical hash of their full spec and served from disk on repeat runs, so
-an interrupted sweep resumes from where it stopped and warm regeneration
-performs zero simulation trials.  That warm path is also how
-:mod:`repro.sim.shard` merges multi-machine sweeps: against a fully
-populated cache every generator renders its rows purely from cached
-payloads, bit-identical to the run that produced them.  Each metric
-column is accompanied by a ``<column>±`` companion holding the 95%
-confidence half-width of the trial average (``None``/``-`` when a single
-trial contributed).
+The fast-mode exhibits also take ``chunk_users=`` to switch to the
+bounded-memory exact simulation path, and every exhibit takes
+``olh_cohort=``: its OLH cells then draw hash keys from cohorts of that
+many shared seeds, collapsing report-level aggregation from O(n*d) to
+O(K*d + n) per chunk (a different report distribution, hence a different
+cache key — see :class:`repro.protocols.OLH`).  Each metric column is
+accompanied by a ``<column>±`` companion holding the 95% confidence
+half-width of the trial average (``None``/``-`` when a single trial
+contributed).
 """
 
 from __future__ import annotations
@@ -55,10 +55,11 @@ from repro.core.recover import recover_frequencies
 from repro.datasets import Dataset, fire_like, ipums_like
 from repro.exceptions import InvalidParameterError
 from repro.protocols import PROTOCOL_NAMES, FrequencyOracle, make_protocol
-from repro.sim.cache import CellCache, resolved_cohort_chunk, row_cell_spec
-from repro.sim.engine import MetricStats, TrialBudget
+from repro.sim.cache import resolved_cohort_chunk, row_cell_spec
+from repro.sim.engine import MetricStats
 from repro.sim.experiment import (
     RecoveryEvaluation,
+    RunContext,
     apply_olh_cohort,
     evaluate_recovery,
     run_cell,
@@ -194,10 +195,8 @@ def figure3_rows(
     beta: float = DEFAULT_BETA,
     eta: float = DEFAULT_ETA,
     rng: RngLike = 3,
-    workers: Optional[int] = 1,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Figure 3: MSE of LDPRecover/LDPRecover*/Detection per cell.
 
@@ -218,17 +217,14 @@ def figure3_rows(
         LDPRecover zero-threshold.
     rng:
         Seed or generator; one independent child per cell.
-    workers:
-        Trial-level process fan-out (``None``/``0`` = all cores).
     olh_cohort:
         Seed-cohort size for the OLH cells (shared hash seeds per perturb
         batch; changes those cells' cache keys).
-    cache:
-        Optional cell cache; completed cells are reused across runs.
-    budget:
-        Optional :class:`~repro.sim.engine.TrialBudget`; each cell then
-        runs trials adaptively until its CI target is met (``trials`` is
-        superseded by the budget's checkpoints).
+    ctx:
+        The run's :class:`~repro.sim.experiment.RunContext` — worker
+        fan-out, the cell cache that reuses completed cells across runs,
+        and an optional trial budget under which each cell runs trials
+        adaptively until its CI target is met (superseding ``trials``).
     """
     dataset = load_dataset(dataset_name, num_users)
     rows = []
@@ -248,9 +244,7 @@ def figure3_rows(
             with_detection=True,
             aa_top_k=DEFAULT_R // 2,
             rng=gen,
-            workers=workers,
-            cache=cache,
-            budget=budget,
+            ctx=ctx,
         )
         rows.append(
             {
@@ -277,10 +271,8 @@ def figure4_rows(
     beta: float = DEFAULT_BETA,
     eta: float = DEFAULT_ETA,
     rng: RngLike = 4,
-    workers: Optional[int] = 1,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Figure 4: frequency gain of MGA per protocol, before/after.
 
@@ -288,10 +280,8 @@ def figure4_rows(
     ``num_users`` pick and rescale the workload, ``trials`` rounds are
     averaged per cell at privacy budget ``epsilon`` with malicious
     fraction ``beta`` and recovery threshold ``eta``; ``rng`` seeds the
-    cells, ``workers`` fans trials out, ``olh_cohort`` switches the OLH
-    cell to seed-cohort perturbation, ``cache`` reuses completed cells,
-    and ``budget`` switches the cells to adaptive CI-targeted trial
-    allocation.
+    cells, ``olh_cohort`` switches the OLH cell to seed-cohort
+    perturbation, and ``ctx`` runs the cells (workers, cache, budget).
     """
     dataset = load_dataset(dataset_name, num_users)
     rows = []
@@ -310,9 +300,7 @@ def figure4_rows(
             mode="sampled",
             with_detection=True,
             rng=gen,
-            workers=workers,
-            cache=cache,
-            budget=budget,
+            ctx=ctx,
         )
         rows.append(
             {
@@ -344,11 +332,9 @@ def sweep_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 5,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Figures 5-6: MSE under AA while one of (beta, epsilon, eta) varies.
 
@@ -367,20 +353,17 @@ def sweep_rows(
         Independent rounds averaged per cell.
     rng:
         Seed or generator; one independent child per (protocol, value).
-    workers:
-        Trial-level process fan-out (``None``/``0`` = all cores).
     chunk_users:
         Switch the ``fast`` cells to the bounded-memory exact simulation,
         this many users per chunk.
     olh_cohort:
         Seed-cohort size for the OLH cells (shared hash seeds per perturb
         batch; changes those cells' cache keys).
-    cache:
-        Optional cell cache — this is the exhibit where resumable sweeps
-        pay off most: an interrupted grid rerun skips completed cells.
-    budget:
-        Optional :class:`~repro.sim.engine.TrialBudget`; each grid cell
-        then stops as soon as its 95% CI half-widths reach the target.
+    ctx:
+        The run's :class:`~repro.sim.experiment.RunContext`.  Its cache is
+        where resumable sweeps pay off most — an interrupted grid rerun
+        skips completed cells — and under its budget each grid cell stops
+        as soon as its 95% CI half-widths reach the target.
     """
     grids = {"beta": BETA_GRID, "epsilon": EPSILON_GRID, "eta": ETA_GRID}
     if parameter not in grids:
@@ -414,10 +397,8 @@ def sweep_rows(
                 mode=mode,
                 aa_top_k=DEFAULT_R // 2,
                 rng=gen,
-                workers=workers,
                 chunk_users=chunk_users,
-                cache=cache,
-                budget=budget,
+                ctx=ctx,
             )
             rows.append(
                 {
@@ -443,21 +424,17 @@ def figure7_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 7,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Figure 7: MSE of estimated vs. true malicious frequencies (IPUMS).
 
     ``num_users`` rescales the population, ``trials`` rounds are averaged
-    per (protocol, beta) cell, ``rng`` seeds the cells, ``workers`` fans
-    trials over a process pool, ``chunk_users`` selects the bounded-memory
-    exact path, ``olh_cohort`` switches the OLH cells to seed-cohort
-    perturbation, ``cache`` reuses completed cells across runs, and
-    ``budget`` switches the cells to adaptive CI-targeted trial
-    allocation.
+    per (protocol, beta) cell, ``rng`` seeds the cells, ``chunk_users``
+    selects the bounded-memory exact path, ``olh_cohort`` switches the OLH
+    cells to seed-cohort perturbation, and ``ctx`` runs the cells
+    (workers, cache, budget).
     """
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
@@ -481,10 +458,8 @@ def figure7_rows(
                 trials=trials,
                 mode=mode,
                 rng=gen,
-                workers=workers,
                 chunk_users=chunk_users,
-                cache=cache,
-                budget=budget,
+                ctx=ctx,
             )
             rows.append(
                 {
@@ -540,22 +515,18 @@ def figure8_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 8,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Figure 8: poisoning strength of MGA vs. MGA-IPA (no recovery).
 
     ``num_users`` rescales the IPUMS population, ``trials`` MGA+IPA round
     pairs are averaged per (protocol, beta) cell, ``rng`` seeds the cells,
-    ``workers`` fans trials out, ``chunk_users`` selects the chunked exact
-    simulation, ``olh_cohort`` switches the OLH cells to seed-cohort
-    perturbation, ``cache`` reuses completed cells, and ``budget``
-    switches the cells to adaptive CI-targeted trial allocation over the
-    same canonical seed stream (cached trial blocks are resumed and
-    extended rather than recomputed).
+    ``chunk_users`` selects the chunked exact simulation, ``olh_cohort``
+    switches the OLH cells to seed-cohort perturbation, and ``ctx`` runs
+    the cells (workers, cache, budget; under a budget, cached trial blocks
+    are resumed and extended rather than recomputed).
     """
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
@@ -585,7 +556,7 @@ def figure8_rows(
                 lambda stats: {
                     "cell": protocol_name, "beta": beta, **_stat_columns(stats, columns)
                 },
-                trials=trials, workers=workers, cache=cache, budget=budget,
+                trials=trials, ctx=ctx,
             )
     return rows
 
@@ -629,19 +600,16 @@ def figure9_rows(
     trials: int = 3,
     beta: float = DEFAULT_BETA,
     rng: RngLike = 9,
-    workers: Optional[int] = 1,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Figure 9: LDPRecover-KM vs. plain k-means under MGA-IPA (IPUMS).
 
     ``num_users`` rescales the population (sampled mode, so reduced by
     default), ``trials`` rounds are averaged per (protocol, xi) cell at
-    malicious fraction ``beta``, ``rng`` seeds the cells, ``workers``
-    fans trials out, ``olh_cohort`` switches the OLH cells to seed-cohort
-    perturbation, ``cache`` reuses completed cells, and ``budget``
-    switches the cells to adaptive CI-targeted trial allocation.
+    malicious fraction ``beta``, ``rng`` seeds the cells, ``olh_cohort``
+    switches the OLH cells to seed-cohort perturbation, and ``ctx`` runs
+    the cells (workers, cache, budget).
     """
     dataset = load_dataset("ipums", num_users)
     columns = ("mse_before", "mse_kmeans", "mse_ldprecover_km")
@@ -666,7 +634,7 @@ def figure9_rows(
                 _figure9_trial,
                 lambda seed: _Fig9Task(dataset, protocol, attack, beta, xi, seed),
                 lambda stats: {"cell": protocol_name, "xi": xi, **_stat_columns(stats, columns)},
-                trials=trials, workers=workers, cache=cache, budget=budget,
+                trials=trials, ctx=ctx,
             )
     return rows
 
@@ -679,21 +647,17 @@ def figure10_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 10,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Figure 10: LDPRecover against 5 independent adaptive attackers.
 
     ``num_users`` rescales the IPUMS population, ``trials`` rounds are
     averaged per (protocol, beta) cell, ``rng`` seeds the cells (and the
-    independent attackers), ``workers`` fans trials out, ``chunk_users``
-    selects the chunked exact simulation, ``olh_cohort`` switches the OLH
-    cells to seed-cohort perturbation, ``cache`` reuses completed cells,
-    and ``budget`` switches the cells to adaptive CI-targeted trial
-    allocation.
+    independent attackers), ``chunk_users`` selects the chunked exact
+    simulation, ``olh_cohort`` switches the OLH cells to seed-cohort
+    perturbation, and ``ctx`` runs the cells (workers, cache, budget).
     """
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
@@ -722,10 +686,8 @@ def figure10_rows(
                 mode=mode,
                 with_star=False,
                 rng=gen,
-                workers=workers,
                 chunk_users=chunk_users,
-                cache=cache,
-                budget=budget,
+                ctx=ctx,
             )
             rows.append(
                 {
@@ -774,20 +736,17 @@ def table1_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 1,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Table I: LDPRecover executed on *unpoisoned* frequencies (beta=0).
 
     ``num_users`` rescales both workloads, ``trials`` rounds are averaged
-    per (dataset, protocol) cell, ``rng`` seeds the cells, ``workers``
-    fans trials out, ``chunk_users`` selects the chunked exact simulation,
-    ``olh_cohort`` switches the OLH cells to seed-cohort perturbation,
-    ``cache`` reuses completed cells, and ``budget`` switches the cells
-    to adaptive CI-targeted trial allocation.
+    per (dataset, protocol) cell, ``rng`` seeds the cells, ``chunk_users``
+    selects the chunked exact simulation, ``olh_cohort`` switches the OLH
+    cells to seed-cohort perturbation, and ``ctx`` runs the cells
+    (workers, cache, budget).
     """
     rows: list[dict[str, object]] = []
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
@@ -815,6 +774,6 @@ def table1_rows(
                     "protocol": protocol_name,
                     **_stat_columns(stats, columns),
                 },
-                trials=trials, workers=workers, cache=cache, budget=budget,
+                trials=trials, ctx=ctx,
             )
     return rows

@@ -9,7 +9,8 @@ plus evolving populations (``epochs``) and a defense shoot-out
 experiment stack:
 
 * **Engine** — every cell runs through the cell runner
-  :func:`repro.sim.experiment.run_cell`, which fans its trials out as
+  :func:`repro.sim.experiment.run_cell` under the run's
+  :class:`~repro.sim.experiment.RunContext`; its trials fan out as
   picklable tasks through :func:`repro.sim.engine.parallel_map` with
   per-trial :class:`~numpy.random.SeedSequence` streams (``workers=N``
   is bit-identical to ``workers=1``); metrics accumulate through
@@ -51,9 +52,9 @@ from repro.datasets.base import Dataset
 from repro.datasets.synthetic import zipf_dataset
 from repro.exceptions import InvalidParameterError
 from repro.kv import KeyValueProtocol, KVPoisoningAttack, recover_key_value
-from repro.sim.cache import CellCache, fingerprint_attack_schedule, scenario_cell_spec
+from repro.sim.cache import fingerprint_attack_schedule, scenario_cell_spec
 from repro.sim.engine import MetricStats, TrialBudget, resolve_star_targets, run_trials
-from repro.sim.experiment import run_cell
+from repro.sim.experiment import RunContext, run_cell
 from repro.sim.figures import (
     DEFAULT_EPSILON,
     _cell_protocol,
@@ -358,9 +359,7 @@ def kv_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 11,
-    workers: Optional[int] = 1,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Scenario ``kv``: key-value recovery across privacy budget and beta.
 
@@ -374,12 +373,10 @@ def kv_rows(
     population (``None`` = 100k), ``trials`` rounds of
     :func:`kv_trial_metrics` are averaged per cell through the cell
     runner :func:`repro.sim.experiment.run_cell`, ``rng`` seeds the cells
-    independently, ``workers`` fans trials over the process pool,
-    ``cache`` serves completed cells across runs (row payloads keyed by
-    :func:`repro.sim.cache.scenario_cell_spec`), and ``budget`` switches
-    the cells to adaptive CI-targeted trial allocation over the same
-    canonical seed stream (cached trial blocks are resumed and extended
-    rather than recomputed).
+    independently, and ``ctx`` runs the cells: worker fan-out, a cache
+    serving completed cells across runs (row payloads keyed by
+    :func:`repro.sim.cache.scenario_cell_spec`), and a trial budget whose
+    cached trial blocks are resumed and extended rather than recomputed.
     """
     population = kv_population(
         num_keys=KV_NUM_KEYS,
@@ -416,7 +413,7 @@ def kv_rows(
                     "beta": beta,
                     **_stat_columns(stats, _KV_COLUMNS),
                 },
-                trials=trials, workers=workers, cache=cache, budget=budget,
+                trials=trials, ctx=ctx,
             )
     return rows
 
@@ -500,11 +497,9 @@ def heavyhitter_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 12,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
     olh_cohort: Optional[int] = None,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Scenario ``heavyhitter``: top-k promotion and repair per cell.
 
@@ -517,12 +512,10 @@ def heavyhitter_rows(
     precision (= recall for equal-size sets) and promoted-item counts of
     the poisoned, LDPRecover and LDPRecover* estimates.  ``num_users``
     rescales the population (``None`` = paper scale), ``trials`` rounds
-    average per cell, ``rng`` seeds the cells, ``workers`` fans trials
-    out, ``chunk_users`` switches to the bounded-memory exact simulation,
-    ``olh_cohort`` applies seed-cohort perturbation to the OLH cells in
-    chunked mode, ``cache`` serves completed cells across runs, and
-    ``budget`` switches the cells to adaptive CI-targeted trial
-    allocation.
+    average per cell, ``rng`` seeds the cells, ``chunk_users`` switches to
+    the bounded-memory exact simulation, ``olh_cohort`` applies
+    seed-cohort perturbation to the OLH cells in chunked mode, and ``ctx``
+    runs the cells (workers, cache, budget).
     """
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
@@ -562,7 +555,7 @@ def heavyhitter_rows(
                         str(k): _stat_columns(stats, _HH_COLUMNS, f"_k{k}") for k in HH_KS
                     },
                 },
-                trials=trials, workers=workers, cache=cache, budget=budget,
+                trials=trials, ctx=ctx,
                 rows_for=_heavyhitter_rows_of,
             )
     return rows
@@ -746,10 +739,8 @@ def epochs_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 13,
-    workers: Optional[int] = 1,
     chunk_users: Optional[int] = None,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Scenario ``epochs``: per-epoch recovery quality under drift + schedules.
 
@@ -766,11 +757,9 @@ def epochs_rows(
     numbers a live deployment would serve, cached/sharded like any batch
     cell.  ``num_users`` sizes each epoch's genuine population (``None``
     = 20k), ``trials`` rounds average per cell, ``rng`` seeds the cells,
-    ``workers`` fans trials out, ``chunk_users`` bounds the streaming
-    fold's slice size (execution-only: it cannot change results and
-    stays out of cache keys), ``cache`` serves completed cells across
-    runs, and ``budget`` switches the cells to adaptive CI-targeted
-    trial allocation.
+    ``chunk_users`` bounds the streaming fold's slice size
+    (execution-only: it cannot change results and stays out of cache
+    keys), and ``ctx`` runs the cells (workers, cache, budget).
     """
     dataset = load_dataset(
         "ipums", _EPOCH_DEFAULT_USERS if num_users is None else int(num_users)
@@ -831,7 +820,7 @@ def epochs_rows(
                     for epoch in range(EPOCH_COUNT)
                 },
             },
-            trials=trials, workers=workers, cache=cache, budget=budget,
+            trials=trials, ctx=ctx,
             rows_for=_epoch_rows_of,
         )
     return rows
@@ -954,9 +943,7 @@ def defenses_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 14,
-    workers: Optional[int] = 1,
-    cache: Optional[CellCache] = None,
-    budget: Optional[TrialBudget] = None,
+    ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Scenario ``defenses``: the defense shoot-out with a winner per regime.
 
@@ -971,10 +958,8 @@ def defenses_rows(
     :data:`DEFENSE_METHODS` entry with the lowest mean MSE in that
     regime — the winner-per-regime table reviewers ask for.
     ``num_users`` sizes the genuine population (``None`` = 40k),
-    ``trials`` rounds average per cell, ``rng`` seeds the cells,
-    ``workers`` fans trials out, ``cache`` serves completed cells across
-    runs, and ``budget`` switches the cells to adaptive CI-targeted
-    trial allocation.
+    ``trials`` rounds average per cell, ``rng`` seeds the cells, and
+    ``ctx`` runs the cells (workers, cache, budget).
     """
     dataset = load_dataset(
         "ipums", _DEFENSE_DEFAULT_USERS if num_users is None else int(num_users)
@@ -1021,7 +1006,7 @@ def defenses_rows(
                 "winner": min(DEFENSE_METHODS, key=lambda m: stats[f"mse_{m}"].mean),
                 **_stat_columns(stats, _DEFENSE_COLUMNS),
             },
-            trials=trials, workers=workers, cache=cache, budget=budget,
+            trials=trials, ctx=ctx,
         )
     return rows
 
@@ -1030,8 +1015,8 @@ def defenses_rows(
 # The exhibit registry
 # ----------------------------------------------------------------------
 #: The optional :class:`repro.sim.shard.SweepConfig` fields an exhibit may
-#: consume (every generator takes ``num_users``/``trials``/``rng``/
-#: ``workers``/``cache``, and ``budget`` when it supports adaptive trials).
+#: consume (every generator takes ``num_users``/``trials``/``rng`` and the
+#: run's :class:`~repro.sim.experiment.RunContext` as ``ctx``).
 SWEEP_OPTIONS = ("dataset", "parameter", "chunk_users", "olh_cohort")
 
 
@@ -1042,10 +1027,11 @@ class Exhibit:
     ``name`` is the registry key (the CLI's ``--figure``/``--exhibit``
     value), ``description`` the one-liner shown by ``ldprecover list``,
     and ``rows`` the generator callable: it must accept the
-    ``num_users``, ``trials``, ``rng``, ``workers`` and ``cache``
-    keywords, plus ``budget`` to support adaptive CI-targeted sweeps.
-    ``consumes`` names the :data:`SWEEP_OPTIONS` the generator also takes
-    (``dataset`` arrives as its ``dataset_name`` keyword).
+    ``num_users``, ``trials``, ``rng`` and ``ctx`` keywords, and pass
+    ``ctx`` (the run's :class:`~repro.sim.experiment.RunContext`) on to
+    every cell.  ``consumes`` names exactly the :data:`SWEEP_OPTIONS` the
+    generator also takes (``dataset`` arrives as its ``dataset_name``
+    keyword).
     :class:`repro.sim.shard.SweepConfig` forwards only consumed fields and
     keeps only them in its digest, so a worker passing a flag its
     exhibit ignores still reports under the same sweep digest, and the

@@ -21,10 +21,9 @@ machines:
   a stale-claim TTL so a crashed worker's cells are re-claimable.
 * :func:`sweep_status` reports done / claimed / missing cells, and
   :func:`merge_sweep` renders the final rows from the fully populated
-  cache — bit-identical to an unsharded run, because every row is either
-  the stored payload itself or rebuilt from the same cached
-  ``RecoveryEvaluation``; per-shard timing statistics merge exactly via
-  :meth:`repro.sim.engine.Welford.merge`.
+  cache — bit-identical to an unsharded run, because every row is
+  rendered from the same stored payload; per-shard timing statistics
+  merge exactly via :meth:`repro.sim.engine.Welford.merge`.
 
 Determinism: a cell's spec (and therefore its key, its seeds, and its
 result) depends only on the sweep configuration, never on which shard
@@ -50,7 +49,7 @@ import socket
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Optional, Protocol
 
 from repro.exceptions import InvalidParameterError, ShardIncompleteError
 from repro.sim.cache import (
@@ -60,7 +59,7 @@ from repro.sim.cache import (
     canonical_key,
 )
 from repro.sim.engine import TASK_COUNTER, TrialBudget, Welford, run_scope
-from repro.sim.experiment import RecoveryEvaluation
+from repro.sim.experiment import RunContext
 from repro.sim.scenarios import EXHIBITS, SWEEP_OPTIONS
 
 __all__ = [
@@ -93,18 +92,20 @@ class SweepConfig:
 
     Mirrors the CLI's ``run``/``shard`` flags — ``figure`` picks the
     exhibit (a paper figure or scenario sweep registered in
-    :data:`repro.sim.scenarios.EXHIBITS`), ``dataset``/``parameter``
-    apply to the exhibits that consume them, ``num_users``/``trials``/
-    ``seed`` shape the cells, and ``workers``/``chunk_users``/
-    ``olh_cohort`` are forwarded to the engine.  Only ``workers`` is a
+    :data:`repro.sim.scenarios.EXHIBITS`), ``dataset``/``parameter``/
+    ``chunk_users``/``olh_cohort`` go to the exhibits that consume them,
+    ``num_users``/``trials``/``seed`` shape the cells, and ``workers``
+    plus the adaptive budget become the run's
+    :class:`~repro.sim.experiment.RunContext`.  Only ``workers`` is a
     pure execution knob that shards may vary freely (it never enters a
     cell key); every other field must match across the fleet —
     including ``chunk_users``, whose *presence* switches fast-mode
     exhibits to ``mode="chunked"``, a spec field of every cell key (and
-    whose resolved size additionally keys cohort-mode OLH cells).  ``target_ci``/``max_trials``/``trial_batch``
-    select adaptive CI-targeted trial allocation (see :meth:`budget`);
-    they shape every cell's budget checkpoints and therefore must also
-    match across the fleet.
+    whose resolved size additionally keys cohort-mode OLH cells).
+    ``target_ci``/``max_trials``/``trial_batch`` select adaptive
+    CI-targeted trial allocation (see :meth:`budget`); they shape every
+    cell's budget checkpoints and therefore must also match across the
+    fleet.
     """
 
     figure: str
@@ -162,9 +163,11 @@ class SweepConfig:
         subcommand, shard execution, enumeration, and merging — so every
         one of them reproduces the exact same cells.  The exhibit's
         generator receives the cell-shaping fields every exhibit takes,
-        plus only the :data:`~repro.sim.scenarios.SWEEP_OPTIONS` it
-        consumes; ``budget`` is forwarded only when one is set, so
-        generators without adaptive support run fixed-budget sweeps.
+        the only :class:`~repro.sim.experiment.RunContext` of the run
+        (``workers``, ``cache`` and :meth:`budget`), and only the
+        :data:`~repro.sim.scenarios.SWEEP_OPTIONS` it consumes.  Building
+        the context rejects a negative ``workers`` before any cell is
+        looked up.
 
         The run owns one worker pool (:func:`~repro.sim.engine.run_scope`):
         it forks on the first pooled trial batch, serves every later cell
@@ -176,12 +179,8 @@ class SweepConfig:
             num_users=self.num_users,
             trials=self.trials,
             rng=self.seed,
-            workers=self.workers,
-            cache=cache,
+            ctx=RunContext(workers=self.workers, cache=cache, budget=self.budget()),
         )
-        budget = self.budget()
-        if budget is not None:
-            kwargs["budget"] = budget
         for option in exhibit.consumes:
             kwargs["dataset_name" if option == "dataset" else option] = getattr(self, option)
         with run_scope():
@@ -224,20 +223,6 @@ class EnumeratedCell:
     kind: str
 
 
-def _placeholder_evaluation(spec: dict[str, Any]) -> RecoveryEvaluation:
-    """A throwaway :class:`RecoveryEvaluation` standing in for a cell that
-    this process will not simulate; its metric fields are defaults and the
-    rows built from it are discarded (only ``spec``'s identity matters)."""
-    return RecoveryEvaluation(
-        dataset=str((spec.get("dataset") or {}).get("name", "?")),
-        protocol=str((spec.get("protocol") or {}).get("__type__", "?")),
-        attack="placeholder",
-        beta=float(spec.get("beta", 0.0)),
-        eta=float(spec.get("eta", 0.0)),
-        trials=int(spec.get("trials", 0)),
-    )
-
-
 #: Marker key identifying placeholder rows produced for skipped cells
 #: (the shared :data:`repro.sim.cache.SHARD_PLACEHOLDER_KEY`, so row
 #: generators can recognize pass-through payloads without importing this
@@ -254,32 +239,15 @@ class _RecordingCache(CellCache):
         super().__init__(cache_dir=os.devnull, tag="enumeration")
         self.specs: list[dict[str, Any]] = []
 
-    def _record(self, spec: dict[str, Any]) -> None:
-        self.specs.append(spec)
-
     def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
         """Record ``spec`` and report a (placeholder) hit."""
-        self._record(spec)
+        self.specs.append(spec)
         return {_PLACEHOLDER: True}
-
-    def get_evaluation(self, spec: dict[str, Any]) -> Optional[RecoveryEvaluation]:
-        """Record ``spec`` and report a (placeholder) hit."""
-        self._record(spec)
-        return _placeholder_evaluation(spec)
 
     def put(
         self,
         spec: dict[str, Any],
         payload: dict[str, Any],
-        meta: Optional[dict[str, Any]] = None,
-    ) -> pathlib.Path:
-        """Unreachable in normal enumeration (every get hits); no disk IO."""
-        return pathlib.Path(os.devnull)  # pragma: no cover
-
-    def put_evaluation(
-        self,
-        spec: dict[str, Any],
-        evaluation: RecoveryEvaluation,
         meta: Optional[dict[str, Any]] = None,
     ) -> pathlib.Path:
         """Unreachable in normal enumeration (every get hits); no disk IO."""
@@ -626,29 +594,25 @@ class _ShardExecutionCache:
         self._pending: dict[str, float] = {}
 
     # -- lookup ---------------------------------------------------------
-    def _route(
-        self, spec: dict[str, Any], fetch: Callable[[dict[str, Any]], Optional[Any]]
-    ) -> tuple[str, Optional[Any], bool]:
-        """Resolve one lookup: ``(key, value-if-served, compute?)``.
+    def _route(self, spec: dict[str, Any]) -> tuple[str, Optional[dict[str, Any]], bool]:
+        """Resolve one lookup: ``(key, payload-if-served, compute?)``.
 
-        ``fetch(spec)`` is the base cache's typed reader
-        (:meth:`CellCache.get` or :meth:`CellCache.get_evaluation`), so
-        decode failures are counted by the base's own once-per-lookup
-        logic.  Stats contract of a shard run: hits count the cells
-        served from the shared store, misses the cells this shard
-        simulates (including the rare unreadable/stale-shape entry it
-        heals) — cells skipped because a peer owns them touch neither
-        counter (existence is probed via :meth:`CellCache.contains`,
-        outside the stats).
+        Reads go through the base's :meth:`CellCache.get`, so decode
+        failures are counted by its own once-per-lookup logic.  Stats
+        contract of a shard run: hits count the cells served from the
+        shared store, misses the cells this shard simulates (including
+        the rare unreadable/stale-shape entry it heals) — cells skipped
+        because a peer owns them touch neither counter (existence is
+        probed via :meth:`CellCache.contains`, outside the stats).
         """
         key = self.base.key_for(spec)
         counted_miss = False
         if self.base.contains(key):
-            value = fetch(spec)
-            if value is not None:
+            payload = self.base.get(spec)
+            if payload is not None:
                 self.served.append(key)
-                return key, value, False
-            counted_miss = True  # unreadable/stale entry: fetch counted it
+                return key, payload, False
+            counted_miss = True  # unreadable/stale entry: get counted it
         if self.policy.acquire(key):
             # Claim races lose to completed entries: a peer may finish and
             # release a cell between our probe and our acquire, so re-check
@@ -657,11 +621,11 @@ class _ShardExecutionCache:
             # entry that just failed to read should be recomputed, not
             # re-fetched and double-counted.
             if self.policy.rechecks and not counted_miss and self.base.contains(key):
-                value = fetch(spec)
-                if value is not None:
+                payload = self.base.get(spec)
+                if payload is not None:
                     self.policy.release(key)
                     self.served.append(key)
-                    return key, value, False
+                    return key, payload, False
                 counted_miss = True
             if not counted_miss:
                 self.base.stats.misses += 1
@@ -671,20 +635,12 @@ class _ShardExecutionCache:
         return key, None, False
 
     def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
-        key, payload, compute = self._route(spec, self.base.get)
+        key, payload, compute = self._route(spec)
         if payload is not None:
             return payload
         if compute:
             return None
         return {_PLACEHOLDER: True, "key": key}
-
-    def get_evaluation(self, spec: dict[str, Any]) -> Optional[RecoveryEvaluation]:
-        _, evaluation, compute = self._route(spec, self.base.get_evaluation)
-        if evaluation is not None:
-            return evaluation
-        if compute:
-            return None
-        return _placeholder_evaluation(spec)
 
     # -- store ----------------------------------------------------------
     def _complete(self, key: str) -> None:
@@ -701,16 +657,6 @@ class _ShardExecutionCache:
         meta: Optional[dict[str, Any]] = None,
     ) -> pathlib.Path:
         path = self.base.put(spec, payload, meta=meta)
-        self._complete(self.base.key_for(spec))
-        return path
-
-    def put_evaluation(
-        self,
-        spec: dict[str, Any],
-        evaluation: RecoveryEvaluation,
-        meta: Optional[dict[str, Any]] = None,
-    ) -> pathlib.Path:
-        path = self.base.put_evaluation(spec, evaluation, meta=meta)
         self._complete(self.base.key_for(spec))
         return path
 
@@ -1043,11 +989,10 @@ def merge_sweep(
 ) -> list[dict[str, object]]:
     """Render ``config``'s final exhibit rows from the shared ``cache``.
 
-    With every cell present this runs zero simulation trials: evaluation
-    cells rebuild their cached :class:`RecoveryEvaluation` payloads
-    (stats included, bit-identical to the original computation) and row
-    cells return their stored dicts, so the merged table equals the
-    unsharded run exactly.  When cells are missing,
+    With every cell present this runs zero simulation trials: every cell
+    renders its rows from its stored payload (evaluation cells' stats
+    included, bit-identical to the original computation), so the merged
+    table equals the unsharded run exactly.  When cells are missing,
     ``require_complete=True`` (the default) raises
     :class:`~repro.exceptions.ShardIncompleteError` naming the count;
     ``require_complete=False`` computes the stragglers locally instead —

@@ -39,7 +39,7 @@ from repro.sim.engine import (
     parallel_map,
     run_adaptive_trials,
 )
-from repro.sim.experiment import evaluate_recovery
+from repro.sim.experiment import RunContext, evaluate_recovery
 
 D = 8
 DATASET = zipf_dataset(domain_size=D, num_users=2_000, exponent=1.0, rng=3)
@@ -197,7 +197,7 @@ class TestAdaptiveEvaluateRecovery:
         # A huge target converges at the first checkpoint: the evaluation
         # must equal a fixed min_trials run, field for field.
         budget = TrialBudget(target_halfwidth=1e6, min_trials=3, max_trials=6, batch=3)
-        adaptive = self._evaluate(budget=budget)
+        adaptive = self._evaluate(ctx=RunContext(budget=budget))
         fixed = self._evaluate()
         assert adaptive.trials == 3
         assert adaptive == fixed
@@ -206,7 +206,7 @@ class TestAdaptiveEvaluateRecovery:
         budget = TrialBudget(
             target_halfwidth=1e-12, min_trials=3, max_trials=6, batch=3
         )
-        adaptive = self._evaluate(budget=budget)
+        adaptive = self._evaluate(ctx=RunContext(budget=budget))
         fixed = evaluate_recovery(
             DATASET, _protocol(), _attack(), trials=6, rng=5
         )
@@ -217,13 +217,13 @@ class TestAdaptiveEvaluateRecovery:
         cache = CellCache(tmp_path / "cache")
         short = TrialBudget(target_halfwidth=1e-12, min_trials=2, max_trials=4, batch=2)
         TASK_COUNTER.reset()
-        self._evaluate(budget=short, cache=cache)
+        self._evaluate(ctx=RunContext(cache=cache, budget=short))
         assert TASK_COUNTER.count == 4
         extended = TrialBudget(
             target_halfwidth=1e-12, min_trials=2, max_trials=6, batch=2
         )
         TASK_COUNTER.reset()
-        topped = self._evaluate(budget=extended, cache=cache)
+        topped = self._evaluate(ctx=RunContext(cache=cache, budget=extended))
         assert TASK_COUNTER.count == 2  # only trials [4, 6) are new
         assert cache.stats.block_trials_reused >= 4
         fixed = evaluate_recovery(

@@ -326,6 +326,21 @@ class TestErrors:
         assert main(argv) == 0
         assert "mse_mga" in capsys.readouterr().out
 
+    def test_negative_workers_exit_2_even_on_a_warm_cache(self, tmp_path, capsys):
+        """The worker count is checked before any cell is looked up, so a
+        warm cache can neither print rows for ``--workers -3`` nor let
+        ``shard status`` report progress."""
+        sweep = ["--figure", "fig8", "--num-users", "3000", "--trials", "2",
+                 "--cache-dir", str(tmp_path)]
+        assert main(["run", *sweep]) == 0
+        capsys.readouterr()
+        for argv in (["run", *sweep, "--workers", "-3"],
+                     ["shard", "status", *sweep, "--workers", "-3"]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == "error: workers must be >= 0 or None, got -3\n"
+            assert "mse_mga" not in captured.out and "cells done" not in captured.out
+
     def test_entry_point_prints_no_traceback(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro.cli", "run", "--figure", "fig3",

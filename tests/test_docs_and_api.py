@@ -79,8 +79,8 @@ SIM_MODULES = [name for name in MODULES if name.startswith("repro.sim")]
 class TestSimApiDocs:
     """The public sim API (the layer users script against) is held to a
     stricter bar: every callable documented, every parameter mentioned —
-    notably the engine/cache knobs ``workers``, ``chunk_users`` and
-    ``cache`` added by recent PRs."""
+    notably ``chunk_users`` and the run context ``ctx`` that carries
+    ``workers``, the cell cache and the trial budget to every cell."""
 
     def test_sim_exports_have_docstrings(self):
         undocumented = [

@@ -21,7 +21,7 @@ from repro.exceptions import InvalidParameterError
 from repro.protocols import GRR, OLH
 from repro.sim.cache import CellCache, canonical_key, evaluation_cell_spec
 from repro.sim.engine import TASK_COUNTER, chunked_genuine_counts
-from repro.sim.experiment import evaluate_recovery
+from repro.sim.experiment import RunContext, evaluate_recovery
 from repro.sim.shard import SweepConfig
 
 D = 16
@@ -77,10 +77,12 @@ class TestCohortEngine:
             beta=0.05, trials=4, rng=11, chunk_users=1_000, olh_cohort=16
         )
         serial = evaluate_recovery(
-            DATASET, OLH(epsilon=0.5, domain_size=D), attack, workers=1, **kwargs
+            DATASET, OLH(epsilon=0.5, domain_size=D), attack,
+            ctx=RunContext(workers=1), **kwargs,
         )
         pooled = evaluate_recovery(
-            DATASET, OLH(epsilon=0.5, domain_size=D), attack, workers=4, **kwargs
+            DATASET, OLH(epsilon=0.5, domain_size=D), attack,
+            ctx=RunContext(workers=4), **kwargs,
         )
         assert serial == pooled
 
@@ -152,7 +154,7 @@ class TestCohortCacheKey:
         """mode='fast' samples marginals, which cohorts cannot change: the
         knob must neither fork the cache key nor re-simulate."""
         cache = CellCache(tmp_path)
-        kwargs = dict(trials=2, rng=3, cache=cache)  # mode stays "fast"
+        kwargs = dict(trials=2, rng=3, ctx=RunContext(cache=cache))  # mode stays "fast"
         plain = evaluate_recovery(
             DATASET, OLH(epsilon=0.5, domain_size=D), None, **kwargs
         )
@@ -168,7 +170,7 @@ class TestCohortCacheKey:
         the resolved chunk size shapes the distribution and must fork the
         key — while non-cohort OLH chunked cells stay chunk-invariant."""
         cache = CellCache(tmp_path)
-        kwargs = dict(trials=2, rng=3, olh_cohort=8, cache=cache)
+        kwargs = dict(trials=2, rng=3, olh_cohort=8, ctx=RunContext(cache=cache))
         evaluate_recovery(
             DATASET, OLH(epsilon=0.5, domain_size=D), None,
             chunk_users=1_000, **kwargs,
@@ -183,15 +185,15 @@ class TestCohortCacheKey:
         # Without a cohort, OLH chunked cells keep the chunk-invariant key.
         plain = CellCache(tmp_path / "plain")
         evaluate_recovery(DATASET, OLH(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=3, chunk_users=1_000, cache=plain)
+                          trials=2, rng=3, chunk_users=1_000, ctx=RunContext(cache=plain))
         TASK_COUNTER.reset()
         evaluate_recovery(DATASET, OLH(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=3, chunk_users=4_000, cache=plain)
+                          trials=2, rng=3, chunk_users=4_000, ctx=RunContext(cache=plain))
         assert TASK_COUNTER.count == 0 and plain.stats.hits == 1
 
     def test_cohort_run_never_hits_per_user_entry(self, tmp_path):
         cache = CellCache(tmp_path)
-        kwargs = dict(trials=2, rng=3, chunk_users=1_000, cache=cache)
+        kwargs = dict(trials=2, rng=3, chunk_users=1_000, ctx=RunContext(cache=cache))
         per_user = evaluate_recovery(
             DATASET, OLH(epsilon=0.5, domain_size=D), None, **kwargs
         )

@@ -40,7 +40,7 @@ from repro.sim.cache import (
     source_digest,
 )
 from repro.sim.engine import TASK_COUNTER
-from repro.sim.experiment import evaluate_recovery
+from repro.sim.experiment import RunContext, evaluate_recovery
 
 D = 16
 DATASET = zipf_dataset(domain_size=D, num_users=5_000, exponent=1.0, rng=7)
@@ -136,11 +136,11 @@ class TestEvaluateRecoveryCaching:
         kwargs = dict(beta=0.05, eta=0.2, trials=3, rng=1)
         cold = evaluate_recovery(
             DATASET, GRR(epsilon=0.5, domain_size=D),
-            MGAAttack(domain_size=D, r=3, rng=0), cache=cache, **kwargs,
+            MGAAttack(domain_size=D, r=3, rng=0), ctx=RunContext(cache=cache), **kwargs,
         )
         warm = evaluate_recovery(
             DATASET, GRR(epsilon=0.5, domain_size=D),
-            MGAAttack(domain_size=D, r=3, rng=0), cache=cache, **kwargs,
+            MGAAttack(domain_size=D, r=3, rng=0), ctx=RunContext(cache=cache), **kwargs,
         )
         assert warm == cold  # includes the full per-metric stats dict
         assert cache.stats.hits == 1 and cache.stats.misses == 1
@@ -148,34 +148,36 @@ class TestEvaluateRecoveryCaching:
     def test_warm_hit_runs_zero_trials(self, tmp_path):
         cache = CellCache(tmp_path)
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=3, rng=1, cache=cache)
+                          trials=3, rng=1, ctx=RunContext(cache=cache))
         TASK_COUNTER.reset()
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=3, rng=1, cache=cache)
+                          trials=3, rng=1, ctx=RunContext(cache=cache))
         assert TASK_COUNTER.count == 0
 
     def test_key_invariant_to_workers(self, tmp_path):
         cache = CellCache(tmp_path)
         serial = evaluate_recovery(DATASET, OUE(epsilon=0.5, domain_size=D), None,
-                                   trials=2, rng=3, workers=1, cache=cache)
+                                   trials=2, rng=3, ctx=RunContext(workers=1, cache=cache))
         TASK_COUNTER.reset()
         pooled = evaluate_recovery(DATASET, OUE(epsilon=0.5, domain_size=D), None,
-                                   trials=2, rng=3, workers=2, cache=cache)
+                                   trials=2, rng=3, ctx=RunContext(workers=2, cache=cache))
         assert TASK_COUNTER.count == 0, "workers must not change the cache key"
         assert pooled == serial
 
     def test_key_invariant_to_chunk_size_but_not_mode(self, tmp_path):
         cache = CellCache(tmp_path)
         chunked = evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                                    trials=2, rng=3, chunk_users=500, cache=cache)
+                                    trials=2, rng=3, chunk_users=500,
+                                    ctx=RunContext(cache=cache))
         TASK_COUNTER.reset()
         rechunked = evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                                      trials=2, rng=3, chunk_users=2_000, cache=cache)
+                                      trials=2, rng=3, chunk_users=2_000,
+                                      ctx=RunContext(cache=cache))
         assert TASK_COUNTER.count == 0, "chunk_users must not change the cache key"
         assert rechunked == chunked
         # ...but fast mode is a different spec field, hence a different cell.
         fast = evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                                 trials=2, rng=3, cache=cache)
+                                 trials=2, rng=3, ctx=RunContext(cache=cache))
         assert cache.stats.misses == 2
         assert fast.mse_before != chunked.mse_before
 
@@ -185,9 +187,9 @@ class TestEvaluateRecoveryCaching:
         cache = CellCache(tmp_path)
         gen = np.random.default_rng(11)
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=gen, cache=cache)
+                          trials=2, rng=gen, ctx=RunContext(cache=cache))
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=gen, cache=cache)
+                          trials=2, rng=gen, ctx=RunContext(cache=cache))
         assert cache.stats.hits == 0 and cache.stats.misses == 2
 
 
@@ -199,13 +201,13 @@ class TestFigureCaching:
         "generate",
         [
             lambda cache: figures.sweep_rows(
-                "ipums", "beta", values=(0.01, 0.05), cache=cache, **FIG_KWARGS
+                "ipums", "beta", values=(0.01, 0.05), ctx=RunContext(cache=cache), **FIG_KWARGS
             ),
-            lambda cache: figures.figure7_rows(cache=cache, **FIG_KWARGS),
-            lambda cache: figures.figure8_rows(cache=cache, **FIG_KWARGS),
-            lambda cache: figures.figure9_rows(cache=cache, **FIG_KWARGS),
-            lambda cache: figures.figure10_rows(cache=cache, **FIG_KWARGS),
-            lambda cache: figures.table1_rows(cache=cache, **FIG_KWARGS),
+            lambda cache: figures.figure7_rows(ctx=RunContext(cache=cache), **FIG_KWARGS),
+            lambda cache: figures.figure8_rows(ctx=RunContext(cache=cache), **FIG_KWARGS),
+            lambda cache: figures.figure9_rows(ctx=RunContext(cache=cache), **FIG_KWARGS),
+            lambda cache: figures.figure10_rows(ctx=RunContext(cache=cache), **FIG_KWARGS),
+            lambda cache: figures.table1_rows(ctx=RunContext(cache=cache), **FIG_KWARGS),
         ],
         ids=["sweep", "fig7", "fig8", "fig9", "fig10", "table1"],
     )
@@ -222,7 +224,7 @@ class TestFigureCaching:
         """A rerun after interruption only simulates the missing cells."""
         cache = CellCache(tmp_path)
         run = lambda: figures.sweep_rows(
-            "ipums", "beta", values=(0.01, 0.05), cache=cache, **FIG_KWARGS
+            "ipums", "beta", values=(0.01, 0.05), ctx=RunContext(cache=cache), **FIG_KWARGS
         )
         full = run()
         # Simulate a Ctrl-C that landed after 4 of the 6 cells completed.
@@ -234,7 +236,7 @@ class TestFigureCaching:
         assert cache.stats.stores == len(full) + 2  # only the missing cells re-ran
 
     def test_ci_columns_follow_metric_columns(self, tmp_path):
-        rows = figures.table1_rows(cache=None, **FIG_KWARGS)
+        rows = figures.table1_rows(ctx=RunContext(), **FIG_KWARGS)
         cols = list(rows[0].keys())
         assert cols.index("mse_before_recovery±") == cols.index("mse_before_recovery") + 1
         assert all(row["mse_before_recovery±"] > 0 for row in rows)
@@ -245,7 +247,7 @@ class TestStoreMaintenance:
         cache = CellCache(tmp_path)
         for seed in range(n):
             evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                              trials=2, rng=seed, cache=cache)
+                              trials=2, rng=seed, ctx=RunContext(cache=cache))
         return cache
 
     def test_entries_and_summary_rows(self, tmp_path):
@@ -273,7 +275,7 @@ class TestStoreMaintenance:
         self._fill(tmp_path)
         stale = CellCache(tmp_path, tag="v0-repro-0.9.9")
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=9, cache=stale)
+                          trials=2, rng=9, ctx=RunContext(cache=stale))
         fresh = CellCache(tmp_path)
         assert fresh.prune() == 3  # current tag only
         assert fresh.prune(all_tags=True) == 1  # the stale tag's entry
@@ -284,7 +286,7 @@ class TestStoreMaintenance:
         entry.path.write_text("{ truncated", encoding="utf-8")
         TASK_COUNTER.reset()
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=0, cache=cache)
+                          trials=2, rng=0, ctx=RunContext(cache=cache))
         assert TASK_COUNTER.count > 0  # recomputed, not served from garbage
         assert cache.stats.errors == 1
 
@@ -306,7 +308,7 @@ class TestStoreMaintenance:
         entry.path.write_text(json.dumps(data), encoding="utf-8")
         TASK_COUNTER.reset()
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=0, cache=cache)
+                          trials=2, rng=0, ctx=RunContext(cache=cache))
         assert TASK_COUNTER.count > 0  # recomputed
         assert cache.stats.hits == 0 and cache.stats.errors == 1
 
@@ -323,10 +325,10 @@ class TestStoreMaintenance:
         old = CellCache(tmp_path, tag="v0-repro-0.0.1")
         new = CellCache(tmp_path)
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=1, cache=old)
+                          trials=2, rng=1, ctx=RunContext(cache=old))
         TASK_COUNTER.reset()
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=1, cache=new)
+                          trials=2, rng=1, ctx=RunContext(cache=new))
         assert TASK_COUNTER.count > 0  # other version's entries are invisible
         assert new.stats.misses == 1
 
@@ -469,7 +471,7 @@ class TestTrialBlockIntegrity:
             return evaluate_recovery(
                 DATASET, GRR(epsilon=0.5, domain_size=D),
                 MGAAttack(domain_size=D, r=3, rng=0),
-                trials=2, rng=4, cache=cache, budget=budget,
+                trials=2, rng=4, ctx=RunContext(cache=cache, budget=budget),
             )
 
         cache = CellCache(tmp_path)
@@ -539,7 +541,7 @@ class TestSourceDigest:
 
         warm = CellCache(tmp_path)
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=1, cache=warm)
+                          trials=2, rng=1, ctx=RunContext(cache=warm))
         # Simulate an in-place source edit: the memoized default digest
         # changes, so a fresh CellCache resolves to a different tag and
         # the old entry is invisible.
@@ -548,7 +550,7 @@ class TestSourceDigest:
         assert edited.tag != warm.tag
         TASK_COUNTER.reset()
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=1, cache=edited)
+                          trials=2, rng=1, ctx=RunContext(cache=edited))
         assert TASK_COUNTER.count > 0
         assert edited.stats.misses == 1
 
@@ -563,7 +565,7 @@ class TestGetEvaluationStatsCounting:
         evaluation = evaluate_recovery(
             DATASET, GRR(epsilon=0.5, domain_size=D),
             MGAAttack(domain_size=D, r=3, rng=0),
-            beta=0.05, eta=0.2, trials=3, rng=1, cache=warm,
+            beta=0.05, eta=0.2, trials=3, rng=1, ctx=RunContext(cache=warm),
         )
         assert evaluation is not None
         # Corrupt the payload shape of the stored entry (field renamed by
@@ -575,7 +577,7 @@ class TestGetEvaluationStatsCounting:
         # A *fresh* cache whose very first access is the mismatch: the old
         # rollback produced hits == -1 here.
         fresh = CellCache(tmp_path)
-        assert fresh.get_evaluation(data["spec"]) is None
+        assert fresh.get(data["spec"]) is None
         assert fresh.stats.hits == 0
         assert fresh.stats.misses == 1
         assert fresh.stats.errors == 1
@@ -585,9 +587,9 @@ class TestGetEvaluationStatsCounting:
     def test_clean_hit_still_counts_once(self, tmp_path):
         cache = CellCache(tmp_path)
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=1, cache=cache)
+                          trials=2, rng=1, ctx=RunContext(cache=cache))
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
-                          trials=2, rng=1, cache=cache)
+                          trials=2, rng=1, ctx=RunContext(cache=cache))
         assert (cache.stats.hits, cache.stats.misses, cache.stats.errors) == (1, 1, 0)
 
 

@@ -25,7 +25,7 @@ from repro.sim.engine import (
     resolve_workers,
     run_chunked_trial,
 )
-from repro.sim.experiment import evaluate_recovery
+from repro.sim.experiment import RunContext, evaluate_recovery
 from repro.sim.pipeline import run_trial
 
 D = 16
@@ -275,8 +275,8 @@ class TestParallelDeterminism:
         kwargs = dict(beta=0.05, eta=0.2, trials=4, mode=mode, rng=77)
         if mode == "chunked":
             kwargs["chunk_users"] = 1_000
-        serial = evaluate_recovery(DATASET, grr, attack, workers=1, **kwargs)
-        pooled = evaluate_recovery(DATASET, grr, attack, workers=4, **kwargs)
+        serial = evaluate_recovery(DATASET, grr, attack, ctx=RunContext(workers=1), **kwargs)
+        pooled = evaluate_recovery(DATASET, grr, attack, ctx=RunContext(workers=4), **kwargs)
         for metric in (
             "mse_before",
             "mse_recover",
@@ -294,11 +294,11 @@ class TestParallelDeterminism:
         attack = MGAAttack(domain_size=D, r=3, rng=0)
         serial = evaluate_recovery(
             DATASET, grr, attack, trials=2, mode="sampled", with_detection=True,
-            rng=5, workers=1,
+            rng=5, ctx=RunContext(workers=1),
         )
         pooled = evaluate_recovery(
             DATASET, grr, attack, trials=2, mode="sampled", with_detection=True,
-            rng=5, workers=2,
+            rng=5, ctx=RunContext(workers=2),
         )
         assert serial.mse_detection == pooled.mse_detection
         assert serial.fg_detection == pooled.fg_detection

@@ -16,6 +16,8 @@ The contract under test (ISSUE 5 acceptance criteria):
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.exceptions import InvalidParameterError
 from repro.kv import KeyValueProtocol, KVPoisoningAttack
 from repro.sim.cache import CellCache, canonical_key, scenario_cell_spec
 from repro.sim.engine import TASK_COUNTER
+from repro.sim.experiment import RunContext
 from repro.sim.scenarios import (
     DEFENSE_ATTACKS,
     DEFENSE_BETAS,
@@ -35,6 +38,7 @@ from repro.sim.scenarios import (
     HH_KS,
     KV_BETAS,
     KV_EPSILONS,
+    SWEEP_OPTIONS,
     Exhibit,
     KVPopulation,
     defenses_rows,
@@ -134,11 +138,11 @@ class TestKVRows:
 
     def test_warm_cache_serves_all_cells_with_zero_tasks(self, tmp_path):
         cold = CellCache(tmp_path)
-        first = kv_rows(num_users=2_000, trials=2, rng=11, cache=cold)
+        first = kv_rows(num_users=2_000, trials=2, rng=11, ctx=RunContext(cache=cold))
         assert cold.stats.misses == KV_CELLS and cold.stats.stores == KV_CELLS
         warm = CellCache(tmp_path)
         TASK_COUNTER.reset()
-        second = kv_rows(num_users=2_000, trials=2, rng=11, cache=warm)
+        second = kv_rows(num_users=2_000, trials=2, rng=11, ctx=RunContext(cache=warm))
         assert TASK_COUNTER.count == 0, "warm cells must execute zero trials"
         assert warm.stats.hits == KV_CELLS and warm.stats.misses == 0
         assert second == first
@@ -180,11 +184,11 @@ class TestHeavyHitterRows:
 
     def test_warm_cache_serves_all_cells_with_zero_tasks(self, tmp_path):
         cold = CellCache(tmp_path)
-        first = heavyhitter_rows(num_users=4_000, trials=1, rng=12, cache=cold)
+        first = heavyhitter_rows(num_users=4_000, trials=1, rng=12, ctx=RunContext(cache=cold))
         assert cold.stats.stores == HH_CELLS
         warm = CellCache(tmp_path)
         TASK_COUNTER.reset()
-        second = heavyhitter_rows(num_users=4_000, trials=1, rng=12, cache=warm)
+        second = heavyhitter_rows(num_users=4_000, trials=1, rng=12, ctx=RunContext(cache=warm))
         assert TASK_COUNTER.count == 0
         assert warm.stats.hits == HH_CELLS
         assert second == first
@@ -223,7 +227,7 @@ class TestEpochsRows:
 
     def test_workers_and_chunking_are_bit_identical(self):
         serial = self._rows()
-        assert self._rows(workers=2) == serial
+        assert self._rows(ctx=RunContext(workers=2)) == serial
         assert self._rows(chunk_users=500) == serial
 
     def test_fan_in_trials_match_direct_ingestion_bit_for_bit(self):
@@ -270,11 +274,11 @@ class TestEpochsRows:
 
     def test_warm_cache_serves_all_cells_with_zero_tasks(self, tmp_path):
         cold = CellCache(tmp_path)
-        first = self._rows(cache=cold)
+        first = self._rows(ctx=RunContext(cache=cold))
         assert cold.stats.misses == EPOCH_CELLS and cold.stats.stores == EPOCH_CELLS
         warm = CellCache(tmp_path)
         TASK_COUNTER.reset()
-        second = self._rows(cache=warm)
+        second = self._rows(ctx=RunContext(cache=warm))
         assert TASK_COUNTER.count == 0, "warm cells must execute zero trials"
         assert warm.stats.hits == EPOCH_CELLS and warm.stats.misses == 0
         assert second == first
@@ -325,15 +329,15 @@ class TestDefensesRows:
         assert set(improved), "at least one defense must improve some regime"
 
     def test_workers_are_bit_identical(self):
-        assert self._rows(workers=2) == self._rows()
+        assert self._rows(ctx=RunContext(workers=2)) == self._rows()
 
     def test_warm_cache_serves_all_cells_with_zero_tasks(self, tmp_path):
         cold = CellCache(tmp_path)
-        first = self._rows(cache=cold)
+        first = self._rows(ctx=RunContext(cache=cold))
         assert cold.stats.stores == DEFENSE_CELLS
         warm = CellCache(tmp_path)
         TASK_COUNTER.reset()
-        second = self._rows(cache=warm)
+        second = self._rows(ctx=RunContext(cache=warm))
         assert TASK_COUNTER.count == 0
         assert warm.stats.hits == DEFENSE_CELLS
         assert second == first
@@ -442,6 +446,22 @@ class TestRegistry:
         for exhibit in EXHIBITS.values():
             assert exhibit.description
 
+    @pytest.mark.parametrize("name", list(EXHIBITS))
+    def test_generator_signature_matches_the_registration(self, name):
+        """Every generator takes the keywords SweepConfig.run always
+        passes, and of the SWEEP_OPTIONS exactly those it ``consumes``
+        (a consumed option missing from the signature would fail only
+        when forwarded; an unregistered one would never be forwarded)."""
+        exhibit = EXHIBITS[name]
+        params = set(inspect.signature(exhibit.rows).parameters)
+        assert {"num_users", "trials", "rng", "ctx"} <= params
+
+        def keyword(option):
+            return "dataset_name" if option == "dataset" else option
+
+        options = {keyword(option) for option in SWEEP_OPTIONS}
+        assert params & options == {keyword(option) for option in exhibit.consumes}
+
     def test_register_rejects_name_collisions(self):
         taken = Exhibit(name="kv", description="dup", rows=kv_rows)
         with pytest.raises(InvalidParameterError):
@@ -453,8 +473,8 @@ class TestRegistry:
     def test_registered_scenario_dispatches_like_a_figure(self):
         calls: dict[str, object] = {}
 
-        def toy_rows(num_users=None, trials=5, rng=0, workers=1, cache=None):
-            calls["args"] = (num_users, trials, rng, workers)
+        def toy_rows(num_users=None, trials=5, rng=0, ctx=RunContext()):
+            calls["args"] = (num_users, trials, rng, ctx.workers)
             return [{"cell": "toy", "value": 1.0}]
 
         register_scenario(Exhibit(name="toy", description="toy", rows=toy_rows))

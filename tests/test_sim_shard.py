@@ -26,6 +26,7 @@ import pytest
 from repro.exceptions import InvalidParameterError, ShardIncompleteError
 from repro.sim.cache import CellCache
 from repro.sim.engine import TASK_COUNTER, TrialBudget, Welford
+from repro.sim.experiment import RunContext
 from repro.sim.shard import (
     ClaimQueue,
     ShardReport,
@@ -75,7 +76,9 @@ class TestSweepConfig:
     def test_run_matches_direct_generator_call(self):
         from repro.sim import figures
 
-        direct = figures.table1_rows(num_users=3_000, trials=2, rng=0, workers=1)
+        direct = figures.table1_rows(
+            num_users=3_000, trials=2, rng=0, ctx=RunContext(workers=1)
+        )
         assert CONFIG.run(None) == direct
 
     def test_digest_without_budget_knobs_is_unchanged(self):

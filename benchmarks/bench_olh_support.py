@@ -27,8 +27,8 @@ from conftest import bench_trials, bench_users, bench_workers, show
 from repro.attacks import MGAAttack
 from repro.datasets import ipums_like, zipf_dataset
 from repro.protocols import OLH
-from repro.sim.engine import chunked_genuine_counts
 from repro.sim.experiment import RunContext, evaluate_recovery
+from repro.sim.pipeline import chunked_genuine_counts
 
 #: The acceptance scale: d=1024, n=1e6 (override n via REPRO_BENCH_USERS).
 D = 1024

@@ -20,8 +20,8 @@ from repro.attacks import MGAAttack
 from repro.core.recover import recover_frequencies
 from repro.datasets import ipums_like
 from repro.protocols import make_protocol
-from repro.sim.engine import run_chunked_trial
 from repro.sim.experiment import RunContext, evaluate_recovery
+from repro.sim.pipeline import run_trial
 
 N_USERS = 20_000
 DATASET = ipums_like(num_users=N_USERS)
@@ -120,7 +120,9 @@ def test_engine_chunked_memory_bound(benchmark):
     proto = make_protocol("oue", epsilon=0.5, domain_size=full.domain_size)
     attack = MGAAttack(domain_size=full.domain_size, r=10, rng=0)
     trial = benchmark.pedantic(
-        lambda: run_chunked_trial(full, proto, attack, beta=0.05, rng=1, chunk_users=65_536),
+        lambda: run_trial(
+            full, proto, attack, beta=0.05, mode="chunked", rng=1, chunk_users=65_536
+        ),
         rounds=1,
         iterations=1,
     )

@@ -73,8 +73,9 @@ key-value recovery (``--exhibit kv``), heavy-hitter promotion/repair
 (``--exhibit heavyhitter``), evolving populations (``--exhibit epochs``)
 and the defense shoot-out (``--exhibit defenses``) — is one entry of the
 registry :data:`repro.sim.scenarios.EXHIBITS`.  The ``run``/``shard``
-choices, the ``list`` text and the ``--chunk-users`` note all derive
-from it, so adding an exhibit is one registration
+choices, the ``list`` text and the notes on an ignored ``--chunk-users``
+or ``--olh-cohort`` all derive from it, so adding an exhibit is one
+registration
 (:func:`repro.sim.scenarios.register_scenario`).
 
 Library errors (:class:`~repro.exceptions.ReproError`, e.g. an invalid
@@ -104,16 +105,18 @@ from repro.sim.shard import (
 )
 
 
+#: Why an exhibit that does not consume a sweep flag ignores it.
+_IGNORED_FLAG_REASONS = {
+    "chunk_users": "this exhibit never runs the chunked report-level simulation",
+    "olh_cohort": "this exhibit never draws OLH reports from seed cohorts",
+}
+
+
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     """The :class:`SweepConfig` described by parsed ``run``/``shard`` flags
-    (noting on stderr a ``--chunk-users`` the exhibit ignores)."""
-    if args.chunk_users is not None and "chunk_users" not in EXHIBITS[args.figure].consumes:
-        print(
-            f"note: --chunk-users is ignored for {args.figure} "
-            f"(this exhibit never runs the chunked report-level simulation)",
-            file=sys.stderr,
-        )
-    return SweepConfig(
+    (noting on stderr a ``--chunk-users`` or ``--olh-cohort`` the exhibit
+    ignores, once the config has accepted its value)."""
+    config = SweepConfig(
         figure=args.figure,
         dataset=args.dataset,
         parameter=args.parameter,
@@ -127,6 +130,13 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
         max_trials=args.max_trials,
         trial_batch=args.trial_batch,
     )
+    consumes = EXHIBITS[config.figure].consumes
+    for option, reason in _IGNORED_FLAG_REASONS.items():
+        if getattr(config, option) is not None and option not in consumes:
+            flag = "--" + option.replace("_", "-")
+            print(f"note: {flag} is ignored for {config.figure} ({reason})", file=sys.stderr)
+    return config
+
 
 def _list_command(args: argparse.Namespace) -> int:
     """The ``list`` subcommand: every registered exhibit, one per line."""
@@ -194,10 +204,7 @@ def _serve_command(args: argparse.Namespace) -> int:
     if snapshot is not None:
         try:
             service = RecoveryService.restore(
-                snapshot,
-                protocol,
-                chunk_users=args.chunk_users,
-                retain_reports=args.retain_reports,
+                snapshot, protocol, retain_reports=args.retain_reports
             )
         except ReproError as exc:
             print(f"error: cannot resume from snapshot: {exc}", file=sys.stderr)
@@ -209,10 +216,7 @@ def _serve_command(args: argparse.Namespace) -> int:
         )
     else:
         service = RecoveryService(
-            protocol,
-            eta=args.eta,
-            chunk_users=args.chunk_users,
-            retain_reports=args.retain_reports,
+            protocol, eta=args.eta, retain_reports=args.retain_reports
         )
     run_server(service, host=args.host, port=args.port, snapshot_store=store)
     return 0
@@ -473,9 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="OLH/BLH only: draw hash keys from cohorts of this "
                             "many shared seeds per ingest batch (enables the "
                             "grouped O(K*d + n) aggregation path)")
-    serve.add_argument("--chunk-users", type=int, default=None, dest="chunk_users",
-                       help="reports folded per slice during ingest (bounds "
-                            "transient memory; cannot change results)")
     serve.add_argument("--retain-reports", action="store_true", dest="retain_reports",
                        help="keep raw reports in memory so the detection view "
                             "is available (O(total reports) memory)")

@@ -35,11 +35,11 @@ import numpy as np
 from repro._rng import RngLike, as_generator
 from repro.exceptions import InvalidParameterError, ProtocolError
 
-#: Default number of reports folded per slice by
-#: :meth:`FrequencyOracle.fold_support_counts` (and therefore by the
-#: engine's chunked aggregation, which re-exports this constant).  At
-#: OUE's worst case one slice materializes ``DEFAULT_CHUNK_USERS * d``
-#: booleans, which is the transient-memory bound the engine budgets for.
+#: Reports per slice of :meth:`FrequencyOracle.fold_support_counts`, and
+#: the default users per chunk of ``mode="chunked"`` trials
+#: (:func:`repro.sim.pipeline.run_trial`).  At OUE's worst case one slice
+#: materializes ``DEFAULT_CHUNK_USERS * d`` booleans, which bounds a
+#: fold's transient memory whatever the batch size.
 DEFAULT_CHUNK_USERS = 131_072
 
 #: Wire dtypes :func:`decode_array` accepts.  Report batches only ever
@@ -246,38 +246,14 @@ class FrequencyOracle(ABC):
         report that "matches the target items".
         """
 
-    #: Reports scanned per slice by the default :meth:`target_support_counts`
-    #: fallback, bounding each :meth:`reports_supporting_any` pass to one
-    #: slice of the batch regardless of the total report count.
-    SCAN_CHUNK_REPORTS: ClassVar[int] = 65_536
-
+    @abstractmethod
     def target_support_counts(self, reports: Any, items: Sequence[int]) -> np.ndarray:
         """Per-report count of how many of ``items`` the report supports.
 
         Backs the threshold-based Detection baseline: a report supporting
         many target items at once carries the signature of a crafted MGA
-        report.  The default implementation scans the batch in slices of
-        at most :data:`SCAN_CHUNK_REPORTS` reports (via
-        :meth:`slice_reports`) and runs one :meth:`reports_supporting_any`
-        pass per item within each slice, so its transient memory is
-        bounded by one slice's scan even when a subclass's per-item pass
-        materializes per-report state; subclasses override with vector
-        code.
+        report.
         """
-        idx = np.asarray(list(items), dtype=np.int64)
-        n = self.num_reports(reports)
-        counts = np.zeros(n, dtype=np.int64)
-        if idx.size == 0 or n == 0:
-            return counts
-        chunk = max(1, self.SCAN_CHUNK_REPORTS)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            sub = self.slice_reports(reports, start, stop)
-            for item in idx:
-                counts[start:stop] += self.reports_supporting_any(
-                    sub, [int(item)]
-                ).astype(np.int64)
-        return counts
 
     def select_reports(self, reports: Any, mask: np.ndarray) -> Any:
         """Keep only the reports where ``mask`` is True."""
@@ -307,16 +283,13 @@ class FrequencyOracle(ABC):
             raise ProtocolError(f"masks must have shape (k, {n}), got {rows.shape}")
         return rows
 
+    @abstractmethod
     def slice_reports(self, reports: Any, start: int, stop: int) -> Any:
         """The contiguous sub-batch ``reports[start:stop]``.
 
-        Chunked aggregation walks batches through this, so it must cost
-        O(stop - start); the default routes through :meth:`select_reports`
-        with a mask (O(n)) and subclasses override with direct slicing.
+        :meth:`fold_support_counts` walks batches through this, so it must
+        cost O(stop - start).
         """
-        mask = np.zeros(self.num_reports(reports), dtype=bool)
-        mask[start:stop] = True
-        return self.select_reports(reports, mask)
 
     def max_report_support(self) -> int:
         """Largest number of items a single report can support.
@@ -341,19 +314,16 @@ class FrequencyOracle(ABC):
         """
         return np.zeros(self.domain_size, dtype=np.int64)
 
-    def fold_support_counts(
-        self, state: np.ndarray, reports: Any, chunk_users: int | None = None
-    ) -> np.ndarray:
+    def fold_support_counts(self, state: np.ndarray, reports: Any) -> np.ndarray:
         """Fold one report batch into explicit ``state``, slice by slice.
 
         ``state`` is a partial-sum vector from :meth:`init_support_state`
         (or a previous fold); it is updated in place and returned.
-        ``reports`` is walked through :meth:`slice_reports` in slices of at
-        most ``chunk_users`` reports (default :data:`DEFAULT_CHUNK_USERS`),
-        so peak transient memory is one slice's worth regardless of the
-        batch size (OLH's per-user scan is further bounded by its fixed
-        hash tile), and any split of the same reports folds to byte-equal
-        counts.
+        ``reports`` is walked through :meth:`slice_reports` in slices of
+        :data:`DEFAULT_CHUNK_USERS` reports, so peak transient memory is
+        one slice's worth regardless of the batch size (OLH's per-user
+        scan is further bounded by its fixed hash tile), and any split of
+        the same reports folds to byte-equal counts.
         """
         arr = np.asarray(state)
         if arr.shape != (self.domain_size,) or arr.dtype != np.int64:
@@ -361,9 +331,7 @@ class FrequencyOracle(ABC):
                 f"state must be an int64 vector of shape ({self.domain_size},), "
                 f"got shape {arr.shape} and dtype {arr.dtype}"
             )
-        chunk = DEFAULT_CHUNK_USERS if chunk_users is None else int(chunk_users)
-        if chunk < 1:
-            raise InvalidParameterError(f"chunk_users must be >= 1, got {chunk_users}")
+        chunk = DEFAULT_CHUNK_USERS
         n = self.num_reports(reports)
         for start in range(0, n, chunk):
             arr += self.support_counts(

@@ -19,9 +19,9 @@ does for cached cells.
 
 Every number the service produces is byte-equal to the batch pipeline on
 the same reports: ingest folds through
-:meth:`repro.protocols.base.FrequencyOracle.fold_support_counts` (the
-same arithmetic as ``chunked_support_counts``) and the views call the
-exact recovery functions the exhibits use.
+:meth:`repro.protocols.base.FrequencyOracle.fold_support_counts` (a sum
+over reports, so equal to one ``support_counts`` pass over the epoch) and
+the views call the exact recovery functions the exhibits use.
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ class RecoveryService:
     eta:
         LDPRecover's frequency-sum tuning parameter (paper Section V-D),
         default :data:`repro.core.recover.DEFAULT_ETA`.
-    chunk_users:
-        Per-fold slice bound handed to the streaming kernel, like the
-        engine knob of the same name.  Execution-only.
     retain_reports:
         Keep every ingested batch in memory (O(total reports)) so the
         ``detection`` view — which must rescan raw reports — is
@@ -116,13 +113,12 @@ class RecoveryService:
         self,
         protocol: FrequencyOracle,
         eta: float = DEFAULT_ETA,
-        chunk_users: Optional[int] = None,
         retain_reports: bool = False,
     ) -> None:
         self.protocol = protocol
         self.eta = float(eta)
         self.retain_reports = bool(retain_reports)
-        self.state = AggregatorState(protocol, chunk_users=chunk_users)
+        self.state = AggregatorState(protocol)
         #: Counts actual recovery recomputations (cache misses); warm
         #: reads leave it untouched, which tests assert directly.
         self.recomputes = CallCounter()
@@ -312,7 +308,6 @@ class RecoveryService:
         cls,
         snapshot: dict[str, Any],
         protocol: FrequencyOracle,
-        chunk_users: Optional[int] = None,
         retain_reports: bool = False,
     ) -> "RecoveryService":
         """Resume a service from a :meth:`snapshot` dict.
@@ -331,12 +326,9 @@ class RecoveryService:
         service = cls(
             protocol,
             eta=float(snapshot.get("eta", DEFAULT_ETA)),
-            chunk_users=chunk_users,
             retain_reports=retain_reports,
         )
-        service.state = AggregatorState.restore(
-            snapshot["aggregator"], protocol, chunk_users=chunk_users
-        )
+        service.state = AggregatorState.restore(snapshot["aggregator"], protocol)
         service.ingested_reports = int(snapshot.get("ingested_reports", 0))
         service.ingested_batches = int(snapshot.get("ingested_batches", 0))
         return service

@@ -57,8 +57,8 @@ import numpy as np
 from repro.attacks.base import PoisoningAttack
 from repro.datasets.base import Dataset
 from repro.exceptions import InvalidParameterError
-from repro.protocols.base import FrequencyOracle
-from repro.sim.engine import DEFAULT_CHUNK_USERS, MetricStats, Welford
+from repro.protocols.base import DEFAULT_CHUNK_USERS, FrequencyOracle
+from repro.sim.engine import MetricStats, Welford
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiment -> cache)
     from repro.sim.experiment import RecoveryEvaluation
@@ -236,7 +236,7 @@ def resolved_cohort_chunk(
     of shared seeds, so the chunk schedule shapes the report correlation
     structure (and hence estimate variance).  For those cells this returns
     the *resolved* chunk size (``chunk_users`` or
-    :data:`~repro.sim.engine.DEFAULT_CHUNK_USERS`) so it enters the key;
+    :data:`~repro.protocols.base.DEFAULT_CHUNK_USERS`) so it enters the key;
     for every other cell it returns ``None`` and the key stays
     chunk-invariant.
     """

@@ -17,10 +17,6 @@ is the execution substrate for that grid:
 * **Streaming metric accumulation** — :class:`Welford` keeps running
   mean/variance/count per metric instead of materializing per-trial metric
   lists, so cells can report confidence intervals at no extra memory cost.
-* **Chunked trial simulation** — :func:`run_chunked_trial` perturbs and
-  aggregates genuine users in bounded-memory chunks of ``support_counts``
-  partial sums, so report-level OUE/SUE simulations of tens of millions of
-  users fit in RAM (an ``(n, d)`` boolean report matrix never exists).
 
 :func:`run_trials` is every cell's trial step — fixed-budget through
 :func:`parallel_map`, or adaptive through :func:`run_adaptive_trials`.
@@ -44,16 +40,15 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequen
 
 import numpy as np
 
-from repro._rng import RngLike, as_generator
 from repro.attacks.base import PoisoningAttack
 from repro.core.detection import detect_and_aggregate
 from repro.core.recover import recover_frequencies
 from repro.datasets.base import Dataset
 from repro.exceptions import InvalidParameterError, ReproError
-from repro.protocols.base import DEFAULT_CHUNK_USERS, FrequencyOracle
+from repro.protocols.base import FrequencyOracle
 from repro.sim.metrics import frequency_gain, mse
 from repro.sim.outliers import top_increase_items
-from repro.sim.pipeline import SimulationMode, TrialResult, malicious_count, run_trial
+from repro.sim.pipeline import SimulationMode, TrialResult, run_trial
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -603,167 +598,6 @@ def parallel_map(
 
 
 # ----------------------------------------------------------------------
-# Chunked (bounded-memory) simulation
-# ----------------------------------------------------------------------
-def _validate_chunk(chunk_users: Optional[int]) -> int:
-    chunk = DEFAULT_CHUNK_USERS if chunk_users is None else int(chunk_users)
-    if chunk < 1:
-        raise InvalidParameterError(f"chunk_users must be >= 1, got {chunk_users}")
-    return chunk
-
-
-def chunked_support_counts(
-    protocol: FrequencyOracle, reports: Any, chunk_users: Optional[int] = None
-) -> np.ndarray:
-    """Aggregate a report batch chunk by chunk into ``support_counts``.
-
-    A one-shot fold through the protocol's explicit-state streaming kernel
-    (:meth:`~repro.protocols.base.FrequencyOracle.fold_support_counts`):
-    equals ``protocol.support_counts(reports)`` exactly (support counting
-    is a sum over reports), including when the batch size is not divisible
-    by ``chunk_users`` (default :data:`DEFAULT_CHUNK_USERS`); peak
-    transient memory is one chunk's worth.
-    """
-    chunk = _validate_chunk(chunk_users)
-    return protocol.fold_support_counts(
-        protocol.init_support_state(), reports, chunk_users=chunk
-    )
-
-
-def chunked_genuine_counts(
-    protocol: FrequencyOracle,
-    true_counts: np.ndarray,
-    rng: RngLike = None,
-    chunk_users: Optional[int] = None,
-) -> np.ndarray:
-    """Exact report-level genuine aggregation in bounded memory.
-
-    Splits the population histogram ``true_counts`` into chunk-sized
-    sub-histograms by sampling without replacement off ``rng``
-    (multivariate hypergeometric), perturbs each chunk's users with
-    ``protocol`` and accumulates ``support_counts`` partial sums.  Because
-    aggregation is permutation-invariant and the chunks partition the
-    population uniformly at random, for per-user-seed protocols the
-    result is distributed exactly as the unchunked
-    ``support_counts(perturb(items))`` while the live report batch never
-    exceeds ``chunk_users`` rows (default :data:`DEFAULT_CHUNK_USERS`).
-    The exception is a cohort-mode oracle (``OLH(cohort=K)``): each chunk
-    draws its own fresh cohort, so the chunk schedule shapes the report
-    correlation structure (per-user marginals are unchanged, joint
-    distribution is not) — which is why
-    :func:`repro.sim.cache.resolved_cohort_chunk` puts the resolved chunk
-    size into those cells' cache keys.  For a cohort-mode OLH oracle every
-    chunk draws a fresh cohort of shared seeds, which is what makes its
-    grouped O(K*d + n) aggregation apply per chunk.
-    """
-    gen = as_generator(rng)
-    chunk = _validate_chunk(chunk_users)
-    remaining = np.asarray(true_counts, dtype=np.int64).copy()
-    d = remaining.size
-    total = np.zeros(d, dtype=np.int64)
-    left = int(remaining.sum())
-    while left > 0:
-        take = min(chunk, left)
-        sub = gen.multivariate_hypergeometric(remaining, take).astype(np.int64)
-        remaining -= sub
-        left -= take
-        items = np.repeat(np.arange(d, dtype=np.int64), sub)
-        total += protocol.support_counts(protocol.perturb(items, gen))
-    return total
-
-
-def chunked_malicious_counts(
-    protocol: FrequencyOracle,
-    attack: PoisoningAttack,
-    m: int,
-    rng: RngLike = None,
-    chunk_users: Optional[int] = None,
-) -> np.ndarray:
-    """Craft and aggregate ``m`` malicious reports in bounded chunks.
-
-    ``attack`` crafts reports for ``protocol`` in batches of at most
-    ``chunk_users`` (default :data:`DEFAULT_CHUNK_USERS`) drawing off
-    ``rng``: malicious reports are normally i.i.d. draws from the
-    attacker's report distribution (the adaptive-attack contract of
-    Section V-C), so crafting in chunks is statistically identical to one
-    crafted batch.  Attacks
-    that declare ``iid_reports = False`` (e.g. :class:`MultiAttacker`'s
-    deterministic weight split, which re-rounds shares per call and would
-    starve low-weight attackers) are crafted in a **single batch** instead
-    and only the support counting is chunked: the crafted reports
-    materialize once, so the memory high-water mark for those attacks is
-    the full ``m``-report batch itself (``m x d`` booleans for OUE, O(m)
-    pairs for OLH/GRR) plus one chunk's scan — *not* bounded by
-    ``chunk_users``.  ``m`` is a ``beta`` fraction of the population.
-    """
-    gen = as_generator(rng)
-    chunk = _validate_chunk(chunk_users)
-    if not getattr(attack, "iid_reports", True):
-        return chunked_support_counts(protocol, attack.craft(protocol, m, gen), chunk)
-    total = np.zeros(protocol.domain_size, dtype=np.int64)
-    for start in range(0, m, chunk):
-        take = min(chunk, m - start)
-        total += protocol.support_counts(attack.craft(protocol, take, gen))
-    return total
-
-
-def run_chunked_trial(
-    dataset: Dataset,
-    protocol: FrequencyOracle,
-    attack: Optional[PoisoningAttack] = None,
-    beta: float = 0.05,
-    rng: RngLike = None,
-    chunk_users: Optional[int] = None,
-) -> TrialResult:
-    """One poisoning round via the exact report-level path, chunked.
-
-    Semantics of ``run_trial(mode="sampled")`` — every genuine user of
-    ``dataset`` perturbs through ``protocol`` and ``attack`` (if any, at
-    malicious fraction ``beta``) genuinely crafts, all drawing off ``rng``
-    — but reports are aggregated chunk by chunk and never retained, so
-    the memory high-water mark is ``O(chunk_users * d)`` instead of
-    ``O(n * d)`` for the genuine phase and for i.i.d.-crafting attacks.
-    Attacks with ``iid_reports = False`` (e.g. ``MultiAttacker``) craft
-    their full ``m``-report batch up front (see
-    :func:`chunked_malicious_counts`), so the malicious phase of those
-    cells peaks at the crafted batch size — ``m x d`` booleans for OUE —
-    before chunked aggregation resumes the bound.  Raw reports are
-    consequently unavailable (``reports is None``), which rules out
-    report-level defenses.
-    """
-    if dataset.domain_size != protocol.domain_size:
-        raise InvalidParameterError(
-            f"dataset domain size {dataset.domain_size} != protocol domain size "
-            f"{protocol.domain_size}"
-        )
-    gen = as_generator(rng)
-    n = dataset.num_users
-    m = malicious_count(n, beta) if attack is not None else 0
-
-    genuine_counts = chunked_genuine_counts(protocol, dataset.counts, gen, chunk_users)
-    genuine_freq = protocol.estimate_frequencies(genuine_counts, n)
-
-    if m > 0 and attack is not None:
-        malicious_counts = chunked_malicious_counts(protocol, attack, m, gen, chunk_users)
-        malicious_freq = protocol.estimate_frequencies(malicious_counts, m)
-        poisoned_freq = protocol.estimate_frequencies(
-            genuine_counts + malicious_counts, n + m
-        )
-    else:
-        malicious_freq = None
-        poisoned_freq = genuine_freq
-
-    return TrialResult(
-        true_frequencies=dataset.frequencies,
-        genuine_frequencies=genuine_freq,
-        poisoned_frequencies=poisoned_freq,
-        malicious_frequencies=malicious_freq,
-        n=n,
-        m=m,
-    )
-
-
-# ----------------------------------------------------------------------
 # Per-trial metric computation (the worker body)
 # ----------------------------------------------------------------------
 def resolve_star_targets(
@@ -876,7 +710,6 @@ __all__ = [
     "AdaptiveOutcome",
     "BLOCK_CLAIM_POLL_SECONDS",
     "CallCounter",
-    "DEFAULT_CHUNK_USERS",
     "MetricStats",
     "TASK_COUNTER",
     "TrialBlockStore",
@@ -885,14 +718,10 @@ __all__ = [
     "Welford",
     "aggregate_metrics",
     "available_cpu_count",
-    "chunked_genuine_counts",
-    "chunked_malicious_counts",
-    "chunked_support_counts",
     "parallel_map",
     "resolve_star_targets",
     "resolve_workers",
     "run_adaptive_trials",
-    "run_chunked_trial",
     "run_scope",
     "run_trials",
     "trial_metrics",

@@ -6,6 +6,13 @@ frequency vector.  The result carries every intermediate vector needed by
 the metrics and recovery methods, plus (in ``sampled`` mode) the raw
 reports for report-level defenses (Detection, k-means).
 
+:func:`run_trial` runs all three simulation modes.  ``chunked`` mode
+perturbs and crafts in bounded-memory chunks of ``support_counts``
+partial sums (:func:`chunked_genuine_counts`,
+:func:`chunked_malicious_counts`), so report-level OUE/SUE simulations of
+tens of millions of users fit in RAM (an ``(n, d)`` boolean report matrix
+never exists).
+
 ``beta`` follows the paper: the *fraction of malicious users among all
 users*, ``beta = m / (n + m)``, so ``m = beta * n / (1 - beta)`` for a
 dataset of ``n`` genuine users.
@@ -23,7 +30,7 @@ from repro._rng import RngLike, as_generator
 from repro.attacks.base import PoisoningAttack
 from repro.datasets.base import Dataset
 from repro.exceptions import InvalidParameterError
-from repro.protocols.base import FrequencyOracle, counts_to_items
+from repro.protocols.base import DEFAULT_CHUNK_USERS, FrequencyOracle, counts_to_items
 
 SimulationMode = Literal["fast", "sampled", "chunked"]
 
@@ -88,6 +95,94 @@ class TrialResult:
         return self.m / self.n if self.n else 0.0
 
 
+def _validate_chunk(chunk_users: Optional[int]) -> int:
+    chunk = DEFAULT_CHUNK_USERS if chunk_users is None else int(chunk_users)
+    if chunk < 1:
+        raise InvalidParameterError(f"chunk_users must be >= 1, got {chunk_users}")
+    return chunk
+
+
+def chunked_genuine_counts(
+    protocol: FrequencyOracle,
+    true_counts: np.ndarray,
+    rng: RngLike = None,
+    chunk_users: Optional[int] = None,
+) -> np.ndarray:
+    """Exact report-level genuine aggregation in bounded memory.
+
+    Splits the population histogram ``true_counts`` into chunk-sized
+    sub-histograms by sampling without replacement off ``rng``
+    (multivariate hypergeometric), perturbs each chunk's users with
+    ``protocol`` and accumulates ``support_counts`` partial sums.  Because
+    aggregation is permutation-invariant and the chunks partition the
+    population uniformly at random, for per-user-seed protocols the
+    result is distributed exactly as the unchunked
+    ``support_counts(perturb(items))`` while the live report batch never
+    exceeds ``chunk_users`` rows (default :data:`DEFAULT_CHUNK_USERS`).
+    The exception is a cohort-mode oracle (``OLH(cohort=K)``): each chunk
+    draws its own fresh cohort, so the chunk schedule shapes the report
+    correlation structure (per-user marginals are unchanged, joint
+    distribution is not) — which is why
+    :func:`repro.sim.cache.resolved_cohort_chunk` puts the resolved chunk
+    size into those cells' cache keys.  For a cohort-mode OLH oracle every
+    chunk draws a fresh cohort of shared seeds, which is what makes its
+    grouped O(K*d + n) aggregation apply per chunk.
+    """
+    gen = as_generator(rng)
+    chunk = _validate_chunk(chunk_users)
+    remaining = np.asarray(true_counts, dtype=np.int64).copy()
+    d = remaining.size
+    total = np.zeros(d, dtype=np.int64)
+    left = int(remaining.sum())
+    while left > 0:
+        take = min(chunk, left)
+        sub = gen.multivariate_hypergeometric(remaining, take).astype(np.int64)
+        remaining -= sub
+        left -= take
+        items = np.repeat(np.arange(d, dtype=np.int64), sub)
+        total += protocol.support_counts(protocol.perturb(items, gen))
+    return total
+
+
+def chunked_malicious_counts(
+    protocol: FrequencyOracle,
+    attack: PoisoningAttack,
+    m: int,
+    rng: RngLike = None,
+    chunk_users: Optional[int] = None,
+) -> np.ndarray:
+    """Craft and aggregate ``m`` malicious reports in bounded chunks.
+
+    ``attack`` crafts reports for ``protocol`` in batches of at most
+    ``chunk_users`` (default :data:`DEFAULT_CHUNK_USERS`) drawing off
+    ``rng``: malicious reports are normally i.i.d. draws from the
+    attacker's report distribution (the adaptive-attack contract of
+    Section V-C), so crafting in chunks is statistically identical to one
+    crafted batch.  Attacks
+    that declare ``iid_reports = False`` (e.g. :class:`MultiAttacker`'s
+    deterministic weight split, which re-rounds shares per call and would
+    starve low-weight attackers) are crafted in a **single batch** instead
+    and folded through
+    :meth:`~repro.protocols.base.FrequencyOracle.fold_support_counts`:
+    the crafted reports materialize once, so the memory high-water mark
+    for those attacks is the full ``m``-report batch itself (``m x d``
+    booleans for OUE, O(m) pairs for OLH/GRR) plus one fold slice's scan
+    — *not* bounded by ``chunk_users``.  ``m`` is a ``beta`` fraction of
+    the population.
+    """
+    gen = as_generator(rng)
+    chunk = _validate_chunk(chunk_users)
+    if not getattr(attack, "iid_reports", True):
+        return protocol.fold_support_counts(
+            protocol.init_support_state(), attack.craft(protocol, m, gen)
+        )
+    total = np.zeros(protocol.domain_size, dtype=np.int64)
+    for start in range(0, m, chunk):
+        take = min(chunk, m - start)
+        total += protocol.support_counts(attack.craft(protocol, take, gen))
+    return total
+
+
 def run_trial(
     dataset: Dataset,
     protocol: FrequencyOracle,
@@ -113,28 +208,28 @@ def run_trial(
         ``"fast"`` draws genuine aggregated counts from their marginal
         laws (milliseconds at paper scale); ``"sampled"`` materializes
         every report (needed by Detection / k-means defenses);
-        ``"chunked"`` runs the exact report-level simulation in
-        bounded-memory chunks without retaining reports (see
-        :func:`repro.sim.engine.run_chunked_trial`).
+        ``"chunked"`` has the semantics of ``"sampled"`` but aggregates
+        genuine reports with :func:`chunked_genuine_counts` and malicious
+        ones with :func:`chunked_malicious_counts`, retaining none
+        (``reports is None``, which rules out report-level defenses).  Its
+        memory high-water mark is ``O(chunk_users * d)`` instead of
+        ``O(n * d)``, except that attacks with ``iid_reports = False``
+        (e.g. ``MultiAttacker``) craft their full ``m``-report batch at
+        once.
     rng:
-        Seed or generator for the whole trial.
+        Seed or generator for the whole trial; genuine users draw first,
+        then the attacker.
     chunk_users:
         Users simulated per chunk in ``"chunked"`` mode (default
-        :data:`repro.sim.engine.DEFAULT_CHUNK_USERS`); rejected in the
-        other modes, which never chunk.
+        :data:`~repro.protocols.base.DEFAULT_CHUNK_USERS`); rejected in
+        the other modes, which never chunk.
     """
     if dataset.domain_size != protocol.domain_size:
         raise InvalidParameterError(
             f"dataset domain size {dataset.domain_size} != protocol domain size "
             f"{protocol.domain_size}"
         )
-    if mode == "chunked":
-        from repro.sim.engine import run_chunked_trial
-
-        return run_chunked_trial(
-            dataset, protocol, attack, beta=beta, rng=rng, chunk_users=chunk_users
-        )
-    if chunk_users is not None:
+    if chunk_users is not None and mode != "chunked":
         raise InvalidParameterError(
             f"chunk_users only applies to mode='chunked', got mode={mode!r}"
         )
@@ -149,14 +244,22 @@ def run_trial(
         genuine_counts = protocol.support_counts(genuine_reports)
     elif mode == "fast":
         genuine_counts = protocol.sample_genuine_counts(dataset.counts, gen)
+    elif mode == "chunked":
+        genuine_counts = chunked_genuine_counts(protocol, dataset.counts, gen, chunk_users)
     else:
-        raise InvalidParameterError(f"mode must be 'fast' or 'sampled', got {mode!r}")
+        raise InvalidParameterError(
+            f"mode must be 'fast', 'sampled' or 'chunked', got {mode!r}"
+        )
 
     genuine_freq = protocol.estimate_frequencies(genuine_counts, n)
 
     if m > 0 and attack is not None:
-        malicious_reports = attack.craft(protocol, m, gen)
-        malicious_counts = protocol.support_counts(malicious_reports)
+        if mode == "chunked":
+            malicious_reports = None
+            malicious_counts = chunked_malicious_counts(protocol, attack, m, gen, chunk_users)
+        else:
+            malicious_reports = attack.craft(protocol, m, gen)
+            malicious_counts = protocol.support_counts(malicious_reports)
         malicious_freq = protocol.estimate_frequencies(malicious_counts, m)
         total_counts = genuine_counts + malicious_counts
         poisoned_freq = protocol.estimate_frequencies(total_counts, n + m)

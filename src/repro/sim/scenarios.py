@@ -23,10 +23,11 @@ experiment stack:
   figures of :mod:`repro.sim.figures` first, each an :class:`Exhibit`
   naming its generator and the optional sweep fields it consumes.
   :class:`repro.sim.shard.SweepConfig` derives its dispatch and digests
-  from it and the CLI its choices, ``list`` text and ``--chunk-users``
-  note, so ``ldprecover run --exhibit kv`` and ``shard
-  run|status|merge`` treat a scenario exactly like a paper figure, and a
-  sharded sweep merges bit-identical to the unsharded run.
+  from it and the CLI its choices, ``list`` text and the notes on an
+  ignored ``--chunk-users``/``--olh-cohort``, so ``ldprecover run
+  --exhibit kv`` and ``shard run|status|merge`` treat a scenario exactly
+  like a paper figure, and a sharded sweep merges bit-identical to the
+  unsharded run.
 
 Adding an exhibit is one :class:`Exhibit` registration
 (:func:`register_scenario`), not a fork of :mod:`repro.sim.figures` or of
@@ -644,7 +645,6 @@ class _EpochTask:
     drift: float
     eta: float
     collectors: int
-    chunk_users: Optional[int]
     seed: np.random.SeedSequence
 
 
@@ -668,11 +668,8 @@ def _epoch_trial(task: _EpochTask) -> dict[str, float]:
     num_epochs = scheduled.num_epochs
     streams = spawn(gen, num_epochs + 1)
     drift_gen, epoch_gens = streams[0], streams[1:]
-    service = RecoveryService(protocol, eta=task.eta, chunk_users=task.chunk_users)
-    states = [
-        AggregatorState(protocol, chunk_users=task.chunk_users)
-        for _ in range(task.collectors)
-    ]
+    service = RecoveryService(protocol, eta=task.eta)
+    states = [AggregatorState(protocol) for _ in range(task.collectors)]
     targets = [int(t) for t in np.asarray(scheduled.target_items)]
     current = task.dataset
     truths: list[np.ndarray] = []
@@ -739,7 +736,6 @@ def epochs_rows(
     num_users: Optional[int] = None,
     trials: int = 5,
     rng: RngLike = 13,
-    chunk_users: Optional[int] = None,
     ctx: RunContext = RunContext(),
 ) -> list[dict[str, object]]:
     """Scenario ``epochs``: per-epoch recovery quality under drift + schedules.
@@ -757,9 +753,7 @@ def epochs_rows(
     numbers a live deployment would serve, cached/sharded like any batch
     cell.  ``num_users`` sizes each epoch's genuine population (``None``
     = 20k), ``trials`` rounds average per cell, ``rng`` seeds the cells,
-    ``chunk_users`` bounds the streaming fold's slice size
-    (execution-only: it cannot change results and stays out of cache
-    keys), and ``ctx`` runs the cells (workers, cache, budget).
+    and ``ctx`` runs the cells (workers, cache, budget).
     """
     dataset = load_dataset(
         "ipums", _EPOCH_DEFAULT_USERS if num_users is None else int(num_users)
@@ -806,7 +800,6 @@ def epochs_rows(
                 drift=EPOCH_DRIFT,
                 eta=DEFAULT_ETA,
                 collectors=collectors,
-                chunk_users=chunk_users,
                 seed=seed,
             ),
             lambda stats: {
@@ -1035,7 +1028,7 @@ class Exhibit:
     :class:`repro.sim.shard.SweepConfig` forwards only consumed fields and
     keeps only them in its digest, so a worker passing a flag its
     exhibit ignores still reports under the same sweep digest, and the
-    CLI notes an ignored ``--chunk-users``.
+    CLI notes an ignored ``--chunk-users`` or ``--olh-cohort``.
     """
 
     name: str
@@ -1056,8 +1049,8 @@ _CHUNKED_COHORT = ("chunk_users", "olh_cohort")
 
 #: Every dispatchable exhibit by name, paper figures first:
 #: :class:`repro.sim.shard.SweepConfig` and the CLI derive their exhibit
-#: choices, dispatch, digests, ``list`` text and ``--chunk-users`` note
-#: from here.
+#: choices, dispatch, digests, ``list`` text and ignored-flag notes from
+#: here.
 EXHIBITS: dict[str, Exhibit] = {
     exhibit.name: exhibit
     for exhibit in (
@@ -1114,7 +1107,6 @@ EXHIBITS: dict[str, Exhibit] = {
             "evolving-population recovery per epoch under drift and "
             "mid-stream attack schedules, streamed through the recovery service",
             epochs_rows,
-            ("chunk_users",),
         ),
         Exhibit(
             "defenses",

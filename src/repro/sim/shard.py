@@ -134,6 +134,12 @@ class SweepConfig:
                 f"figure must be one of {list(self.exhibit_names())}, "
                 f"got {self.figure!r}"
             )
+        # Checked here, not where a trial first reads them, so a warm cache
+        # cannot serve rows for an out-of-range value.
+        for option in ("chunk_users", "olh_cohort"):
+            value = getattr(self, option)
+            if value is not None and value < 1:
+                raise InvalidParameterError(f"{option} must be >= 1, got {value}")
         self.budget()  # surface inconsistent budget knobs at construction
 
     def budget(self) -> Optional[TrialBudget]:
@@ -190,9 +196,9 @@ class SweepConfig:
         """Short stable id of this sweep's cell-defining fields.
 
         Groups shard reports of the same sweep together, so only fields
-        the chosen ``figure`` actually consumes participate: ``workers``
-        never (it cannot change the cells), and of the
-        :data:`~repro.sim.scenarios.SWEEP_OPTIONS` only those the
+        the chosen ``figure`` actually consumes participate, and a field
+        that cannot change the cells never does: ``workers`` never, and
+        of the :data:`~repro.sim.scenarios.SWEEP_OPTIONS` only those the
         exhibit's registration consumes.  A worker that passes a flag its
         figure ignores (``--dataset fire`` on fig8) therefore still
         reports under the same digest as every other worker of that

@@ -6,9 +6,11 @@ a whole trial's reports first.  This module is the seam between the two:
 an :class:`AggregatorState` folds report batches into incremental
 ``support_counts`` partial sums per epoch through the protocol's
 explicit-state kernel
-(:meth:`repro.protocols.base.FrequencyOracle.fold_support_counts`), the
-exact arithmetic of the engine's chunked paths — so streaming any split of
-the same reports is byte-equal to one batch ``support_counts`` pass.
+(:meth:`repro.protocols.base.FrequencyOracle.fold_support_counts`), which
+walks each batch in slices of
+:data:`~repro.protocols.base.DEFAULT_CHUNK_USERS` reports — so streaming
+any split of the same reports is byte-equal to one batch
+``support_counts`` pass.
 
 State survives restarts and shards:
 
@@ -21,14 +23,13 @@ State survives restarts and shards:
   silently resume under a different protocol configuration.
 
 :mod:`repro.serve` builds the online recovery service on top of this
-state; the engine keeps its one-shot wrappers
-(:func:`repro.sim.engine.chunked_support_counts`) over the same kernel.
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -47,9 +48,8 @@ def protocol_key(protocol: FrequencyOracle) -> str:
     The cache layer's content fingerprint
     (:func:`repro.sim.cache.fingerprint_object` hashed through
     :func:`repro.sim.cache.canonical_key`): the distribution-shaping
-    attributes (``epsilon``, ``domain_size``, OLH's ``cohort``) are in and
-    execution knobs such as ``chunk_users`` are not — exactly the identity
-    under which folded counts are interchangeable.
+    attributes (``epsilon``, ``domain_size``, OLH's ``cohort``) are in —
+    exactly the identity under which folded counts are interchangeable.
     """
     return canonical_key(fingerprint_object(protocol))
 
@@ -75,23 +75,15 @@ class AggregatorState:
 
     One instance is bound to one ``protocol`` configuration; report
     batches fold into per-``epoch`` partial sums via :meth:`ingest`.
-    ``chunk_users`` bounds each fold's transient memory exactly like the
-    engine's knob of the same name (``None`` =
-    :data:`repro.protocols.base.DEFAULT_CHUNK_USERS`); it cannot change
-    results.  Epoch names are free-form strings (a day, an hour bucket, a
+    Epoch names are free-form strings (a day, an hour bucket, a
     collection round) — the paper's aggregator collects one round at a
     time, and recovery runs per round.
     """
 
     protocol: FrequencyOracle
-    chunk_users: Optional[int] = None
     epochs: dict[str, EpochState] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.chunk_users is not None and int(self.chunk_users) < 1:
-            raise InvalidParameterError(
-                f"chunk_users must be >= 1 or None, got {self.chunk_users}"
-            )
         self._protocol_key = protocol_key(self.protocol)
 
     @property
@@ -116,14 +108,13 @@ class AggregatorState:
 
         Byte-equal to having aggregated the epoch's reports in one batch:
         the fold routes through the protocol's explicit-state kernel,
-        which slices ``reports`` to at most ``chunk_users`` at a time, so
-        ingest cost is bounded regardless of batch size.
+        which slices ``reports`` to at most
+        :data:`~repro.protocols.base.DEFAULT_CHUNK_USERS` at a time, so
+        ingest's transient memory is bounded regardless of batch size.
         """
         state = self.epoch(name)
         n = self.protocol.num_reports(reports)
-        self.protocol.fold_support_counts(
-            state.support_counts, reports, chunk_users=self.chunk_users
-        )
+        self.protocol.fold_support_counts(state.support_counts, reports)
         state.num_reports += n
         state.batches += 1
         return n
@@ -178,7 +169,6 @@ class AggregatorState:
         return {
             "format": SNAPSHOT_FORMAT,
             "protocol": self._protocol_key,
-            "chunk_users": self.chunk_users,
             "epochs": {
                 name: {
                     "support_counts": encode_array(self.epochs[name].support_counts),
@@ -190,30 +180,24 @@ class AggregatorState:
         }
 
     @classmethod
-    def restore(
-        cls,
-        snapshot: dict[str, Any],
-        protocol: FrequencyOracle,
-        chunk_users: Optional[int] = None,
-    ) -> "AggregatorState":
+    def restore(cls, snapshot: dict[str, Any], protocol: FrequencyOracle) -> "AggregatorState":
         """Rebuild an aggregator from a :meth:`snapshot` dict.
 
         ``protocol`` must fingerprint to the key recorded in ``snapshot``
         (resuming under a different protocol configuration would silently
-        mix incompatible counts); ``chunk_users`` is execution-only and
-        defaults to the snapshot's recorded value.  Ingesting the
-        not-yet-snapshotted remainder of a stream into the restored state
-        yields byte-equal counts to an uninterrupted run.
+        mix incompatible counts).  Keys the snapshot carries beyond the
+        current layout, such as the fold slice size older snapshots
+        recorded as ``"chunk_users"``, are ignored: they never shaped the
+        counts.  Ingesting the not-yet-snapshotted remainder of a stream
+        into the restored state yields byte-equal counts to an
+        uninterrupted run.
         """
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise InvalidParameterError(
                 f"unsupported snapshot format {snapshot.get('format')!r}; "
                 f"expected {SNAPSHOT_FORMAT}"
             )
-        state = cls(
-            protocol=protocol,
-            chunk_users=snapshot.get("chunk_users") if chunk_users is None else chunk_users,
-        )
+        state = cls(protocol=protocol)
         recorded = snapshot.get("protocol")
         if recorded != state.key:
             raise ProtocolError(
@@ -249,7 +233,7 @@ def fan_in(states: Sequence[AggregatorState]) -> AggregatorState:
     """
     if not states:
         raise InvalidParameterError("fan_in needs at least one aggregator state")
-    merged = AggregatorState(states[0].protocol, chunk_users=states[0].chunk_users)
+    merged = AggregatorState(states[0].protocol)
     for state in states:
         merged.merge(state)
     return merged

@@ -60,7 +60,6 @@ def _burst_task(protocol_name: str, seed: int, num_users: int = 8_000) -> _Epoch
         drift=0.05,
         eta=DEFAULT_ETA,
         collectors=1,
-        chunk_users=None,
         seed=np.random.SeedSequence(seed),
     )
 

@@ -20,8 +20,10 @@ from repro.datasets import zipf_dataset
 from repro.exceptions import InvalidParameterError
 from repro.protocols import GRR, OLH
 from repro.sim.cache import CellCache, canonical_key, evaluation_cell_spec
-from repro.sim.engine import TASK_COUNTER, chunked_genuine_counts
+from repro.sim.engine import TASK_COUNTER
 from repro.sim.experiment import RunContext, evaluate_recovery
+from repro.sim.pipeline import chunked_genuine_counts
+from repro.sim.scenarios import EXHIBITS
 from repro.sim.shard import SweepConfig
 
 D = 16
@@ -113,10 +115,12 @@ class TestCohortEngine:
     @pytest.mark.parametrize("figure", ["fig8", "table1", "heavyhitter"])
     def test_invalid_cohort_rejected_by_fast_mode_exhibits(self, figure, cohort):
         # Their fast cells ignore the cohort, like fig5/fig7/fig10's, and
-        # must reject an invalid size just the same.
-        config = SweepConfig(figure=figure, num_users=2_000, trials=1, olh_cohort=cohort)
+        # must reject an invalid size just the same.  A SweepConfig rejects
+        # it before dispatching to them.
         with pytest.raises(InvalidParameterError, match="cohort"):
-            config.run(None)
+            EXHIBITS[figure].rows(num_users=2_000, trials=1, rng=0, olh_cohort=cohort)
+        with pytest.raises(InvalidParameterError, match="cohort"):
+            SweepConfig(figure=figure, num_users=2_000, trials=1, olh_cohort=cohort)
 
     def test_olh_cohort_requires_cohort_capable_protocol(self):
         with pytest.raises(InvalidParameterError, match="cohort-capable"):

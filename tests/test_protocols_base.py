@@ -155,48 +155,11 @@ class TestCountsToItems:
         np.testing.assert_array_equal(a, b)
 
 
-class TestTargetSupportFallback:
-    """The base-class per-item fallback scans reports chunk-wise."""
-
-    @staticmethod
-    def _fallback_grr():
-        class _FallbackGRR(GRR):
-            """GRR pinned to the base-class target_support_counts fallback,
-            with tiny slices and recorded slice boundaries."""
-
-            SCAN_CHUNK_REPORTS = 7
-            target_support_counts = FrequencyOracle.target_support_counts
-
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.slices: list[tuple[int, int]] = []
-
-            def slice_reports(self, reports, start, stop):
-                """Record the slice then delegate."""
-                self.slices.append((start, stop))
-                return super().slice_reports(reports, start, stop)
-
-        return _FallbackGRR(epsilon=0.5, domain_size=16)
-
-    def test_fallback_matches_vectorized_override_exactly(self, grr, rng):
-        proto = self._fallback_grr()
-        reports = proto.perturb(rng.integers(0, 16, size=101), rng)
-        targets = [0, 3, 9]
-        np.testing.assert_array_equal(
-            proto.target_support_counts(reports, targets),
-            grr.target_support_counts(reports, targets),
-        )
-        # 101 reports at 7 per slice: the batch was walked in 15 slices.
-        assert len(proto.slices) == 15
-        assert proto.slices[0] == (0, 7) and proto.slices[-1] == (98, 101)
-
-    def test_fallback_empty_inputs(self):
-        proto = self._fallback_grr()
-        reports = proto.perturb(np.arange(4, dtype=np.int64))
-        assert proto.target_support_counts(reports, []).shape == (4,)
-        empty = proto.perturb(np.empty(0, dtype=np.int64))
-        assert proto.target_support_counts(empty, [1]).shape == (0,)
-        assert proto.slices == []  # degenerate inputs never slice
+class TestAbstractPrimitives:
+    def test_slicing_and_target_counting_have_no_base_default(self):
+        """Every protocol slices batches and counts target support with its
+        own vector code, so the base class offers no fallback for either."""
+        assert {"slice_reports", "target_support_counts"} <= FrequencyOracle.__abstractmethods__
 
 
 class TestItemValidation:

@@ -491,8 +491,8 @@ class TestServeCLI:
     def test_parser_accepts_serve_flags(self):
         args = build_parser().parse_args([
             "serve", "--protocol", "olh", "--epsilon", "2.0",
-            "--domain-size", "64", "--olh-cohort", "16", "--chunk-users",
-            "4096", "--retain-reports", "--port", "9100",
+            "--domain-size", "64", "--olh-cohort", "16",
+            "--retain-reports", "--port", "9100",
             "--snapshot-dir", "/tmp/snaps", "--resume",
         ])
         assert args.command == "serve"
@@ -500,6 +500,14 @@ class TestServeCLI:
         assert args.olh_cohort == 16
         assert args.retain_reports is True
         assert args.resume is True
+
+    def test_chunk_users_is_not_a_serve_flag(self, capsys):
+        """The fold's slice size is a constant, so ``serve`` has no
+        ``--chunk-users``: argparse rejects it with exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--chunk-users", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --chunk-users 5" in capsys.readouterr().err
 
     def test_cohort_flag_requires_olh(self, capsys):
         code = main([

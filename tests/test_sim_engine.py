@@ -13,20 +13,16 @@ from repro.attacks import AdaptiveAttack, MGAAttack
 from repro.datasets import zipf_dataset
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.protocols import OLH, hashing
-from repro.sim import engine
+from repro.sim import engine, pipeline
 from repro.sim.engine import (
     MetricStats,
     Welford,
     aggregate_metrics,
-    chunked_genuine_counts,
-    chunked_malicious_counts,
-    chunked_support_counts,
     parallel_map,
     resolve_workers,
-    run_chunked_trial,
 )
 from repro.sim.experiment import RunContext, evaluate_recovery
-from repro.sim.pipeline import run_trial
+from repro.sim.pipeline import chunked_genuine_counts, chunked_malicious_counts, run_trial
 
 D = 16
 DATASET = zipf_dataset(domain_size=D, num_users=10_000, exponent=1.0, rng=8)
@@ -311,41 +307,11 @@ class TestParallelDeterminism:
         assert ev.ci95("nonexistent") is None
 
 
-class TestChunkedSupportCounts:
-    """Chunked aggregation must equal the unchunked path exactly."""
-
-    N = 1_037  # deliberately not divisible by the chunk size
-
-    @pytest.mark.parametrize("chunk", [100, 256, 1_037, 5_000])
-    def test_oue_equals_unchunked(self, oue, chunk):
-        items = np.random.default_rng(3).integers(0, D, size=self.N)
-        reports = oue.perturb(items, np.random.default_rng(4))
-        np.testing.assert_array_equal(
-            chunked_support_counts(oue, reports, chunk), oue.support_counts(reports)
-        )
-
-    @pytest.mark.parametrize("chunk", [100, 256, 1_037, 5_000])
-    def test_olh_equals_unchunked(self, olh, chunk):
-        items = np.random.default_rng(3).integers(0, D, size=self.N)
-        reports = olh.perturb(items, np.random.default_rng(4))
-        np.testing.assert_array_equal(
-            chunked_support_counts(olh, reports, chunk), olh.support_counts(reports)
-        )
-
-    def test_grr_equals_unchunked(self, grr):
-        items = np.random.default_rng(3).integers(0, D, size=self.N)
-        reports = grr.perturb(items, np.random.default_rng(4))
-        np.testing.assert_array_equal(
-            chunked_support_counts(grr, reports, 64), grr.support_counts(reports)
-        )
-
-    def test_invalid_chunk(self, oue):
-        reports = oue.perturb(np.zeros(4, dtype=np.int64), 0)
-        with pytest.raises(InvalidParameterError):
-            chunked_support_counts(oue, reports, 0)
-
-
 class TestChunkedGenuineCounts:
+    def test_invalid_chunk(self, oue):
+        with pytest.raises(InvalidParameterError):
+            chunked_genuine_counts(oue, DATASET.counts, rng=0, chunk_users=0)
+
     def test_population_conserved_for_grr(self, grr):
         # Every GRR report supports exactly one item, so the chunked total
         # must conserve the population even across ragged chunk boundaries.
@@ -364,21 +330,8 @@ class TestChunkedGenuineCounts:
 
 
 class TestChunkedTrial:
-    def test_matches_run_trial_dispatch(self, oue):
-        attack = MGAAttack(domain_size=D, r=3, rng=0)
-        direct = run_chunked_trial(DATASET, oue, attack, beta=0.05, rng=9, chunk_users=640)
-        via_mode = run_trial(
-            DATASET, oue, attack, beta=0.05, mode="chunked", rng=9, chunk_users=640
-        )
-        np.testing.assert_array_equal(
-            direct.poisoned_frequencies, via_mode.poisoned_frequencies
-        )
-        np.testing.assert_array_equal(
-            direct.malicious_frequencies, via_mode.malicious_frequencies
-        )
-
     def test_no_reports_retained(self, oue):
-        trial = run_chunked_trial(DATASET, oue, None, beta=0.0, rng=1, chunk_users=512)
+        trial = run_trial(DATASET, oue, None, beta=0.0, mode="chunked", rng=1, chunk_users=512)
         assert trial.reports is None and trial.malicious_mask is None
 
     def test_malicious_chunking_covers_all_users(self, grr):
@@ -479,8 +432,7 @@ class TestStrictBeta:
 
 
 class TestBoundScan:
-    """OLH's support scan is bounded by its fixed hash tile, not by the
-    engine's chunk_users knob, and neither bound changes counts."""
+    """OLH's support scan is bounded by its fixed hash tile."""
 
     def test_caps_olh_scan_budget(self):
         # 20,000 reports x 1,024 items: the full uint64 grid would be
@@ -497,14 +449,7 @@ class TestBoundScan:
             tracemalloc.stop()
         assert peak < 2 * 17 * hashing.TILE_CELLS + 32 * (n + d)
 
-    def test_bounded_scan_results_identical(self, olh):
-        items = np.random.default_rng(3).integers(0, D, size=1_037)
-        reports = olh.perturb(items, np.random.default_rng(4))
-        np.testing.assert_array_equal(
-            chunked_support_counts(olh, reports, 5), olh.support_counts(reports)
-        )
-
 
 class TestEngineDefaults:
     def test_default_chunk_size_is_bounded(self):
-        assert engine.DEFAULT_CHUNK_USERS >= 1
+        assert pipeline.DEFAULT_CHUNK_USERS >= 1

@@ -23,6 +23,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.kv import KeyValueProtocol, KVPoisoningAttack
+from repro.protocols import base as protocols_base
 from repro.sim.cache import CellCache, canonical_key, scenario_cell_spec
 from repro.sim.engine import TASK_COUNTER
 from repro.sim.experiment import RunContext
@@ -225,12 +226,13 @@ class TestEpochsRows:
         burst = [r for r in rows if r["cell"] == "burst-oue-c1"]
         assert [r["beta"] for r in burst] == list(EPOCH_SCHEDULES[1].betas(EPOCH_COUNT))
 
-    def test_workers_and_chunking_are_bit_identical(self):
+    def test_workers_and_chunking_are_bit_identical(self, monkeypatch):
         serial = self._rows()
         assert self._rows(ctx=RunContext(workers=2)) == serial
-        assert self._rows(chunk_users=500) == serial
+        monkeypatch.setattr(protocols_base, "DEFAULT_CHUNK_USERS", 500)
+        assert self._rows() == serial
 
-    def test_fan_in_trials_match_direct_ingestion_bit_for_bit(self):
+    def test_fan_in_trials_match_direct_ingestion_bit_for_bit(self, monkeypatch):
         """collectors=3 round-robin fan-in is byte-equal to direct
         single-collector ingestion under the same trial seed: the merge
         arithmetic cannot change any metric.  (The sweep's c1 and c3
@@ -253,7 +255,7 @@ class TestEpochsRows:
                 EPOCH_COUNT,
             )
 
-            def trial(collectors, chunk_users=None):
+            def trial(collectors):
                 # A fresh SeedSequence per call: spawning advances the
                 # parent's spawn counter, so sharing one object would
                 # silently shift the later call's streams.
@@ -264,13 +266,14 @@ class TestEpochsRows:
                     drift=0.05,
                     eta=DEFAULT_ETA,
                     collectors=collectors,
-                    chunk_users=chunk_users,
                     seed=np.random.SeedSequence(42),
                 ))
 
             direct = trial(collectors=1)
             assert trial(collectors=3) == direct, f"{name}: fan-in != direct"
-            assert trial(collectors=1, chunk_users=300) == direct
+            with monkeypatch.context() as patched:
+                patched.setattr(protocols_base, "DEFAULT_CHUNK_USERS", 300)
+                assert trial(collectors=1) == direct
 
     def test_warm_cache_serves_all_cells_with_zero_tasks(self, tmp_path):
         cold = CellCache(tmp_path)
@@ -433,6 +436,11 @@ class TestSweepConfigDispatch:
             chunk_users=500, olh_cohort=8, workers=3,
         ).digest()
         assert base.digest() != SweepConfig(figure="kv", trials=3).digest()
+        # epochs runs no chunked trial and draws no OLH cohort, so neither
+        # flag can change its cells or its digest.
+        assert SweepConfig(figure="epochs", trials=2).digest() == SweepConfig(
+            figure="epochs", trials=2, chunk_users=500, olh_cohort=8,
+        ).digest()
         hh = SweepConfig(figure="heavyhitter", trials=2)
         assert hh.digest() == SweepConfig(figure="heavyhitter", trials=2, dataset="fire").digest()
         # ...but the knobs heavyhitter consumes stay in its digest.

@@ -9,14 +9,17 @@ OLH cohort mode included.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, ProtocolError
-from repro.protocols import decode_array, encode_array, hashing, make_protocol
-from repro.sim import AggregatorState, chunked_support_counts
+from repro.protocols import base, decode_array, encode_array, hashing, make_protocol
+from repro.serve import RecoveryService
+from repro.sim import AggregatorState, epochs_rows
+from repro.sim.scenarios import _EpochTask
 from repro.sim.streaming import protocol_key
 
 EPSILON = 1.0
@@ -48,39 +51,30 @@ def _reports_for(name, kwargs, seed=0):
 
 
 class TestFoldBitIdentity:
+    """The fold's slice size is the module constant
+    ``base.DEFAULT_CHUNK_USERS``, read at call time, so these tests
+    monkeypatch it small to exercise many slice boundaries."""
+
     @pytest.mark.parametrize("name,kwargs", _protocols())
     @pytest.mark.parametrize("chunk", [1, 7, 333, USERS, 10 * USERS])
-    def test_fold_equals_batch_support_counts(self, name, kwargs, chunk):
+    def test_fold_equals_batch_support_counts(self, name, kwargs, chunk, monkeypatch):
         protocol, reports = _reports_for(name, kwargs)
         batch = protocol.support_counts(reports)
-        folded = protocol.fold_support_counts(
-            protocol.init_support_state(), reports, chunk_users=chunk
-        )
+        monkeypatch.setattr(base, "DEFAULT_CHUNK_USERS", chunk)
+        folded = protocol.fold_support_counts(protocol.init_support_state(), reports)
         assert folded.dtype == np.int64
         assert np.array_equal(folded, batch)
 
     @pytest.mark.parametrize("name,kwargs", _protocols())
-    def test_fold_equals_chunked_support_counts(self, name, kwargs):
-        protocol, reports = _reports_for(name, kwargs)
-        for chunk in (5, 1000, None):
-            assert np.array_equal(
-                protocol.fold_support_counts(
-                    protocol.init_support_state(), reports, chunk_users=chunk
-                ),
-                chunked_support_counts(protocol, reports, chunk_users=chunk),
-            )
-
-    @pytest.mark.parametrize("name,kwargs", _protocols())
     @pytest.mark.parametrize("split", [1, 11, 901, USERS])
-    def test_arbitrary_batch_splits_fold_identically(self, name, kwargs, split):
+    def test_arbitrary_batch_splits_fold_identically(self, name, kwargs, split, monkeypatch):
         protocol, reports = _reports_for(name, kwargs)
         batch = protocol.support_counts(reports)
         state = protocol.init_support_state()
+        monkeypatch.setattr(base, "DEFAULT_CHUNK_USERS", 137)
         for start in range(0, USERS, split):
             protocol.fold_support_counts(
-                state,
-                protocol.slice_reports(reports, start, min(start + split, USERS)),
-                chunk_users=137,
+                state, protocol.slice_reports(reports, start, min(start + split, USERS))
             )
         assert np.array_equal(state, batch)
 
@@ -96,10 +90,25 @@ class TestFoldBitIdentity:
             protocol.fold_support_counts(np.zeros(DOMAIN + 1, dtype=np.int64), reports)
         with pytest.raises(ProtocolError):
             protocol.fold_support_counts(np.zeros(DOMAIN, dtype=np.float64), reports)
-        with pytest.raises(InvalidParameterError):
+
+    def test_slice_size_is_no_parameter(self):
+        """``chunk_users`` means only the chunked trial mode: the fold, the
+        streaming state, the service and the epochs scenario take no slice
+        size."""
+        protocol, reports = _reports_for("grr", {})
+        with pytest.raises(TypeError):
             protocol.fold_support_counts(
                 protocol.init_support_state(), reports, chunk_users=0
             )
+        for fn in (
+            AggregatorState,
+            AggregatorState.restore,
+            RecoveryService,
+            RecoveryService.restore,
+            epochs_rows,
+            _EpochTask,
+        ):
+            assert "chunk_users" not in inspect.signature(fn).parameters, fn
 
     def test_scan_bounded_caps_olh_grid_without_changing_counts(self, monkeypatch):
         """OLH's scan tile bounds the hash grid independently of the fold's
@@ -108,9 +117,8 @@ class TestFoldBitIdentity:
         batch = protocol.support_counts(reports)
         monkeypatch.setattr(hashing, "TILE_CELLS", 3 * DOMAIN - 1)
         for chunk in (1, 3, 50, USERS):
-            folded = protocol.fold_support_counts(
-                protocol.init_support_state(), reports, chunk_users=chunk
-            )
+            monkeypatch.setattr(base, "DEFAULT_CHUNK_USERS", chunk)
+            folded = protocol.fold_support_counts(protocol.init_support_state(), reports)
             assert np.array_equal(folded, batch)
 
 
@@ -148,9 +156,10 @@ class TestWireCodec:
 
 class TestAggregatorState:
     @pytest.mark.parametrize("name,kwargs", _protocols())
-    def test_ingest_matches_batch(self, name, kwargs):
+    def test_ingest_matches_batch(self, name, kwargs, monkeypatch):
         protocol, reports = _reports_for(name, kwargs)
-        agg = AggregatorState(protocol, chunk_users=256)
+        monkeypatch.setattr(base, "DEFAULT_CHUNK_USERS", 256)
+        agg = AggregatorState(protocol)
         for start in range(0, USERS, 707):
             agg.ingest(
                 "round-1",
@@ -213,6 +222,23 @@ class TestAggregatorState:
         )
         assert resumed.num_reports("e") == straight.num_reports("e")
 
+    def test_restore_ignores_a_recorded_slice_size(self):
+        """Snapshots written while the fold slice was configurable carry a
+        ``"chunk_users"`` key; they restore and resume byte-equal, and new
+        snapshots no longer record one."""
+        protocol, reports = _reports_for("olh", {"cohort": 8})
+        interrupted = AggregatorState(protocol)
+        interrupted.ingest("e", protocol.slice_reports(reports, 0, 2500))
+        snap = json.loads(json.dumps(interrupted.snapshot()))
+        assert "chunk_users" not in snap
+        snap["chunk_users"] = 13
+        resumed = AggregatorState.restore(snap, protocol)
+        resumed.ingest("e", protocol.slice_reports(reports, 2500, USERS))
+        counts = resumed.support_counts("e")
+        assert counts.dtype == np.int64
+        assert counts.tobytes() == protocol.support_counts(reports).tobytes()
+        assert resumed.num_reports("e") == USERS
+
     def test_restore_rejects_wrong_protocol(self):
         protocol, reports = _reports_for("olh", {"cohort": 8})
         agg = AggregatorState(protocol)
@@ -227,16 +253,6 @@ class TestAggregatorState:
         snap["format"] = 999
         with pytest.raises(InvalidParameterError):
             AggregatorState.restore(snap, protocol)
-
-    def test_chunk_users_is_execution_only(self):
-        protocol, reports = _reports_for("olh", {})
-        coarse = AggregatorState(protocol, chunk_users=None)
-        fine = AggregatorState(protocol, chunk_users=13)
-        coarse.ingest("e", reports)
-        fine.ingest("e", reports)
-        assert np.array_equal(coarse.support_counts("e"), fine.support_counts("e"))
-        with pytest.raises(InvalidParameterError):
-            AggregatorState(protocol, chunk_users=0)
 
     def test_protocol_key_tracks_distribution_not_execution(self):
         base = make_protocol("olh", EPSILON, DOMAIN)

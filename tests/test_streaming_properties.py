@@ -124,19 +124,6 @@ class TestMergeMonoid:
         with pytest.raises(InvalidParameterError):
             fan_in([])
 
-    def test_chunk_users_is_execution_only_for_merge(self, name, kwargs):
-        """Different fold slice bounds share one protocol identity."""
-        protocol = _protocol(name, kwargs)
-        reports = _reports(protocol, 700, 5)
-        coarse = AggregatorState(protocol)
-        fine = AggregatorState(protocol, chunk_users=64)
-        coarse.ingest("e", reports)
-        fine.ingest("e", reports)
-        merged = fan_in([coarse, fine])
-        np.testing.assert_array_equal(
-            merged.support_counts("e"), 2 * coarse.support_counts("e")
-        )
-
 
 @pytest.mark.parametrize("name,kwargs", PROTOCOL_GRID, ids=PROTOCOL_IDS)
 class TestWireCodec:

@@ -40,5 +40,5 @@ def test_mypy_config_is_pinned():
     for scoped in ("src/repro/core", "src/repro/protocols", "src/repro/lint",
                    "src/repro/sim/cache.py", "src/repro/sim/shard.py",
                    "src/repro/sim/engine.py", "src/repro/sim/scenarios.py",
-                   "src/repro/sim/figures.py"):
+                   "src/repro/sim/figures.py", "src/repro/sim/pipeline.py"):
         assert scoped in config

@@ -142,9 +142,19 @@ class TestMain:
         assert "precision_recovered_star" in out
         assert "promoted_poisoned" in out
 
-    @pytest.mark.parametrize("exhibit", ["kv", "epochs"])
-    @pytest.mark.parametrize("flag", ["--chunk-users", "--olh-cohort"])
-    def test_chunk_users_note_for_kv(self, capsys, exhibit, flag):
+    def test_chunk_users_note_for_kv(self, capsys):
+        code = main(
+            ["run", "--exhibit", "kv", "--trials", "1", "--num-users", "2000",
+             "--chunk-users", "1000"]
+        )
+        assert code == 0
+        assert "note: --chunk-users is ignored for kv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exhibit,flag",
+        [("epochs", "--chunk-users"), ("kv", "--olh-cohort"), ("epochs", "--olh-cohort")],
+    )
+    def test_unconsumed_sweep_option_note(self, capsys, exhibit, flag):
         code = main(
             ["run", "--exhibit", exhibit, "--trials", "1", "--num-users", "2000",
              flag, "1000"]
@@ -328,22 +338,35 @@ class TestErrors:
         assert main(argv) == 0
         assert "mse_mga" in capsys.readouterr().out
 
+    def test_negative_workers_exit_2_even_on_a_warm_cache(self, tmp_path, capsys):
+        """The worker count is checked before any cell is looked up, so a
+        warm cache can neither print rows for ``--workers -3`` nor let
+        ``shard status`` report progress."""
+        sweep = ["--figure", "fig8", "--num-users", "3000", "--trials", "2",
+                 "--cache-dir", str(tmp_path)]
+        assert main(["run", *sweep]) == 0
+        capsys.readouterr()
+        for argv in (["run", *sweep, "--workers", "-3"],
+                     ["shard", "status", *sweep, "--workers", "-3"]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == "error: workers must be >= 0 or None, got -3\n"
+            assert "mse_mga" not in captured.out and "cells done" not in captured.out
+
     @pytest.mark.parametrize(
         "flag,value,error",
         [
-            ("--workers", "-3", "workers must be >= 0 or None, got -3"),
             ("--chunk-users", "-5", "chunk_users must be >= 1, got -5"),
             ("--olh-cohort", "0", "olh_cohort must be >= 1, got 0"),
         ],
     )
-    def test_negative_workers_exit_2_even_on_a_warm_cache(
+    def test_bad_chunk_or_cohort_exit_2_even_on_a_warm_cache(
         self, tmp_path, capsys, flag, value, error
     ):
-        """The worker count, chunk size and cohort size are checked before
-        any cell is looked up, so a warm cache can neither print rows for
-        an out-of-range value nor let ``shard status`` report progress.
-        The cache is warmed in chunked mode, whose cell keys do not carry
-        the chunk size, so ``--chunk-users -5`` would otherwise hit."""
+        """The chunk size and cohort size are checked before any cell is
+        looked up, like the worker count.  The cache is warmed in chunked
+        mode, whose cell keys do not carry the chunk size, so
+        ``--chunk-users -5`` would otherwise hit."""
         sweep = ["--figure", "fig8", "--num-users", "3000", "--trials", "2",
                  "--cache-dir", str(tmp_path), "--chunk-users", "700"]
         assert main(["run", *sweep]) == 0

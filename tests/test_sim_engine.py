@@ -13,6 +13,7 @@ from repro.attacks import AdaptiveAttack, MGAAttack
 from repro.datasets import zipf_dataset
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.protocols import OLH, hashing
+from repro.protocols import base as protocols_base
 from repro.sim import engine, pipeline
 from repro.sim.engine import (
     MetricStats,
@@ -22,7 +23,12 @@ from repro.sim.engine import (
     resolve_workers,
 )
 from repro.sim.experiment import RunContext, evaluate_recovery
-from repro.sim.pipeline import chunked_genuine_counts, chunked_malicious_counts, run_trial
+from repro.sim.pipeline import (
+    chunked_genuine_counts,
+    chunked_malicious_counts,
+    malicious_count,
+    run_trial,
+)
 
 D = 16
 DATASET = zipf_dataset(domain_size=D, num_users=10_000, exponent=1.0, rng=8)
@@ -307,6 +313,47 @@ class TestParallelDeterminism:
         assert ev.ci95("nonexistent") is None
 
 
+class TestChunkedSupportCounts:
+    """Chunked aggregation must equal the unchunked path exactly: the fold
+    walks a batch in slices of ``DEFAULT_CHUNK_USERS`` reports, monkeypatched
+    small here."""
+
+    N = 1_037  # deliberately not divisible by the chunk size
+
+    @staticmethod
+    def _fold(protocol, reports, chunk, monkeypatch):
+        monkeypatch.setattr(protocols_base, "DEFAULT_CHUNK_USERS", chunk)
+        return protocol.fold_support_counts(protocol.init_support_state(), reports)
+
+    @pytest.mark.parametrize("chunk", [100, 256, 1_037, 5_000])
+    def test_oue_equals_unchunked(self, oue, chunk, monkeypatch):
+        items = np.random.default_rng(3).integers(0, D, size=self.N)
+        reports = oue.perturb(items, np.random.default_rng(4))
+        np.testing.assert_array_equal(
+            self._fold(oue, reports, chunk, monkeypatch), oue.support_counts(reports)
+        )
+
+    @pytest.mark.parametrize("chunk", [100, 256, 1_037, 5_000])
+    def test_olh_equals_unchunked(self, olh, chunk, monkeypatch):
+        items = np.random.default_rng(3).integers(0, D, size=self.N)
+        reports = olh.perturb(items, np.random.default_rng(4))
+        np.testing.assert_array_equal(
+            self._fold(olh, reports, chunk, monkeypatch), olh.support_counts(reports)
+        )
+
+    def test_grr_equals_unchunked(self, grr, monkeypatch):
+        items = np.random.default_rng(3).integers(0, D, size=self.N)
+        reports = grr.perturb(items, np.random.default_rng(4))
+        np.testing.assert_array_equal(
+            self._fold(grr, reports, 64, monkeypatch), grr.support_counts(reports)
+        )
+
+    def test_invalid_chunk(self, oue):
+        attack = MGAAttack(domain_size=D, r=3, rng=0)
+        with pytest.raises(InvalidParameterError):
+            chunked_malicious_counts(oue, attack, 10, rng=0, chunk_users=0)
+
+
 class TestChunkedGenuineCounts:
     def test_invalid_chunk(self, oue):
         with pytest.raises(InvalidParameterError):
@@ -330,6 +377,26 @@ class TestChunkedGenuineCounts:
 
 
 class TestChunkedTrial:
+    def test_matches_run_trial_dispatch(self, oue):
+        """``run_trial``'s chunked mode draws genuine counts, then malicious
+        counts, off one generator and estimates from their sum."""
+        attack = MGAAttack(domain_size=D, r=3, rng=0)
+        via_mode = run_trial(
+            DATASET, oue, attack, beta=0.05, mode="chunked", rng=9, chunk_users=640
+        )
+        gen = np.random.default_rng(9)
+        n = DATASET.num_users
+        m = malicious_count(n, 0.05)
+        genuine = chunked_genuine_counts(oue, DATASET.counts, gen, chunk_users=640)
+        malicious = chunked_malicious_counts(oue, attack, m, gen, chunk_users=640)
+        np.testing.assert_array_equal(
+            oue.estimate_frequencies(genuine + malicious, n + m),
+            via_mode.poisoned_frequencies,
+        )
+        np.testing.assert_array_equal(
+            oue.estimate_frequencies(malicious, m), via_mode.malicious_frequencies
+        )
+
     def test_no_reports_retained(self, oue):
         trial = run_trial(DATASET, oue, None, beta=0.0, mode="chunked", rng=1, chunk_users=512)
         assert trial.reports is None and trial.malicious_mask is None
@@ -432,7 +499,8 @@ class TestStrictBeta:
 
 
 class TestBoundScan:
-    """OLH's support scan is bounded by its fixed hash tile."""
+    """OLH's support scan is bounded by its fixed hash tile, independently of
+    the fold's slice size, and neither bound changes counts."""
 
     def test_caps_olh_scan_budget(self):
         # 20,000 reports x 1,024 items: the full uint64 grid would be
@@ -448,6 +516,17 @@ class TestBoundScan:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 17 * hashing.TILE_CELLS + 32 * (n + d)
+
+    def test_bounded_scan_results_identical(self, olh, monkeypatch):
+        items = np.random.default_rng(3).integers(0, D, size=1_037)
+        reports = olh.perturb(items, np.random.default_rng(4))
+        unbounded = olh.support_counts(reports)
+        monkeypatch.setattr(hashing, "TILE_CELLS", 3 * D - 1)
+        monkeypatch.setattr(protocols_base, "DEFAULT_CHUNK_USERS", 5)
+        np.testing.assert_array_equal(olh.support_counts(reports), unbounded)
+        np.testing.assert_array_equal(
+            olh.fold_support_counts(olh.init_support_state(), reports), unbounded
+        )
 
 
 class TestEngineDefaults:

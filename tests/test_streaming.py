@@ -66,6 +66,32 @@ class TestFoldBitIdentity:
         assert np.array_equal(folded, batch)
 
     @pytest.mark.parametrize("name,kwargs", _protocols())
+    def test_fold_equals_chunked_support_counts(self, name, kwargs, monkeypatch):
+        """The fold walks the batch through ``slice_reports`` in consecutive
+        slices of ``DEFAULT_CHUNK_USERS`` reports, which is what bounds its
+        memory, and sums each slice's support counts."""
+        protocol, reports = _reports_for(name, kwargs)
+        whole_slice = protocol.slice_reports
+        slices = []
+
+        def recording(batch, start, stop):
+            slices.append((start, stop))
+            return whole_slice(batch, start, stop)
+
+        protocol.slice_reports = recording
+        for chunk in (5, 1000, base.DEFAULT_CHUNK_USERS):
+            monkeypatch.setattr(base, "DEFAULT_CHUNK_USERS", chunk)
+            slices.clear()
+            folded = protocol.fold_support_counts(protocol.init_support_state(), reports)
+            assert slices == [
+                (start, min(start + chunk, USERS)) for start in range(0, USERS, chunk)
+            ]
+            chunked = protocol.init_support_state()
+            for start, stop in slices:
+                chunked += protocol.support_counts(whole_slice(reports, start, stop))
+            assert np.array_equal(folded, chunked)
+
+    @pytest.mark.parametrize("name,kwargs", _protocols())
     @pytest.mark.parametrize("split", [1, 11, 901, USERS])
     def test_arbitrary_batch_splits_fold_identically(self, name, kwargs, split, monkeypatch):
         protocol, reports = _reports_for(name, kwargs)
@@ -253,6 +279,18 @@ class TestAggregatorState:
         snap["format"] = 999
         with pytest.raises(InvalidParameterError):
             AggregatorState.restore(snap, protocol)
+
+    def test_chunk_users_is_execution_only(self, monkeypatch):
+        """The fold's slice size shapes execution only: states folded in
+        different slice sizes hold equal counts and write equal snapshots."""
+        protocol, reports = _reports_for("olh", {})
+        coarse = AggregatorState(protocol)
+        coarse.ingest("e", reports)
+        monkeypatch.setattr(base, "DEFAULT_CHUNK_USERS", 13)
+        fine = AggregatorState(protocol)
+        fine.ingest("e", reports)
+        assert np.array_equal(coarse.support_counts("e"), fine.support_counts("e"))
+        assert fine.snapshot() == coarse.snapshot()
 
     def test_protocol_key_tracks_distribution_not_execution(self):
         base = make_protocol("olh", EPSILON, DOMAIN)

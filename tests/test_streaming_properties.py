@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, ProtocolError
-from repro.protocols import make_protocol
+from repro.protocols import base, make_protocol
 from repro.sim.streaming import AggregatorState, fan_in
 
 EPSILON = 1.0
@@ -123,6 +123,21 @@ class TestMergeMonoid:
             state.merge(other)
         with pytest.raises(InvalidParameterError):
             fan_in([])
+
+    def test_chunk_users_is_execution_only_for_merge(self, name, kwargs, monkeypatch):
+        """States folded in different slice sizes share one protocol
+        identity, so they merge."""
+        protocol = _protocol(name, kwargs)
+        reports = _reports(protocol, 700, 5)
+        coarse = AggregatorState(protocol)
+        coarse.ingest("e", reports)
+        monkeypatch.setattr(base, "DEFAULT_CHUNK_USERS", 64)
+        fine = AggregatorState(protocol)
+        fine.ingest("e", reports)
+        merged = fan_in([coarse, fine])
+        np.testing.assert_array_equal(
+            merged.support_counts("e"), 2 * coarse.support_counts("e")
+        )
 
 
 @pytest.mark.parametrize("name,kwargs", PROTOCOL_GRID, ids=PROTOCOL_IDS)

@@ -4,12 +4,16 @@ The paper's exhibits average MSE/FG over independent trials per cell
 across a grid of (dataset x protocol x attack x beta x eta).  This module
 is the execution substrate for that grid:
 
-* **Process-parallel trials** — :func:`parallel_map` fans picklable trial
-  tasks out over a fork-safe :class:`~concurrent.futures.ProcessPoolExecutor`.
-  Every trial owns a :class:`numpy.random.SeedSequence` child spawned from
-  the cell's parent (see :func:`repro._rng.spawn_sequences`), so results
-  are bit-identical whether the tasks run inline (``workers=1``) or across
-  a pool, and trial streams never overlap.  The pool lives as long as the
+* **Process-parallel trials** — each cell's trial is one picklable
+  callable ``trial(seed) -> {metric: value}``: a module-level trial
+  function with the cell's parameters bound by :func:`functools.partial`
+  and the seed as its last parameter.  :func:`parallel_map` maps it over
+  the cell's per-trial seeds on a fork-safe
+  :class:`~concurrent.futures.ProcessPoolExecutor`.  Every trial owns a
+  :class:`numpy.random.SeedSequence` child spawned from the cell's parent
+  (see :func:`repro._rng.spawn_sequences`), so results are bit-identical
+  whether the trials run inline (``workers=1``) or across a pool, and
+  trial streams never overlap.  The pool lives as long as the
   enclosing :func:`run_scope` — one exhibit run, opened by
   :meth:`repro.sim.shard.SweepConfig.run` — so every cell, adaptive block
   and exhibit call of that run reuses the same workers; a call outside
@@ -35,7 +39,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
@@ -301,26 +305,25 @@ BLOCK_CLAIM_POLL_SECONDS = 0.05
 
 def run_adaptive_trials(
     budget: TrialBudget,
-    metrics_fn: Callable[[Any], dict[str, float]],
-    task_for: Callable[[np.random.SeedSequence], Any],
+    trial: Callable[[np.random.SeedSequence], dict[str, float]],
     seeds: Sequence[np.random.SeedSequence],
     workers: Optional[int] = 1,
     store: Optional[TrialBlockStore] = None,
 ) -> AdaptiveOutcome:
     """Run one cell's trials until ``budget``'s stopping rule is satisfied.
 
-    At each checkpoint of ``budget`` the missing trial range is built by
-    calling ``task_for`` on the canonical per-trial ``seeds`` (one
-    :class:`~numpy.random.SeedSequence` child per trial index, at least
-    ``budget.max_trials`` of them), executed with ``metrics_fn`` through
-    :func:`parallel_map` (``workers`` as everywhere), and appended to
-    ``store`` as a block.  Blocks already in ``store`` are reused instead
-    of re-simulated; a block claimed by another worker is awaited rather
-    than duplicated (exactly-once under shard claim coordination).  The
-    stopping rule is evaluated over the *prefix* of trials at each
-    checkpoint, so the final trial count — and therefore the returned
-    statistics — is bit-identical to a fixed-budget run at that count,
-    regardless of what the store already held.
+    At each checkpoint of ``budget`` the missing trial range of the
+    canonical per-trial ``seeds`` (one :class:`~numpy.random.SeedSequence`
+    child per trial index, at least ``budget.max_trials`` of them) runs
+    through ``trial`` via :func:`parallel_map` (``workers`` as
+    everywhere) and is appended to ``store`` as a block.  Blocks already
+    in ``store`` are reused instead of re-simulated; a block claimed by
+    another worker is awaited rather than duplicated (exactly-once under
+    shard claim coordination).  The stopping rule is evaluated over the
+    *prefix* of trials at each checkpoint, so the final trial count — and
+    therefore the returned statistics — is bit-identical to a
+    fixed-budget run at that count, regardless of what the store already
+    held.
     """
     if len(seeds) < budget.max_trials:
         raise InvalidParameterError(
@@ -335,8 +338,7 @@ def run_adaptive_trials(
             blocks_reused += 1
 
     def run_block(start: int, stop: int) -> list[dict[str, float]]:
-        tasks = [task_for(seeds[i]) for i in range(start, stop)]
-        return parallel_map(metrics_fn, tasks, workers=workers)
+        return parallel_map(trial, seeds[start:stop], workers=workers)
 
     final = budget.max_trials
     stats: dict[str, MetricStats] = {}
@@ -381,8 +383,7 @@ def run_adaptive_trials(
 
 
 def run_trials(
-    metrics_fn: Callable[[Any], dict[str, float]],
-    task_for: Callable[[np.random.SeedSequence], Any],
+    trial: Callable[[np.random.SeedSequence], dict[str, float]],
     seeds: Sequence[np.random.SeedSequence],
     workers: Optional[int] = 1,
     budget: Optional[TrialBudget] = None,
@@ -390,20 +391,16 @@ def run_trials(
 ) -> tuple[dict[str, MetricStats], Optional[AdaptiveOutcome]]:
     """One cell's trial step, fixed-budget or adaptive.
 
-    Without a ``budget`` every seed in ``seeds`` becomes one task via
-    ``task_for`` and the tasks run through :func:`parallel_map` with
-    ``metrics_fn`` over ``workers`` processes; the outcome is ``None``.
-    With a :class:`TrialBudget` the trials run through
+    Without a ``budget`` ``trial`` runs once per seed in ``seeds`` through
+    :func:`parallel_map` over ``workers`` processes; the outcome is
+    ``None``.  With a :class:`TrialBudget` the trials run through
     :func:`run_adaptive_trials` instead, resuming from and appending to
     the trial-block ``store`` when one is given.  Returns the aggregated
     per-metric statistics and the adaptive outcome.
     """
     if budget is None:
-        tasks = [task_for(seed) for seed in seeds]
-        return aggregate_metrics(parallel_map(metrics_fn, tasks, workers=workers)), None
-    outcome = run_adaptive_trials(
-        budget, metrics_fn, task_for, seeds, workers=workers, store=store
-    )
+        return aggregate_metrics(parallel_map(trial, seeds, workers=workers)), None
+    outcome = run_adaptive_trials(budget, trial, seeds, workers=workers, store=store)
     return outcome.stats, outcome
 
 
@@ -568,7 +565,8 @@ def parallel_map(
     ``workers=1`` (the default) runs inline — no pool, no pickling — and is
     the reference the pool path must match bit for bit.  Results always
     come back in task order.  ``fn`` and the tasks must be picklable when
-    ``workers > 1`` (module-level functions and dataclasses of arrays are).
+    ``workers > 1`` (module-level functions, their :func:`functools.partial`
+    bindings and seed sequences are).
     Every call adds ``len(tasks)`` to :data:`TASK_COUNTER`, which is how
     tests measure that cached cells skip simulation entirely.
 
@@ -621,47 +619,44 @@ def resolve_star_targets(
     return top_increase_items(trial.genuine_frequencies, trial.poisoned_frequencies, k)
 
 
-@dataclass(frozen=True)
-class TrialTask:
-    """One picklable unit of work: a single trial of one experimental cell.
+def trial_metrics(
+    dataset: Dataset,
+    protocol: FrequencyOracle,
+    attack: Optional[PoisoningAttack],
+    beta: float,
+    eta: float,
+    mode: SimulationMode,
+    with_star: bool,
+    with_detection: bool,
+    aa_top_k: int,
+    chunk_users: Optional[int],
+    seed: np.random.SeedSequence,
+) -> dict[str, float]:
+    """Run one evaluation-cell trial and compute every recovery metric.
 
-    Carries everything a worker process needs — the cell configuration and
-    the trial's own :class:`~numpy.random.SeedSequence` child — so workers
-    share no state and results are independent of placement.
+    This is the trial of :func:`repro.sim.experiment.evaluate_recovery`,
+    which binds every parameter but ``seed`` with :func:`functools.partial`:
+    simulate one poisoning round of ``attack`` (``None`` for an unpoisoned
+    round) against ``protocol`` over ``dataset`` at malicious fraction
+    ``beta`` in simulation ``mode`` (``chunk_users`` users per chunk in
+    chunked mode), apply LDPRecover (zero-threshold ``eta``), LDPRecover*
+    when ``with_star`` (targets per :func:`resolve_star_targets`, the top
+    ``aa_top_k`` increases for untargeted attacks) and Detection when
+    ``with_detection``, and return a flat ``{metric: value}`` dict.  All
+    randomness comes from ``seed``, the trial's own
+    :class:`~numpy.random.SeedSequence` child, so workers share no state
+    and results are independent of placement.  Metrics that do not apply
+    (e.g. frequency gain of an untargeted attack) are simply absent,
+    which the streaming accumulator treats as "no observation".
     """
-
-    dataset: Dataset
-    protocol: FrequencyOracle
-    attack: Optional[PoisoningAttack]
-    seed: np.random.SeedSequence
-    beta: float = 0.05
-    eta: float = 0.2
-    mode: SimulationMode = "fast"
-    with_star: bool = True
-    with_detection: bool = False
-    aa_top_k: int = 5
-    chunk_users: Optional[int] = field(default=None)
-
-
-def trial_metrics(task: TrialTask) -> dict[str, float]:
-    """Run one trial ``task`` and compute every recovery metric of the cell.
-
-    This is the worker body of :func:`repro.sim.experiment.evaluate_recovery`:
-    simulate the poisoning round, apply LDPRecover / LDPRecover* /
-    Detection, and return a flat ``{metric: value}`` dict.  Metrics that do
-    not apply (e.g. frequency gain of an untargeted attack) are simply
-    absent, which the streaming accumulator treats as "no observation".
-    """
-    gen = np.random.default_rng(task.seed)
-    dataset, protocol, attack = task.dataset, task.protocol, task.attack
+    gen = np.random.default_rng(seed)
     trial = run_trial(
-        dataset, protocol, attack, beta=task.beta, mode=task.mode, rng=gen,
-        chunk_users=task.chunk_users,
+        dataset, protocol, attack, beta=beta, mode=mode, rng=gen, chunk_users=chunk_users
     )
     truth = trial.true_frequencies
     out: dict[str, float] = {"mse_before": mse(truth, trial.poisoned_frequencies)}
 
-    recovery = recover_frequencies(trial.poisoned_frequencies, protocol, eta=task.eta)
+    recovery = recover_frequencies(trial.poisoned_frequencies, protocol, eta=eta)
     out["mse_recover"] = mse(truth, recovery.frequencies)
     if trial.malicious_frequencies is not None:
         out["mse_malicious_estimate"] = mse(
@@ -669,12 +664,12 @@ def trial_metrics(task: TrialTask) -> dict[str, float]:
         )
 
     star_targets = None
-    if attack is not None and task.with_star:
-        star_targets = resolve_star_targets(attack, trial, task.aa_top_k)
+    if attack is not None and with_star:
+        star_targets = resolve_star_targets(attack, trial, aa_top_k)
     star = None
     if star_targets is not None and star_targets.size:
         star = recover_frequencies(
-            trial.poisoned_frequencies, protocol, eta=task.eta, target_items=star_targets
+            trial.poisoned_frequencies, protocol, eta=eta, target_items=star_targets
         )
         out["mse_recover_star"] = mse(truth, star.frequencies)
         if trial.malicious_frequencies is not None:
@@ -683,7 +678,7 @@ def trial_metrics(task: TrialTask) -> dict[str, float]:
             )
 
     detection_freq = None
-    if task.with_detection and star_targets is not None and star_targets.size:
+    if with_detection and star_targets is not None and star_targets.size:
         detection = detect_and_aggregate(
             protocol, trial.reports, star_targets, counts=trial.support_counts
         )
@@ -714,7 +709,6 @@ __all__ = [
     "TASK_COUNTER",
     "TrialBlockStore",
     "TrialBudget",
-    "TrialTask",
     "Welford",
     "aggregate_metrics",
     "available_cpu_count",

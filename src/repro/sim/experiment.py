@@ -9,8 +9,10 @@ under evaluation (before-recovery, LDPRecover, LDPRecover*, Detection)
 and averages the metrics — exactly the paper's protocol of averaging
 MSE/FG over 10 trials (Section VI-B).
 
-Execution is delegated to :mod:`repro.sim.engine`: trials become picklable
-units with ``SeedSequence``-spawned child streams, run inline or across a
+Execution is delegated to :mod:`repro.sim.engine`: each cell's trial is
+one picklable ``seed -> {metric: value}`` callable (a module-level trial
+function with the cell's parameters bound by :func:`functools.partial`),
+run over ``SeedSequence``-spawned child streams inline or across a
 fork-safe process pool with bit-identical results, and metrics accumulate
 through streaming :class:`~repro.sim.engine.Welford` statistics so every
 cell also carries variance/CI information.
@@ -25,6 +27,7 @@ exhibit generator to :func:`run_cell`, its only reader.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, ClassVar, Optional, Sequence
 
 import numpy as np
@@ -46,7 +49,6 @@ from repro.sim.cache import (
 from repro.sim.engine import (
     MetricStats,
     TrialBudget,
-    TrialTask,
     resolve_star_targets,
     resolve_workers,
     run_trials,
@@ -269,21 +271,6 @@ def evaluate_recovery(
 
     attack_name = attack.describe() if attack is not None else "none"
 
-    def _task(seed) -> TrialTask:
-        return TrialTask(
-            dataset=dataset,
-            protocol=protocol,
-            attack=attack,
-            seed=seed,
-            beta=beta,
-            eta=eta,
-            mode=mode,
-            with_star=with_star,
-            with_detection=with_detection,
-            aa_top_k=aa_top_k,
-            chunk_users=chunk_users,
-        )
-
     def _payload(stats: dict[str, MetricStats]) -> dict[str, object]:
         means = {
             metric: stats[metric].mean if metric in stats else None
@@ -313,8 +300,10 @@ def evaluate_recovery(
             seeds=seeds,
             cohort_chunk_users=resolved_cohort_chunk(protocol, mode, chunk_users),
         ),
-        trial_metrics,
-        _task,
+        partial(
+            trial_metrics, dataset, protocol, attack, beta, eta, mode,
+            with_star, with_detection, aa_top_k, chunk_users,
+        ),
         _payload,
         trials=trials,
         ctx=ctx,
@@ -349,8 +338,7 @@ def apply_olh_cohort(
 def run_cell(
     rng: RngLike,
     spec_for: Callable[[list[np.random.SeedSequence]], dict[str, Any]],
-    metrics_fn: Callable[[Any], dict[str, float]],
-    task_for: Callable[[np.random.SeedSequence], Any],
+    trial: Callable[[np.random.SeedSequence], dict[str, float]],
     payload_for: Callable[[dict[str, MetricStats]], dict[str, object]],
     trials: int = 5,
     ctx: RunContext = RunContext(),
@@ -367,12 +355,12 @@ def run_cell(
     2. with a ``ctx.cache``, key the cell by ``spec_for(seeds)`` plus the
        budget fingerprint and serve a stored payload;
     3. otherwise run the trials through
-       :func:`repro.sim.engine.run_trials` — ``metrics_fn`` over the
-       tasks ``task_for(seed)`` builds, on ``ctx.workers`` processes,
-       fixed or adaptive under the budget (resuming the cell's cached
-       trial blocks) — and turn the aggregated statistics into the
-       payload with ``payload_for``, stored with the adaptive outcome as
-       entry metadata;
+       :func:`repro.sim.engine.run_trials` — the picklable ``trial``
+       callable on each seed, on ``ctx.workers`` processes, fixed or
+       adaptive under the budget (resuming the cell's cached trial
+       blocks) — and turn the aggregated statistics into the payload with
+       ``payload_for``, stored with the adaptive outcome as entry
+       metadata;
     4. expand the payload into rows with ``rows_for`` (default: the
        payload is the one row).  Placeholder payloads of the shard and
        enumeration caches pass through unexpanded: their callers discard
@@ -398,9 +386,7 @@ def run_cell(
         store = None
         if budget is not None and cache is not None and spec is not None:
             store = cache.block_store(trial_stream_spec(spec))
-        stats, outcome = run_trials(
-            metrics_fn, task_for, seeds, ctx.workers, budget, store
-        )
+        stats, outcome = run_trials(trial, seeds, ctx.workers, budget, store)
         payload = payload_for(stats)
         if cache is not None and spec is not None:
             cache.put(spec, payload, meta=None if outcome is None else outcome.meta())

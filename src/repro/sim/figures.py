@@ -36,7 +36,7 @@ contributed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -480,30 +480,23 @@ def figure7_rows(
 FIG8_BETAS = (0.05, 0.1, 0.15, 0.2, 0.25)
 
 
-@dataclass(frozen=True)
-class _Fig8Task:
-    """Picklable per-trial unit of Figure 8 (one MGA + one IPA round)."""
-
-    dataset: Dataset
-    protocol: FrequencyOracle
-    mga: MGAAttack
-    ipa: InputPoisoningAttack
-    beta: float
-    mode: SimulationMode
-    chunk_users: Optional[int]
-    seed: np.random.SeedSequence
-
-
-def _figure8_trial(task: _Fig8Task) -> dict[str, float]:
+def _figure8_trial(
+    dataset: Dataset,
+    protocol: FrequencyOracle,
+    mga: MGAAttack,
+    ipa: InputPoisoningAttack,
+    beta: float,
+    mode: SimulationMode,
+    chunk_users: Optional[int],
+    seed: np.random.SeedSequence,
+) -> dict[str, float]:
     """One Figure 8 trial: poisoned MSE of MGA and of its IPA variant."""
-    gen = np.random.default_rng(task.seed)
+    gen = np.random.default_rng(seed)
     t1 = run_trial(
-        task.dataset, task.protocol, task.mga, beta=task.beta, mode=task.mode,
-        rng=gen, chunk_users=task.chunk_users,
+        dataset, protocol, mga, beta=beta, mode=mode, rng=gen, chunk_users=chunk_users
     )
     t2 = run_trial(
-        task.dataset, task.protocol, task.ipa, beta=task.beta, mode=task.mode,
-        rng=gen, chunk_users=task.chunk_users,
+        dataset, protocol, ipa, beta=beta, mode=mode, rng=gen, chunk_users=chunk_users
     )
     return {
         "mse_mga": mse(t1.true_frequencies, t1.poisoned_frequencies),
@@ -549,10 +542,7 @@ def figure8_rows(
                 lambda seeds: row_cell_spec(
                     "figure8", dataset, protocol, (mga, ipa), params, seeds
                 ),
-                _figure8_trial,
-                lambda seed: _Fig8Task(
-                    dataset, protocol, mga, ipa, beta, mode, chunk_users, seed
-                ),
+                partial(_figure8_trial, dataset, protocol, mga, ipa, beta, mode, chunk_users),
                 lambda stats: {
                     "cell": protocol_name, "beta": beta, **_stat_columns(stats, columns)
                 },
@@ -565,29 +555,20 @@ FIG9_XIS = (0.1, 0.3, 0.5, 0.7, 0.9)
 FIG9_NUM_SUBSETS = 10
 
 
-@dataclass(frozen=True)
-class _Fig9Task:
-    """Picklable per-trial unit of Figure 9 (one k-means defense round)."""
-
-    dataset: Dataset
-    protocol: FrequencyOracle
-    attack: InputPoisoningAttack
-    beta: float
-    xi: float
-    seed: np.random.SeedSequence
-
-
-def _figure9_trial(task: _Fig9Task) -> dict[str, float]:
+def _figure9_trial(
+    dataset: Dataset,
+    protocol: FrequencyOracle,
+    attack: InputPoisoningAttack,
+    beta: float,
+    xi: float,
+    seed: np.random.SeedSequence,
+) -> dict[str, float]:
     """One Figure 9 trial: before / k-means-only / LDPRecover-KM MSE."""
-    gen = np.random.default_rng(task.seed)
-    trial = run_trial(
-        task.dataset, task.protocol, task.attack, beta=task.beta, mode="sampled", rng=gen
-    )
+    gen = np.random.default_rng(seed)
+    trial = run_trial(dataset, protocol, attack, beta=beta, mode="sampled", rng=gen)
     truth = trial.true_frequencies
-    defense = KMeansDefense(sample_rate=task.xi, num_subsets=FIG9_NUM_SUBSETS)
-    recovery, km_result = recover_with_kmeans(
-        task.protocol, trial.reports, defense=defense, rng=gen
-    )
+    defense = KMeansDefense(sample_rate=xi, num_subsets=FIG9_NUM_SUBSETS)
+    recovery, km_result = recover_with_kmeans(protocol, trial.reports, defense=defense, rng=gen)
     return {
         "mse_before": mse(truth, trial.poisoned_frequencies),
         "mse_kmeans": mse(truth, km_result.frequencies),
@@ -631,8 +612,7 @@ def figure9_rows(
                 lambda seeds: row_cell_spec(
                     "figure9", dataset, protocol, (attack,), params, seeds
                 ),
-                _figure9_trial,
-                lambda seed: _Fig9Task(dataset, protocol, attack, beta, xi, seed),
+                partial(_figure9_trial, dataset, protocol, attack, beta, xi),
                 lambda stats: {"cell": protocol_name, "xi": xi, **_stat_columns(stats, columns)},
                 trials=trials, ctx=ctx,
             )
@@ -705,27 +685,21 @@ def figure10_rows(
     return rows
 
 
-@dataclass(frozen=True)
-class _Table1Task:
-    """Picklable per-trial unit of Table I (one unpoisoned recovery round)."""
-
-    dataset: Dataset
-    protocol: FrequencyOracle
-    mode: SimulationMode
-    chunk_users: Optional[int]
-    seed: np.random.SeedSequence
-
-
-def _table1_trial(task: _Table1Task) -> dict[str, float]:
+def _table1_trial(
+    dataset: Dataset,
+    protocol: FrequencyOracle,
+    mode: SimulationMode,
+    chunk_users: Optional[int],
+    seed: np.random.SeedSequence,
+) -> dict[str, float]:
     """One Table I trial: MSE before and after recovery, beta=0."""
-    gen = np.random.default_rng(task.seed)
+    gen = np.random.default_rng(seed)
     trial = run_trial(
-        task.dataset, task.protocol, None, beta=0.0, mode=task.mode,
-        rng=gen, chunk_users=task.chunk_users,
+        dataset, protocol, None, beta=0.0, mode=mode, rng=gen, chunk_users=chunk_users
     )
     truth = trial.true_frequencies
     before = mse(truth, trial.poisoned_frequencies)
-    recovery = recover_frequencies(trial.poisoned_frequencies, task.protocol, eta=DEFAULT_ETA)
+    recovery = recover_frequencies(trial.poisoned_frequencies, protocol, eta=DEFAULT_ETA)
     return {
         "mse_before_recovery": before,
         "mse_after_recovery": mse(truth, recovery.frequencies),
@@ -767,8 +741,7 @@ def table1_rows(
             rows += run_cell(
                 gen,
                 lambda seeds: row_cell_spec("table1", dataset, protocol, (), params, seeds),
-                _table1_trial,
-                lambda seed: _Table1Task(dataset, protocol, mode, chunk_users, seed),
+                partial(_table1_trial, dataset, protocol, mode, chunk_users),
                 lambda stats: {
                     "dataset": dataset.name,
                     "protocol": protocol_name,

@@ -10,10 +10,12 @@ experiment stack:
 
 * **Engine** — every cell runs through the cell runner
   :func:`repro.sim.experiment.run_cell` under the run's
-  :class:`~repro.sim.experiment.RunContext`; its trials fan out as
-  picklable tasks through :func:`repro.sim.engine.parallel_map` with
-  per-trial :class:`~numpy.random.SeedSequence` streams (``workers=N``
-  is bit-identical to ``workers=1``); metrics accumulate through
+  :class:`~repro.sim.experiment.RunContext`; its trial is one picklable
+  ``seed -> {metric: value}`` callable (a module-level trial function
+  with the cell's parameters bound by :func:`functools.partial`) that
+  :func:`repro.sim.engine.parallel_map` runs over per-trial
+  :class:`~numpy.random.SeedSequence` streams (``workers=N`` is
+  bit-identical to ``workers=1``); metrics accumulate through
   streaming Welford statistics into :class:`~repro.sim.engine.MetricStats`,
   so every column carries a ``±`` 95%-CI companion.
 * **Cache** — each cell emits one cacheable row payload keyed by a
@@ -42,8 +44,9 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro._rng import RngLike, as_generator, spawn, spawn_sequences
+from repro._rng import RngLike, as_generator, spawn
 from repro.attacks import MGAAttack, ScheduledAttack
+from repro.attacks.base import PoisoningAttack
 from repro.core.detection import detect_and_aggregate
 from repro.core.heavyhitters import promoted_items, tail_items, top_k_precision
 from repro.core.kmeans import recover_with_kmeans
@@ -54,7 +57,7 @@ from repro.datasets.synthetic import zipf_dataset
 from repro.exceptions import InvalidParameterError
 from repro.kv import KeyValueProtocol, KVPoisoningAttack, recover_key_value
 from repro.sim.cache import fingerprint_attack_schedule, scenario_cell_spec
-from repro.sim.engine import MetricStats, TrialBudget, resolve_star_targets, run_trials
+from repro.sim.engine import resolve_star_targets
 from repro.sim.experiment import RunContext, run_cell
 from repro.sim.figures import (
     DEFAULT_EPSILON,
@@ -101,12 +104,10 @@ __all__ = [
     "KV_NUM_KEYS",
     "KV_TARGET_COUNT",
     "KVPopulation",
-    "KVTrialTask",
     "SWEEP_OPTIONS",
     "defenses_rows",
     "detection_f1",
     "epochs_rows",
-    "evaluate_kv_recovery",
     "heavyhitter_rows",
     "kv_population",
     "kv_rows",
@@ -204,40 +205,33 @@ def kv_population(
 # ----------------------------------------------------------------------
 # Key-value recovery: the engine path
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class KVTrialTask:
-    """One picklable trial of a key-value poisoning + recovery cell.
+def kv_trial_metrics(
+    population: KVPopulation,
+    protocol: KeyValueProtocol,
+    attack: KVPoisoningAttack,
+    beta: float,
+    eta: float,
+    seed: np.random.SeedSequence,
+) -> dict[str, float]:
+    """Run one key-value trial and compute every cell metric.
 
-    Carries the population, protocol, attack, the cell parameters and the
-    trial's own :class:`~numpy.random.SeedSequence` child, so pool workers
-    share no state and placement cannot change results.
-    """
-
-    population: KVPopulation
-    protocol: KeyValueProtocol
-    attack: KVPoisoningAttack
-    seed: np.random.SeedSequence
-    beta: float = 0.05
-    eta: float = DEFAULT_ETA
-
-
-def kv_trial_metrics(task: KVTrialTask) -> dict[str, float]:
-    """Run one key-value trial ``task`` and compute every cell metric.
-
-    One round: sample the genuine population, perturb it through the
-    protocol, craft the ``beta``-fraction of malicious reports, aggregate,
-    then recover both without attack knowledge and with the attacker's
-    target keys (the LDPRecover* analogue).  Returns a flat
+    The trial of the ``kv`` cells, which bind every parameter but
+    ``seed`` with :func:`functools.partial`.  One round: sample the
+    genuine ``population``, perturb it through ``protocol``, craft the
+    ``beta``-fraction of malicious reports of ``attack``, aggregate, then
+    recover (server-side ratio knob ``eta``) both without attack
+    knowledge and with the attacker's target keys (the LDPRecover*
+    analogue).  All randomness comes from ``seed``, the trial's own
+    :class:`~numpy.random.SeedSequence` child.  Returns a flat
     ``{metric: value}`` dict — key-frequency MSE and per-key mean error
     (mean absolute error against the population's analytic means, over
     all keys and over the attacked keys alone) for the poisoned /
     recovered / target-aware estimates, plus the target-key frequency
     gain relative to the clean aggregate before and after recovery.
     """
-    gen = np.random.default_rng(task.seed)
-    population, protocol, attack = task.population, task.protocol, task.attack
+    gen = np.random.default_rng(seed)
     n = population.num_users
-    m = malicious_count(n, task.beta)
+    m = malicious_count(n, beta)
     keys, values = population.sample(gen)
     genuine = protocol.perturb(keys, values, gen)
     clean = protocol.aggregate(genuine)
@@ -248,12 +242,12 @@ def kv_trial_metrics(task: KVTrialTask) -> dict[str, float]:
         poisoned = clean
     total = n + m
 
-    recovered = recover_key_value(protocol, poisoned, total, eta=task.eta)
+    recovered = recover_key_value(protocol, poisoned, total, eta=eta)
     star = recover_key_value(
         protocol,
         poisoned,
         total,
-        eta=task.eta,
+        eta=eta,
         target_keys=attack.target_keys,
         malicious_bit=attack.target_bit,
     )
@@ -278,54 +272,6 @@ def kv_trial_metrics(task: KVTrialTask) -> dict[str, float]:
         "fg_recover": frequency_gain(clean.frequencies, recovered.frequencies, targets),
         "fg_recover_star": frequency_gain(clean.frequencies, star.frequencies, targets),
     }
-
-
-def evaluate_kv_recovery(
-    population: KVPopulation,
-    protocol: KeyValueProtocol,
-    attack: KVPoisoningAttack,
-    beta: float = 0.05,
-    eta: float = DEFAULT_ETA,
-    trials: int = 10,
-    rng: RngLike = None,
-    workers: Optional[int] = 1,
-    budget: Optional[TrialBudget] = None,
-) -> dict[str, MetricStats]:
-    """Run one key-value recovery cell and average over ``trials``.
-
-    The key-value analogue of
-    :func:`repro.sim.experiment.evaluate_recovery`: ``trials``
-    independent poisoning rounds of ``attack`` against ``protocol`` over
-    ``population`` at malicious fraction ``beta`` become picklable
-    :class:`KVTrialTask` units — each owning a
-    :class:`~numpy.random.SeedSequence` child spawned from ``rng`` —
-    run through the cell trial step :func:`repro.sim.engine.run_trials`
-    over ``workers`` processes and folded into streaming per-metric
-    statistics.  ``eta`` is the server-side ratio knob of both recovery
-    variants.  With a :class:`~repro.sim.engine.TrialBudget` in
-    ``budget`` the cell instead runs adaptively over the first
-    ``budget.max_trials`` seeds of the same canonical stream (``trials``
-    is superseded), stopping at the first checkpoint whose 95% CI
-    half-widths meet the target.  Returns the ``{metric: MetricStats}``
-    aggregation of :func:`kv_trial_metrics` (mean / variance / stderr /
-    count per metric); results are bit-identical for any ``workers``.
-    """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    seeds = spawn_sequences(rng, trials if budget is None else budget.max_trials)
-    malicious_count(population.num_users, beta)  # surface m == 0 rounding early
-
-    def task_for(seed: np.random.SeedSequence) -> KVTrialTask:
-        return KVTrialTask(
-            population=population,
-            protocol=protocol,
-            attack=attack,
-            seed=seed,
-            beta=beta,
-            eta=eta,
-        )
-
-    return run_trials(kv_trial_metrics, task_for, seeds, workers, budget)[0]
 
 
 #: Total privacy budgets of the ``kv`` sweep (split evenly key/value).
@@ -403,11 +349,7 @@ def kv_rows(
                 lambda seeds: scenario_cell_spec(
                     "kv", population, protocol, (attack,), params, seeds
                 ),
-                kv_trial_metrics,
-                lambda seed: KVTrialTask(
-                    population=population, protocol=protocol, attack=attack,
-                    seed=seed, beta=beta, eta=DEFAULT_ETA,
-                ),
+                partial(kv_trial_metrics, population, protocol, attack, beta, DEFAULT_ETA),
                 lambda stats: {
                     "cell": attack.describe(),
                     "epsilon": epsilon,
@@ -439,47 +381,36 @@ _HH_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class _HHTask:
-    """Picklable per-trial unit of the heavy-hitter scenario.
+def _heavyhitter_trial(
+    dataset: Dataset,
+    protocol: FrequencyOracle,
+    attack: MGAAttack,
+    beta: float,
+    ks: tuple[int, ...],
+    eta: float,
+    mode: SimulationMode,
+    chunk_users: Optional[int],
+    seed: np.random.SeedSequence,
+) -> dict[str, float]:
+    """One heavy-hitter trial: top-k quality before/after recovery.
 
     One simulated trial serves *every* ``ks`` entry: the poisoning round
     and both recoveries are independent of ``k``, which only selects
     which top-k metrics are read off the recovered vectors.
-    """
-
-    dataset: Dataset
-    protocol: FrequencyOracle
-    attack: MGAAttack
-    beta: float
-    ks: tuple[int, ...]
-    eta: float
-    mode: SimulationMode
-    chunk_users: Optional[int]
-    seed: np.random.SeedSequence
-
-
-def _heavyhitter_trial(task: _HHTask) -> dict[str, float]:
-    """One heavy-hitter trial: top-k quality before/after recovery.
-
     ``precision_*`` is top-k precision against the true heavy hitters
     (equal to recall for equal-size sets — one column reports both);
     ``promoted_*`` counts non-heavy-hitter items occupying the estimated
     top-k (the attacker's planted items when the attack succeeds).  Each
-    metric is emitted once per ``k`` in ``task.ks`` under a ``_k<k>``
-    suffix — simulation and recovery run once regardless of how many
-    ``k`` values the sweep reports.
+    metric is emitted once per ``k`` in ``ks`` under a ``_k<k>`` suffix.
     """
-    gen = np.random.default_rng(task.seed)
+    gen = np.random.default_rng(seed)
     trial = run_trial(
-        task.dataset, task.protocol, task.attack, beta=task.beta, mode=task.mode,
-        rng=gen, chunk_users=task.chunk_users,
+        dataset, protocol, attack, beta=beta, mode=mode, rng=gen, chunk_users=chunk_users
     )
     truth = trial.true_frequencies
-    recovery = recover_frequencies(trial.poisoned_frequencies, task.protocol, eta=task.eta)
+    recovery = recover_frequencies(trial.poisoned_frequencies, protocol, eta=eta)
     star = recover_frequencies(
-        trial.poisoned_frequencies, task.protocol, eta=task.eta,
-        target_items=task.attack.target_items,
+        trial.poisoned_frequencies, protocol, eta=eta, target_items=attack.target_items
     )
     estimates = {
         "poisoned": trial.poisoned_frequencies,
@@ -487,7 +418,7 @@ def _heavyhitter_trial(task: _HHTask) -> dict[str, float]:
         "recovered_star": star.frequencies,
     }
     out: dict[str, float] = {}
-    for k in task.ks:
+    for k in ks:
         for label, estimate in estimates.items():
             out[f"precision_{label}_k{k}"] = top_k_precision(truth, estimate, k)
             out[f"promoted_{label}_k{k}"] = float(promoted_items(truth, estimate, k).size)
@@ -544,10 +475,9 @@ def heavyhitter_rows(
                 lambda seeds: scenario_cell_spec(
                     "heavyhitter", dataset, protocol, (attack,), params, seeds
                 ),
-                _heavyhitter_trial,
-                lambda seed: _HHTask(
-                    dataset, protocol, attack, beta, HH_KS, DEFAULT_ETA,
-                    mode, chunk_users, seed,
+                partial(
+                    _heavyhitter_trial, dataset, protocol, attack, beta, HH_KS,
+                    DEFAULT_ETA, mode, chunk_users,
                 ),
                 lambda stats: {
                     "cell": f"mga-{protocol_name}",
@@ -625,31 +555,25 @@ def detection_f1(flagged: Sequence[int], truth: Sequence[int]) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-@dataclass(frozen=True)
-class _EpochTask:
-    """Picklable per-trial unit of the evolving-population scenario.
+def _epoch_trial(
+    dataset: Dataset,
+    protocol: FrequencyOracle,
+    scheduled: ScheduledAttack,
+    drift: float,
+    eta: float,
+    collectors: int,
+    seed: np.random.SeedSequence,
+) -> dict[str, float]:
+    """One evolving-population trial: recovery quality per epoch.
 
     One trial is a full multi-epoch collection: the population drifts
-    epoch to epoch, the scheduled attack injects its per-epoch malicious
-    batches, and every epoch's reports stream through the online
-    :class:`repro.serve.RecoveryService` — directly, or via
+    ``drift`` per epoch, the ``scheduled`` attack injects its per-epoch
+    malicious batches, and every epoch's reports stream through the
+    online :class:`repro.serve.RecoveryService` — directly, or via
     ``collectors`` round-robin :class:`~repro.sim.streaming.AggregatorState`
     instances fanned in through
     :func:`~repro.sim.streaming.fan_in` / ``absorb`` (byte-equal by the
     merge arithmetic, which the fan-in cells demonstrate).
-    """
-
-    dataset: Dataset
-    protocol: FrequencyOracle
-    scheduled: ScheduledAttack
-    drift: float
-    eta: float
-    collectors: int
-    seed: np.random.SeedSequence
-
-
-def _epoch_trial(task: _EpochTask) -> dict[str, float]:
-    """One evolving-population trial: recovery quality per epoch.
 
     RNG discipline matches :func:`repro.sim.history.simulate_history`:
     child stream 0 drives the population drift and children ``1..epochs``
@@ -663,15 +587,14 @@ def _epoch_trial(task: _EpochTask) -> dict[str, float]:
     """
     from repro.serve.service import RecoveryService  # deferred: serve builds on sim
 
-    gen = np.random.default_rng(task.seed)
-    protocol, scheduled = task.protocol, task.scheduled
+    gen = np.random.default_rng(seed)
     num_epochs = scheduled.num_epochs
     streams = spawn(gen, num_epochs + 1)
     drift_gen, epoch_gens = streams[0], streams[1:]
-    service = RecoveryService(protocol, eta=task.eta)
-    states = [AggregatorState(protocol) for _ in range(task.collectors)]
+    service = RecoveryService(protocol, eta=eta)
+    states = [AggregatorState(protocol) for _ in range(collectors)]
     targets = [int(t) for t in np.asarray(scheduled.target_items)]
-    current = task.dataset
+    current = dataset
     truths: list[np.ndarray] = []
     genuine_freqs: list[np.ndarray] = []
     injected: list[int] = []
@@ -684,10 +607,10 @@ def _epoch_trial(task: _EpochTask) -> dict[str, float]:
         reports = (
             genuine if malicious is None else protocol.concat_reports(genuine, malicious)
         )
-        if task.collectors == 1:
+        if collectors == 1:
             service.ingest(name, reports)
         else:
-            lanes = np.arange(protocol.num_reports(reports)) % task.collectors
+            lanes = np.arange(protocol.num_reports(reports)) % collectors
             for lane, state in enumerate(states):
                 state.ingest(name, protocol.select_reports(reports, lanes == lane))
         truths.append(current.frequencies)
@@ -695,9 +618,9 @@ def _epoch_trial(task: _EpochTask) -> dict[str, float]:
             protocol.estimate_frequencies(protocol.support_counts(genuine), n)
         )
         injected.append(m)
-        if task.drift > 0.0:
-            current = drift_dataset(current, task.drift, drift_gen)
-    if task.collectors > 1:
+        if drift > 0.0:
+            current = drift_dataset(current, drift, drift_gen)
+    if collectors > 1:
         service.absorb(fan_in(states))
     raw = [
         service.frequencies(f"e{epoch}").frequencies for epoch in range(num_epochs)
@@ -792,15 +715,9 @@ def epochs_rows(
             lambda seeds: scenario_cell_spec(
                 "epochs", dataset, protocol, (scheduled.attack,), params, seeds
             ),
-            _epoch_trial,
-            lambda seed: _EpochTask(
-                dataset=dataset,
-                protocol=protocol,
-                scheduled=scheduled,
-                drift=EPOCH_DRIFT,
-                eta=DEFAULT_ETA,
-                collectors=collectors,
-                seed=seed,
+            partial(
+                _epoch_trial, dataset, protocol, scheduled, EPOCH_DRIFT, DEFAULT_ETA,
+                collectors,
             ),
             lambda stats: {
                 "cell": f"{schedule.kind}-{protocol_name}-c{collectors}",
@@ -868,27 +785,21 @@ _DEFENSE_COLUMNS = ("mse_before",) + tuple(
 ) + ("fg_before",) + tuple(f"fg_{method}" for method in DEFENSE_METHODS)
 
 
-@dataclass(frozen=True)
-class _DefenseTask:
-    """Picklable per-trial unit of the defense shoot-out scenario.
+def _defense_trial(
+    dataset: Dataset,
+    protocol: FrequencyOracle,
+    attack: PoisoningAttack,
+    beta: float,
+    eta: float,
+    aa_top_k: int,
+    seed: np.random.SeedSequence,
+) -> dict[str, float]:
+    """One shoot-out trial: every defense against the same poisoned round.
 
     One ``sampled``-mode poisoning round serves every competitor: the
     report-level defenses (Detection, k-means) rescan the same raw
     reports the estimate-level ones (normalization, LDPRecover,
     LDPRecover*) never need.
-    """
-
-    dataset: Dataset
-    protocol: FrequencyOracle
-    attack: MGAAttack
-    beta: float
-    eta: float
-    aa_top_k: int
-    seed: np.random.SeedSequence
-
-
-def _defense_trial(task: _DefenseTask) -> dict[str, float]:
-    """One shoot-out trial: every defense against the same poisoned round.
 
     The target items feeding Detection and LDPRecover* come from
     :func:`repro.sim.engine.resolve_star_targets` — explicit for MGA, the
@@ -897,30 +808,23 @@ def _defense_trial(task: _DefenseTask) -> dict[str, float]:
     and ``fg_*`` target frequency gain against the clean aggregate for
     the undefended estimate and each :data:`DEFENSE_METHODS` entry.
     """
-    gen = np.random.default_rng(task.seed)
-    trial = run_trial(
-        task.dataset, task.protocol, task.attack, beta=task.beta, mode="sampled",
-        rng=gen,
-    )
+    gen = np.random.default_rng(seed)
+    trial = run_trial(dataset, protocol, attack, beta=beta, mode="sampled", rng=gen)
     truth = trial.true_frequencies
     poisoned = trial.poisoned_frequencies
-    targets = resolve_star_targets(task.attack, trial, task.aa_top_k)
+    targets = resolve_star_targets(attack, trial, aa_top_k)
     target_list = [] if targets is None else [int(t) for t in targets]
-    kmeans_recovery, _defense = recover_with_kmeans(
-        task.protocol, trial.reports, rng=gen
-    )
+    kmeans_recovery, _defense = recover_with_kmeans(protocol, trial.reports, rng=gen)
     estimates = {
         "before": poisoned,
         "normalization": project_onto_simplex_sort(poisoned),
         "detection": detect_and_aggregate(
-            task.protocol, trial.reports, target_list, counts=trial.support_counts
+            protocol, trial.reports, target_list, counts=trial.support_counts
         ).frequencies,
         "kmeans": kmeans_recovery.frequencies,
-        "recover": recover_frequencies(
-            poisoned, task.protocol, eta=task.eta
-        ).frequencies,
+        "recover": recover_frequencies(poisoned, protocol, eta=eta).frequencies,
         "recover_star": recover_frequencies(
-            poisoned, task.protocol, eta=task.eta, target_items=target_list
+            poisoned, protocol, eta=eta, target_items=target_list
         ).frequencies,
     }
     out: dict[str, float] = {}
@@ -981,16 +885,7 @@ def defenses_rows(
             lambda seeds: scenario_cell_spec(
                 "defenses", dataset, protocol, (attack,), params, seeds
             ),
-            _defense_trial,
-            lambda seed: _DefenseTask(
-                dataset=dataset,
-                protocol=protocol,
-                attack=attack,
-                beta=beta,
-                eta=DEFAULT_ETA,
-                aa_top_k=5,
-                seed=seed,
-            ),
+            partial(_defense_trial, dataset, protocol, attack, beta, DEFAULT_ETA, 5),
             lambda stats: {
                 "cell": f"{attack_kind}-oue",
                 "attack": attack_kind,

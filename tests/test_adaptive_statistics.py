@@ -59,10 +59,6 @@ def _normal_metric(seed: np.random.SeedSequence) -> dict[str, float]:
     return {"x": float(rng.normal(loc=1.0, scale=1.0))}
 
 
-def _identity(seed: np.random.SeedSequence) -> np.random.SeedSequence:
-    return seed
-
-
 def _stream(entropy: int, count: int) -> list[np.random.SeedSequence]:
     return list(np.random.SeedSequence(entropy).spawn(count))
 
@@ -126,7 +122,7 @@ class TestStoppingRule:
             target_halfwidth=target, min_trials=5, max_trials=400, batch=5
         )
         outcome = run_adaptive_trials(
-            budget, _normal_metric, _identity, _stream(entropy, 400)
+            budget, _normal_metric, _stream(entropy, 400)
         )
         assert budget.min_trials <= outcome.trials < budget.max_trials
         assert outcome.trials in budget.checkpoints()
@@ -142,7 +138,7 @@ class TestStoppingRule:
         budget = TrialBudget(
             target_halfwidth=0.4, min_trials=5, max_trials=400, batch=5
         )
-        outcome = run_adaptive_trials(budget, _normal_metric, _identity, seeds)
+        outcome = run_adaptive_trials(budget, _normal_metric, seeds)
         fixed = aggregate_metrics(
             parallel_map(_normal_metric, seeds[: outcome.trials], workers=1)
         )
@@ -153,7 +149,7 @@ class TestStoppingRule:
             target_halfwidth=1e-9, min_trials=2, max_trials=7, batch=2
         )
         outcome = run_adaptive_trials(
-            budget, _normal_metric, _identity, _stream(5, 7)
+            budget, _normal_metric, _stream(5, 7)
         )
         assert outcome.trials == 7
         assert outcome.achieved_halfwidth is not None
@@ -162,7 +158,7 @@ class TestStoppingRule:
     def test_requires_full_seed_stream(self):
         budget = TrialBudget(target_halfwidth=0.5, min_trials=2, max_trials=10)
         with pytest.raises(InvalidParameterError):
-            run_adaptive_trials(budget, _normal_metric, _identity, _stream(0, 9))
+            run_adaptive_trials(budget, _normal_metric, _stream(0, 9))
 
     def test_store_state_cannot_change_final_trial_count(self, tmp_path):
         # Fill the whole stream on disk first (target None runs straight
@@ -174,12 +170,12 @@ class TestStoppingRule:
         seeds = _stream(13, 60)
         fill = TrialBudget(target_halfwidth=None, min_trials=5, max_trials=60, batch=5)
         run_adaptive_trials(
-            fill, _normal_metric, _identity, seeds, store=cache.block_store(spec)
+            fill, _normal_metric, seeds, store=cache.block_store(spec)
         )
         budget = TrialBudget(target_halfwidth=0.4, min_trials=5, max_trials=60, batch=5)
-        bare = run_adaptive_trials(budget, _normal_metric, _identity, seeds)
+        bare = run_adaptive_trials(budget, _normal_metric, seeds)
         warm = run_adaptive_trials(
-            budget, _normal_metric, _identity, seeds, store=cache.block_store(spec)
+            budget, _normal_metric, seeds, store=cache.block_store(spec)
         )
         assert warm.trials == bare.trials
         assert warm.stats == bare.stats

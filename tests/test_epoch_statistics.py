@@ -33,7 +33,6 @@ from repro.sim.pipeline import malicious_count
 from repro.sim.scenarios import (
     EPOCH_COUNT,
     EPOCH_TARGET_COUNT,
-    _EpochTask,
     _epoch_trial,
     detection_f1,
 )
@@ -43,8 +42,8 @@ DOMAIN_USERS = 3_000
 BURST_AT = 3
 
 
-def _burst_task(protocol_name: str, seed: int, num_users: int = 8_000) -> _EpochTask:
-    """One pinned burst-schedule trial task, scenario-shaped."""
+def _burst_trial(protocol_name: str, seed: int, num_users: int = 8_000) -> dict[str, float]:
+    """One pinned burst-schedule trial, scenario-shaped."""
     dataset = load_dataset("ipums", num_users)
     targets = tail_items(dataset.frequencies, EPOCH_TARGET_COUNT)
     protocol = make_protocol(protocol_name, 0.5, dataset.domain_size)
@@ -53,7 +52,7 @@ def _burst_task(protocol_name: str, seed: int, num_users: int = 8_000) -> _Epoch
         AttackSchedule.burst(0.15, at=BURST_AT),
         EPOCH_COUNT,
     )
-    return _EpochTask(
+    return _epoch_trial(
         dataset=dataset,
         protocol=protocol,
         scheduled=scheduled,
@@ -114,7 +113,7 @@ class TestRecoveryImprovesPoisonedEpochs:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("protocol_name", ["grr", "oue"])
     def test_recover_strictly_improves_every_burst_epoch(self, protocol_name, seed):
-        out = _epoch_trial(_burst_task(protocol_name, seed))
+        out = _burst_trial(protocol_name, seed)
         for epoch in range(BURST_AT, EPOCH_COUNT):
             before = out[f"mse_before_e{epoch}"]
             recovered = out[f"mse_recover_e{epoch}"]
@@ -127,7 +126,7 @@ class TestRecoveryImprovesPoisonedEpochs:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_recovery_shrinks_target_frequency_gain(self, seed):
-        out = _epoch_trial(_burst_task("oue", seed))
+        out = _burst_trial("oue", seed)
         for epoch in range(BURST_AT, EPOCH_COUNT):
             assert out[f"fg_recover_e{epoch}"] < out[f"fg_before_e{epoch}"]
 

@@ -19,7 +19,7 @@ from repro.exceptions import InvalidParameterError, ProtocolError
 from repro.protocols import base, decode_array, encode_array, hashing, make_protocol
 from repro.serve import RecoveryService
 from repro.sim import AggregatorState, epochs_rows
-from repro.sim.scenarios import _EpochTask
+from repro.sim.scenarios import _epoch_trial
 from repro.sim.streaming import protocol_key
 
 EPSILON = 1.0
@@ -132,7 +132,7 @@ class TestFoldBitIdentity:
             RecoveryService,
             RecoveryService.restore,
             epochs_rows,
-            _EpochTask,
+            _epoch_trial,
         ):
             assert "chunk_users" not in inspect.signature(fn).parameters, fn
 

@@ -54,7 +54,7 @@ from repro.sim.engine import (
     run_trials,
     trial_metrics,
 )
-from repro.sim.pipeline import SimulationMode, malicious_count
+from repro.sim.pipeline import SimulationMode, _validate_chunk, malicious_count
 
 __all__ = [
     "RecoveryEvaluation",
@@ -216,7 +216,9 @@ def evaluate_recovery(
         Users simulated per chunk in the bounded-memory exact path;
         passing it upgrades ``mode="fast"`` to ``"chunked"``.  Like the
         context's ``workers`` it is an execution knob excluded from the
-        cache key.
+        cache key; a value below 1 raises
+        :class:`~repro.exceptions.InvalidParameterError` before the
+        cache lookup.
     olh_cohort:
         Run a cohort-capable protocol (OLH) in seed-cohort mode: each
         perturb batch draws this many shared hash seeds, enabling the
@@ -245,6 +247,7 @@ def evaluate_recovery(
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if with_detection and mode != "sampled":
         raise InvalidParameterError("Detection requires mode='sampled'")
+    _validate_chunk(chunk_users)
     if chunk_users is not None and mode == "fast":
         mode = "chunked"
     if chunk_users is not None and mode == "sampled":

@@ -65,7 +65,7 @@ from repro.sim.experiment import (
     run_cell,
 )
 from repro.sim.metrics import mse
-from repro.sim.pipeline import SimulationMode, run_trial
+from repro.sim.pipeline import SimulationMode, _validate_chunk, run_trial
 
 #: Paper defaults (Section VI-A): epsilon, malicious fraction, number of
 #: target items, server-side eta.
@@ -125,8 +125,11 @@ def _row_cell_params(
     Adds ``cohort_chunk_users`` (the resolved chunk schedule) exactly when
     :func:`repro.sim.cache.resolved_cohort_chunk` says it shapes the
     cell's report distribution.  The leading arguments are positional-only
-    so ``base`` may itself carry a ``mode`` spec field.
+    so ``base`` may itself carry a ``mode`` spec field.  A ``chunk_users``
+    below 1 raises :class:`~repro.exceptions.InvalidParameterError` here,
+    before the cell's cache lookup.
     """
+    _validate_chunk(chunk_users)
     params: dict[str, object] = dict(base)
     cohort_chunk = resolved_cohort_chunk(protocol, mode, chunk_users)
     if cohort_chunk is not None:

@@ -12,6 +12,8 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.sim import figures
+from repro.sim.cache import CellCache
+from repro.sim.experiment import RunContext
 from repro.sim.scenarios import EXHIBITS
 from repro.sim.shard import SweepConfig
 
@@ -186,3 +188,16 @@ class TestValidation:
     def test_zero_trials_rejected(self, figure):
         with pytest.raises(InvalidParameterError, match="trials"):
             SweepConfig(figure=figure, num_users=2_000, trials=0).run(None)
+
+    @pytest.mark.parametrize("chunk_users", [0, -5])
+    @pytest.mark.parametrize("generator", ["figure7_rows", "figure8_rows", "table1_rows"])
+    def test_bad_chunk_users_rejected_on_a_warm_cache(self, generator, chunk_users, tmp_path):
+        """A library call checks ``chunk_users`` before the cell lookup, so
+        a cache warmed at a valid chunk size serves no rows for a bad one."""
+        rows = getattr(figures, generator)
+        rows(num_users=3_000, trials=1, chunk_users=700, ctx=RunContext(cache=CellCache(tmp_path)))
+        with pytest.raises(InvalidParameterError, match="chunk_users must be >= 1"):
+            rows(
+                num_users=3_000, trials=1, chunk_users=chunk_users,
+                ctx=RunContext(cache=CellCache(tmp_path)),
+            )

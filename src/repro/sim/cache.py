@@ -50,7 +50,7 @@ import pathlib
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -85,6 +85,7 @@ __all__ = [
     "scenario_cell_spec",
     "source_digest",
     "trial_stream_spec",
+    "write_json_atomic",
 ]
 
 #: Cache schema version: bump whenever the entry layout, the spec
@@ -547,6 +548,31 @@ def default_cache_dir() -> pathlib.Path:
     return base / "repro-ldprecover"
 
 
+def write_json_atomic(
+    path: pathlib.Path, obj: Any, default: Optional[Callable[[Any], Any]] = None
+) -> None:
+    """Write ``obj`` as compact JSON to ``path``, atomically.
+
+    The JSON goes to a temp file beside ``path`` (``separators=(",", ":")``
+    and ``default`` as given to :func:`json.dump`), which ``os.replace``
+    then moves over ``path``, so a reader sees the old file or the whole
+    new one and never a truncated write.  On any exception, including an
+    ``obj`` that cannot serialize, the temp file is removed and the
+    exception re-raised, leaving ``path`` untouched.
+    """
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(obj, handle, separators=(",", ":"), default=default)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters of one :class:`CellCache` instance.
@@ -751,17 +777,7 @@ class CellCache:
         }
         if meta is not None:
             entry["meta"] = meta
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, separators=(",", ":"), default=float)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(path, entry, default=float)
         self.stats.stores += 1
         return path
 
@@ -1155,17 +1171,7 @@ class CellBlockStore:
             "per_trial": list(per_trial),
             "welford": _block_welford_payload(per_trial),
         }
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(block, handle, separators=(",", ":"), default=float)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(path, block, default=float)
         self.cache.stats.block_stores += 1
         return path
 

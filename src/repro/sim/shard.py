@@ -57,6 +57,7 @@ from repro.sim.cache import (
     CellBlockStore,
     CellCache,
     canonical_key,
+    write_json_atomic,
 )
 from repro.sim.engine import TASK_COUNTER, TrialBudget, Welford, run_scope
 from repro.sim.experiment import RunContext
@@ -783,17 +784,7 @@ def _write_report(cache: CellCache, report: ShardReport) -> pathlib.Path:
     safe_label = "".join(c if c.isalnum() or c in "-_." else "_" for c in report.label)
     stamp = f"{os.getpid()}-{time.time_ns()}-{next(_REPORT_SEQUENCE)}"
     path = directory / f"{safe_label}-{stamp}.report"
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(asdict(report), handle, separators=(",", ":"))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_json_atomic(path, asdict(report))
     return path
 
 

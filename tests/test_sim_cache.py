@@ -38,6 +38,7 @@ from repro.sim.cache import (
     fingerprint_seed_sequences,
     resolve_cache,
     source_digest,
+    write_json_atomic,
 )
 from repro.sim.engine import TASK_COUNTER
 from repro.sim.experiment import RunContext, evaluate_recovery
@@ -492,6 +493,18 @@ class TestTrialBlockIntegrity:
         assert fresh.stats.block_trials_reused == 2
         assert healed == reference
         assert survivor.exists()
+
+
+class TestAtomicJsonWriter:
+    def test_unserializable_payload_raises_and_leaves_no_file(self, tmp_path):
+        """The cache entries, trial blocks and shard reports share one
+        writer: a payload ``json.dump`` rejects midway leaves neither the
+        target nor the temp file behind."""
+        target = tmp_path / "entry.json"
+        with pytest.raises(TypeError):
+            write_json_atomic(target, {"ok": 1.0, "bad": object()}, default=float)
+        assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSourceDigest:

@@ -449,6 +449,22 @@ class TestRegistry:
         options = {keyword(option) for option in SWEEP_OPTIONS}
         assert params & options == {keyword(option) for option in exhibit.consumes}
 
+    @pytest.mark.parametrize(
+        "options", [{}, {"chunk_users": 700, "olh_cohort": 8}], ids=["plain", "chunked-cohort"]
+    )
+    @pytest.mark.parametrize("name", list(EXHIBITS))
+    def test_pooled_rows_equal_inline_rows(self, name, options):
+        """Each cell's trial callable pickles to pool workers, and the
+        pooled rows equal the inline ones bit for bit."""
+
+        def rows(workers):
+            config = SweepConfig(
+                figure=name, num_users=2_000, trials=2, workers=workers, **options
+            )
+            return config.run(None)
+
+        assert rows(2) == rows(1)
+
     def test_register_rejects_name_collisions(self):
         taken = Exhibit(name="kv", description="dup", rows=kv_rows)
         with pytest.raises(InvalidParameterError):

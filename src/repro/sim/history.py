@@ -220,9 +220,11 @@ def epoch_populations(
 
     Epoch 0 is ``dataset`` itself; each later epoch applies one
     :func:`drift_dataset` step off a single sequential stream (``rng``),
-    exactly the population model of :func:`simulate_history` — shared so
-    the ``epochs`` scenario exhibit and the history simulator agree on
-    what "the same drifting population" means.
+    the population model of :func:`simulate_history` and of the
+    ``epochs`` scenario exhibit.  Those two call :func:`drift_dataset`
+    directly, off a drift stream of their own, so this helper serves
+    callers that want the per-epoch truths alone (the cross-epoch
+    statistical tests).
     """
     if epochs < 1:
         raise InvalidParameterError(f"epochs must be >= 1, got {epochs}")
@@ -235,9 +237,6 @@ def epoch_populations(
         )
     return populations
 
-
-# Backwards-compatible private alias (pre-ISSUE-10 name).
-_drift_dataset = drift_dataset
 
 __all__ = [
     "SCHEDULE_KINDS",

@@ -11,6 +11,13 @@ i.i.d. from an attacker-designed distribution over the encoded domain.
 naturally expressed as a distribution over *items* additionally implement
 ``sample_items`` (used by the item-level analysis and by the IPA variant,
 where the crafted items go through the genuine perturbation instead).
+
+Because the server sees the reports only through their support counts,
+the effect of ``m`` crafted reports is a sum of ``m`` i.i.d. support
+indicators whose law the protocol fixes.  ``sample_counts`` draws those
+counts directly; fast-mode trials (:func:`repro.sim.pipeline.run_trial`)
+call it instead of crafting.  Its default crafts and counts, and attacks
+with a closed-form count law override it to cost O(d) instead of O(m*d).
 """
 
 from __future__ import annotations
@@ -58,6 +65,19 @@ class PoisoningAttack(ABC):
         """
         raise AttackError(f"{type(self).__name__} has no item-level distribution")
 
+    def sample_counts(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> np.ndarray:
+        """Draw the ``(d,)`` int64 support counts of ``m`` crafted reports.
+
+        Distributed as ``protocol.support_counts(self.craft(protocol, m,
+        rng))``, which is what this default computes.  Overrides draw the
+        counts from their law without crafting the reports: exactly where
+        the protocol's crafted-count law is exact (GRR, OUE), matching the
+        per-item marginals only on the local hashes (OLH), as
+        :meth:`~repro.protocols.base.FrequencyOracle.sample_genuine_counts`
+        does for genuine users.
+        """
+        return protocol.support_counts(self.craft(protocol, m, rng))
+
     def item_distribution(self, protocol: FrequencyOracle) -> Optional[np.ndarray]:
         """The attacker-designed distribution over items, if one exists.
 
@@ -91,8 +111,8 @@ class ItemSamplingAttack(PoisoningAttack):
     primitive.  This is exactly the paper's adaptive-attack template.
     """
 
-    def sample_items(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> np.ndarray:
-        m = self._validate_m(m)
+    def _item_probabilities(self, protocol: FrequencyOracle) -> np.ndarray:
+        """The checked item distribution, normalized to sum to one."""
         probs = self.item_distribution(protocol)
         if probs is None:
             raise AttackError(f"{type(self).__name__} did not define an item distribution")
@@ -104,13 +124,37 @@ class ItemSamplingAttack(PoisoningAttack):
         total = probs.sum()
         if total <= 0:
             raise AttackError("item distribution must have positive mass")
+        return probs / total
+
+    def sample_items(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> np.ndarray:
+        m = self._validate_m(m)
+        probs = self._item_probabilities(protocol)
         gen = as_generator(rng)
-        return gen.choice(protocol.domain_size, size=m, p=probs / total)
+        return gen.choice(protocol.domain_size, size=m, p=probs)
+
+    def sample_item_counts(
+        self, protocol: FrequencyOracle, m: int, rng: RngLike = None
+    ) -> np.ndarray:
+        """Histogram of ``m`` items drawn from the item distribution.
+
+        ``multinomial(m, p)`` has the law of
+        ``bincount(sample_items(protocol, m))`` and costs O(d).
+        """
+        m = self._validate_m(m)
+        probs = self._item_probabilities(protocol)
+        return as_generator(rng).multinomial(m, probs).astype(np.int64, copy=False)
 
     def craft(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> Any:
         gen = as_generator(rng)
         items = self.sample_items(protocol, m, gen)
         return protocol.craft_supporting(items, gen)
+
+    def sample_counts(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> np.ndarray:
+        """The item histogram through the protocol's crafted-count law
+        (:meth:`~repro.protocols.base.FrequencyOracle.sample_crafted_counts`)."""
+        gen = as_generator(rng)
+        items = self.sample_item_counts(protocol, m, gen)
+        return protocol.sample_crafted_counts(items, gen)
 
 
 def resolve_target_items(

@@ -18,7 +18,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro._rng import RngLike, as_generator
-from repro.attacks.base import PoisoningAttack
+from repro.attacks.base import ItemSamplingAttack, PoisoningAttack
 from repro.protocols.base import FrequencyOracle
 
 
@@ -38,6 +38,20 @@ class InputPoisoningAttack(PoisoningAttack):
         gen = as_generator(rng)
         items = self.inner.sample_items(protocol, self._validate_m(m), gen)
         return protocol.perturb(items, gen)
+
+    def sample_counts(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> np.ndarray:
+        """The inner attack's item histogram through the genuine count law
+        (:meth:`~repro.protocols.base.FrequencyOracle.sample_genuine_counts`),
+        in O(d) when the inner attack samples items from a distribution."""
+        gen = as_generator(rng)
+        m = self._validate_m(m)
+        if isinstance(self.inner, ItemSamplingAttack):
+            items = self.inner.sample_item_counts(protocol, m, gen)
+        else:
+            items = np.bincount(
+                self.inner.sample_items(protocol, m, gen), minlength=protocol.domain_size
+            )
+        return protocol.sample_genuine_counts(items, gen)
 
     def sample_items(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> np.ndarray:
         return self.inner.sample_items(protocol, m, rng)

@@ -24,7 +24,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro._rng import RngLike, as_generator
-from repro.attacks.base import ItemSamplingAttack, resolve_target_items
+from repro.attacks.base import ItemSamplingAttack, PoisoningAttack, resolve_target_items
 from repro.exceptions import AttackError
 from repro.protocols import hashing
 from repro.protocols.base import FrequencyOracle
@@ -114,6 +114,35 @@ class MGAAttack(ItemSamplingAttack):
         # Unknown pure protocol: fall back to the generic sampling template.
         return super().craft(protocol, m, gen)
 
+    def sample_counts(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> np.ndarray:
+        """Support counts of ``m`` crafted reports (see the base class).
+
+        OUE draws the joint law of :meth:`_craft_oue`'s columns in
+        O(k * pad).  OLH crafts and counts through the default: its batch
+        reuses a few winning keys, so grouped counting already makes it
+        cheap, and its draws stay those of the crafting path.  GRR and
+        unknown protocols draw the item histogram and apply the protocol's
+        crafted-count law.
+        """
+        m = self._validate_m(m)
+        gen = as_generator(rng)
+        if isinstance(protocol, OLH):
+            return PoisoningAttack.sample_counts(self, protocol, m, gen)
+        if isinstance(protocol, OUE):
+            return self._sample_oue_counts(protocol, m, gen)
+        return super().sample_counts(protocol, m, gen)
+
+    def _oue_padding(self, protocol: OUE) -> tuple[int, np.ndarray]:
+        """``(pad, non_targets)``: the padding bits each crafted OUE report
+        draws, up to the expected genuine on-bit count, and the columns
+        it draws them from."""
+        d = protocol.domain_size
+        non_targets = np.setdiff1d(np.arange(d, dtype=np.int64), self._targets)
+        if not self.pad_oue:
+            return 0, non_targets
+        expected_ones = int(round(protocol.p + (d - 1) * protocol.q))
+        return min(max(0, expected_ones - self._targets.size), non_targets.size), non_targets
+
     def _craft_oue(self, protocol: OUE, m: int, gen: np.random.Generator) -> np.ndarray:
         """``m`` bit vectors: every target bit on, plus ``pad`` padding bits.
 
@@ -126,17 +155,9 @@ class MGAAttack(ItemSamplingAttack):
         exactly one double per (report, non-target column), ``m * k`` in
         all, and needs O(m) scratch memory beyond the output.
         """
-        d = protocol.domain_size
-        bits = np.zeros((m, d), dtype=bool)
+        bits = np.zeros((m, protocol.domain_size), dtype=bool)
         bits[:, self._targets] = True
-        if not self.pad_oue:
-            return bits
-        expected_ones = int(round(protocol.p + (d - 1) * protocol.q))
-        pad = max(0, expected_ones - self._targets.size)
-        if pad == 0:
-            return bits
-        non_targets = np.setdiff1d(np.arange(d, dtype=np.int64), self._targets)
-        pad = min(pad, non_targets.size)
+        pad, non_targets = self._oue_padding(protocol)
         if pad and m:
             k = non_targets.size
             need = np.full(m, pad, dtype=np.int64)
@@ -145,6 +166,32 @@ class MGAAttack(ItemSamplingAttack):
                 bits[:, column] = take
                 need -= take
         return bits
+
+    def _sample_oue_counts(self, protocol: OUE, m: int, gen: np.random.Generator) -> np.ndarray:
+        """The column sums of :meth:`_craft_oue`'s reports, without the reports.
+
+        Reports pad independently, so Algorithm S runs on a histogram of
+        them by remaining need: ``rows[r]`` reports still lack ``r`` bits,
+        and at non-target column ``j`` a ``Binomial(rows[r], r / (k - j))``
+        of them take it.  The column counts have the crafting path's joint
+        law, every report still ends with exactly ``pad`` bits, and the
+        cost is O(k * pad) draws.
+        """
+        counts = np.zeros(protocol.domain_size, dtype=np.int64)
+        counts[self._targets] = m
+        pad, non_targets = self._oue_padding(protocol)
+        if pad and m:
+            k = non_targets.size
+            need = np.arange(1, pad + 1)
+            rows = np.zeros(pad + 1, dtype=np.int64)
+            rows[pad] = m
+            for j, column in enumerate(non_targets):
+                # Rows needing more bits than columns remain are empty.
+                take = gen.binomial(rows[1:], np.minimum(1.0, need / (k - j)))
+                counts[column] = take.sum()
+                rows[1:] -= take
+                rows[:-1] += take
+        return counts
 
     def _craft_olh(self, protocol: OLH, m: int, gen: np.random.Generator) -> OLHReports:
         best_seeds, best_values = self._search_olh_reports(protocol, gen)

@@ -78,6 +78,16 @@ class MultiAttacker(PoisoningAttack):
             combined = protocol.concat_reports(combined, batch)
         return combined
 
+    def sample_counts(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> np.ndarray:
+        """The sum of each attacker's ``sample_counts`` over the same user
+        split and child generators as :meth:`craft`."""
+        counts = self.split_users(m)
+        rngs = spawn(rng, len(self.attacks))
+        total = np.zeros(protocol.domain_size, dtype=np.int64)
+        for attack, mi, child in zip(self.attacks, counts, rngs):
+            total += attack.sample_counts(protocol, int(mi), child)
+        return total
+
     def sample_items(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> np.ndarray:
         counts = self.split_users(m)
         gen = as_generator(rng)

@@ -19,7 +19,9 @@ Two simulation paths are offered:
   report-level; required by the Detection baseline and IPA);
 * ``sample_genuine_counts`` draws the aggregated support counts of a
   genuine population directly from their marginal laws, so paper-scale
-  populations (hundreds of thousands of users) simulate in milliseconds.
+  populations (hundreds of thousands of users) simulate in milliseconds;
+  ``sample_crafted_counts`` does the same for reports crafted with
+  ``craft_supporting``.
 """
 
 from __future__ import annotations
@@ -369,6 +371,18 @@ class FrequencyOracle(ABC):
         ``support_counts(perturb(items))`` (exactly for GRR/OUE, marginally
         for OLH) but costs O(d) instead of O(n).
         """
+
+    def sample_crafted_counts(self, item_counts: np.ndarray, rng: RngLike = None) -> np.ndarray:
+        """Draw the support counts of crafted reports for an item histogram.
+
+        ``item_counts[v]`` is the number of reports crafted with
+        :meth:`craft_supporting` for item ``v``.  The returned array is
+        distributed as ``support_counts(craft_supporting(items))`` over
+        those ``m = item_counts.sum()`` items.  This default crafts and
+        counts them in O(m*d); GRR, OUE and OLH draw the counts in O(d).
+        """
+        items = counts_to_items(self._validate_true_counts(item_counts), shuffle=False)
+        return self.support_counts(self.craft_supporting(items, rng))
 
     @abstractmethod
     def theoretical_variance(self, n: int, frequency: float = 0.0) -> float:

@@ -100,6 +100,11 @@ class GRR(FrequencyOracle):
             out[v + 1 :] += scattered[v:]
         return out
 
+    def sample_crafted_counts(self, item_counts: np.ndarray, rng: RngLike = None) -> np.ndarray:
+        """Exact: a crafted GRR report is its item, so the counts are the
+        item histogram itself and no randomness is drawn."""
+        return self._validate_true_counts(item_counts).copy()
+
     def theoretical_variance(self, n: int, frequency: float = 0.0) -> float:
         """Paper Eq. (4)."""
         if n <= 0:

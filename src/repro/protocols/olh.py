@@ -367,6 +367,19 @@ class OLH(FrequencyOracle):
         others = gen.binomial(n - counts, self.q)
         return (own + others).astype(np.int64)
 
+    def sample_crafted_counts(self, item_counts: np.ndarray, rng: RngLike = None) -> np.ndarray:
+        """Marginally exact crafted counts.
+
+        A crafted report (:meth:`craft_supporting`) always supports its
+        item, and its fresh key makes any other item collide with
+        probability ``1/g``, so marginally ``C(v) = c_v + Binom(m - c_v,
+        1/g)`` with ``m = sum(c)``.  As in :meth:`sample_genuine_counts`,
+        the cross-item correlations of shared keys are not modeled.
+        """
+        counts = self._validate_true_counts(item_counts)
+        m = int(counts.sum())
+        return counts + as_generator(rng).binomial(m - counts, self.q).astype(np.int64)
+
     def theoretical_variance(self, n: int, frequency: float = 0.0) -> float:
         """Paper Eq. (10) (approximation, frequency-independent)."""
         if n <= 0:

@@ -132,6 +132,14 @@ class OUE(FrequencyOracle):
         others = gen.binomial(n - counts, self.q)
         return (own + others).astype(np.int64)
 
+    def sample_crafted_counts(self, item_counts: np.ndarray, rng: RngLike = None) -> np.ndarray:
+        """Exact crafted counts: a crafted report's item bit is on and each
+        other bit fires at rate ``q`` independently (:meth:`craft_supporting`),
+        so ``C(v) = c_v + Binom(m - c_v, q)`` with ``m = sum(c)``."""
+        counts = self._validate_true_counts(item_counts)
+        m = int(counts.sum())
+        return counts + as_generator(rng).binomial(m - counts, self.q).astype(np.int64)
+
     def theoretical_variance(self, n: int, frequency: float = 0.0) -> float:
         """Paper Eq. (7) (frequency-independent)."""
         if n <= 0:

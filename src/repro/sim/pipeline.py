@@ -6,7 +6,12 @@ frequency vector.  The result carries every intermediate vector needed by
 the metrics and recovery methods, plus (in ``sampled`` mode) the raw
 reports for report-level defenses (Detection, k-means).
 
-:func:`run_trial` runs all three simulation modes.  ``chunked`` mode
+:func:`run_trial` runs all three simulation modes.  ``fast`` mode never
+materializes a report: it draws the genuine support counts
+(:meth:`~repro.protocols.base.FrequencyOracle.sample_genuine_counts`) and
+the malicious ones
+(:meth:`~repro.attacks.base.PoisoningAttack.sample_counts`) from their
+laws, in O(d) per trial for most attacks.  ``chunked`` mode
 perturbs and crafts in bounded-memory chunks of ``support_counts``
 partial sums (:func:`chunked_genuine_counts`,
 :func:`chunked_malicious_counts`), so report-level OUE/SUE simulations of
@@ -205,8 +210,10 @@ def run_trial(
     beta:
         Malicious fraction ``m/(n+m)``; paper default 0.05.
     mode:
-        ``"fast"`` draws genuine aggregated counts from their marginal
-        laws (milliseconds at paper scale); ``"sampled"`` materializes
+        ``"fast"`` draws the genuine and the malicious support counts
+        from their laws instead of perturbing and crafting reports
+        (milliseconds at paper scale; exact for GRR and OUE, per-item
+        marginals only for OLH); ``"sampled"`` materializes
         every report (needed by Detection / k-means defenses);
         ``"chunked"`` has the semantics of ``"sampled"`` but aggregates
         genuine reports with :func:`chunked_genuine_counts` and malicious
@@ -254,9 +261,11 @@ def run_trial(
     genuine_freq = protocol.estimate_frequencies(genuine_counts, n)
 
     if m > 0 and attack is not None:
+        malicious_reports = None
         if mode == "chunked":
-            malicious_reports = None
             malicious_counts = chunked_malicious_counts(protocol, attack, m, gen, chunk_users)
+        elif mode == "fast":
+            malicious_counts = attack.sample_counts(protocol, m, gen)
         else:
             malicious_reports = attack.craft(protocol, m, gen)
             malicious_counts = protocol.support_counts(malicious_reports)

@@ -22,8 +22,12 @@ variance against it:
   column is ``Binomial(m, pad/k)``, two of them covary by
   ``-m (pad/k)(1 - pad/k)/(k - 1)``, and a draw sums to ``m (r + pad)``.
 
-MGA on the local hashes has no closed form (its reports come from a
-search over hash keys) and is left out.
+Each law is checked on both ways a trial draws these counts: crafting
+and counting the reports (sampled and chunked trials) and
+``attack.sample_counts`` (fast trials).  MGA on the local hashes has no
+closed form (its reports come from a search over hash keys), and it and
+RPA draw through the crafting path, so for them ``sample_counts`` is
+pinned bit-equal to ``support_counts(craft(...))`` instead.
 """
 
 from __future__ import annotations
@@ -34,10 +38,13 @@ import pytest
 from repro.attacks import (
     AdaptiveAttack,
     InputPoisoningAttack,
+    ItemSamplingAttack,
     ManipAttack,
     MGAAttack,
     MultiAttacker,
+    RPAAttack,
 )
+from repro.exceptions import AttackError
 from repro.protocols import BLH, GRR, OLH, OUE, SUE
 
 EPSILON = 1.0
@@ -68,8 +75,12 @@ def _crafted(attack, protocol, m, gen):
     return protocol.support_counts(attack.craft(protocol, m, gen))
 
 
+def _sampled(attack, protocol, m, gen):
+    return attack.sample_counts(protocol, m, gen)
+
+
 #: Ways to draw one batch's malicious support counts off a generator.
-DRAWERS = {"craft": _crafted}
+DRAWERS = {"craft": _crafted, "sample": _sampled}
 
 
 def _draws(path, attack, protocol, seed, m=M):
@@ -178,3 +189,53 @@ def test_unpadded_mga_counts_only_its_targets(path, protocol_name):
     expected = np.zeros(D, dtype=np.int64)
     expected[mga.target_items] = M
     np.testing.assert_array_equal(draws, np.broadcast_to(expected, draws.shape))
+
+
+@pytest.mark.parametrize(
+    "attack_name,protocol_name",
+    [("mga", "olh"), ("mga", "blh")] + [("rpa", name) for name in PROTOCOLS],
+)
+def test_crafting_path_attacks_sample_bit_equal_counts(attack_name, protocol_name):
+    attack = RPAAttack(D) if attack_name == "rpa" else _attack(attack_name)
+    protocol = PROTOCOLS[protocol_name](EPSILON, D)
+    for m in (0, 1, M):
+        crafted_gen, sampled_gen = np.random.default_rng(4_000), np.random.default_rng(4_000)
+        np.testing.assert_array_equal(
+            attack.sample_counts(protocol, m, sampled_gen),
+            _crafted(attack, protocol, m, crafted_gen),
+        )
+        # Later draws of the trial stay where the crafting path left them.
+        assert sampled_gen.random() == crafted_gen.random()
+
+
+class _Distribution(ItemSamplingAttack):
+    def __init__(self, probs):
+        self.probs = probs
+
+    def item_distribution(self, protocol):
+        return self.probs
+
+
+@pytest.mark.parametrize(
+    "probs,match",
+    [
+        (None, "did not define an item distribution"),
+        (np.ones(D - 1), "item distribution has shape"),
+        (np.zeros(D), "positive mass"),
+    ],
+)
+@pytest.mark.parametrize("path", sorted(DRAWERS))
+def test_bad_item_distribution_raises_attack_error(path, probs, match):
+    protocol = OUE(EPSILON, D)
+    attack = _Distribution(probs)
+    with pytest.raises(AttackError, match=match):
+        DRAWERS[path](attack, protocol, M, np.random.default_rng(0))
+    with pytest.raises(AttackError, match=match):
+        InputPoisoningAttack(attack).sample_counts(protocol, M, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("path", sorted(DRAWERS))
+@pytest.mark.parametrize("attack_name", ["aa", "mga", "ipa-mga", "multi-aa"])
+def test_negative_m_raises_attack_error(path, attack_name):
+    with pytest.raises(AttackError, match="m must be >= 0"):
+        DRAWERS[path](_attack(attack_name), OUE(EPSILON, D), -1, np.random.default_rng(0))

@@ -83,13 +83,6 @@ class OUE(FrequencyOracle):
             bits[np.arange(items.size), items] = True
         return bits
 
-    def craft_bit_vectors(self, bit_sets: Sequence[Sequence[int]]) -> np.ndarray:
-        """Craft arbitrary bit-vector reports (used by MGA's padding)."""
-        bits = np.zeros((len(bit_sets), self.domain_size), dtype=bool)
-        for row, on_bits in enumerate(bit_sets):
-            bits[row, np.asarray(list(on_bits), dtype=np.int64)] = True
-        return bits
-
     def concat_reports(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         return np.concatenate(
             [self._validate_reports(first), self._validate_reports(second)], axis=0

@@ -16,6 +16,14 @@ D = 20
 DATASET = zipf_dataset(domain_size=D, num_users=20_000, exponent=1.0, rng=2)
 
 
+def _bits(proto, bit_sets):
+    """One OUE report per entry of ``bit_sets``, with exactly those bits on."""
+    bits = np.zeros((len(bit_sets), proto.domain_size), dtype=bool)
+    for row, on_bits in enumerate(bit_sets):
+        bits[row, on_bits] = True
+    return bits
+
+
 class TestDetectionMechanics:
     def test_grr_removes_exactly_target_reports(self):
         proto = GRR(epsilon=0.5, domain_size=D)
@@ -30,7 +38,7 @@ class TestDetectionMechanics:
         targets = [0, 1, 2, 3]
         # One report supports all targets (MGA signature), one supports a
         # single target (genuine-looking), one supports none.
-        bits = proto.craft_bit_vectors([[0, 1, 2, 3], [0], [7]])
+        bits = _bits(proto, [[0, 1, 2, 3], [0], [7]])
         result = detect_and_aggregate(proto, bits, target_items=targets)
         assert result.removed == 1
         assert result.kept == 2
@@ -38,7 +46,7 @@ class TestDetectionMechanics:
     def test_custom_fraction(self):
         proto = OUE(epsilon=0.5, domain_size=D)
         targets = [0, 1, 2, 3]
-        bits = proto.craft_bit_vectors([[0, 1, 2, 3], [0], [7]])
+        bits = _bits(proto, [[0, 1, 2, 3], [0], [7]])
         strict = detect_and_aggregate(
             proto, bits, target_items=targets, min_support_fraction=0.25
         )

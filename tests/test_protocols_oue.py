@@ -14,6 +14,14 @@ def proto() -> OUE:
     return OUE(epsilon=1.0, domain_size=10)
 
 
+def _bits(proto, bit_sets):
+    """One OUE report per entry of ``bit_sets``, with exactly those bits on."""
+    bits = np.zeros((len(bit_sets), proto.domain_size), dtype=bool)
+    for row, on_bits in enumerate(bit_sets):
+        bits[row, on_bits] = True
+    return bits
+
+
 class TestPerturb:
     def test_shape_and_dtype(self, proto, rng):
         items = rng.integers(0, proto.domain_size, size=100)
@@ -130,12 +138,6 @@ class TestCrafting:
         other_rate = float(crafted[:, 1:].mean())
         assert other_rate == pytest.approx(proto.q, abs=0.01)
 
-    def test_craft_bit_vectors(self, proto):
-        bits = proto.craft_bit_vectors([[0, 1], [5], []])
-        assert bits[0, 0] and bits[0, 1]
-        assert bits[1, 5]
-        assert bits[2].sum() == 0
-
 
 class TestReportOps:
     def test_concat(self, proto):
@@ -145,22 +147,22 @@ class TestReportOps:
         assert proto.num_reports(combined) == 3
 
     def test_supporting_any(self, proto):
-        bits = proto.craft_bit_vectors([[0, 1], [5], [2]])
+        bits = _bits(proto, [[0, 1], [5], [2]])
         mask = proto.reports_supporting_any(bits, [1, 2])
         np.testing.assert_array_equal(mask, [True, False, True])
 
     def test_supporting_any_empty_targets(self, proto):
-        bits = proto.craft_bit_vectors([[0]])
+        bits = _bits(proto, [[0]])
         mask = proto.reports_supporting_any(bits, [])
         np.testing.assert_array_equal(mask, [False])
 
     def test_target_support_counts(self, proto):
-        bits = proto.craft_bit_vectors([[0, 1, 2], [2], []])
+        bits = _bits(proto, [[0, 1, 2], [2], []])
         counts = proto.target_support_counts(bits, [0, 1, 2])
         np.testing.assert_array_equal(counts, [3, 1, 0])
 
     def test_select_reports(self, proto):
-        bits = proto.craft_bit_vectors([[0], [1], [2]])
+        bits = _bits(proto, [[0], [1], [2]])
         kept = proto.select_reports(bits, np.array([False, True, True]))
         assert proto.num_reports(kept) == 2
         assert kept[0, 1] and kept[1, 2]

@@ -37,24 +37,31 @@ from repro.serve.snapshots import SnapshotStore
 #: Largest accepted request body; ingest batches beyond this must be split.
 MAX_BODY_BYTES = 1 << 28
 
+#: A request line or header line longer than about this many bytes is
+#: answered with 431: the stream reader's buffer limit (asyncio's default).
+MAX_LINE_BYTES = 1 << 16
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
 
 class _Unframeable(Exception):
-    """A request whose body cannot be framed off the stream.
+    """A request that cannot be framed off the stream.
 
     Raised by the request parser *before* reading the body, with the
     status to answer: ``413`` for a declared body beyond
     :data:`MAX_BODY_BYTES` (never buffered), ``400`` for a
-    ``Content-Length`` that is not a plain decimal number.  The unread
-    body makes the stream unrecoverable, hence a close after the answer.
+    ``Content-Length`` that is not a plain decimal number, ``431`` for a
+    request line or header line beyond :data:`MAX_LINE_BYTES`.  The
+    unread rest of the request makes the stream unrecoverable, hence a
+    close after the answer.
     """
 
     def __init__(self, status: int, message: str) -> None:
@@ -98,7 +105,7 @@ class RecoveryHTTPServer:
     async def start(self) -> None:
         """Bind and start accepting connections; resolves :attr:`port`."""
         self._server = await asyncio.start_server(
-            self._handle_client, host=self.host, port=self.port
+            self._handle_client, host=self.host, port=self.port, limit=MAX_LINE_BYTES
         )
         sockets = self._server.sockets or []
         if sockets:
@@ -129,8 +136,8 @@ class RecoveryHTTPServer:
                 try:
                     request = await self._read_request(reader)
                 except _Unframeable as exc:
-                    # The body is still unread, so the stream cannot be
-                    # resynchronized: answer and close.
+                    # The rest of the request is still unread, so the
+                    # stream cannot be resynchronized: answer and close.
                     writer.write(_render_response(exc.status, {"error": str(exc)}, False))
                     await writer.drain()
                     break
@@ -143,7 +150,7 @@ class RecoveryHTTPServer:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
@@ -159,7 +166,7 @@ class RecoveryHTTPServer:
         self, reader: asyncio.StreamReader
     ) -> Optional[tuple[str, str, dict[str, str], bytes]]:
         """Parse one request off the stream, ``None`` at end of stream."""
-        line = await reader.readline()
+        line = await _read_line(reader, "request line")
         if not line or not line.strip():
             return None
         try:
@@ -168,7 +175,7 @@ class RecoveryHTTPServer:
             return None
         headers: dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await _read_line(reader, "header line")
             if not raw or raw in (b"\r\n", b"\n"):
                 break
             name, _sep, value = raw.decode("latin-1").partition(":")
@@ -260,6 +267,20 @@ class RecoveryHTTPServer:
         return 200, {"path": str(path)}
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line off the stream; one beyond :data:`MAX_LINE_BYTES` is a 431.
+
+    ``readline`` reports a line over the reader's limit as ``ValueError``,
+    after discarding the part it buffered.
+    """
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise _Unframeable(
+            431, f"{what} exceeds the {MAX_LINE_BYTES}-byte limit"
+        ) from exc
+
+
 def _render_response(status: int, payload: dict[str, Any], keep_alive: bool) -> bytes:
     """Serialize one JSON response with the standard HTTP/1.1 framing."""
     body = json.dumps(payload, separators=(",", ":"), default=float).encode("utf-8")
@@ -303,4 +324,4 @@ def run_server(
         pass
 
 
-__all__ = ["MAX_BODY_BYTES", "RecoveryHTTPServer", "run_server"]
+__all__ = ["MAX_BODY_BYTES", "MAX_LINE_BYTES", "RecoveryHTTPServer", "run_server"]

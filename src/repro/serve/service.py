@@ -26,6 +26,7 @@ the views call the exact recovery functions the exhibits use.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -35,10 +36,10 @@ import numpy as np
 
 from repro.core.detection import detect_and_aggregate
 from repro.core.recover import DEFAULT_ETA, recover_frequencies
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, ProtocolError
 from repro.protocols.base import FrequencyOracle
 from repro.sim.engine import CallCounter
-from repro.sim.streaming import AggregatorState
+from repro.sim.streaming import AggregatorState, snapshot_count, snapshot_object
 
 #: The frequency views a service can serve per epoch.
 METHODS = ("raw", "recover", "recover_star", "detection")
@@ -317,20 +318,32 @@ class RecoveryService:
         remainder of a stream into the restored service yields the same
         counts as an uninterrupted run — nothing is double-counted
         because the snapshot holds folded partial sums, not batches.
+        Snapshots are read back from files, so every field is checked: a
+        malformed one raises :class:`~repro.exceptions.ProtocolError`
+        naming it.
         """
+        snapshot = snapshot_object(snapshot, "service snapshot")
         if snapshot.get("format") != SERVICE_SNAPSHOT_FORMAT:
             raise InvalidParameterError(
                 f"unsupported service snapshot format {snapshot.get('format')!r}; "
                 f"expected {SERVICE_SNAPSHOT_FORMAT}"
             )
-        service = cls(
+        eta = snapshot.get("eta", DEFAULT_ETA)
+        if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not math.isfinite(eta):
+            raise ProtocolError(
+                f"service snapshot field 'eta' must be a finite number, got {eta!r}"
+            )
+        service = cls(protocol, eta=float(eta), retain_reports=retain_reports)
+        service.state = AggregatorState.restore(
+            snapshot_object(snapshot.get("aggregator"), "service snapshot field 'aggregator'"),
             protocol,
-            eta=float(snapshot.get("eta", DEFAULT_ETA)),
-            retain_reports=retain_reports,
         )
-        service.state = AggregatorState.restore(snapshot["aggregator"], protocol)
-        service.ingested_reports = int(snapshot.get("ingested_reports", 0))
-        service.ingested_batches = int(snapshot.get("ingested_batches", 0))
+        service.ingested_reports = snapshot_count(
+            snapshot.get("ingested_reports", 0), "service snapshot field 'ingested_reports'"
+        )
+        service.ingested_batches = snapshot_count(
+            snapshot.get("ingested_batches", 0), "service snapshot field 'ingested_batches'"
+        )
         return service
 
 

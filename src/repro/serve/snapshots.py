@@ -1,9 +1,10 @@
 """Crash-safe snapshot persistence for the recovery service.
 
-One JSON file per snapshot under a directory, written with the cell
-cache's atomic-replace discipline (temp file + ``os.replace``) so a
-kill mid-write never leaves a truncated snapshot behind — the previous
-snapshot stays the latest readable one.  File names carry a
+One JSON file per snapshot under a directory, written through the cell
+cache's atomic writer (:func:`repro.sim.cache.write_json_atomic`: temp
+file + ``os.replace``) so a kill mid-write never leaves a truncated
+snapshot behind — the previous snapshot stays the latest readable
+one.  File names carry a
 monotonically increasing sequence number (``snapshot-00000001.json``),
 derived by scanning the directory, so ordering never depends on the
 clock; the wall-clock ``created_at`` stamp inside each file is
@@ -16,9 +17,10 @@ import json
 import os
 import pathlib
 import re
-import tempfile
 import time
 from typing import Any, Optional
+
+from repro.sim.cache import write_json_atomic
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.json$")
 
@@ -65,17 +67,7 @@ class SnapshotStore:
             "created_at": time.time(),
             "snapshot": snapshot,
         }
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, separators=(",", ":"), default=float)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(path, entry, default=float)
         return path
 
     def latest(self) -> Optional[dict[str, Any]]:

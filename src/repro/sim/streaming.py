@@ -190,8 +190,11 @@ class AggregatorState:
         recorded as ``"chunk_users"``, are ignored: they never shaped the
         counts.  Ingesting the not-yet-snapshotted remainder of a stream
         into the restored state yields byte-equal counts to an
-        uninterrupted run.
+        uninterrupted run.  Every field restore reads is checked first:
+        a malformed one raises :class:`~repro.exceptions.ProtocolError`
+        naming the epoch and the field.
         """
+        snapshot = snapshot_object(snapshot, "snapshot")
         if snapshot.get("format") != SNAPSHOT_FORMAT:
             raise InvalidParameterError(
                 f"unsupported snapshot format {snapshot.get('format')!r}; "
@@ -204,20 +207,48 @@ class AggregatorState:
                 "snapshot was taken under a different protocol identity: "
                 f"{str(recorded)[:12]}... != {state.key[:12]}..."
             )
-        for name, payload in sorted(snapshot.get("epochs", {}).items()):
-            counts = decode_array(payload["support_counts"])
+        epochs = snapshot_object(snapshot.get("epochs", {}), "snapshot field 'epochs'")
+        for name, entry in sorted(epochs.items()):
+            where = f"snapshot epoch {name!r}"
+            payload = snapshot_object(entry, where)
+            try:
+                counts = decode_array(payload.get("support_counts"))
+            except (ProtocolError, TypeError, ValueError) as exc:
+                raise ProtocolError(f"{where} field 'support_counts': {exc}") from exc
             if counts.shape != (protocol.domain_size,) or counts.dtype != np.int64:
                 raise ProtocolError(
-                    f"snapshot epoch {name!r} carries counts of shape "
+                    f"{where} carries counts of shape "
                     f"{counts.shape} dtype {counts.dtype}; expected int64 "
                     f"({protocol.domain_size},)"
                 )
             state.epochs[name] = EpochState(
                 support_counts=counts,
-                num_reports=int(payload["num_reports"]),
-                batches=int(payload["batches"]),
+                num_reports=snapshot_count(
+                    payload.get("num_reports"), f"{where} field 'num_reports'"
+                ),
+                batches=snapshot_count(payload.get("batches"), f"{where} field 'batches'"),
             )
         return state
+
+
+def snapshot_object(value: Any, what: str) -> dict[str, Any]:
+    """``value`` if it is a JSON object, else :class:`ProtocolError` naming ``what``.
+
+    Snapshots are read back from files, so :meth:`AggregatorState.restore`
+    and :meth:`repro.serve.RecoveryService.restore` check every field
+    they read before using it.
+    """
+    if not isinstance(value, dict):
+        raise ProtocolError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def snapshot_count(value: Any, what: str) -> int:
+    """``value`` if it is a non-negative integer, else :class:`ProtocolError`
+    naming ``what`` (see :func:`snapshot_object`)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ProtocolError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def fan_in(states: Sequence[AggregatorState]) -> AggregatorState:
@@ -245,4 +276,6 @@ __all__ = [
     "EpochState",
     "fan_in",
     "protocol_key",
+    "snapshot_count",
+    "snapshot_object",
 ]

@@ -16,13 +16,18 @@ modes a long-lived deployment actually hits (ISSUE 10 satellite 4):
 * target items outside the domain (``d``, ``-1``, ``2**70``) answer 400
   on every protocol and method, and never key a cached view;
 * a ``Content-Length`` that is not a plain decimal number answers a JSON
-  ``400`` and closes, and the server keeps serving new connections.
+  ``400`` and closes, and the server keeps serving new connections;
+* a request line or header line over the line limit answers a JSON
+  ``431`` and closes, with no traceback logged;
+* a forged snapshot whose epoch entry lacks a field or is not an object
+  makes ``serve --resume`` exit 2 with one error line.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -31,7 +36,7 @@ from repro.attacks import MGAAttack
 from repro.cli import main
 from repro.protocols import make_protocol
 from repro.serve import RecoveryHTTPServer, RecoveryService, SnapshotStore
-from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.http import MAX_BODY_BYTES, MAX_LINE_BYTES
 
 EPSILON = 1.0
 DOMAIN = 16
@@ -169,6 +174,46 @@ class TestMalformedContentLength:
         assert service.ingested_reports == 0
 
 
+class TestOverlongLines:
+    """asyncio's ``readline`` raises ``ValueError`` past its limit; that
+    used to escape the connection callback, leaving the client an empty
+    reply and the log a traceback."""
+
+    @pytest.mark.parametrize("where", ["request line", "header line"])
+    def test_answers_431_then_close_and_stays_live(self, where, caplog):
+        protocol, _ = _poisoned_reports()
+        pad = "x" * (100 * 1024)
+        assert len(pad) > MAX_LINE_BYTES
+        if where == "request line":
+            head = f"GET /healthz?pad={pad} HTTP/1.1\r\nHost: t\r\n\r\n"
+        else:
+            head = f"GET /healthz HTTP/1.1\r\nHost: t\r\nX-Pad: {pad}\r\n\r\n"
+
+        async def scenario():
+            server = RecoveryHTTPServer(RecoveryService(protocol))
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(head.encode("latin-1"))
+            await writer.drain()
+            status, headers, doc = await _read_response(reader)
+            assert status == 431
+            assert headers["connection"] == "close"
+            assert doc["error"] == f"{where} exceeds the {MAX_LINE_BYTES}-byte limit"
+            assert await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            status, _, doc = await _request(reader, writer, "GET", "/healthz")
+            assert (status, doc) == (200, {"status": "ok"})
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            asyncio.run(scenario())
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR or r.exc_info]
+
+
 class TestTruncatedJSONMidKeepAlive:
     def test_truncated_body_is_400_and_connection_survives(self):
         protocol, reports = _poisoned_reports()
@@ -247,6 +292,33 @@ class TestSnapshotDirCorruptionOnResume:
         ])
         assert code == 2
         assert "cannot resume" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "forge,message",
+        [
+            (lambda snap: snap["aggregator"]["epochs"]["e"].pop("num_reports"),
+             "snapshot epoch 'e' field 'num_reports' must be a non-negative integer"),
+            (lambda snap: snap["aggregator"]["epochs"].update(e="forged"),
+             "snapshot epoch 'e' must be a JSON object, got str"),
+        ],
+        ids=["missing-num-reports", "string-entry"],
+    )
+    def test_resume_from_forged_epoch_entry_exits_2(self, tmp_path, capsys, forge, message):
+        protocol, reports = _poisoned_reports()
+        service = RecoveryService(protocol)
+        service.ingest("e", reports)
+        snap = json.loads(json.dumps(service.snapshot(), default=float))
+        forge(snap)
+        SnapshotStore(tmp_path).save(snap)
+        code = main([
+            "serve", "--protocol", "oue", "--epsilon", str(EPSILON),
+            "--domain-size", str(DOMAIN),
+            "--snapshot-dir", str(tmp_path), "--resume",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot resume from snapshot: ")
+        assert message in err and err.count("\n") == 1
 
 
 class TestConcurrentIngestDuringRecompute:

@@ -20,7 +20,8 @@ modes a long-lived deployment actually hits (ISSUE 10 satellite 4):
 * a request line or header line over the line limit answers a JSON
   ``431`` and closes, with no traceback logged;
 * a forged snapshot whose epoch entry lacks a field or is not an object
-  makes ``serve --resume`` exit 2 with one error line.
+  makes ``serve --resume`` exit 2 with one error line, and restore names
+  whichever snapshot field was forged.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
 
 from repro.attacks import MGAAttack
 from repro.cli import main
+from repro.exceptions import ProtocolError
 from repro.protocols import make_protocol
 from repro.serve import RecoveryHTTPServer, RecoveryService, SnapshotStore
 from repro.serve.http import MAX_BODY_BYTES, MAX_LINE_BYTES
@@ -319,6 +322,37 @@ class TestSnapshotDirCorruptionOnResume:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot resume from snapshot: ")
         assert message in err and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "forge,message",
+        [
+            (lambda snap: snap.pop("aggregator"),
+             "service snapshot field 'aggregator' must be a JSON object, got NoneType"),
+            (lambda snap: snap.update(eta="0.1"),
+             "service snapshot field 'eta' must be a finite number"),
+            (lambda snap: snap.update(ingested_reports=-1),
+             "service snapshot field 'ingested_reports' must be a non-negative integer"),
+            (lambda snap: snap["aggregator"].update(epochs=[]),
+             "snapshot field 'epochs' must be a JSON object, got list"),
+            (lambda snap: snap["aggregator"]["epochs"]["e"].update(batches=1.5),
+             "snapshot epoch 'e' field 'batches' must be a non-negative integer"),
+            (lambda snap: snap["aggregator"]["epochs"]["e"]["support_counts"].update(data="!"),
+             "snapshot epoch 'e' field 'support_counts'"),
+            (lambda snap: snap["aggregator"]["epochs"]["e"]["support_counts"].update(shape=["x"]),
+             "snapshot epoch 'e' field 'support_counts'"),
+        ],
+        ids=["no-aggregator", "string-eta", "negative-ingested", "epochs-list",
+             "float-batches", "bad-base64", "bad-shape"],
+    )
+    def test_restore_names_the_forged_field(self, forge, message):
+        protocol, reports = _poisoned_reports()
+        service = RecoveryService(protocol)
+        service.ingest("e", reports)
+        snap = json.loads(json.dumps(service.snapshot(), default=float))
+        forge(snap)
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            RecoveryService.restore(snap, protocol)
 
 
 class TestConcurrentIngestDuringRecompute:

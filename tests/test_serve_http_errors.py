@@ -323,7 +323,6 @@ class TestSnapshotDirCorruptionOnResume:
         assert err.startswith("error: cannot resume from snapshot: ")
         assert message in err and err.count("\n") == 1
 
-
     @pytest.mark.parametrize(
         "forge,message",
         [

@@ -151,7 +151,11 @@ class ItemSamplingAttack(PoisoningAttack):
 
     def sample_counts(self, protocol: FrequencyOracle, m: int, rng: RngLike = None) -> np.ndarray:
         """The item histogram through the protocol's crafted-count law
-        (:meth:`~repro.protocols.base.FrequencyOracle.sample_crafted_counts`)."""
+        (:meth:`~repro.protocols.base.FrequencyOracle.sample_crafted_counts`).
+
+        This is the law of :meth:`craft` above; a subclass that crafts
+        differently (as MGA does on OUE and OLH) overrides this too.
+        """
         gen = as_generator(rng)
         items = self.sample_item_counts(protocol, m, gen)
         return protocol.sample_crafted_counts(items, gen)

@@ -30,7 +30,7 @@ import base64
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Sequence
+from typing import Any, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -44,11 +44,24 @@ from repro.exceptions import InvalidParameterError, ProtocolError
 #: fold's transient memory whatever the batch size.
 DEFAULT_CHUNK_USERS = 131_072
 
-#: Wire dtypes :func:`decode_array` accepts.  Report batches only ever
-#: carry item indices (``int64``), bit vectors (``bool``) or hash seeds
-#: (``uint64``); rejecting everything else keeps the decoder from
-#: constructing arbitrary dtypes out of untrusted payloads.
-WIRE_DTYPES = ("bool", "int64", "uint64")
+#: Wire dtypes :func:`encode_array` emits, exactly one per payload site:
+#: GRR items in the narrowest unsigned dtype that holds ``d - 1``
+#: (``uint8`` up to d = 256, ``uint16`` up to 65,536, then ``uint32``),
+#: OUE's ``np.packbits`` rows (``uint8``), OLH's ``uint64`` seeds and
+#: ``int64`` values, and the ``int64`` support counts of snapshots.
+#: :func:`decode_array` accepts only the one dtype its caller names, so
+#: no other dtype is ever built out of an untrusted payload.
+WIRE_DTYPES = ("int64", "uint8", "uint16", "uint32", "uint64")
+
+#: Largest in-memory size, in bytes, that one wire payload may decode to.
+#: :func:`decode_array` checks it from the declared shape before any
+#: base64 is decoded.  The compact forms widen when decoded (GRR's
+#: ``uint16`` items to ``int64``, OUE's packed bits to one bool each), so
+#: without this bound a body at ``repro.serve.http.MAX_BODY_BYTES``
+#: (256 MiB) could decode to about 1.5 GiB; with it, a batch decodes to
+#: at most 256 MiB (262,144 OUE reports at d = 1024, 33.5 million GRR
+#: reports).
+MAX_DECODED_BYTES = 1 << 28
 
 
 def encode_array(array: np.ndarray) -> dict[str, Any]:
@@ -70,33 +83,65 @@ def encode_array(array: np.ndarray) -> dict[str, Any]:
     }
 
 
-def decode_array(payload: dict[str, Any]) -> np.ndarray:
+def decode_array(
+    payload: Any,
+    dtype: str,
+    width: Optional[int] = None,
+    row_bytes: Optional[int] = None,
+) -> np.ndarray:
     """Decode the :func:`encode_array` wire form ``payload`` back to an array.
 
-    Validates the dtype against :data:`WIRE_DTYPES` and the byte count
-    against the declared shape, so malformed payloads fail loudly instead
-    of mis-slicing.
+    ``payload`` comes from outside the program, so every field is checked
+    and every failure raises :class:`~repro.exceptions.ProtocolError`:
+
+    * the declared dtype must be exactly ``dtype``;
+    * the shape must be a list of non-negative plain ints, ``[n]``, or
+      ``[n, width]`` when ``width`` is given;
+    * ``n`` rows of ``row_bytes`` in-memory bytes each (default: the wire
+      row's own size) must fit :data:`MAX_DECODED_BYTES`, checked before
+      any base64 is decoded;
+    * the data must be strict base64 of exactly the bytes that shape and
+      dtype need.
     """
     try:
         dtype_s, shape, data = payload["dtype"], payload["shape"], payload["data"]
     except (TypeError, KeyError) as exc:
         raise ProtocolError(f"malformed wire array payload: {exc!r}") from exc
-    if dtype_s not in WIRE_DTYPES:
+    if dtype_s != dtype:
+        raise ProtocolError(f"refusing wire dtype {dtype_s!r}; expected {dtype!r}")
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
         raise ProtocolError(
-            f"refusing wire dtype {dtype_s!r}; expected one of {WIRE_DTYPES}"
+            f"wire array shape must be a list of non-negative integers, got {shape!r:.80}"
         )
-    dtype = np.dtype(dtype_s)
-    shape_t = tuple(int(s) for s in shape)
-    raw = base64.b64decode(data)
-    expected = int(np.prod(shape_t, dtype=np.int64)) * dtype.itemsize
+    if len(shape) != (1 if width is None else 2) or (width is not None and shape[1] != width):
+        expected_shape = "[n]" if width is None else f"[n, {width}]"
+        raise ProtocolError(f"wire array shape {shape!r:.80} is not {expected_shape}")
+    wire_row = np.dtype(dtype).itemsize * (1 if width is None else width)
+    rows = shape[0]
+    decoded = rows * (wire_row if row_bytes is None else row_bytes)
+    if decoded > MAX_DECODED_BYTES:
+        raise ProtocolError(
+            f"wire batch of {rows} reports would decode to {decoded} bytes, over "
+            f"the {MAX_DECODED_BYTES}-byte limit; split the batch"
+        )
+    expected = rows * wire_row
+    if not isinstance(data, str) or len(data) != 4 * -(-expected // 3):
+        raise ProtocolError(
+            f"wire array data must be a base64 string of {4 * -(-expected // 3)} "
+            f"characters for shape {shape} and dtype {dtype}"
+        )
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ProtocolError(f"wire array data is not base64: {exc}") from exc
     if len(raw) != expected:
         raise ProtocolError(
             f"wire array payload has {len(raw)} bytes, expected {expected} "
-            f"for shape {shape_t} and dtype {dtype_s}"
+            f"for shape {shape} and dtype {dtype}"
         )
     # ``bytearray`` keeps the decoded batch writable (frombuffer over the
     # immutable bytes would return a read-only view).
-    return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape_t)
+    return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -344,20 +389,37 @@ class FrequencyOracle(ABC):
     # ------------------------------------------------------------------
     # Wire serialization (repro.serve ingest payloads)
     # ------------------------------------------------------------------
+    @abstractmethod
     def encode_reports(self, reports: Any) -> dict[str, Any]:
-        """JSON-safe wire encoding of a report batch.
+        """JSON-safe wire encoding of a report batch, in the protocol's
+        compact form.
 
-        The default covers every ndarray-shaped report batch (GRR's item
-        indices, OUE's bit matrix) via :func:`encode_array`; protocols
-        with structured batches (OLH's seed/value pairs) override both
-        codec methods.  ``decode_reports(encode_reports(r))`` round-trips
-        byte-for-byte.
+        Each protocol ships the fewest bytes that carry its reports, built
+        from :func:`encode_array` payloads:
+
+        * GRR: items in the narrowest unsigned dtype that holds ``d - 1``
+          (1 byte per report up to d = 256, 2 up to d = 65,536);
+        * OUE/SUE: ``np.packbits`` rows, ``ceil(d / 8)`` bytes per report;
+        * OLH/BLH: ``uint64`` seeds beside ``int64`` values, 16 bytes per
+          report.
+
+        ``decode_reports(encode_reports(r))`` returns the in-memory form
+        (``int64`` items, the ``(n, d)`` bool matrix,
+        :class:`~repro.protocols.olh.OLHReports`)
+        byte-for-byte, and re-encoding it gives the same payload.
         """
-        return encode_array(np.asarray(reports))
 
-    def decode_reports(self, payload: dict[str, Any]) -> Any:
-        """Decode a batch produced by :meth:`encode_reports`."""
-        return decode_array(payload)
+    @abstractmethod
+    def decode_reports(self, payload: Any) -> Any:
+        """Decode a batch produced by :meth:`encode_reports`.
+
+        ``payload`` comes from outside the program: any payload that
+        :meth:`encode_reports` cannot have produced raises
+        :class:`~repro.exceptions.ProtocolError` (see :func:`decode_array`
+        for the checks every array payload passes, and each protocol's
+        override for its own: GRR items below ``d``, OUE padding bits
+        clear, OLH values in ``[0, g)``).
+        """
 
     # ------------------------------------------------------------------
     # Distributional primitives (fast path)

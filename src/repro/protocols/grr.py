@@ -14,13 +14,15 @@ import numpy as np
 
 from repro._rng import RngLike, as_generator
 from repro.exceptions import ProtocolError
-from repro.protocols.base import FrequencyOracle
+from repro.protocols.base import FrequencyOracle, decode_array, encode_array
 
 
 class GRR(FrequencyOracle):
     """General Randomized Response frequency oracle.
 
-    Reports are represented as a 1-D ``int64`` array of item indices.
+    Reports are represented as a 1-D ``int64`` array of item indices; on
+    the wire they ship in :attr:`wire_dtype`, the narrowest unsigned dtype
+    that holds ``d - 1``.
     """
 
     name = "grr"
@@ -76,6 +78,31 @@ class GRR(FrequencyOracle):
     def slice_reports(self, reports: np.ndarray, start: int, stop: int) -> np.ndarray:
         """O(stop-start) contiguous sub-batch (direct array slice)."""
         return np.asarray(reports, dtype=np.int64)[start:stop]
+
+    # ------------------------------------------------------------------
+    # Wire serialization
+    # ------------------------------------------------------------------
+    @property
+    def wire_dtype(self) -> np.dtype:
+        """Narrowest unsigned dtype holding ``d - 1``: ``uint8`` up to
+        d = 256, ``uint16`` up to 65,536, then ``uint32``."""
+        return np.min_scalar_type(self.domain_size - 1)
+
+    def encode_reports(self, reports: np.ndarray) -> dict:
+        """Wire form: the items as :attr:`wire_dtype` (2 bytes per report at
+        d = 1024)."""
+        return encode_array(self._validate_items(reports).astype(self.wire_dtype))
+
+    def decode_reports(self, payload: dict) -> np.ndarray:
+        """Decode :meth:`encode_reports`'s form back to ``int64`` items,
+        refusing any item ``>= d``."""
+        # Bounded at 8 in-memory bytes per report: the items decode to int64.
+        items = decode_array(payload, self.wire_dtype.name, row_bytes=8)
+        if items.size and items.max() >= self.domain_size:
+            raise ProtocolError(
+                f"GRR wire items must lie in [0, {self.domain_size}), got {items.max()}"
+            )
+        return items.astype(np.int64)
 
     # ------------------------------------------------------------------
     # Distributional path

@@ -330,7 +330,8 @@ class OLH(FrequencyOracle):
         )
 
     def encode_reports(self, reports: OLHReports) -> dict:
-        """Wire encoding of an OLH batch: seed and value arrays side by side."""
+        """Wire encoding of an OLH batch: ``uint64`` seeds and ``int64``
+        values side by side, 16 bytes per report."""
         reports = self._validate_olh(reports)
         return {
             "seeds": encode_array(reports.seeds),
@@ -338,12 +339,25 @@ class OLH(FrequencyOracle):
         }
 
     def decode_reports(self, payload: dict) -> OLHReports:
-        """Decode the :meth:`encode_reports` wire form back to reports."""
+        """Decode the :meth:`encode_reports` wire form back to reports.
+
+        Refuses values outside ``[0, g)``: no genuine or crafted report
+        carries one, and such a report would count toward ``n`` while
+        supporting no item.
+        """
         try:
             seeds, values = payload["seeds"], payload["values"]
         except (TypeError, KeyError) as exc:
             raise ProtocolError(f"malformed OLH wire payload: {exc!r}") from exc
-        return OLHReports(seeds=decode_array(seeds), values=decode_array(values))
+        # A decoded report is a uint64 seed plus an int64 value: 16 bytes.
+        seeds = decode_array(seeds, "uint64", row_bytes=16)
+        values = decode_array(values, "int64", row_bytes=16)
+        if values.size and (values.min() < 0 or values.max() >= self.g):
+            raise ProtocolError(
+                f"OLH wire values must lie in [0, {self.g}), got range "
+                f"[{values.min()}, {values.max()}]"
+            )
+        return OLHReports(seeds=seeds, values=values)
 
     # ------------------------------------------------------------------
     # Distributional path

@@ -15,13 +15,15 @@ import numpy as np
 
 from repro._rng import RngLike, as_generator
 from repro.exceptions import ProtocolError
-from repro.protocols.base import FrequencyOracle
+from repro.protocols.base import FrequencyOracle, decode_array, encode_array
 
 
 class OUE(FrequencyOracle):
     """Optimized Unary Encoding frequency oracle.
 
-    Reports are represented as a 2-D boolean matrix of shape ``(n, d)``.
+    Reports are represented as a 2-D boolean matrix of shape ``(n, d)``;
+    on the wire each row ships ``np.packbits``-packed, ``ceil(d / 8)``
+    bytes per report.
     """
 
     name = "oue"
@@ -111,6 +113,24 @@ class OUE(FrequencyOracle):
     def slice_reports(self, reports: np.ndarray, start: int, stop: int) -> np.ndarray:
         """O(stop-start) contiguous sub-batch (direct row slice)."""
         return self._validate_reports(reports)[start:stop]
+
+    # ------------------------------------------------------------------
+    # Wire serialization
+    # ------------------------------------------------------------------
+    def encode_reports(self, reports: np.ndarray) -> dict:
+        """Wire form: ``np.packbits`` rows, ``ceil(d / 8)`` ``uint8`` bytes per
+        report (128 at d = 1024), item 0 in the high bit of byte 0 and any
+        padding bits past item ``d - 1`` clear."""
+        return encode_array(np.packbits(self._validate_reports(reports), axis=1))
+
+    def decode_reports(self, payload: dict) -> np.ndarray:
+        """Decode :meth:`encode_reports`'s form back to the ``(n, d)`` bool
+        matrix, refusing rows with a padding bit set."""
+        d = self.domain_size
+        packed = decode_array(payload, "uint8", width=-(-d // 8), row_bytes=d)
+        if d % 8 and np.any(packed[:, -1] & (0xFF >> (d % 8))):
+            raise ProtocolError(f"OUE wire rows set padding bits past item {d - 1}")
+        return np.unpackbits(packed, axis=1, count=d).view(bool)
 
     # ------------------------------------------------------------------
     # Distributional path

@@ -37,9 +37,21 @@ from repro.serve.snapshots import SnapshotStore
 #: Largest accepted request body; ingest batches beyond this must be split.
 MAX_BODY_BYTES = 1 << 28
 
+# An ingest batch is bounded a second time, after JSON parsing: the
+# protocol decoders refuse (400), from the declared shape and before any
+# base64 is decoded, a batch that would decode to more than
+# ``MAX_DECODED_BYTES`` (256 MiB) of in-memory reports.  The compact wire
+# forms widen up to 8x when decoded, so the body cap alone would let a
+# batch decode to about 1.5 GiB.  See repro.protocols.base.MAX_DECODED_BYTES.
+
 #: A request line or header line longer than about this many bytes is
 #: answered with 431: the stream reader's buffer limit (asyncio's default).
 MAX_LINE_BYTES = 1 << 16
+
+#: A request with more header lines than this is answered with 431 and
+#: closed, so one request head holds at most about
+#: ``MAX_HEADERS * MAX_LINE_BYTES`` (6.25 MiB) of headers.
+MAX_HEADERS = 100
 
 _STATUS_TEXT = {
     200: "OK",
@@ -59,7 +71,8 @@ class _Unframeable(Exception):
     status to answer: ``413`` for a declared body beyond
     :data:`MAX_BODY_BYTES` (never buffered), ``400`` for a
     ``Content-Length`` that is not a plain decimal number, ``431`` for a
-    request line or header line beyond :data:`MAX_LINE_BYTES`.  The
+    request line or header line beyond :data:`MAX_LINE_BYTES` or for more
+    than :data:`MAX_HEADERS` header lines.  The
     unread rest of the request makes the stream unrecoverable, hence a
     close after the answer.
     """
@@ -174,10 +187,14 @@ class RecoveryHTTPServer:
         except ValueError:
             return None
         headers: dict[str, str] = {}
+        lines = 0
         while True:
             raw = await _read_line(reader, "header line")
             if not raw or raw in (b"\r\n", b"\n"):
                 break
+            lines += 1
+            if lines > MAX_HEADERS:
+                raise _Unframeable(431, f"request has more than {MAX_HEADERS} header lines")
             name, _sep, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         declared = headers.get("content-length", "0") or "0"
@@ -324,4 +341,10 @@ def run_server(
         pass
 
 
-__all__ = ["MAX_BODY_BYTES", "MAX_LINE_BYTES", "RecoveryHTTPServer", "run_server"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "MAX_HEADERS",
+    "MAX_LINE_BYTES",
+    "RecoveryHTTPServer",
+    "run_server",
+]

@@ -212,13 +212,12 @@ class AggregatorState:
             where = f"snapshot epoch {name!r}"
             payload = snapshot_object(entry, where)
             try:
-                counts = decode_array(payload.get("support_counts"))
-            except (ProtocolError, TypeError, ValueError) as exc:
+                counts = decode_array(payload.get("support_counts"), "int64")
+            except ProtocolError as exc:
                 raise ProtocolError(f"{where} field 'support_counts': {exc}") from exc
-            if counts.shape != (protocol.domain_size,) or counts.dtype != np.int64:
+            if counts.shape != (protocol.domain_size,):
                 raise ProtocolError(
-                    f"{where} carries counts of shape "
-                    f"{counts.shape} dtype {counts.dtype}; expected int64 "
+                    f"{where} carries counts of shape {counts.shape}; expected "
                     f"({protocol.domain_size},)"
                 )
             state.epochs[name] = EpochState(

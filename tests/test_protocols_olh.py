@@ -283,8 +283,9 @@ def _assert_matches_reference(oracle: OLH, reports: OLHReports, targets) -> None
 
 
 def _forged_values(reports: OLHReports, g: int, rng) -> OLHReports:
-    """Overwrite every third value with one outside ``[0, g)``, as a forged
-    wire batch may carry; such reports support nothing."""
+    """Overwrite every third value with one outside ``[0, g)``, which an
+    in-memory batch may carry (the wire decoder refuses them); such
+    reports support nothing."""
     values = reports.values.copy()
     bad = np.arange(0, values.size, 3)
     values[bad] = rng.choice([-1, -(2**40), g, g + 5, 2**62], size=bad.size)

@@ -1,7 +1,7 @@
 """Error-path behavior of the HTTP front end (:mod:`repro.serve.http`).
 
 The happy paths live in ``test_serve.py``; this module pins the failure
-modes a long-lived deployment actually hits (ISSUE 10 satellite 4):
+modes a long-lived deployment actually hits:
 
 * an oversized request body is answered with a JSON ``413`` *before* the
   connection closes — never buffered, never silently dropped;
@@ -17,16 +17,23 @@ modes a long-lived deployment actually hits (ISSUE 10 satellite 4):
   on every protocol and method, and never key a cached view;
 * a ``Content-Length`` that is not a plain decimal number answers a JSON
   ``400`` and closes, and the server keeps serving new connections;
-* a request line or header line over the line limit answers a JSON
-  ``431`` and closes, with no traceback logged;
-* a forged snapshot whose epoch entry lacks a field or is not an object
-  makes ``serve --resume`` exit 2 with one error line, and restore names
-  whichever snapshot field was forged.
+* a request line or header line over the line limit, or more header
+  lines than ``MAX_HEADERS``, answers a JSON ``431`` and closes, with no
+  traceback logged;
+* a forged snapshot whose epoch entry lacks a field, is not an object or
+  declares a shape that is not a list of plain ints makes ``serve
+  --resume`` exit 2 with one error line, and restore names whichever
+  snapshot field was forged;
+* every forged wire batch (old wide forms, forged shapes, wrong row
+  widths, set padding bits, out-of-range items and values, batches over
+  the decoded-size bound) answers ``400``, never ``500``, and leaves the
+  ``/stats`` counters unchanged.
 """
 
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import logging
 import re
@@ -37,9 +44,10 @@ import pytest
 from repro.attacks import MGAAttack
 from repro.cli import main
 from repro.exceptions import ProtocolError
-from repro.protocols import make_protocol
+from repro.protocols import OLHReports, encode_array, make_protocol
+from repro.protocols.base import MAX_DECODED_BYTES
 from repro.serve import RecoveryHTTPServer, RecoveryService, SnapshotStore
-from repro.serve.http import MAX_BODY_BYTES, MAX_LINE_BYTES
+from repro.serve.http import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
 
 EPSILON = 1.0
 DOMAIN = 16
@@ -217,6 +225,62 @@ class TestOverlongLines:
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR or r.exc_info]
 
 
+class TestHeaderFlood:
+    """Headers were read into an unbounded dict; past ``MAX_HEADERS``
+    lines the request is answered 431 and the connection closed."""
+
+    @staticmethod
+    def _head(header_lines):
+        extra = "".join(f"X-Flood-{i}: v\r\n" for i in range(header_lines - 1))
+        return f"GET /healthz HTTP/1.1\r\nHost: t\r\n{extra}\r\n"
+
+    def test_at_the_cap_is_served(self):
+        protocol, _ = _poisoned_reports()
+
+        async def scenario():
+            server = RecoveryHTTPServer(RecoveryService(protocol))
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(self._head(MAX_HEADERS).encode("latin-1"))
+            await writer.drain()
+            status, headers, doc = await _read_response(reader)
+            assert (status, doc) == (200, {"status": "ok"})
+            assert headers["connection"] == "keep-alive"
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("header_lines", [MAX_HEADERS + 1, 4 * MAX_HEADERS])
+    def test_flood_answers_431_then_close_and_stays_live(self, header_lines, caplog):
+        protocol, _ = _poisoned_reports()
+
+        async def scenario():
+            server = RecoveryHTTPServer(RecoveryService(protocol))
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(self._head(header_lines).encode("latin-1"))
+            await writer.drain()
+            status, headers, doc = await _read_response(reader)
+            assert status == 431
+            assert headers["connection"] == "close"
+            assert doc["error"] == f"request has more than {MAX_HEADERS} header lines"
+            assert await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            status, _, doc = await _request(reader, writer, "GET", "/healthz")
+            assert (status, doc) == (200, {"status": "ok"})
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            asyncio.run(scenario())
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR or r.exc_info]
+
+
 class TestTruncatedJSONMidKeepAlive:
     def test_truncated_body_is_400_and_connection_survives(self):
         protocol, reports = _poisoned_reports()
@@ -303,8 +367,16 @@ class TestSnapshotDirCorruptionOnResume:
              "snapshot epoch 'e' field 'num_reports' must be a non-negative integer"),
             (lambda snap: snap["aggregator"]["epochs"].update(e="forged"),
              "snapshot epoch 'e' must be a JSON object, got str"),
+            (lambda snap: snap["aggregator"]["epochs"]["e"]["support_counts"].update(
+                shape=[1e30]),
+             "snapshot epoch 'e' field 'support_counts': wire array shape must be "
+             "a list of non-negative integers, got [1e+30]"),
+            (lambda snap: snap["aggregator"]["epochs"]["e"]["support_counts"].update(
+                shape=[float("inf")]),
+             "snapshot epoch 'e' field 'support_counts': wire array shape must be "
+             "a list of non-negative integers, got [inf]"),
         ],
-        ids=["missing-num-reports", "string-entry"],
+        ids=["missing-num-reports", "string-entry", "shape-1e30", "shape-infinity"],
     )
     def test_resume_from_forged_epoch_entry_exits_2(self, tmp_path, capsys, forge, message):
         protocol, reports = _poisoned_reports()
@@ -451,3 +523,108 @@ class TestOutOfDomainTargets:
                 "GET", f"/frequencies?epoch=e&method={method}&targets=0,9", b""
             )
             assert status == 200 and len(doc["frequencies"]) == self.D
+
+
+def _b64(raw):
+    return base64.b64encode(bytes(raw)).decode("ascii")
+
+
+class TestForgedBatches:
+    """Every forged ingest batch answers 400, never 500, and changes nothing.
+
+    At d = 1020 GRR ships ``uint16`` items and OUE ships 128-byte rows
+    whose last four bits are padding.
+    """
+
+    D = 1020
+    N = 40
+
+    def _forgeries(self, name):
+        protocol = make_protocol(name, EPSILON, self.D)
+        items = np.random.default_rng(0).integers(0, self.D, size=self.N)
+        reports = protocol.perturb(items, np.random.default_rng(1))
+        payload = protocol.encode_reports(reports)
+        key = "seeds" if name == "olh" else None
+        site = payload[key] if key else payload
+
+        def graft(bad):
+            return {**payload, key: bad} if key else bad
+
+        forged = {
+            f"shape-{label}": graft(dict(site, shape=shape))
+            for label, shape in [
+                ("infinity", [float("inf")]),
+                ("1e30", [1e30]),
+                ("string", "12"),
+                ("true", [True]),
+                ("fraction", [2.5]),
+            ]
+        }
+        in_memory = {"grr": 8, "oue": self.D, "olh": 16}[name]
+        over = [MAX_DECODED_BYTES // in_memory + 1, *site["shape"][1:]]
+        forged["over-bound"] = graft(dict(site, shape=over))
+        if name == "grr":
+            forged["old-int64"] = encode_array(np.asarray(reports, dtype=np.int64))
+            raw = np.frombuffer(base64.b64decode(payload["data"]), dtype=np.uint16).copy()
+            raw[0] = self.D
+            forged["item-d"] = dict(payload, data=_b64(raw.tobytes()))
+        elif name == "oue":
+            bits = np.asarray(reports, dtype=bool)
+            forged["old-bool"] = {
+                "dtype": "bool", "shape": list(bits.shape), "data": _b64(bits.tobytes())
+            }
+            packed = np.frombuffer(base64.b64decode(payload["data"]), dtype=np.uint8)
+            packed = packed.reshape(self.N, -1).copy()
+            packed[0, -1] |= 1
+            forged["padding-bit"] = dict(payload, data=_b64(packed.tobytes()))
+            forged["wide-row"] = dict(payload, shape=[self.N // 2, 2 * packed.shape[1]])
+        else:
+            forged["int64-seeds"] = {
+                **payload, "seeds": encode_array(reports.seeds.astype(np.int64))
+            }
+            for value in (protocol.g + 1000, -1000):
+                values = reports.values.copy()
+                values[0] = value
+                forged[f"value-{value}"] = protocol.encode_reports(
+                    OLHReports(seeds=reports.seeds, values=values)
+                )
+        return protocol, reports, forged
+
+    @pytest.mark.parametrize("name", ["grr", "oue", "olh"])
+    def test_answers_400_and_leaves_stats_unchanged(self, name):
+        protocol, reports, forgeries = self._forgeries(name)
+        service = RecoveryService(protocol)
+
+        async def scenario():
+            server = RecoveryHTTPServer(service)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            genuine = {"epoch": "e", "reports": protocol.encode_reports(reports)}
+            status, _, _doc = await _request(reader, writer, "POST", "/ingest", genuine)
+            assert status == 200
+            _, _, before = await _request(reader, writer, "GET", "/stats")
+            for label, forged in forgeries.items():
+                for epoch in ("e", "fresh"):
+                    status, _, doc = await _request(
+                        reader, writer, "POST", "/ingest",
+                        {"epoch": epoch, "reports": forged},
+                    )
+                    assert status == 400, (label, doc)
+                    if label.startswith("old-"):
+                        expected = "uint16" if name == "grr" else "uint8"
+                        assert f"expected '{expected}'" in doc["error"], doc
+            _, _, after = await _request(reader, writer, "GET", "/stats")
+            before.pop("uptime_seconds")
+            after.pop("uptime_seconds")
+            assert after == before
+            status, _, view = await _request(
+                reader, writer, "GET", "/frequencies?epoch=e&method=raw"
+            )
+            assert status == 200
+            assert view["frequencies"] == [float(f) for f in protocol.aggregate(reports)]
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+
+        asyncio.run(scenario())
+        assert service.ingested_reports == self.N

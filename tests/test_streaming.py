@@ -167,15 +167,17 @@ class TestWireCodec:
         payload = encode_array(np.arange(4, dtype=np.int64))
         wrong_len = dict(payload, shape=[5])
         with pytest.raises(ProtocolError):
-            decode_array(wrong_len)
+            decode_array(wrong_len, "int64")
         wrong_dtype = dict(payload, dtype="float64")
         with pytest.raises(ProtocolError):
-            decode_array(wrong_dtype)
+            decode_array(wrong_dtype, "int64")
         with pytest.raises(ProtocolError):
-            decode_array({"nope": 1})
+            decode_array(payload, "uint64")
+        with pytest.raises(ProtocolError):
+            decode_array({"nope": 1}, "int64")
 
     def test_decoded_arrays_are_writable(self):
-        decoded = decode_array(encode_array(np.arange(4, dtype=np.int64)))
+        decoded = decode_array(encode_array(np.arange(4, dtype=np.int64)), "int64")
         decoded += 1  # would raise on a read-only frombuffer view
         assert decoded[0] == 1
 

@@ -495,7 +495,7 @@ REP202 = register_rule(
         name="claim-leak",
         summary="every claim()/acquire() releases on all non-exception paths",
         rationale=(
-            "Exactly-once block arbitration (ClaimQueue, TrialBlockStore) "
+            "Exactly-once cell arbitration (ClaimQueue) "
             "relies on claims being released on every non-exception path: a "
             "leaked .claim file parks the cell until the stale-claim TTL "
             "expires, serializing peers behind a dead owner. The checker "

@@ -787,9 +787,7 @@ class CellCache:
 
         ``stream_spec`` is the cell's :func:`trial_stream_spec`; the
         returned :class:`CellBlockStore` satisfies the engine's
-        :class:`repro.sim.engine.TrialBlockStore` protocol (its base
-        ``claim`` always succeeds — block-level arbitration belongs to the
-        shard layer's claim-coordinated wrapper).
+        :class:`repro.sim.engine.TrialBlockStore` protocol.
         """
         return CellBlockStore(self, canonical_key(stream_spec))
 
@@ -1033,9 +1031,9 @@ class CellBlockStore:
     :attr:`CacheStats.errors`.
 
     This class satisfies the engine's
-    :class:`repro.sim.engine.TrialBlockStore` protocol; its ``claim`` is
-    unconditionally granted (single-process use).  Shard claim
-    coordination wraps it (see :mod:`repro.sim.shard`).
+    :class:`repro.sim.engine.TrialBlockStore` protocol.  It takes no
+    claims of its own: under shard claims, only the shard holding the
+    cell's claim extends its chain (see :mod:`repro.sim.shard`).
     """
 
     def __init__(self, cache: CellCache, stream_key: str) -> None:
@@ -1174,13 +1172,6 @@ class CellBlockStore:
         write_json_atomic(path, block, default=float)
         self.cache.stats.block_stores += 1
         return path
-
-    def claim(self, start: int, stop: int) -> bool:
-        """Grant the block claim unconditionally (no peers to race)."""
-        return True
-
-    def release(self, start: int, stop: int) -> None:
-        """Release a block claim — a no-op without claim coordination."""
 
     def problems(self) -> list[tuple[pathlib.Path, str]]:
         """Integrity problems of this stream's blocks, for ``cache verify``.

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -238,9 +237,10 @@ class TrialBudget:
 class TrialBlockStore(Protocol):
     """Persistence hooks :func:`run_adaptive_trials` drives blocks through.
 
-    Implemented by :class:`repro.sim.cache.CellBlockStore` (and its
-    claim-coordinated shard wrapper); the engine only sees this structural
-    interface, so it stays import-free of the cache layer.
+    Implemented by :class:`repro.sim.cache.CellBlockStore`; the engine
+    only sees this structural interface, so it stays import-free of the
+    cache layer.  A store is extended by one driver at a time: under shard
+    claims the shard holding a cell's claim runs all of its blocks.
     """
 
     def load(self) -> list[tuple[int, int, list[dict[str, float]]]]:
@@ -253,14 +253,6 @@ class TrialBlockStore(Protocol):
 
     def append(self, start: int, stop: int, per_trial: list[dict[str, float]]) -> None:
         """Persist block ``[start, stop)``; a no-op unless it extends the chain."""
-        ...  # pragma: no cover - protocol stub
-
-    def claim(self, start: int, stop: int) -> bool:
-        """Try to claim block ``[start, stop)`` for exactly-once execution."""
-        ...  # pragma: no cover - protocol stub
-
-    def release(self, start: int, stop: int) -> None:
-        """Release a claim previously granted by :meth:`claim`."""
         ...  # pragma: no cover - protocol stub
 
 
@@ -299,10 +291,6 @@ class AdaptiveOutcome:
         }
 
 
-#: Seconds between re-checks while another worker holds a block claim.
-BLOCK_CLAIM_POLL_SECONDS = 0.05
-
-
 def run_adaptive_trials(
     budget: TrialBudget,
     trial: Callable[[np.random.SeedSequence], dict[str, float]],
@@ -317,13 +305,11 @@ def run_adaptive_trials(
     child per trial index, at least ``budget.max_trials`` of them) runs
     through ``trial`` via :func:`parallel_map` (``workers`` as
     everywhere) and is appended to ``store`` as a block.  Blocks already
-    in ``store`` are reused instead of re-simulated; a block claimed by
-    another worker is awaited rather than duplicated (exactly-once under
-    shard claim coordination).  The stopping rule is evaluated over the
-    *prefix* of trials at each checkpoint, so the final trial count — and
-    therefore the returned statistics — is bit-identical to a
-    fixed-budget run at that count, regardless of what the store already
-    held.
+    in ``store`` are reused instead of re-simulated.  The stopping rule
+    is evaluated over the *prefix* of trials at each checkpoint, so the
+    final trial count — and therefore the returned statistics — is
+    bit-identical to a fixed-budget run at that count, regardless of what
+    the store already held.
     """
     if len(seeds) < budget.max_trials:
         raise InvalidParameterError(
@@ -337,38 +323,21 @@ def run_adaptive_trials(
             per_trial.extend(chunk)
             blocks_reused += 1
 
-    def run_block(start: int, stop: int) -> list[dict[str, float]]:
-        return parallel_map(trial, seeds[start:stop], workers=workers)
-
     final = budget.max_trials
     stats: dict[str, MetricStats] = {}
     for checkpoint in budget.checkpoints():
         if checkpoint > len(per_trial):
             start, stop = len(per_trial), checkpoint
-            if store is None:
-                per_trial.extend(run_block(start, stop))
+            stored = None if store is None else store.peek(start, stop)
+            if stored is None:
+                fresh = parallel_map(trial, seeds[start:stop], workers=workers)
+                if store is not None:
+                    store.append(start, stop, fresh)
+                per_trial.extend(fresh)
                 blocks_run += 1
             else:
-                chunk: Optional[list[dict[str, float]]] = None
-                while True:
-                    if store.claim(start, stop):
-                        try:
-                            chunk = store.peek(start, stop)
-                            if chunk is None:
-                                chunk = run_block(start, stop)
-                                store.append(start, stop, chunk)
-                                blocks_run += 1
-                            else:
-                                blocks_reused += 1
-                        finally:
-                            store.release(start, stop)
-                        break
-                    chunk = store.peek(start, stop)
-                    if chunk is not None:
-                        blocks_reused += 1
-                        break
-                    time.sleep(BLOCK_CLAIM_POLL_SECONDS)
-                per_trial.extend(chunk)
+                per_trial.extend(stored)
+                blocks_reused += 1
         stats = aggregate_metrics(per_trial[:checkpoint])
         if checkpoint >= budget.max_trials or budget.met(stats):
             final = checkpoint
@@ -703,7 +672,6 @@ def trial_metrics(
 
 __all__ = [
     "AdaptiveOutcome",
-    "BLOCK_CLAIM_POLL_SECONDS",
     "CallCounter",
     "MetricStats",
     "TASK_COUNTER",

@@ -508,78 +508,6 @@ class _ClaimPolicy:
         self.queue.release(key)
 
 
-class _BudgetClaimPolicy:
-    """Claim-mode ownership for adaptive-budget sweeps: block-grained.
-
-    Under a :class:`~repro.sim.engine.TrialBudget`, arbitrating whole
-    cells would serialize a top-up behind one worker even when the cell
-    only needs more trial blocks.  This policy therefore lets *every*
-    claims-mode shard enter every missing cell's adaptive driver
-    (``acquire`` always succeeds, holding nothing) and moves the
-    exactly-once arbitration down to the cell's trial blocks — each block
-    range is claimed through the same :class:`ClaimQueue` via
-    :class:`_ClaimedBlockStore`, so a block is simulated by exactly one
-    worker while its peers await the appended result.  Both workers then
-    write byte-identical cell summaries (idempotent puts), which is why
-    exactly-once accounting under budgets is asserted on engine tasks,
-    not on cells.
-    """
-
-    #: A peer may complete the whole cell while this shard polls blocks;
-    #: the pre-compute store re-check keeps the common case cheap.
-    rechecks: bool = True
-
-    def __init__(self, queue: ClaimQueue) -> None:
-        self.queue = queue
-
-    def acquire(self, key: str) -> bool:
-        """Always own ``key`` — block claims do the real arbitration."""
-        return True
-
-    def release(self, key: str) -> None:
-        """Nothing to release: no cell-level claim was taken."""
-
-
-class _ClaimedBlockStore:
-    """A :class:`~repro.sim.cache.CellBlockStore` whose block claims are
-    arbitrated through a shard :class:`ClaimQueue`.
-
-    ``load``/``peek``/``append`` delegate to the wrapped store; ``claim``
-    and ``release`` map a block's trial range onto a queue key derived
-    from the cell's stream key (``<stream-key>.b<start>-<stop>``), so two
-    workers extending the same cell contend per block exactly like
-    claims-mode shards contend per cell — same atomic create, same
-    stale-claim TTL.  Satisfies :class:`repro.sim.engine.TrialBlockStore`.
-    """
-
-    def __init__(self, store: CellBlockStore, queue: ClaimQueue) -> None:
-        self.store = store
-        self.queue = queue
-
-    def _claim_key(self, start: int, stop: int) -> str:
-        return f"{self.store.stream_key}.b{start:08d}-{stop:08d}"
-
-    def load(self) -> list[tuple[int, int, list[dict[str, float]]]]:
-        """The wrapped store's contiguous block chain (see its ``load``)."""
-        return self.store.load()
-
-    def peek(self, start: int, stop: int) -> Optional[list[dict[str, float]]]:
-        """The wrapped store's block ``[start, stop)``, if valid on disk."""
-        return self.store.peek(start, stop)
-
-    def append(self, start: int, stop: int, per_trial: list[dict[str, float]]) -> Any:
-        """Append ``per_trial`` as block ``[start, stop)`` to the wrapped store."""
-        return self.store.append(start, stop, per_trial)
-
-    def claim(self, start: int, stop: int) -> bool:
-        """Atomically claim block ``[start, stop)`` through the queue."""
-        return self.queue.acquire(self._claim_key(start, stop))
-
-    def release(self, start: int, stop: int) -> None:
-        """Release block ``[start, stop)``'s claim."""
-        self.queue.release(self._claim_key(start, stop))
-
-
 class _ShardExecutionCache:
     """Cache adapter steering a generator to compute only owned cells.
 
@@ -668,20 +596,15 @@ class _ShardExecutionCache:
         return path
 
     # -- appendable trial blocks (adaptive budgets) ---------------------
-    def block_store(self, stream_spec: dict[str, Any]) -> Any:
-        """The trial-block store of one owned cell's stream, claim-wrapped.
+    def block_store(self, stream_spec: dict[str, Any]) -> CellBlockStore:
+        """The base cache's trial-block store of one owned cell's stream.
 
         Generators running under an adaptive budget fetch this for every
-        cell they compute; in claims mode the returned store arbitrates
-        each block range through the shard's :class:`ClaimQueue`
-        (block-exact exactly-once), while static assignment — exclusive
-        per cell by construction — uses the base store directly.
+        cell they compute.  It needs no arbitration of its own: the cell
+        is this shard's under either policy, and its blocks run one after
+        another inside this shard.
         """
-        store = self.base.block_store(stream_spec)
-        queue = getattr(self.policy, "queue", None)
-        if isinstance(queue, ClaimQueue):
-            return _ClaimedBlockStore(store, queue)
-        return store
+        return self.base.block_store(stream_spec)
 
     # -- cleanup --------------------------------------------------------
     def abandon_pending(self) -> None:
@@ -825,7 +748,9 @@ def run_shard(
     stores them in ``cache``, and persists a :class:`ShardReport` (named
     by ``label``, defaulting to the static index or the claim owner) that
     ``status``/``merge`` can aggregate.  Already-cached cells are served,
-    not re-run — rerunning a finished shard is free.
+    not re-run — rerunning a finished shard is free.  A budgeted
+    ``config`` is assigned the same way, one whole cell at a time: the
+    shard that owns a cell runs or resumes all of its trial blocks.
 
     In claims mode the on-disk claim owner is always ``label`` (or the
     host-pid default) suffixed with this process's identity, so two
@@ -858,13 +783,7 @@ def run_shard(
         if label is not None:
             owner = f"{label}@{socket.gethostname()}-{os.getpid()}"
         queue = ClaimQueue(_shard_dir(cache) / "claims", owner=owner, ttl=claim_ttl)
-        # Adaptive budgets arbitrate per trial block instead of per cell:
-        # a top-up of an existing cell must not serialize behind a single
-        # worker when its peers could be appending other blocks.
-        if config.budget() is not None:
-            policy = _BudgetClaimPolicy(queue)
-        else:
-            policy = _ClaimPolicy(queue)
+        policy = _ClaimPolicy(queue)
         mode = "claims"
         label = queue.owner
     runner = _ShardExecutionCache(cache, policy)

@@ -428,10 +428,24 @@ class TestAdaptiveBudgetSharding:
         assert merged == TOPUP_CONFIG.run(None)  # unsharded adaptive reference
         assert merged == dataclasses.replace(CONFIG, trials=6).run(None)
 
+    def test_budgeted_claims_shard_skips_a_cell_a_live_peer_holds(self, tmp_path):
+        """Under a budget, claims arbitrate whole cells as they do without
+        one: a cell whose claim a live peer holds is skipped, and none of
+        its trial blocks is simulated here."""
+        cache = CellCache(tmp_path)
+        target = enumerate_cells(BUDGET_CONFIG)[0]
+        foreign = ClaimQueue(cache.root / "_shard" / "claims", owner="peer")
+        assert foreign.acquire(target.key)
+        TASK_COUNTER.reset()
+        report = run_shard(BUDGET_CONFIG, cache, claims=True, label="me")
+        assert report.cells_run == 5 and report.cells_skipped == 1
+        assert report.tasks_run == TASK_COUNTER.count == 5 * 4
+        assert not cache.contains(target.key)
+
     def test_two_processes_extend_each_block_exactly_once(self, tmp_path):
         """Two claims-mode shards topping up the same converged-short
-        cells: block-grained claims keep execution exactly-once (asserted
-        on tasks, since both shards legitimately visit every cell), and
+        cells: per-cell claims give each cell, and so each of its new
+        blocks, to exactly one shard (asserted on cells and on tasks), and
         the merge equals a single-shard extension bit for bit."""
         cache = CellCache(tmp_path)
         run_shard(BUDGET_CONFIG, cache, claims=True, label="seed")
@@ -447,11 +461,12 @@ class TestAdaptiveBudgetSharding:
             assert proc.exitcode == 0
         status = sweep_status(TOPUP_CONFIG, cache)
         assert status.complete
-        assert status.claimed == 0  # cell and block claims all released
+        assert status.claimed == 0  # every cell claim released
         racers = [r for r in status.reports if r.label.startswith("extender-")]
         assert len(racers) == 2
-        # Exactly-once at the block level: the 6 cells' [4, 6) ranges are
-        # 12 new trials total, however they were split between the racers.
+        # Exactly-once: the 6 cells' [4, 6) ranges are 12 new trials total,
+        # however the cells were split between the racers.
+        assert sum(r.cells_run for r in racers) == 6
         assert sum(r.tasks_run for r in racers) == 6 * 2
         TASK_COUNTER.reset()
         merged = merge_sweep(TOPUP_CONFIG, cache)

@@ -1080,6 +1080,40 @@ class CellBlockStore:
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
 
+    def _scan(self) -> tuple[list[_Block], list[tuple[pathlib.Path, str]]]:
+        """One pass over the block directory: valid blocks and problems.
+
+        Returns the blocks that parse and validate, in trial order, and the
+        ``(path, problem)`` pairs: per-file problems (unreadable,
+        range/Welford mismatch) first, then chain problems (gap or
+        overlap, reported on the offending file).  A file pruned
+        concurrently is neither.
+        """
+        directory = self.directory
+        if not directory.is_dir():
+            return [], []
+        problems: list[tuple[pathlib.Path, str]] = []
+        parsed_blocks: list[tuple[pathlib.Path, _Block]] = []
+        for path in sorted(directory.glob("*.json")):
+            try:
+                parsed = self._read_block(path)
+            except FileNotFoundError:
+                continue  # pruned concurrently: not part of the chain
+            if parsed is None:
+                problems.append((path, "unreadable or inconsistent trial block"))
+            else:
+                parsed_blocks.append((path, parsed))
+        parsed_blocks.sort(key=lambda item: item[1][0])
+        expected = 0
+        for path, (start, stop, _) in parsed_blocks:
+            if start != expected:
+                fault = "gapped" if start > expected else "overlapping"
+                problems.append(
+                    (path, f"{fault} trial blocks: expected start {expected}, got {start}")
+                )
+            expected = max(expected, stop)
+        return [block for _, block in parsed_blocks], problems
+
     def _chain(self) -> Optional[list[_Block]]:
         """Every block of the stream as a validated contiguous chain.
 
@@ -1087,25 +1121,8 @@ class CellBlockStore:
         overlap) — the whole cell must then be treated as a miss.  An
         empty directory is simply an empty (valid) chain.
         """
-        directory = self.directory
-        if not directory.is_dir():
-            return []
-        blocks: list[_Block] = []
-        for path in sorted(directory.glob("*.json")):
-            try:
-                parsed = self._read_block(path)
-            except FileNotFoundError:
-                continue  # pruned concurrently: not part of the chain
-            if parsed is None:
-                return None
-            blocks.append(parsed)
-        blocks.sort(key=lambda block: block[0])
-        expected = 0
-        for start, stop, _ in blocks:
-            if start != expected:
-                return None
-            expected = stop
-        return blocks
+        blocks, problems = self._scan()
+        return None if problems else blocks
 
     def load(self) -> list[_Block]:
         """The validated block chain, counting reuse into the cache stats.
@@ -1179,37 +1196,7 @@ class CellBlockStore:
         Per-file problems (unreadable, range/Welford mismatch) and chain
         problems (gap or overlap, reported on the offending file).
         """
-        directory = self.directory
-        if not directory.is_dir():
-            return []
-        out: list[tuple[pathlib.Path, str]] = []
-        parsed_blocks: list[tuple[pathlib.Path, _Block]] = []
-        for path in sorted(directory.glob("*.json")):
-            try:
-                parsed = self._read_block(path)
-            except FileNotFoundError:
-                continue  # pruned concurrently: nothing to verify
-            if parsed is None:
-                out.append((path, "unreadable or inconsistent trial block"))
-            else:
-                parsed_blocks.append((path, parsed))
-        parsed_blocks.sort(key=lambda item: item[1][0])
-        expected = 0
-        for path, (start, stop, _) in parsed_blocks:
-            if start > expected:
-                out.append(
-                    (path, f"gapped trial blocks: expected start {expected}, got {start}")
-                )
-            elif start < expected:
-                out.append(
-                    (
-                        path,
-                        f"overlapping trial blocks: expected start {expected}, "
-                        f"got {start}",
-                    )
-                )
-            expected = max(expected, stop)
-        return out
+        return self._scan()[1]
 
 
 def resolve_cache(

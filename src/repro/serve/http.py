@@ -30,7 +30,7 @@ from email.utils import formatdate
 from typing import Any, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.exceptions import ReproError
+from repro.exceptions import ProtocolError, ReproError
 from repro.serve.service import RecoveryService
 from repro.serve.snapshots import SnapshotStore
 
@@ -248,8 +248,16 @@ class RecoveryHTTPServer:
             return 500, {"error": f"internal error: {exc!r}"}
 
     def _ingest(self, body: bytes) -> tuple[int, dict[str, Any]]:
-        """``POST /ingest``: decode and fold one wire-encoded batch."""
-        doc = json.loads(body.decode("utf-8"))
+        """``POST /ingest``: decode and fold one wire-encoded batch.
+
+        A body nested too deeply for :func:`json.loads` is a malformed
+        request (400); a ``RecursionError`` raised anywhere else is a bug
+        and still reaches :meth:`_dispatch`'s 500.
+        """
+        try:
+            doc = json.loads(body.decode("utf-8"))
+        except RecursionError as exc:
+            raise ProtocolError("ingest body is nested too deeply to parse") from exc
         epoch = str(doc["epoch"])
         ingested = self.service.ingest_payload(epoch, doc["reports"])
         return 200, {

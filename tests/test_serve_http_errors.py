@@ -7,6 +7,9 @@ modes a long-lived deployment actually hits:
   connection closes — never buffered, never silently dropped;
 * a syntactically broken (truncated) JSON body mid-keep-alive yields a
   ``400`` and leaves the connection usable for subsequent requests;
+* an ingest body nested too deeply for the JSON parser answers ``400``
+  and leaves ``/stats`` unchanged, while a ``RecursionError`` from any
+  other handler still answers ``500``;
 * snapshot-directory corruption on ``--resume``: unparseable files are
   skipped to the newest intact snapshot, while a parseable-but-invalid
   snapshot fails the CLI fast with exit code 2;
@@ -314,6 +317,50 @@ class TestTruncatedJSONMidKeepAlive:
             await server.stop()
 
         asyncio.run(scenario())
+
+
+class TestDeeplyNestedBody:
+    def test_answers_400_leaves_stats_unchanged_and_stays_live(self):
+        protocol, reports = _poisoned_reports()
+        n = protocol.num_reports(reports)
+        depth = 200_000
+        nested = b'{"epoch": "e", "reports": ' + b"[" * depth + b"]" * depth + b"}"
+
+        async def scenario():
+            server = RecoveryHTTPServer(RecoveryService(protocol))
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            batch = {"epoch": "e", "reports": protocol.encode_reports(reports)}
+            status, _, _doc = await _request(reader, writer, "POST", "/ingest", batch)
+            assert status == 200
+            _, _, before = await _request(reader, writer, "GET", "/stats")
+            status, headers, doc = await _request(
+                reader, writer, "POST", "/ingest", raw_body=nested
+            )
+            assert status == 400 and headers["content-type"] == "application/json"
+            assert "nested too deeply" in doc["error"]
+            _, _, after = await _request(reader, writer, "GET", "/stats")
+            before.pop("uptime_seconds")
+            after.pop("uptime_seconds")
+            assert after == before
+            status, _, doc = await _request(reader, writer, "POST", "/ingest", batch)
+            assert status == 200 and doc["total_reports"] == 2 * n
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_recursion_error_elsewhere_is_still_500(self, monkeypatch):
+        protocol, _ = _poisoned_reports()
+        service = RecoveryService(protocol)
+
+        def recurse():
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(service, "stats", recurse)
+        status, doc = RecoveryHTTPServer(service)._dispatch("GET", "/stats", b"")
+        assert status == 500 and "RecursionError" in doc["error"]
 
 
 class TestSnapshotDirCorruptionOnResume:

@@ -37,7 +37,8 @@ contributed).
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Optional
+from itertools import product
+from typing import Iterable, Iterator, Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -51,12 +52,11 @@ from repro.attacks import (
 )
 from repro.attacks.base import PoisoningAttack
 from repro.core.kmeans import KMeansDefense, recover_with_kmeans
-from repro.core.recover import recover_frequencies
 from repro.datasets import Dataset, fire_like, ipums_like
 from repro.exceptions import InvalidParameterError
 from repro.protocols import PROTOCOL_NAMES, FrequencyOracle, make_protocol
 from repro.sim.cache import resolved_cohort_chunk, row_cell_spec
-from repro.sim.engine import MetricStats
+from repro.sim.engine import MetricStats, trial_metrics
 from repro.sim.experiment import (
     RecoveryEvaluation,
     RunContext,
@@ -74,6 +74,8 @@ DEFAULT_BETA = 0.05
 DEFAULT_R = 10
 DEFAULT_ETA = 0.2
 
+_T = TypeVar("_T")
+
 
 def load_dataset(name: str, num_users: Optional[int]) -> Dataset:
     """The two paper workloads by ``name`` (``"ipums"`` / ``"fire"``).
@@ -89,11 +91,22 @@ def load_dataset(name: str, num_users: Optional[int]) -> Dataset:
     raise InvalidParameterError(f"unknown dataset {name!r}; use 'ipums' or 'fire'")
 
 
-# NOTE: the cell-row toolkit below (_cell_protocol, _row_cell_params,
+# NOTE: the cell-row toolkit below (_cells, _cell_protocol, _row_cell_params,
 # _make_attack, _stat_columns) is shared infrastructure: repro.sim.scenarios
 # builds its scenario exhibits on these helpers, so renames/signature
 # changes must update both modules (the scenario test suite pins the
 # contract).
+def _cells(rng: RngLike, cells: Iterable[_T]) -> Iterator[tuple[np.random.Generator, _T]]:
+    """Pair every cell of an exhibit grid with its own child stream.
+
+    The children are spawned off ``rng`` in one call, one per cell in
+    ``cells``' order (for a :func:`itertools.product` grid, the outer axis
+    first), so a cell's stream depends only on its position in the grid.
+    """
+    grid = list(cells)
+    return zip(spawn(rng, len(grid)), grid)
+
+
 def _cell_protocol(
     name: str,
     epsilon: float,
@@ -168,10 +181,14 @@ def _stat_columns(
     stats: dict[str, MetricStats], columns: Iterable[str], suffix: str = ""
 ) -> dict[str, object]:
     """Columns ``{col: mean, col±: ci95}`` from aggregated trial stats,
-    reading each column off metric ``f"{col}{suffix}"``."""
+    reading each column off metric ``f"{col}{suffix}"`` — or, when
+    ``columns`` is a ``{col: metric}`` mapping, off ``f"{metric}{suffix}"``."""
+    pairs: Iterable[tuple[str, str]] = (
+        columns.items() if isinstance(columns, Mapping) else zip(columns, columns)
+    )
     out: dict[str, object] = {}
-    for column in columns:
-        entry = stats[f"{column}{suffix}"]
+    for column, metric in pairs:
+        entry = stats[f"{metric}{suffix}"]
         out[column] = entry.mean
         out[f"{column}±"] = entry.ci95_halfwidth
     return out
@@ -231,9 +248,7 @@ def figure3_rows(
     """
     dataset = load_dataset(dataset_name, num_users)
     rows = []
-    rngs = spawn(rng, len(FIG3_CELLS))
-    for (attack_kind, protocol_name), cell_rng in zip(FIG3_CELLS, rngs):
-        gen = as_generator(cell_rng)
+    for gen, (attack_kind, protocol_name) in _cells(rng, FIG3_CELLS):
         protocol = _cell_protocol(protocol_name, epsilon, dataset.domain_size, olh_cohort)
         attack = _make_attack(attack_kind, dataset.domain_size, gen)
         evaluation = evaluate_recovery(
@@ -288,9 +303,7 @@ def figure4_rows(
     """
     dataset = load_dataset(dataset_name, num_users)
     rows = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES))
-    for protocol_name, cell_rng in zip(PROTOCOL_NAMES, rngs):
-        gen = as_generator(cell_rng)
+    for gen, protocol_name in _cells(rng, PROTOCOL_NAMES):
         protocol = _cell_protocol(protocol_name, epsilon, dataset.domain_size, olh_cohort)
         attack = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
         evaluation = evaluate_recovery(
@@ -377,46 +390,39 @@ def sweep_rows(
     dataset = load_dataset(dataset_name, num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     rows = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(values))
-    idx = 0
-    for protocol_name in PROTOCOL_NAMES:
-        for value in values:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            beta = value if parameter == "beta" else DEFAULT_BETA
-            epsilon = value if parameter == "epsilon" else DEFAULT_EPSILON
-            eta = value if parameter == "eta" else DEFAULT_ETA
-            protocol = _cell_protocol(
-                protocol_name, epsilon, dataset.domain_size, olh_cohort, mode
-            )
-            attack = AdaptiveAttack(domain_size=dataset.domain_size, rng=gen)
-            evaluation = evaluate_recovery(
-                dataset,
-                protocol,
-                attack,
-                beta=beta,
-                eta=eta,
-                trials=trials,
-                mode=mode,
-                aa_top_k=DEFAULT_R // 2,
-                rng=gen,
-                chunk_users=chunk_users,
-                ctx=ctx,
-            )
-            rows.append(
-                {
-                    "cell": f"aa-{protocol_name}",
-                    parameter: value,
-                    **_metric_columns(
-                        evaluation,
-                        {
-                            "mse_before": "mse_before",
-                            "mse_ldprecover": "mse_recover",
-                            "mse_ldprecover_star": "mse_recover_star",
-                        },
-                    ),
-                }
-            )
+    for gen, (protocol_name, value) in _cells(rng, product(PROTOCOL_NAMES, values)):
+        beta = value if parameter == "beta" else DEFAULT_BETA
+        epsilon = value if parameter == "epsilon" else DEFAULT_EPSILON
+        eta = value if parameter == "eta" else DEFAULT_ETA
+        protocol = _cell_protocol(protocol_name, epsilon, dataset.domain_size, olh_cohort, mode)
+        attack = AdaptiveAttack(domain_size=dataset.domain_size, rng=gen)
+        evaluation = evaluate_recovery(
+            dataset,
+            protocol,
+            attack,
+            beta=beta,
+            eta=eta,
+            trials=trials,
+            mode=mode,
+            aa_top_k=DEFAULT_R // 2,
+            rng=gen,
+            chunk_users=chunk_users,
+            ctx=ctx,
+        )
+        rows.append(
+            {
+                "cell": f"aa-{protocol_name}",
+                parameter: value,
+                **_metric_columns(
+                    evaluation,
+                    {
+                        "mse_before": "mse_before",
+                        "mse_ldprecover": "mse_recover",
+                        "mse_ldprecover_star": "mse_recover_star",
+                    },
+                ),
+            }
+        )
     return rows
 
 
@@ -442,41 +448,36 @@ def figure7_rows(
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     rows = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG7_BETAS))
-    idx = 0
-    for protocol_name in PROTOCOL_NAMES:
-        for beta in FIG7_BETAS:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            protocol = _cell_protocol(
-                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
-            )
-            attack = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
-            evaluation = evaluate_recovery(
-                dataset,
-                protocol,
-                attack,
-                beta=beta,
-                eta=DEFAULT_ETA,
-                trials=trials,
-                mode=mode,
-                rng=gen,
-                chunk_users=chunk_users,
-                ctx=ctx,
-            )
-            rows.append(
-                {
-                    "cell": f"mga-{protocol_name}",
-                    "beta": beta,
-                    **_metric_columns(
-                        evaluation,
-                        {
-                            "malicious_mse_ldprecover": "mse_malicious_estimate",
-                            "malicious_mse_ldprecover_star": "mse_malicious_estimate_star",
-                        },
-                    ),
-                }
-            )
+    for gen, (protocol_name, beta) in _cells(rng, product(PROTOCOL_NAMES, FIG7_BETAS)):
+        protocol = _cell_protocol(
+            protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
+        )
+        attack = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
+        evaluation = evaluate_recovery(
+            dataset,
+            protocol,
+            attack,
+            beta=beta,
+            eta=DEFAULT_ETA,
+            trials=trials,
+            mode=mode,
+            rng=gen,
+            chunk_users=chunk_users,
+            ctx=ctx,
+        )
+        rows.append(
+            {
+                "cell": f"mga-{protocol_name}",
+                "beta": beta,
+                **_metric_columns(
+                    evaluation,
+                    {
+                        "malicious_mse_ldprecover": "mse_malicious_estimate",
+                        "malicious_mse_ldprecover_star": "mse_malicious_estimate_star",
+                    },
+                ),
+            }
+        )
     return rows
 
 
@@ -528,29 +529,20 @@ def figure8_rows(
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     columns = ("mse_mga", "mse_mga_ipa")
     rows: list[dict[str, object]] = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG8_BETAS))
-    idx = 0
-    for protocol_name in PROTOCOL_NAMES:
-        for beta in FIG8_BETAS:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            protocol = _cell_protocol(
-                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
-            )
-            mga = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
-            ipa = InputPoisoningAttack(mga)
-            params = _row_cell_params(protocol, mode, chunk_users, beta=beta, mode=mode)
-            rows += run_cell(
-                gen,
-                lambda seeds: row_cell_spec(
-                    "figure8", dataset, protocol, (mga, ipa), params, seeds
-                ),
-                partial(_figure8_trial, dataset, protocol, mga, ipa, beta, mode, chunk_users),
-                lambda stats: {
-                    "cell": protocol_name, "beta": beta, **_stat_columns(stats, columns)
-                },
-                trials=trials, ctx=ctx,
-            )
+    for gen, (protocol_name, beta) in _cells(rng, product(PROTOCOL_NAMES, FIG8_BETAS)):
+        protocol = _cell_protocol(
+            protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
+        )
+        mga = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
+        ipa = InputPoisoningAttack(mga)
+        params = _row_cell_params(protocol, mode, chunk_users, beta=beta, mode=mode)
+        rows += run_cell(
+            gen,
+            lambda seeds: row_cell_spec("figure8", dataset, protocol, (mga, ipa), params, seeds),
+            partial(_figure8_trial, dataset, protocol, mga, ipa, beta, mode, chunk_users),
+            lambda stats: {"cell": protocol_name, "beta": beta, **_stat_columns(stats, columns)},
+            trials=trials, ctx=ctx,
+        )
     return rows
 
 
@@ -598,27 +590,18 @@ def figure9_rows(
     dataset = load_dataset("ipums", num_users)
     columns = ("mse_before", "mse_kmeans", "mse_ldprecover_km")
     rows: list[dict[str, object]] = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG9_XIS))
-    idx = 0
-    for protocol_name in PROTOCOL_NAMES:
-        for xi in FIG9_XIS:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            protocol = _cell_protocol(
-                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort
-            )
-            mga = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
-            attack = InputPoisoningAttack(mga)
-            params = {"beta": beta, "xi": xi, "num_subsets": FIG9_NUM_SUBSETS, "mode": "sampled"}
-            rows += run_cell(
-                gen,
-                lambda seeds: row_cell_spec(
-                    "figure9", dataset, protocol, (attack,), params, seeds
-                ),
-                partial(_figure9_trial, dataset, protocol, attack, beta, xi),
-                lambda stats: {"cell": protocol_name, "xi": xi, **_stat_columns(stats, columns)},
-                trials=trials, ctx=ctx,
-            )
+    for gen, (protocol_name, xi) in _cells(rng, product(PROTOCOL_NAMES, FIG9_XIS)):
+        protocol = _cell_protocol(protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort)
+        mga = MGAAttack(domain_size=dataset.domain_size, r=DEFAULT_R, rng=gen)
+        attack = InputPoisoningAttack(mga)
+        params = {"beta": beta, "xi": xi, "num_subsets": FIG9_NUM_SUBSETS, "mode": "sampled"}
+        rows += run_cell(
+            gen,
+            lambda seeds: row_cell_spec("figure9", dataset, protocol, (attack,), params, seeds),
+            partial(_figure9_trial, dataset, protocol, attack, beta, xi),
+            lambda stats: {"cell": protocol_name, "xi": xi, **_stat_columns(stats, columns)},
+            trials=trials, ctx=ctx,
+        )
     return rows
 
 
@@ -645,68 +628,42 @@ def figure10_rows(
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     rows = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(FIG10_BETAS))
-    idx = 0
-    for protocol_name in PROTOCOL_NAMES:
-        for beta in FIG10_BETAS:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            protocol = _cell_protocol(
-                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
-            )
-            attackers = [
-                AdaptiveAttack(domain_size=dataset.domain_size, rng=child)
-                for child in spawn(gen, FIG10_NUM_ATTACKERS)
-            ]
-            attack = MultiAttacker(attackers)
-            evaluation = evaluate_recovery(
-                dataset,
-                protocol,
-                attack,
-                beta=beta,
-                eta=DEFAULT_ETA,
-                trials=trials,
-                mode=mode,
-                with_star=False,
-                rng=gen,
-                chunk_users=chunk_users,
-                ctx=ctx,
-            )
-            rows.append(
-                {
-                    "cell": f"mul-aa-{protocol_name}",
-                    "beta": beta,
-                    **_metric_columns(
-                        evaluation,
-                        {
-                            "mse_before": "mse_before",
-                            "mse_ldprecover": "mse_recover",
-                        },
-                    ),
-                }
-            )
+    for gen, (protocol_name, beta) in _cells(rng, product(PROTOCOL_NAMES, FIG10_BETAS)):
+        protocol = _cell_protocol(
+            protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
+        )
+        attackers = [
+            AdaptiveAttack(domain_size=dataset.domain_size, rng=child)
+            for child in spawn(gen, FIG10_NUM_ATTACKERS)
+        ]
+        attack = MultiAttacker(attackers)
+        evaluation = evaluate_recovery(
+            dataset,
+            protocol,
+            attack,
+            beta=beta,
+            eta=DEFAULT_ETA,
+            trials=trials,
+            mode=mode,
+            with_star=False,
+            rng=gen,
+            chunk_users=chunk_users,
+            ctx=ctx,
+        )
+        rows.append(
+            {
+                "cell": f"mul-aa-{protocol_name}",
+                "beta": beta,
+                **_metric_columns(
+                    evaluation,
+                    {
+                        "mse_before": "mse_before",
+                        "mse_ldprecover": "mse_recover",
+                    },
+                ),
+            }
+        )
     return rows
-
-
-def _table1_trial(
-    dataset: Dataset,
-    protocol: FrequencyOracle,
-    mode: SimulationMode,
-    chunk_users: Optional[int],
-    seed: np.random.SeedSequence,
-) -> dict[str, float]:
-    """One Table I trial: MSE before and after recovery, beta=0."""
-    gen = np.random.default_rng(seed)
-    trial = run_trial(
-        dataset, protocol, None, beta=0.0, mode=mode, rng=gen, chunk_users=chunk_users
-    )
-    truth = trial.true_frequencies
-    before = mse(truth, trial.poisoned_frequencies)
-    recovery = recover_frequencies(trial.poisoned_frequencies, protocol, eta=DEFAULT_ETA)
-    return {
-        "mse_before_recovery": before,
-        "mse_after_recovery": mse(truth, recovery.frequencies),
-    }
 
 
 def table1_rows(
@@ -727,29 +684,29 @@ def table1_rows(
     """
     rows: list[dict[str, object]] = []
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
-    columns = ("mse_before_recovery", "mse_after_recovery")
+    columns = {"mse_before_recovery": "mse_before", "mse_after_recovery": "mse_recover"}
     datasets = [load_dataset("ipums", num_users), load_dataset("fire", num_users)]
-    rngs = spawn(rng, len(datasets) * len(PROTOCOL_NAMES))
-    idx = 0
-    for dataset in datasets:
-        for protocol_name in PROTOCOL_NAMES:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            protocol = _cell_protocol(
-                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
-            )
-            params = _row_cell_params(
-                protocol, mode, chunk_users, beta=0.0, eta=DEFAULT_ETA, mode=mode
-            )
-            rows += run_cell(
-                gen,
-                lambda seeds: row_cell_spec("table1", dataset, protocol, (), params, seeds),
-                partial(_table1_trial, dataset, protocol, mode, chunk_users),
-                lambda stats: {
-                    "dataset": dataset.name,
-                    "protocol": protocol_name,
-                    **_stat_columns(stats, columns),
-                },
-                trials=trials, ctx=ctx,
-            )
+    for gen, (dataset, protocol_name) in _cells(rng, product(datasets, PROTOCOL_NAMES)):
+        protocol = _cell_protocol(
+            protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
+        )
+        params = _row_cell_params(
+            protocol, mode, chunk_users, beta=0.0, eta=DEFAULT_ETA, mode=mode
+        )
+        rows += run_cell(
+            gen,
+            lambda seeds: row_cell_spec("table1", dataset, protocol, (), params, seeds),
+            # The unpoisoned evaluation trial: beta=0 and no attack, so the
+            # star and Detection switches and aa_top_k never apply.
+            partial(
+                trial_metrics, dataset, protocol, None, 0.0, DEFAULT_ETA, mode,
+                False, False, DEFAULT_R // 2, chunk_users,
+            ),
+            lambda stats: {
+                "dataset": dataset.name,
+                "protocol": protocol_name,
+                **_stat_columns(stats, columns),
+            },
+            trials=trials, ctx=ctx,
+        )
     return rows

@@ -23,7 +23,8 @@ experiment stack:
   sweeps resume and warm reruns execute zero simulation tasks.
 * **Registry** — :data:`EXHIBITS` holds every exhibit, the nine paper
   figures of :mod:`repro.sim.figures` first, each an :class:`Exhibit`
-  naming its generator and the optional sweep fields it consumes.
+  naming its generator, whose signature says which optional sweep
+  fields it consumes.
   :class:`repro.sim.shard.SweepConfig` derives its dispatch and digests
   from it and the CLI its choices, ``list`` text and the notes on an
   ignored ``--chunk-users``/``--olh-cohort``, so ``ldprecover run
@@ -38,8 +39,10 @@ the dispatch code.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from itertools import product
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -62,6 +65,7 @@ from repro.sim.experiment import RunContext, run_cell
 from repro.sim.figures import (
     DEFAULT_EPSILON,
     _cell_protocol,
+    _cells,
     _make_attack,
     _row_cell_params,
     _stat_columns,
@@ -331,33 +335,26 @@ def kv_rows(
     )
     targets = tail_items(population.frequencies, KV_TARGET_COUNT)
     rows: list[dict[str, object]] = []
-    rngs = spawn(rng, len(KV_EPSILONS) * len(KV_BETAS))
-    idx = 0
-    for epsilon in KV_EPSILONS:
-        for beta in KV_BETAS:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            protocol = KeyValueProtocol(
-                eps_key=epsilon / 2.0, eps_value=epsilon / 2.0, num_keys=KV_NUM_KEYS
-            )
-            attack = KVPoisoningAttack(
-                num_keys=KV_NUM_KEYS, targets=targets, target_bit=1
-            )
-            params = {"beta": beta, "epsilon": epsilon, "eta": DEFAULT_ETA}
-            rows += run_cell(
-                gen,
-                lambda seeds: scenario_cell_spec(
-                    "kv", population, protocol, (attack,), params, seeds
-                ),
-                partial(kv_trial_metrics, population, protocol, attack, beta, DEFAULT_ETA),
-                lambda stats: {
-                    "cell": attack.describe(),
-                    "epsilon": epsilon,
-                    "beta": beta,
-                    **_stat_columns(stats, _KV_COLUMNS),
-                },
-                trials=trials, ctx=ctx,
-            )
+    for gen, (epsilon, beta) in _cells(rng, product(KV_EPSILONS, KV_BETAS)):
+        protocol = KeyValueProtocol(
+            eps_key=epsilon / 2.0, eps_value=epsilon / 2.0, num_keys=KV_NUM_KEYS
+        )
+        attack = KVPoisoningAttack(num_keys=KV_NUM_KEYS, targets=targets, target_bit=1)
+        params = {"beta": beta, "epsilon": epsilon, "eta": DEFAULT_ETA}
+        rows += run_cell(
+            gen,
+            lambda seeds: scenario_cell_spec(
+                "kv", population, protocol, (attack,), params, seeds
+            ),
+            partial(kv_trial_metrics, population, protocol, attack, beta, DEFAULT_ETA),
+            lambda stats: {
+                "cell": attack.describe(),
+                "epsilon": epsilon,
+                "beta": beta,
+                **_stat_columns(stats, _KV_COLUMNS),
+            },
+            trials=trials, ctx=ctx,
+        )
     return rows
 
 
@@ -453,42 +450,37 @@ def heavyhitter_rows(
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"
     targets = tail_items(dataset.frequencies, HH_TARGET_COUNT)
     rows: list[dict[str, object]] = []
-    rngs = spawn(rng, len(PROTOCOL_NAMES) * len(HH_BETAS))
-    idx = 0
-    for protocol_name in PROTOCOL_NAMES:
-        for beta in HH_BETAS:
-            gen = as_generator(rngs[idx])
-            idx += 1
-            protocol = _cell_protocol(
-                protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
-            )
-            attack = MGAAttack(domain_size=dataset.domain_size, targets=targets)
-            params = _row_cell_params(
-                protocol, mode, chunk_users,
-                beta=beta, ks=list(HH_KS), eta=DEFAULT_ETA, mode=mode,
-            )
-            # One cell per (protocol, beta): the simulation does not depend
-            # on k, so every HH_KS entry is read off the same trials and the
-            # cached payload carries all of them.
-            rows += run_cell(
-                gen,
-                lambda seeds: scenario_cell_spec(
-                    "heavyhitter", dataset, protocol, (attack,), params, seeds
-                ),
-                partial(
-                    _heavyhitter_trial, dataset, protocol, attack, beta, HH_KS,
-                    DEFAULT_ETA, mode, chunk_users,
-                ),
-                lambda stats: {
-                    "cell": f"mga-{protocol_name}",
-                    "beta": beta,
-                    "per_k": {
-                        str(k): _stat_columns(stats, _HH_COLUMNS, f"_k{k}") for k in HH_KS
-                    },
+    for gen, (protocol_name, beta) in _cells(rng, product(PROTOCOL_NAMES, HH_BETAS)):
+        protocol = _cell_protocol(
+            protocol_name, DEFAULT_EPSILON, dataset.domain_size, olh_cohort, mode
+        )
+        attack = MGAAttack(domain_size=dataset.domain_size, targets=targets)
+        params = _row_cell_params(
+            protocol, mode, chunk_users,
+            beta=beta, ks=list(HH_KS), eta=DEFAULT_ETA, mode=mode,
+        )
+        # One cell per (protocol, beta): the simulation does not depend on
+        # k, so every HH_KS entry is read off the same trials and the
+        # cached payload carries all of them.
+        rows += run_cell(
+            gen,
+            lambda seeds: scenario_cell_spec(
+                "heavyhitter", dataset, protocol, (attack,), params, seeds
+            ),
+            partial(
+                _heavyhitter_trial, dataset, protocol, attack, beta, HH_KS,
+                DEFAULT_ETA, mode, chunk_users,
+            ),
+            lambda stats: {
+                "cell": f"mga-{protocol_name}",
+                "beta": beta,
+                "per_k": {
+                    str(k): _stat_columns(stats, _HH_COLUMNS, f"_k{k}") for k in HH_KS
                 },
-                trials=trials, ctx=ctx,
-                rows_for=_heavyhitter_rows_of,
-            )
+            },
+            trials=trials, ctx=ctx,
+            rows_for=_heavyhitter_rows_of,
+        )
     return rows
 
 
@@ -691,9 +683,7 @@ def epochs_rows(
         for protocol_name in PROTOCOL_NAMES
     ]
     rows: list[dict[str, object]] = []
-    rngs = spawn(rng, len(cells))
-    for (protocol_name, schedule, collectors), cell_rng in zip(cells, rngs):
-        gen = as_generator(cell_rng)
+    for gen, (protocol_name, schedule, collectors) in _cells(rng, cells):
         protocol = _cell_protocol(protocol_name, DEFAULT_EPSILON, dataset.domain_size)
         scheduled = ScheduledAttack(
             MGAAttack(domain_size=dataset.domain_size, targets=targets),
@@ -862,15 +852,8 @@ def defenses_rows(
         "ipums", _DEFENSE_DEFAULT_USERS if num_users is None else int(num_users)
     )
     rows: list[dict[str, object]] = []
-    cells = [
-        (attack_kind, epsilon, beta)
-        for attack_kind in DEFENSE_ATTACKS
-        for epsilon in DEFENSE_EPSILONS
-        for beta in DEFENSE_BETAS
-    ]
-    rngs = spawn(rng, len(cells))
-    for (attack_kind, epsilon, beta), cell_rng in zip(cells, rngs):
-        gen = as_generator(cell_rng)
+    grid = product(DEFENSE_ATTACKS, DEFENSE_EPSILONS, DEFENSE_BETAS)
+    for gen, (attack_kind, epsilon, beta) in _cells(rng, grid):
         protocol = _cell_protocol("oue", epsilon, dataset.domain_size)
         attack = _make_attack(attack_kind, dataset.domain_size, gen)
         params = {
@@ -917,30 +900,33 @@ class Exhibit:
     and ``rows`` the generator callable: it must accept the
     ``num_users``, ``trials``, ``rng`` and ``ctx`` keywords, and pass
     ``ctx`` (the run's :class:`~repro.sim.experiment.RunContext`) on to
-    every cell.  ``consumes`` names exactly the :data:`SWEEP_OPTIONS` the
-    generator also takes (``dataset`` arrives as its ``dataset_name``
-    keyword).
-    :class:`repro.sim.shard.SweepConfig` forwards only consumed fields and
-    keeps only them in its digest, so a worker passing a flag its
-    exhibit ignores still reports under the same sweep digest, and the
-    CLI notes an ignored ``--chunk-users`` or ``--olh-cohort``.
+    every cell.  Which :data:`SWEEP_OPTIONS` it also takes is read off
+    its signature (:attr:`consumes`).
     """
 
     name: str
     description: str
     rows: Callable[..., list[dict[str, object]]]
-    consumes: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        unknown = [option for option in self.consumes if option not in SWEEP_OPTIONS]
-        if unknown:
-            raise InvalidParameterError(
-                f"exhibit {self.name!r} consumes unknown sweep options {unknown}; "
-                f"pick from {list(SWEEP_OPTIONS)}"
-            )
+    @cached_property
+    def consumes(self) -> tuple[str, ...]:
+        """The :data:`SWEEP_OPTIONS` that :attr:`rows` takes as keywords.
 
-
-_CHUNKED_COHORT = ("chunk_users", "olh_cohort")
+        ``dataset`` arrives as the ``dataset_name`` keyword, so a
+        ``partial(sweep_rows, "ipums")`` that binds it does not consume
+        it.  :class:`repro.sim.shard.SweepConfig` forwards only consumed
+        fields and keeps only them in its digest, so a worker passing a
+        flag its exhibit ignores still reports under the same sweep
+        digest, and the CLI notes an ignored ``--chunk-users`` or
+        ``--olh-cohort``.  Read once per exhibit: every
+        :meth:`~repro.sim.shard.SweepConfig.run` and ``digest`` asks.
+        """
+        params = inspect.signature(self.rows).parameters
+        return tuple(
+            option
+            for option in SWEEP_OPTIONS
+            if ("dataset_name" if option == "dataset" else option) in params
+        )
 
 #: Every dispatchable exhibit by name, paper figures first:
 #: :class:`repro.sim.shard.SweepConfig` and the CLI derive their exhibit
@@ -953,49 +939,28 @@ EXHIBITS: dict[str, Exhibit] = {
             "fig3",
             "MSE of LDPRecover / LDPRecover* / Detection per attack-protocol cell",
             figure3_rows,
-            ("dataset", "olh_cohort"),
         ),
-        Exhibit(
-            "fig4",
-            "frequency gain of MGA before/after recovery",
-            figure4_rows,
-            ("dataset", "olh_cohort"),
-        ),
+        Exhibit("fig4", "frequency gain of MGA before/after recovery", figure4_rows),
         Exhibit(
             "fig5",
             "parameter sweeps (beta / epsilon / eta) under AA on IPUMS",
             partial(sweep_rows, "ipums"),
-            ("parameter",) + _CHUNKED_COHORT,
         ),
         Exhibit(
             "fig6",
             "parameter sweeps (beta / epsilon / eta) under AA on Fire",
             partial(sweep_rows, "fire"),
-            ("parameter",) + _CHUNKED_COHORT,
         ),
-        Exhibit(
-            "fig7",
-            "MSE of estimated vs true malicious frequencies",
-            figure7_rows,
-            _CHUNKED_COHORT,
-        ),
-        Exhibit("fig8", "MGA vs MGA-IPA poisoning strength", figure8_rows, _CHUNKED_COHORT),
-        Exhibit(
-            "fig9",
-            "LDPRecover-KM vs plain k-means under MGA-IPA",
-            figure9_rows,
-            ("olh_cohort",),
-        ),
-        Exhibit("fig10", "multi-attacker adaptive attacks", figure10_rows, _CHUNKED_COHORT),
-        Exhibit(
-            "table1", "LDPRecover on unpoisoned frequencies", table1_rows, _CHUNKED_COHORT
-        ),
+        Exhibit("fig7", "MSE of estimated vs true malicious frequencies", figure7_rows),
+        Exhibit("fig8", "MGA vs MGA-IPA poisoning strength", figure8_rows),
+        Exhibit("fig9", "LDPRecover-KM vs plain k-means under MGA-IPA", figure9_rows),
+        Exhibit("fig10", "multi-attacker adaptive attacks", figure10_rows),
+        Exhibit("table1", "LDPRecover on unpoisoned frequencies", table1_rows),
         Exhibit("kv", "key-value poisoning recovery across epsilon and beta", kv_rows),
         Exhibit(
             "heavyhitter",
             "top-k heavy-hitter promotion and repair across protocols, beta and k",
             heavyhitter_rows,
-            _CHUNKED_COHORT,
         ),
         Exhibit(
             "epochs",

@@ -449,6 +449,57 @@ class TestRegistry:
         options = {keyword(option) for option in SWEEP_OPTIONS}
         assert params & options == {keyword(option) for option in exhibit.consumes}
 
+    #: The sweep options each built-in exhibit consumes, as the registry
+    #: declared them before they were read off the generators' signatures.
+    CONSUMES = {
+        "fig3": ("dataset", "olh_cohort"),
+        "fig4": ("dataset", "olh_cohort"),
+        "fig5": ("parameter", "chunk_users", "olh_cohort"),
+        "fig6": ("parameter", "chunk_users", "olh_cohort"),
+        "fig7": ("chunk_users", "olh_cohort"),
+        "fig8": ("chunk_users", "olh_cohort"),
+        "fig9": ("olh_cohort",),
+        "fig10": ("chunk_users", "olh_cohort"),
+        "table1": ("chunk_users", "olh_cohort"),
+        "kv": (),
+        "heavyhitter": ("chunk_users", "olh_cohort"),
+        "epochs": (),
+        "defenses": (),
+    }
+
+    def test_consumed_flags_are_read_off_the_generators(self):
+        assert {name: EXHIBITS[name].consumes for name in self.CONSUMES} == self.CONSUMES
+
+    def test_a_generator_taking_chunk_users_consumes_it(self, capsys):
+        calls = []
+
+        def toy_rows(num_users=None, trials=5, rng=0, chunk_users=None, ctx=RunContext()):
+            calls.append(chunk_users)
+            return [{"cell": "toy", "value": 1.0}]
+
+        register_scenario(Exhibit(name="toy-chunked", description="toy", rows=toy_rows))
+        try:
+            assert EXHIBITS["toy-chunked"].consumes == ("chunk_users",)
+            config = SweepConfig(figure="toy-chunked", trials=2, chunk_users=64)
+            assert config.run(None) == [{"cell": "toy", "value": 1.0}]
+            assert calls == [64]
+            # The consumed flag is part of the digest; an ignored one is not.
+            assert config.digest() != SweepConfig(figure="toy-chunked", trials=2).digest()
+            assert config.digest() == SweepConfig(
+                figure="toy-chunked", trials=2, chunk_users=64, olh_cohort=8
+            ).digest()
+            from repro.cli import main
+
+            argv = ["run", "--exhibit", "toy-chunked", "--no-cache", "--chunk-users", "64"]
+            assert main(argv) == 0
+            assert "is ignored" not in capsys.readouterr().err
+            assert main(argv + ["--olh-cohort", "8"]) == 0
+            err = capsys.readouterr().err
+            assert "--olh-cohort is ignored" in err and "--chunk-users" not in err
+            assert calls == [64, 64, 64]
+        finally:
+            del EXHIBITS["toy-chunked"]
+
     @pytest.mark.parametrize(
         "options", [{}, {"chunk_users": 700, "olh_cohort": 8}], ids=["plain", "chunked-cohort"]
     )

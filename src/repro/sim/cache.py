@@ -8,12 +8,15 @@ sequences.  This module caches completed cells on disk keyed by the
 canonical hash of that spec, so:
 
 * an interrupted sweep resumes from its completed cells on rerun;
-* regenerating a figure after a code-comment-only change costs zero
-  simulation time;
-* execution knobs that cannot change results — ``workers`` (bit-identical
-  by construction) and ``chunk_users`` (statistically identical chunked
-  aggregation) — are deliberately **excluded** from the key, so a run on
-  one machine shape warms the cache for every other.
+* rerunning a figure costs zero simulation time for as long as the
+  simulation source is unchanged (any edit under ``sim``, ``core``,
+  ``protocols`` or ``attacks``, a comment included, moves the tag below);
+* ``workers`` (bit-identical by construction) is deliberately
+  **excluded** from the key, so a run on one machine shape warms the
+  cache for every other.  ``chunk_users`` enters only through what it
+  shapes: its presence selects ``mode="chunked"``, and for seed-cohort
+  OLH cells the resolved chunk size sets the cohort schedule
+  (``cohort_chunk_users``); otherwise every chunk size shares a cell.
 
 Layout: one JSON file per cell under
 ``<cache_dir>/<tag>/<key[:2]>/<key>.json`` where ``tag`` versions the
@@ -402,6 +405,14 @@ def canonical_key(spec: dict[str, Any]) -> str:
     return _hash_bytes(encoded.encode("utf-8"))
 
 
+def _payload_digest(payload: Any) -> str:
+    """SHA-256 over a payload's sorted, compact JSON as :meth:`CellCache.put`
+    writes it (numpy scalars through ``default=float``), so the digest of
+    the payload read back from disk equals the one stored beside it."""
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=float)
+    return _hash_bytes(encoded.encode("utf-8"))
+
+
 def trial_stream_spec(spec: dict[str, Any]) -> dict[str, Any]:
     """The spec addressing a budgeted cell's appendable trial-block stream.
 
@@ -573,6 +584,19 @@ def write_json_atomic(
         raise
 
 
+def _read_entry(path: pathlib.Path) -> dict[str, Any]:
+    """The JSON object stored in the entry file ``path``.
+
+    Raises :class:`ValueError` when the file is not JSON or holds another
+    JSON value, so every reader treats both as one unreadable entry.
+    """
+    with path.open("r", encoding="utf-8") as handle:
+        entry = json.load(handle)
+    if not isinstance(entry, dict):
+        raise ValueError("cache entry is not a JSON object")
+    return entry
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters of one :class:`CellCache` instance.
@@ -714,22 +738,23 @@ class CellCache:
     def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
         """Return the cached payload for ``spec``, or ``None`` on a miss.
 
-        Unreadable or mismatched entries (truncated files, foreign kinds)
-        count as misses and bump :attr:`CacheStats.errors`.  So does an
-        ``"evaluation"`` payload that no longer decodes into the current
-        :class:`~repro.sim.experiment.RecoveryEvaluation` shape (e.g. a
-        field renamed by an in-place code edit under the same cache tag):
-        the cell is recomputed, not raised.  Each lookup is counted once.
+        Unreadable or mismatched entries (truncated files, foreign kinds, a
+        payload that is not a JSON object) count as misses and bump
+        :attr:`CacheStats.errors`.  So does an ``"evaluation"`` payload
+        that does not decode into a
+        :class:`~repro.sim.experiment.RecoveryEvaluation` (a damaged or
+        hand-edited entry): the cell is recomputed, not raised.  Each
+        lookup is counted once.  The payload digest is left to
+        :meth:`verify`, which keeps warm reads cheap.
         """
         path = self._path(self.key_for(spec))
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+            entry = _read_entry(path)
             if entry.get("kind") != spec.get("kind"):
                 raise ValueError("cached kind does not match requested kind")
             payload = entry["payload"]
-            if payload is None:
-                raise ValueError("cached entry has no payload")
+            if not isinstance(payload, dict):
+                raise ValueError("cached payload is not a JSON object")
             if entry["kind"] == "evaluation":
                 payload_to_evaluation(payload)  # raises on a stale shape
         except FileNotFoundError:
@@ -762,7 +787,9 @@ class CellCache:
 
         ``meta``, when given, is stored on the entry *next to* the payload
         (never inside it): adaptive runs annotate block counts and achieved
-        half-widths there without perturbing the cached result bytes.
+        half-widths there without perturbing the cached result bytes.  So
+        is ``payload_sha256``, the payload's digest that :meth:`verify`
+        checks.
         """
         key = self.key_for(spec)
         path = self._path(key)
@@ -774,6 +801,7 @@ class CellCache:
             "created_at": time.time(),
             "spec": spec,
             "payload": payload,
+            "payload_sha256": _payload_digest(payload),
         }
         if meta is not None:
             entry["meta"] = meta
@@ -866,8 +894,7 @@ class CellCache:
         out = []
         for path in self._entry_files(all_tags):
             try:
-                with path.open("r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
+                entry = _read_entry(path)
                 out.append(
                     CacheEntry(
                         key=str(entry["key"]),
@@ -912,8 +939,7 @@ class CellCache:
         for path in list(self._entry_files(all_tags)):
             if horizon is not None:
                 try:
-                    with path.open("r", encoding="utf-8") as handle:
-                        created = float(json.load(handle).get("created_at", 0.0))
+                    created = float(_read_entry(path).get("created_at", 0.0))
                 except FileNotFoundError:
                     continue  # pruned by a concurrent process: already gone
                 except (ValueError, OSError):
@@ -942,10 +968,11 @@ class CellCache:
     def verify(self, delete: bool = False) -> list[tuple[pathlib.Path, str]]:
         """Check every entry's integrity; return ``(path, problem)`` pairs.
 
-        An entry is healthy when it parses as JSON, carries a payload, and
-        its stored key equals the canonical hash recomputed from its
-        stored spec (i.e. the file content was not tampered with or
-        half-written).  Trial-block directories get their own pass:
+        An entry is healthy when it parses as JSON, carries a payload, its
+        stored key equals the canonical hash recomputed from its stored
+        spec, and its stored ``payload_sha256`` equals the digest
+        recomputed from its payload (i.e. the file content was not
+        tampered with or half-written).  Trial-block directories get their own pass:
         every block must parse, match its filename range, carry one metric
         dict per trial with Welford states that refold exactly, and the
         blocks of a stream must tile ``[0, stop)`` contiguously without
@@ -957,14 +984,15 @@ class CellCache:
         for path in self._entry_files():
             problem = None
             try:
-                with path.open("r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
+                entry = _read_entry(path)
                 if "payload" not in entry:
                     problem = "missing payload"
                 elif canonical_key(entry.get("spec", {})) != entry.get("key"):
                     problem = "key does not match stored spec"
                 elif path.stem != entry.get("key"):
                     problem = "filename does not match stored key"
+                elif _payload_digest(entry["payload"]) != entry.get("payload_sha256"):
+                    problem = "payload digest missing or does not match the payload"
             except FileNotFoundError:
                 continue  # pruned by a concurrent process: nothing to verify
             except (ValueError, OSError) as exc:

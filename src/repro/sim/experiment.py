@@ -35,11 +35,12 @@ import numpy as np
 from repro._rng import RngLike, spawn_sequences
 from repro.attacks.base import PoisoningAttack
 from repro.datasets.base import Dataset
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, ReproError
 from repro.protocols.base import FrequencyOracle
 from repro.sim.cache import (
     SHARD_PLACEHOLDER_KEY,
     CellCache,
+    canonical_key,
     evaluation_cell_spec,
     evaluation_to_payload,
     payload_to_evaluation,
@@ -370,7 +371,10 @@ def run_cell(
        the rows.
 
     Raises :class:`~repro.exceptions.InvalidParameterError` for
-    ``trials < 1``.
+    ``trials < 1``, and :class:`~repro.exceptions.ReproError` naming the
+    cell when ``rows_for`` cannot expand a *cached* payload (a damaged
+    entry, which ``ldprecover cache verify --delete`` removes); the same
+    failure on a freshly computed payload propagates unchanged.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -385,6 +389,7 @@ def run_cell(
         if budget is not None:
             spec["budget"] = budget.fingerprint()
         payload = cache.get(spec)
+    cached = payload is not None
     if payload is None:
         store = None
         if budget is not None and cache is not None and spec is not None:
@@ -395,7 +400,15 @@ def run_cell(
             cache.put(spec, payload, meta=None if outcome is None else outcome.meta())
     if rows_for is None or SHARD_PLACEHOLDER_KEY in payload:
         return [payload]
-    return rows_for(payload)
+    try:
+        return rows_for(payload)
+    except (KeyError, TypeError) as exc:
+        if not cached or spec is None:
+            raise
+        raise ReproError(
+            f"cached cell {canonical_key(spec)} cannot be expanded into rows ({exc!r}); "
+            "run 'ldprecover cache verify --delete' to remove the damaged entry"
+        ) from exc
 
 
 def format_table(rows: Sequence[dict[str, object]], float_format: str = "{:.3e}") -> str:

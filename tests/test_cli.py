@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -215,6 +216,60 @@ class TestCacheWorkflow:
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "BAD" in err and "1 bad entries found" in err and "5 healthy" in err
+
+
+class TestDamagedCachePayload:
+    """A damaged cached payload ends the run with one error line, and
+    ``cache verify --delete`` finds and removes it through the payload
+    digest, after which a rerun renders the clean rows again."""
+
+    def _run(self, tmp_path, args, output):
+        flags = ["--trials", "1", "--num-users", "3000", "--cache-dir", str(tmp_path)]
+        return main(["run", *args, *flags, "--output", str(tmp_path / output)])
+
+    def _damage(self, tmp_path, exhibit, change):
+        from repro.sim.cache import CellCache
+
+        [entry, *_] = [
+            e for e in CellCache(tmp_path).entries() if e.spec.get("exhibit") == exhibit
+        ]
+        data = json.loads(entry.path.read_text(encoding="utf-8"))
+        change(data["payload"])
+        entry.path.write_text(json.dumps(data), encoding="utf-8")
+        return entry
+
+    def _verify_delete_and_rerun(self, capsys, tmp_path, args, entry):
+        assert main(["cache", "verify", "--delete", "--cache-dir", str(tmp_path)]) == 1
+        assert f"BAD  {entry.path}: payload digest" in capsys.readouterr().err
+        assert self._run(tmp_path, args, "healed.json") == 0
+        healed = (tmp_path / "healed.json").read_bytes()
+        assert healed == (tmp_path / "clean.json").read_bytes()
+
+    def test_heavyhitter_payload_without_per_k_exits_2(self, capsys, tmp_path):
+        args = ["--exhibit", "heavyhitter"]
+        assert self._run(tmp_path, args, "clean.json") == 0
+        entry = self._damage(tmp_path, "scenario-heavyhitter", lambda p: p.pop("per_k"))
+        capsys.readouterr()
+        assert main(["run", *args, "--trials", "1", "--num-users", "3000",
+                     "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cached cell {entry.key} ") and err.count("\n") == 1
+        assert "KeyError('per_k')" in err and "ldprecover cache verify --delete" in err
+        self._verify_delete_and_rerun(capsys, tmp_path, args, entry)
+
+    def test_changed_fig8_value_is_found_by_verify(self, capsys, tmp_path):
+        args = ["--figure", "fig8"]
+        assert self._run(tmp_path, args, "clean.json") == 0
+
+        def change(payload):
+            payload["mse_mga"] = 123.0
+            del payload["mse_mga_ipa"]
+
+        entry = self._damage(tmp_path, "figure8", change)
+        capsys.readouterr()
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
+        assert "1 bad entries found" in capsys.readouterr().err
+        self._verify_delete_and_rerun(capsys, tmp_path, args, entry)
 
 
 class TestShardWorkflow:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.attacks import AdaptiveAttack, MGAAttack, MultiAttacker
 from repro.datasets import zipf_dataset
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, ReproError
 from repro.protocols import GRR, OLH, OUE
 from repro.sim import figures
 from repro.sim.cache import (
@@ -41,7 +41,7 @@ from repro.sim.cache import (
     write_json_atomic,
 )
 from repro.sim.engine import TASK_COUNTER
-from repro.sim.experiment import RunContext, evaluate_recovery
+from repro.sim.experiment import RunContext, evaluate_recovery, run_cell
 
 D = 16
 DATASET = zipf_dataset(domain_size=D, num_users=5_000, exponent=1.0, rng=7)
@@ -299,9 +299,9 @@ class TestStoreMaintenance:
         assert cache.verify() == []
 
     def test_stale_payload_shape_is_a_miss(self, tmp_path):
-        """A same-tag entry whose payload predates a RecoveryEvaluation
-        field rename is recomputed, not raised (the in-place-edit caveat
-        documented in the README)."""
+        """An entry whose payload no longer decodes into a
+        RecoveryEvaluation (a damaged or hand-edited file; a code edit
+        moves the tag instead) is recomputed, not raised."""
         cache = self._fill(tmp_path, n=1)
         [entry] = cache.entries()
         data = json.loads(entry.path.read_text(encoding="utf-8"))
@@ -332,6 +332,84 @@ class TestStoreMaintenance:
                           trials=2, rng=1, ctx=RunContext(cache=new))
         assert TASK_COUNTER.count > 0  # other version's entries are invisible
         assert new.stats.misses == 1
+
+
+class TestDamagedPayloads:
+    """A damaged row payload never reaches the rows unnoticed: a non-object
+    payload is a miss, ``verify`` checks every payload against the digest
+    ``put`` stored, and a cached payload its renderer cannot expand ends
+    in one :class:`ReproError`."""
+
+    def _table1(self, cache):
+        return figures.table1_rows(num_users=2_000, trials=1, ctx=RunContext(cache=cache))
+
+    def _damage(self, entry, change):
+        data = json.loads(entry.path.read_text(encoding="utf-8"))
+        change(data)
+        entry.path.write_text(json.dumps(data), encoding="utf-8")
+
+    def test_non_object_payload_is_a_miss(self, tmp_path):
+        cache = CellCache(tmp_path)
+        clean = self._table1(cache)
+        first = cache.entries()[0]
+        self._damage(first, lambda data: data.update(payload="not a row"))
+        healed = CellCache(tmp_path)
+        assert self._table1(healed) == clean
+        assert (healed.stats.hits, healed.stats.misses, healed.stats.errors) == (5, 1, 1)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "7", '"entry"', "null"])
+    def test_non_object_entry_is_unreadable_everywhere(self, tmp_path, text):
+        cache = CellCache(tmp_path)
+        clean = self._table1(cache)
+        first = cache.entries()[0]
+        first.path.write_text(text, encoding="utf-8")
+        assert len(cache.entries()) == 5
+        assert cache.verify() == [(first.path, "unreadable: cache entry is not a JSON object")]
+        healed = CellCache(tmp_path)
+        assert self._table1(healed) == clean
+        assert (healed.stats.hits, healed.stats.errors) == (5, 1)
+        first.path.write_text(text, encoding="utf-8")
+        assert cache.prune(older_than_days=1.0) == 1  # unreadable: always eligible
+
+    def test_verify_checks_the_payload_digest(self, tmp_path):
+        cache = CellCache(tmp_path)
+        self._table1(cache)
+        assert cache.verify() == []
+        changed, dropped, *_ = cache.entries()
+        self._damage(changed, lambda data: data["payload"].update(mse_after_recovery=123.0))
+        self._damage(dropped, lambda data: data.pop("payload_sha256"))
+        problems = dict(cache.verify(delete=True))
+        assert set(problems) == {changed.path, dropped.path}
+        assert all("payload digest" in problem for problem in problems.values())
+        assert cache.verify() == []
+
+    @staticmethod
+    def _cell(cache, rows_for):
+        return run_cell(
+            0,
+            lambda seeds: {"kind": "row", "exhibit": "toy",
+                           "seeds": fingerprint_seed_sequences(seeds)},
+            lambda seed: {"x": 1.0},
+            lambda stats: {"x": stats["x"].mean},
+            trials=1, ctx=RunContext(cache=cache), rows_for=rows_for,
+        )
+
+    def test_renderer_error_names_a_cached_cell_only(self, tmp_path):
+        cache = CellCache(tmp_path)
+        assert self._cell(cache, lambda payload: [payload]) == [{"x": 1.0}]
+        [entry] = cache.entries()
+
+        def broken(payload):
+            return [{"y": payload["y"]}]
+
+        with pytest.raises(ReproError, match=f"cached cell {entry.key}.*cache verify --delete"):
+            self._cell(cache, broken)
+        # The same renderer on a freshly computed payload is a bug in the
+        # renderer, not a damaged entry: its KeyError propagates as is.
+        with pytest.raises(KeyError):
+            self._cell(CellCache(tmp_path / "cold"), broken)
+        with pytest.raises(KeyError):
+            self._cell(None, broken)
 
 
 class TestTrialBlockIntegrity:

@@ -289,8 +289,10 @@ class FrequencyOracle(ABC):
     def reports_supporting_any(self, reports: Any, items: Sequence[int]) -> np.ndarray:
         """Boolean mask of reports whose support intersects ``items``.
 
-        Used by the Detection baseline (Section VI-A5), which drops every
-        report that "matches the target items".
+        The "matches the target items" test of the Detection baseline
+        (Section VI-A5).  Detection itself calls
+        :meth:`target_support_counts`, which is positive exactly where
+        this mask is true.
         """
 
     @abstractmethod

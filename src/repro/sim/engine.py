@@ -260,14 +260,12 @@ class TrialBlockStore(Protocol):
 class AdaptiveOutcome:
     """What :func:`run_adaptive_trials` produced for one cell.
 
-    ``per_trial`` holds the first ``trials`` trials' metric dicts in trial
-    order — the ground truth ``stats`` is folded from, bit-identical to a
-    fixed-budget run at ``trials`` total trials.  ``blocks_reused`` /
-    ``blocks_run`` split the executed blocks into served-from-cache and
-    freshly simulated.
+    ``stats`` is folded from the first ``trials`` trials in trial order,
+    bit-identical to a fixed-budget run at ``trials`` total trials.
+    ``blocks_reused`` / ``blocks_run`` split the executed blocks into
+    served-from-cache and freshly simulated.
     """
 
-    per_trial: list[dict[str, float]]
     stats: dict[str, MetricStats]
     trials: int
     blocks_reused: int
@@ -343,7 +341,6 @@ def run_adaptive_trials(
             final = checkpoint
             break
     return AdaptiveOutcome(
-        per_trial=per_trial[:final],
         stats=stats,
         trials=final,
         blocks_reused=blocks_reused,

@@ -200,12 +200,12 @@ class SweepConfig:
         the chosen ``figure`` actually consumes participate, and a field
         that cannot change the cells never does: ``workers`` never, and
         of the :data:`~repro.sim.scenarios.SWEEP_OPTIONS` only those the
-        exhibit's registration consumes.  A worker that passes a flag its
-        figure ignores (``--dataset fire`` on fig8) therefore still
-        reports under the same digest as every other worker of that
-        sweep.  The adaptive budget knobs participate only when at least
-        one is set, so every fixed-budget digest is byte-identical to what
-        it was before the knobs existed.
+        exhibit's generator takes (its ``consumes``).  A worker that
+        passes a flag its figure ignores (``--dataset fire`` on fig8)
+        therefore still reports under the same digest as every other
+        worker of that sweep.  The adaptive budget knobs participate only
+        when at least one is set, so every fixed-budget digest is
+        byte-identical to what it was before the knobs existed.
         """
         spec = asdict(self)
         spec.pop("workers")
@@ -456,13 +456,8 @@ class ShardPolicy(Protocol):
 
     ``acquire`` decides whether this shard should compute the (missing)
     cell; ``release`` returns ownership after the result is stored (a
-    no-op for static assignment).  ``rechecks`` declares whether a peer
-    may have completed the cell between the cache miss and a successful
-    acquire, in which case the store must be consulted again before
-    simulating.
+    no-op for static assignment).
     """
-
-    rechecks: bool
 
     def acquire(self, key: str) -> bool:
         """Whether this shard should compute the missing cell ``key``."""
@@ -475,10 +470,6 @@ class ShardPolicy(Protocol):
 
 class _StaticPolicy:
     """Hash-mod ownership: no coordination files, no release needed."""
-
-    #: Static assignments are exclusive by construction — no peer can have
-    #: completed an owned cell between the lookup and the acquire.
-    rechecks: bool = False
 
     def __init__(self, shard_index: int, shard_count: int) -> None:
         self.shard_index = shard_index
@@ -493,10 +484,6 @@ class _StaticPolicy:
 
 class _ClaimPolicy:
     """Dynamic ownership through a :class:`ClaimQueue`."""
-
-    #: A peer may complete and release a cell between our miss and our
-    #: successful acquire; re-check the store before simulating.
-    rechecks: bool = True
 
     def __init__(self, queue: ClaimQueue) -> None:
         self.queue = queue
@@ -551,11 +538,10 @@ class _ShardExecutionCache:
         if self.policy.acquire(key):
             # Claim races lose to completed entries: a peer may finish and
             # release a cell between our probe and our acquire, so re-check
-            # the store before simulating.  Static assignments skip this
-            # (exclusive by construction), as does the heal path — an
+            # the store before simulating.  The heal path skips this — an
             # entry that just failed to read should be recomputed, not
             # re-fetched and double-counted.
-            if self.policy.rechecks and not counted_miss and self.base.contains(key):
+            if not counted_miss and self.base.contains(key):
                 payload = self.base.get(spec)
                 if payload is not None:
                     self.policy.release(key)

@@ -968,16 +968,16 @@ class CellCache:
     def verify(self, delete: bool = False) -> list[tuple[pathlib.Path, str]]:
         """Check every entry's integrity; return ``(path, problem)`` pairs.
 
-        An entry is healthy when it parses as JSON, carries a payload, its
-        stored key equals the canonical hash recomputed from its stored
-        spec, and its stored ``payload_sha256`` equals the digest
-        recomputed from its payload (i.e. the file content was not
-        tampered with or half-written).  Trial-block directories get their own pass:
-        every block must parse, match its filename range, carry one metric
-        dict per trial with Welford states that refold exactly, and the
-        blocks of a stream must tile ``[0, stop)`` contiguously without
-        overlap (see :meth:`CellBlockStore.problems`).  ``delete`` removes
-        the offenders.  Entries pruned by a concurrent process mid-check
+        An entry is healthy when it parses as a JSON object, carries a
+        payload, its stored key equals the canonical hash recomputed from
+        its stored spec, and its stored ``payload_sha256`` equals the
+        digest recomputed from its payload (i.e. the file content was not
+        tampered with or half-written).  Trial-block directories get their
+        own pass: every block must parse, match its filename range, carry
+        one metric dict per trial with Welford states that refold exactly,
+        and the blocks of a stream must tile ``[0, stop)`` contiguously
+        without overlap (see :meth:`CellBlockStore.problems`).  ``delete``
+        removes the offenders.  Entries pruned by a concurrent process mid-check
         are skipped, not reported — a vanished file is not a corrupt file.
         """
         problems = []

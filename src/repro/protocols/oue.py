@@ -73,18 +73,6 @@ class OUE(FrequencyOracle):
             bits[np.arange(items.size), items] = True
         return bits
 
-    def craft_one_hot(self, items: np.ndarray) -> np.ndarray:
-        """Bare one-hot crafted reports (support exactly ``{v}``).
-
-        Exposed for analyses of the naive crafting strategy; note it
-        biases all other items downward (see :meth:`craft_supporting`).
-        """
-        items = self._validate_items(items)
-        bits = np.zeros((items.size, self.domain_size), dtype=bool)
-        if items.size:
-            bits[np.arange(items.size), items] = True
-        return bits
-
     def concat_reports(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         return np.concatenate(
             [self._validate_reports(first), self._validate_reports(second)], axis=0

@@ -121,12 +121,6 @@ class TestFastPath:
 
 
 class TestCrafting:
-    def test_one_hot(self, proto):
-        crafted = proto.craft_one_hot(np.array([3, 3, 0]))
-        assert crafted.shape == (3, proto.domain_size)
-        assert crafted.sum() == 3
-        assert crafted[0, 3] and crafted[1, 3] and crafted[2, 0]
-
     def test_craft_supporting_sets_item_bit(self, proto):
         crafted = proto.craft_supporting(np.array([3, 3, 0]), rng=0)
         assert crafted[:, 3][:2].all() and crafted[2, 0]

@@ -34,7 +34,7 @@ Every cell is read and written through one path,
 
 * ``"evaluation"`` — a serialized
   :class:`~repro.sim.experiment.RecoveryEvaluation` (including its
-  per-metric :class:`~repro.sim.engine.MetricStats`), the cells of
+  per-metric :class:`~repro.sim.engine.Welford` states), the cells of
   :func:`repro.sim.experiment.evaluate_recovery`;
 * ``"row"`` — an exhibit row payload, the cells of every other
   generator (Figures 8/9, Table I and the scenario sweeps).
@@ -52,7 +52,7 @@ import os
 import pathlib
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -61,7 +61,7 @@ from repro.attacks.base import PoisoningAttack
 from repro.datasets.base import Dataset
 from repro.exceptions import InvalidParameterError
 from repro.protocols.base import DEFAULT_CHUNK_USERS, FrequencyOracle
-from repro.sim.engine import MetricStats, Welford
+from repro.sim.engine import Welford, aggregate_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiment -> cache)
     from repro.sim.experiment import RecoveryEvaluation
@@ -93,7 +93,7 @@ __all__ = [
 
 #: Cache schema version: bump whenever the entry layout, the spec
 #: fingerprints, or the payload serialization change incompatibly.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 #: Marker key present on every placeholder row payload produced by the
 #: shard / enumeration cache adapters (:mod:`repro.sim.shard`).  Code that
@@ -440,34 +440,11 @@ def trial_stream_spec(spec: dict[str, Any]) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Payload (de)serialization
 # ----------------------------------------------------------------------
-def _stats_to_payload(stats: dict[str, MetricStats]) -> dict[str, dict[str, Any]]:
-    return {
-        name: {
-            "mean": entry.mean,
-            "variance": entry.variance,
-            "stderr": entry.stderr,
-            "count": entry.count,
-        }
-        for name, entry in stats.items()
-    }
-
-
-def _stats_from_payload(payload: dict[str, dict[str, Any]]) -> dict[str, MetricStats]:
-    return {
-        name: MetricStats(
-            mean=float(entry["mean"]),
-            variance=None if entry["variance"] is None else float(entry["variance"]),
-            stderr=None if entry["stderr"] is None else float(entry["stderr"]),
-            count=int(entry["count"]),
-        )
-        for name, entry in payload.items()
-    }
-
-
 def evaluation_to_payload(evaluation: "RecoveryEvaluation") -> dict[str, Any]:
-    """Serialize an ``evaluation`` (with its stats) to a plain JSON dict."""
+    """Serialize an ``evaluation`` to a plain JSON dict, each of its stats
+    as ``asdict`` of its :class:`~repro.sim.engine.Welford` state."""
     payload = dict(evaluation.as_row())
-    payload["stats"] = _stats_to_payload(evaluation.stats)
+    payload["stats"] = {name: asdict(w) for name, w in evaluation.stats.items()}
     return payload
 
 
@@ -476,7 +453,7 @@ def payload_to_evaluation(payload: dict[str, Any]) -> "RecoveryEvaluation":
     from repro.sim.experiment import RecoveryEvaluation  # deferred: import cycle
 
     data = dict(payload)
-    stats = _stats_from_payload(data.pop("stats", {}))
+    stats = {name: Welford(**d) for name, d in data.pop("stats", {}).items()}
     data["trials"] = int(data["trials"])
     return RecoveryEvaluation(stats=stats, **data)
 
@@ -742,8 +719,10 @@ class CellCache:
         payload that is not a JSON object) count as misses and bump
         :attr:`CacheStats.errors`.  So does an ``"evaluation"`` payload
         that does not decode into a
-        :class:`~repro.sim.experiment.RecoveryEvaluation` (a damaged or
-        hand-edited entry): the cell is recomputed, not raised.  Each
+        :class:`~repro.sim.experiment.RecoveryEvaluation` whose row, CI
+        columns included, renders (a damaged or hand-edited entry, or one
+        whose ``stats`` are not ``Welford`` states): the cell is
+        recomputed, not raised.  Each
         lookup is counted once.  The payload digest is left to
         :meth:`verify`, which keeps warm reads cheap.
         """
@@ -756,11 +735,11 @@ class CellCache:
             if not isinstance(payload, dict):
                 raise ValueError("cached payload is not a JSON object")
             if entry["kind"] == "evaluation":
-                payload_to_evaluation(payload)  # raises on a stale shape
+                payload_to_evaluation(payload).as_row(ci=True)  # raises on a stale shape
         except FileNotFoundError:
             self.stats.misses += 1
             return None
-        except (ValueError, KeyError, TypeError, OSError):
+        except (ValueError, KeyError, TypeError, AttributeError, OSError):
             self.stats.misses += 1
             self.stats.errors += 1
             return None
@@ -1021,19 +1000,12 @@ def _block_welford_payload(
 ) -> dict[str, dict[str, Any]]:
     """Serialized per-metric Welford states of one block's trials.
 
-    Folded sequentially in trial order, exactly like
-    :func:`repro.sim.engine.aggregate_metrics` folds them — so the states
-    are a pure function of the block's own ``per_trial`` dicts and the
-    read path can recompute and compare them bit for bit.
+    Folded through :func:`repro.sim.engine.aggregate_metrics` in trial
+    order — so the states are a pure function of the block's own
+    ``per_trial`` dicts and the read path can recompute and compare them
+    bit for bit.
     """
-    accumulators: dict[str, Welford] = {}
-    for metrics in per_trial:
-        for key, value in metrics.items():
-            accumulators.setdefault(key, Welford()).add(float(value))
-    return {
-        key: {"count": acc.count, "mean": acc.mean, "m2": acc.m2}
-        for key, acc in sorted(accumulators.items())
-    }
+    return {key: asdict(w) for key, w in sorted(aggregate_metrics(per_trial).items())}
 
 
 #: Parsed block triple: (start, stop, per-trial metric dicts).

@@ -21,9 +21,10 @@ is the execution substrate for that grid:
 * **Streaming metric accumulation** — :class:`Welford` keeps running
   mean/variance/count per metric instead of materializing per-trial metric
   lists, so cells can report confidence intervals at no extra memory cost.
+  It is a cell's one per-metric trial statistic, in memory and on disk.
 
-:func:`run_trials` is every cell's trial step — fixed-budget through
-:func:`parallel_map`, or adaptive through :func:`run_adaptive_trials`.
+:func:`run_adaptive_trials` is every cell's trial step: a fixed trial
+count is the :class:`TrialBudget` whose only checkpoint is that count.
 Every exhibit cell reaches it through
 :func:`repro.sim.experiment.run_cell`, which reads ``workers`` and the
 budget off the run's :class:`~repro.sim.experiment.RunContext`;
@@ -66,7 +67,9 @@ class Welford:
 
     Replaces per-metric Python lists: one float triple per metric instead
     of one float per trial, and it merges (Chan et al.'s parallel update)
-    so shards accumulated independently combine exactly.
+    so shards accumulated independently combine exactly.  Stored as
+    ``dataclasses.asdict(w)`` — ``{"count", "mean", "m2"}`` — and read
+    back as ``Welford(**d)``; JSON round-trips its floats exactly.
     """
 
     count: int = 0
@@ -108,31 +111,15 @@ class Welford:
             return None
         return math.sqrt(var / self.count)
 
-    def snapshot(self) -> "MetricStats":
-        """Freeze the current statistics into an immutable record."""
-        return MetricStats(
-            mean=self.mean, variance=self.variance, stderr=self.stderr, count=self.count
-        )
-
-
-@dataclass(frozen=True)
-class MetricStats:
-    """Frozen summary of one metric across the trials of a cell."""
-
-    mean: float
-    variance: Optional[float]
-    stderr: Optional[float]
-    count: int
-
     @property
     def ci95_halfwidth(self) -> Optional[float]:
-        """Half-width of the normal-approximation 95% confidence interval."""
-        if self.stderr is None:
-            return None
-        return 1.96 * self.stderr
+        """Half-width of the normal-approximation 95% confidence interval:
+        ``1.96 * stderr``, ``None`` with fewer than two samples."""
+        stderr = self.stderr
+        return None if stderr is None else 1.96 * stderr
 
 
-def aggregate_metrics(per_trial: Iterable[dict[str, float]]) -> dict[str, MetricStats]:
+def aggregate_metrics(per_trial: Iterable[dict[str, float]]) -> dict[str, Welford]:
     """Fold the ``per_trial`` metric dicts into per-metric statistics.
 
     Trials are folded in iteration order, so the result is bit-identical
@@ -143,7 +130,7 @@ def aggregate_metrics(per_trial: Iterable[dict[str, float]]) -> dict[str, Metric
     for metrics in per_trial:
         for key, value in metrics.items():
             accumulators.setdefault(key, Welford()).add(float(value))
-    return {key: acc.snapshot() for key, acc in accumulators.items()}
+    return accumulators
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +192,7 @@ class TrialBudget:
         out.append(self.max_trials)
         return out
 
-    def met(self, stats: dict[str, MetricStats]) -> bool:
+    def met(self, stats: dict[str, Welford]) -> bool:
         """Whether ``stats`` satisfies the CI-half-width target.
 
         True when a ``target_halfwidth`` is set, at least one metric was
@@ -266,7 +253,7 @@ class AdaptiveOutcome:
     served-from-cache and freshly simulated.
     """
 
-    stats: dict[str, MetricStats]
+    stats: dict[str, Welford]
     trials: int
     blocks_reused: int
     blocks_run: int
@@ -307,7 +294,9 @@ def run_adaptive_trials(
     is evaluated over the *prefix* of trials at each checkpoint, so the
     final trial count — and therefore the returned statistics — is
     bit-identical to a fixed-budget run at that count, regardless of what
-    the store already held.
+    the store already held.  A fixed count ``n`` is
+    ``TrialBudget(min_trials=n, max_trials=n)``: its one checkpoint runs
+    the ``n`` trials in one :func:`parallel_map` call.
     """
     if len(seeds) < budget.max_trials:
         raise InvalidParameterError(
@@ -322,7 +311,7 @@ def run_adaptive_trials(
             blocks_reused += 1
 
     final = budget.max_trials
-    stats: dict[str, MetricStats] = {}
+    stats: dict[str, Welford] = {}
     for checkpoint in budget.checkpoints():
         if checkpoint > len(per_trial):
             start, stop = len(per_trial), checkpoint
@@ -346,28 +335,6 @@ def run_adaptive_trials(
         blocks_reused=blocks_reused,
         blocks_run=blocks_run,
     )
-
-
-def run_trials(
-    trial: Callable[[np.random.SeedSequence], dict[str, float]],
-    seeds: Sequence[np.random.SeedSequence],
-    workers: Optional[int] = 1,
-    budget: Optional[TrialBudget] = None,
-    store: Optional[TrialBlockStore] = None,
-) -> tuple[dict[str, MetricStats], Optional[AdaptiveOutcome]]:
-    """One cell's trial step, fixed-budget or adaptive.
-
-    Without a ``budget`` ``trial`` runs once per seed in ``seeds`` through
-    :func:`parallel_map` over ``workers`` processes; the outcome is
-    ``None``.  With a :class:`TrialBudget` the trials run through
-    :func:`run_adaptive_trials` instead, resuming from and appending to
-    the trial-block ``store`` when one is given.  Returns the aggregated
-    per-metric statistics and the adaptive outcome.
-    """
-    if budget is None:
-        return aggregate_metrics(parallel_map(trial, seeds, workers=workers)), None
-    outcome = run_adaptive_trials(budget, trial, seeds, workers=workers, store=store)
-    return outcome.stats, outcome
 
 
 # ----------------------------------------------------------------------
@@ -670,7 +637,6 @@ def trial_metrics(
 __all__ = [
     "AdaptiveOutcome",
     "CallCounter",
-    "MetricStats",
     "TASK_COUNTER",
     "TrialBlockStore",
     "TrialBudget",
@@ -682,6 +648,5 @@ __all__ = [
     "resolve_workers",
     "run_adaptive_trials",
     "run_scope",
-    "run_trials",
     "trial_metrics",
 ]

@@ -48,11 +48,11 @@ from repro.sim.cache import (
     trial_stream_spec,
 )
 from repro.sim.engine import (
-    MetricStats,
     TrialBudget,
+    Welford,
     resolve_star_targets,
     resolve_workers,
-    run_trials,
+    run_adaptive_trials,
     trial_metrics,
 )
 from repro.sim.pipeline import SimulationMode, _validate_chunk, malicious_count
@@ -121,9 +121,9 @@ class RecoveryEvaluation:
     #: MSE of the estimated vs. true malicious frequencies (Figure 7).
     mse_malicious_estimate: Optional[float] = None
     mse_malicious_estimate_star: Optional[float] = None
-    #: Streaming per-metric statistics (mean/variance/stderr/count) keyed by
+    #: Per-metric :class:`~repro.sim.engine.Welford` statistics keyed by
     #: metric name, for confidence intervals over the trial average.
-    stats: dict[str, MetricStats] = field(default_factory=dict)
+    stats: dict[str, Welford] = field(default_factory=dict)
 
     #: Metric columns emitted by :meth:`as_row`, in output order.
     METRIC_COLUMNS: ClassVar[tuple[str, ...]] = (
@@ -275,7 +275,7 @@ def evaluate_recovery(
 
     attack_name = attack.describe() if attack is not None else "none"
 
-    def _payload(stats: dict[str, MetricStats]) -> dict[str, object]:
+    def _payload(stats: dict[str, Welford]) -> dict[str, object]:
         means = {
             metric: stats[metric].mean if metric in stats else None
             for metric in RecoveryEvaluation.METRIC_COLUMNS
@@ -343,7 +343,7 @@ def run_cell(
     rng: RngLike,
     spec_for: Callable[[list[np.random.SeedSequence]], dict[str, Any]],
     trial: Callable[[np.random.SeedSequence], dict[str, float]],
-    payload_for: Callable[[dict[str, MetricStats]], dict[str, object]],
+    payload_for: Callable[[dict[str, Welford]], dict[str, object]],
     trials: int = 5,
     ctx: RunContext = RunContext(),
     rows_for: Optional[Callable[[dict[str, Any]], list[dict[str, object]]]] = None,
@@ -359,12 +359,12 @@ def run_cell(
     2. with a ``ctx.cache``, key the cell by ``spec_for(seeds)`` plus the
        budget fingerprint and serve a stored payload;
     3. otherwise run the trials through
-       :func:`repro.sim.engine.run_trials` — the picklable ``trial``
-       callable on each seed, on ``ctx.workers`` processes, fixed or
-       adaptive under the budget (resuming the cell's cached trial
-       blocks) — and turn the aggregated statistics into the payload with
-       ``payload_for``, stored with the adaptive outcome as entry
-       metadata;
+       :func:`repro.sim.engine.run_adaptive_trials` — the picklable
+       ``trial`` callable on each seed, on ``ctx.workers`` processes,
+       under ``ctx.budget`` (resuming the cell's cached trial blocks) or
+       else a budget of exactly ``trials`` — and turn the aggregated
+       statistics into the payload with ``payload_for``, stored with a
+       budgeted cell's outcome as entry metadata;
     4. expand the payload into rows with ``rows_for`` (default: the
        payload is the one row).  Placeholder payloads of the shard and
        enumeration caches pass through unexpanded: their callers discard
@@ -378,26 +378,27 @@ def run_cell(
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    cache, budget = ctx.cache, ctx.budget
+    cache, budgeted = ctx.cache, ctx.budget is not None
+    budget = ctx.budget or TrialBudget(min_trials=trials, max_trials=trials)
     # A budget spawns its whole max_trials stream up front: the first k
     # children equal a fixed k-trial run's seeds (the bit-identity anchor).
-    seeds = spawn_sequences(rng, trials if budget is None else budget.max_trials)
+    seeds = spawn_sequences(rng, budget.max_trials)
     spec: Optional[dict[str, Any]] = None
     payload: Optional[dict[str, Any]] = None
     if cache is not None:
         spec = spec_for(seeds)
-        if budget is not None:
+        if budgeted:
             spec["budget"] = budget.fingerprint()
         payload = cache.get(spec)
     cached = payload is not None
     if payload is None:
         store = None
-        if budget is not None and cache is not None and spec is not None:
+        if budgeted and cache is not None and spec is not None:
             store = cache.block_store(trial_stream_spec(spec))
-        stats, outcome = run_trials(trial, seeds, ctx.workers, budget, store)
-        payload = payload_for(stats)
+        outcome = run_adaptive_trials(budget, trial, seeds, ctx.workers, store)
+        payload = payload_for(outcome.stats)
         if cache is not None and spec is not None:
-            cache.put(spec, payload, meta=None if outcome is None else outcome.meta())
+            cache.put(spec, payload, meta=outcome.meta() if budgeted else None)
     if rows_for is None or SHARD_PLACEHOLDER_KEY in payload:
         return [payload]
     try:

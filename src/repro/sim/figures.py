@@ -56,7 +56,7 @@ from repro.datasets import Dataset, fire_like, ipums_like
 from repro.exceptions import InvalidParameterError
 from repro.protocols import PROTOCOL_NAMES, FrequencyOracle, make_protocol
 from repro.sim.cache import resolved_cohort_chunk, row_cell_spec
-from repro.sim.engine import MetricStats, trial_metrics
+from repro.sim.engine import Welford, trial_metrics
 from repro.sim.experiment import (
     RecoveryEvaluation,
     RunContext,
@@ -178,7 +178,7 @@ def _metric_columns(
 
 
 def _stat_columns(
-    stats: dict[str, MetricStats], columns: Iterable[str], suffix: str = ""
+    stats: dict[str, Welford], columns: Iterable[str], suffix: str = ""
 ) -> dict[str, object]:
     """Columns ``{col: mean, col±: ci95}`` from aggregated trial stats,
     reading each column off metric ``f"{col}{suffix}"`` — or, when

@@ -16,8 +16,8 @@ experiment stack:
   :func:`repro.sim.engine.parallel_map` runs over per-trial
   :class:`~numpy.random.SeedSequence` streams (``workers=N`` is
   bit-identical to ``workers=1``); metrics accumulate through
-  streaming Welford statistics into :class:`~repro.sim.engine.MetricStats`,
-  so every column carries a ``±`` 95%-CI companion.
+  streaming :class:`~repro.sim.engine.Welford` statistics, so every
+  column carries a ``±`` 95%-CI companion.
 * **Cache** — each cell emits one cacheable row payload keyed by a
   canonical :func:`repro.sim.cache.scenario_cell_spec`, so interrupted
   sweeps resume and warm reruns execute zero simulation tasks.

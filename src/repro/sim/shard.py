@@ -635,17 +635,12 @@ class ShardReport:
     cells_skipped: int
     tasks_run: int
     seconds: float
-    cell_seconds: dict[str, float] = field(default_factory=dict)
+    cell_seconds: dict[str, Any] = field(default_factory=dict)
     created_at: float = 0.0
 
     def welford(self) -> Welford:
         """The per-cell timing accumulator rebuilt from ``cell_seconds``."""
-        state = self.cell_seconds or {}
-        return Welford(
-            count=int(state.get("count", 0)),
-            mean=float(state.get("mean", 0.0)),
-            m2=float(state.get("m2", 0.0)),
-        )
+        return Welford(**self.cell_seconds)
 
     def cells_per_second(self) -> Optional[float]:
         """Simulated-cell throughput of this shard (``None`` if it ran none)."""
@@ -705,8 +700,9 @@ def _read_reports(cache: CellCache, digest: str) -> list[ShardReport]:
     reports = []
     for path in sorted(directory.glob("*.report")):
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            reports.append(ShardReport(**data))
+            report = ShardReport(**json.loads(path.read_text(encoding="utf-8")))
+            report.welford()  # a cell_seconds that does not rebuild is unreadable
+            reports.append(report)
         except (ValueError, TypeError, OSError):
             continue
     return reports
@@ -779,7 +775,6 @@ def run_shard(
         config.run(runner)
     finally:
         runner.abandon_pending()
-    accumulator = runner.cell_seconds
     # The runner saw every cell exactly once (run, served, or skipped), so
     # its counters already total the sweep — no extra enumeration pass.
     cells_total = len(runner.ran) + len(runner.served) + len(runner.skipped)
@@ -794,11 +789,7 @@ def run_shard(
         cells_skipped=len(runner.skipped),
         tasks_run=TASK_COUNTER.count - tasks_before,
         seconds=time.monotonic() - started,
-        cell_seconds={
-            "count": accumulator.count,
-            "mean": accumulator.mean,
-            "m2": accumulator.m2,
-        },
+        cell_seconds=asdict(runner.cell_seconds),
         created_at=time.time(),
     )
     _write_report(cache, report)

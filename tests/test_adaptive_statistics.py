@@ -23,6 +23,9 @@ The contract under test:
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,8 @@ from repro.attacks import MGAAttack
 from repro.datasets import zipf_dataset
 from repro.exceptions import InvalidParameterError
 from repro.protocols import GRR
-from repro.sim.cache import CellCache
+from repro._rng import spawn_sequences
+from repro.sim.cache import CellCache, fingerprint_seed_sequences
 from repro.sim.engine import (
     TASK_COUNTER,
     TrialBudget,
@@ -39,7 +43,7 @@ from repro.sim.engine import (
     parallel_map,
     run_adaptive_trials,
 )
-from repro.sim.experiment import RunContext, evaluate_recovery
+from repro.sim.experiment import RunContext, evaluate_recovery, run_cell
 
 D = 8
 DATASET = zipf_dataset(domain_size=D, num_users=2_000, exponent=1.0, rng=3)
@@ -228,6 +232,45 @@ class TestAdaptiveEvaluateRecovery:
         assert topped == fixed
 
 
+class TestRunCellTrialStep:
+    """:func:`run_cell` runs every cell through :func:`run_adaptive_trials`:
+    a fixed count is the budget whose only checkpoint is that count, and
+    only a budgeted cell stores the outcome as entry metadata."""
+
+    BUDGET = TrialBudget(target_halfwidth=1e-12, min_trials=2, max_trials=4, batch=2)
+
+    @staticmethod
+    def _spec(seeds):
+        return {"kind": "row", "suite": "trial-step", "seeds": fingerprint_seed_sequences(seeds)}
+
+    @staticmethod
+    def _states(stats):
+        return {metric: asdict(w) for metric, w in stats.items()}
+
+    def test_fixed_count_is_one_budget_of_exactly_trials(self):
+        TASK_COUNTER.reset()
+        [payload] = run_cell(7, self._spec, _normal_metric, self._states, trials=3)
+        assert TASK_COUNTER.count == 3
+        budget = TrialBudget(min_trials=3, max_trials=3)
+        outcome = run_adaptive_trials(budget, _normal_metric, spawn_sequences(7, 3))
+        assert payload == self._states(outcome.stats) and payload["x"]["count"] == 3
+
+    def test_only_a_budgeted_cell_stores_meta(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        for budget in (None, self.BUDGET):
+            run_cell(7, self._spec, _normal_metric, lambda stats: {"x": stats["x"].mean},
+                     trials=3, ctx=RunContext(cache=cache, budget=budget))
+        stored = {
+            "budget" in entry.spec: json.loads(entry.path.read_text(encoding="utf-8"))
+            for entry in cache.entries()
+        }
+        assert "meta" not in stored[False]
+        outcome = run_adaptive_trials(self.BUDGET, _normal_metric, spawn_sequences(7, 4))
+        assert stored[True]["meta"] == outcome.meta()
+        assert set(outcome.meta()) == {"trials", "blocks", "achieved_halfwidth"}
+        assert outcome.meta()["trials"] == 4 and outcome.meta()["blocks"] == 2
+
+
 class TestWelfordPartitionProperties:
     """Any contiguous partition of N trials reproduces the monolithic stats.
 
@@ -278,8 +321,8 @@ class TestWelfordPartitionProperties:
             assert merged.count == monolithic.count
             assert merged.mean == pytest.approx(monolithic.mean, rel=1e-12)
             assert merged.variance == pytest.approx(monolithic.variance, rel=1e-12)
-            assert merged.snapshot().ci95_halfwidth == pytest.approx(
-                monolithic.snapshot().ci95_halfwidth, rel=1e-12
+            assert merged.ci95_halfwidth == pytest.approx(
+                monolithic.ci95_halfwidth, rel=1e-12
             )
 
     @pytest.mark.parametrize("entropy", [1, 2, 3])
@@ -310,9 +353,9 @@ class TestWelfordPartitionProperties:
         filled = Welford()
         for value in self._values(9):
             filled.add(value)
-        reference = filled.snapshot()
+        reference = replace(filled)
         filled.merge(Welford())  # no-op
-        assert filled.snapshot() == reference
+        assert filled == reference
         adopted = Welford()
         adopted.merge(filled)  # adopt: bitwise copy of the filled state
-        assert adopted.snapshot() == reference
+        assert adopted == reference

@@ -40,11 +40,20 @@ from repro.sim.cache import (
     source_digest,
     write_json_atomic,
 )
-from repro.sim.engine import TASK_COUNTER
+from repro.sim.engine import TASK_COUNTER, Welford
 from repro.sim.experiment import RunContext, evaluate_recovery, run_cell
 
 D = 16
 DATASET = zipf_dataset(domain_size=D, num_users=5_000, exponent=1.0, rng=7)
+
+
+def _old_stats_shape(payload):
+    """Store one evaluation stat in the ``{mean, variance, stderr, count}``
+    form that preceded stored Welford states."""
+    stat = Welford(**payload["stats"]["mse_before"])
+    payload["stats"]["mse_before"] = {
+        "mean": stat.mean, "variance": stat.variance, "stderr": stat.stderr, "count": stat.count,
+    }
 
 
 def _spec(**overrides):
@@ -298,20 +307,31 @@ class TestStoreMaintenance:
         assert cache.verify(delete=True) == problems
         assert cache.verify() == []
 
-    def test_stale_payload_shape_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p.update(metric_from_the_future=p.pop("mse_before")),
+            _old_stats_shape,
+            lambda p: p.update(stats=[]),
+            lambda p: p["stats"]["mse_before"].update(count="2"),
+        ],
+        ids=["renamed-metric", "old-stats-shape", "stats-not-an-object", "string-count"],
+    )
+    def test_stale_payload_shape_is_a_miss(self, tmp_path, damage):
         """An entry whose payload no longer decodes into a
         RecoveryEvaluation (a damaged or hand-edited file; a code edit
         moves the tag instead) is recomputed, not raised."""
         cache = self._fill(tmp_path, n=1)
         [entry] = cache.entries()
         data = json.loads(entry.path.read_text(encoding="utf-8"))
-        data["payload"]["metric_from_the_future"] = data["payload"].pop("mse_before")
+        damage(data["payload"])
         entry.path.write_text(json.dumps(data), encoding="utf-8")
+        cache = CellCache(tmp_path)
         TASK_COUNTER.reset()
         evaluate_recovery(DATASET, GRR(epsilon=0.5, domain_size=D), None,
                           trials=2, rng=0, ctx=RunContext(cache=cache))
         assert TASK_COUNTER.count > 0  # recomputed
-        assert cache.stats.hits == 0 and cache.stats.errors == 1
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.errors) == (0, 1, 1)
 
     def test_verify_detects_tampered_spec(self, tmp_path):
         cache = self._fill(tmp_path, n=1)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from repro.protocols import OLH, hashing
 from repro.protocols import base as protocols_base
 from repro.sim import engine, pipeline
 from repro.sim.engine import (
-    MetricStats,
     Welford,
     aggregate_metrics,
     parallel_map,
@@ -73,16 +74,27 @@ class TestWelford:
         assert acc.variance is None and acc.stderr is None
         acc.add(1.0)
         assert acc.variance is None
-        snap = acc.snapshot()
-        assert isinstance(snap, MetricStats)
-        assert snap.ci95_halfwidth is None
+        assert acc.ci95_halfwidth is None
 
     def test_ci95(self):
         acc = Welford()
         for v in (1.0, 2.0, 3.0, 4.0):
             acc.add(v)
-        snap = acc.snapshot()
-        assert snap.ci95_halfwidth == pytest.approx(1.96 * snap.stderr)
+        assert acc.ci95_halfwidth == pytest.approx(1.96 * acc.stderr)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 97])
+    def test_json_round_trip_is_exact(self, n):
+        """A Welford state stored as ``asdict`` JSON reads back as
+        ``Welford(**d)`` with every derived statistic bit-equal."""
+        acc = Welford()
+        for v in np.random.default_rng(n).normal(3.0, 2.0, size=n):
+            acc.add(float(v))
+        back = Welford(**json.loads(json.dumps(asdict(acc))))
+        assert back == acc
+        assert back.mean == acc.mean
+        assert back.variance == acc.variance
+        assert back.stderr == acc.stderr
+        assert back.ci95_halfwidth == acc.ci95_halfwidth
 
 
 class TestAggregateMetrics:

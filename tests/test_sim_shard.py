@@ -494,6 +494,21 @@ class TestReports:
         assert len(reports) == 3
         assert sum(r.cells_run for r in reports) == 6  # first pass only
 
+    def test_cell_seconds_that_do_not_rebuild_skip_the_report(self, tmp_path):
+        """A report stores ``cell_seconds`` as ``asdict`` of its Welford;
+        one that does not rebuild as ``Welford(**d)`` is skipped like an
+        unreadable report, and ``status`` still renders."""
+        cache = CellCache(tmp_path)
+        report = run_shard(CONFIG, cache, shard_index=0, shard_count=1)
+        [path] = cache.root.rglob("*.report")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["cell_seconds"] == dataclasses.asdict(report.welford())
+        assert set(data["cell_seconds"]) == {"count", "mean", "m2"}
+        data["cell_seconds"] = {"count": 6, "mean": 0.5, "variance": 0.1}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        status = sweep_status(CONFIG, cache)
+        assert status.reports == [] and "shard reports" not in status.summary()
+
     def test_unreadable_entry_is_healed_and_counted_once(self, tmp_path):
         """Claims mode over a store with one truncated entry: the cell is
         recomputed with exactly one miss+error in the stats."""

@@ -49,7 +49,7 @@ import socket
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Optional, Protocol
+from typing import Any, Optional
 
 from repro.exceptions import InvalidParameterError, ShardIncompleteError
 from repro.sim.cache import (
@@ -451,23 +451,6 @@ class ClaimQueue:
 # ----------------------------------------------------------------------
 # Shard execution
 # ----------------------------------------------------------------------
-class ShardPolicy(Protocol):
-    """Cell-ownership strategy consulted by :class:`_ShardExecutionCache`.
-
-    ``acquire`` decides whether this shard should compute the (missing)
-    cell; ``release`` returns ownership after the result is stored (a
-    no-op for static assignment).
-    """
-
-    def acquire(self, key: str) -> bool:
-        """Whether this shard should compute the missing cell ``key``."""
-        ...
-
-    def release(self, key: str) -> None:
-        """Return ownership of ``key`` once its result is stored."""
-        ...
-
-
 class _StaticPolicy:
     """Hash-mod ownership: no coordination files, no release needed."""
 
@@ -482,31 +465,19 @@ class _StaticPolicy:
         pass
 
 
-class _ClaimPolicy:
-    """Dynamic ownership through a :class:`ClaimQueue`."""
-
-    def __init__(self, queue: ClaimQueue) -> None:
-        self.queue = queue
-
-    def acquire(self, key: str) -> bool:
-        return self.queue.acquire(key)
-
-    def release(self, key: str) -> None:
-        self.queue.release(key)
-
-
 class _ShardExecutionCache:
     """Cache adapter steering a generator to compute only owned cells.
 
     Wraps the shared :class:`CellCache`: lookups that hit serve the real
     payload (another shard — or a previous pass — completed the cell);
-    misses consult the assignment policy.  Owned cells report the miss so
+    misses consult the assignment policy: a ``_StaticPolicy``, or the
+    :class:`ClaimQueue` itself under claims.  Owned cells report the miss so
     the generator computes and stores them; foreign cells return a
     placeholder so the generator moves on without simulating.  Per-cell
     wall times accumulate into a :class:`~repro.sim.engine.Welford`.
     """
 
-    def __init__(self, base: CellCache, policy: ShardPolicy) -> None:
+    def __init__(self, base: CellCache, policy: _StaticPolicy | ClaimQueue) -> None:
         self.base = base
         self.policy = policy
         self.ran: list[str] = []
@@ -746,7 +717,7 @@ def run_shard(
             "pick exactly one assignment mode: shard_index/shard_count "
             "(static) or claims=True (dynamic)"
         )
-    policy: ShardPolicy
+    policy: _StaticPolicy | ClaimQueue
     if static:
         if shard_index is None or shard_count is None:
             raise InvalidParameterError(
@@ -765,7 +736,7 @@ def run_shard(
         if label is not None:
             owner = f"{label}@{socket.gethostname()}-{os.getpid()}"
         queue = ClaimQueue(_shard_dir(cache) / "claims", owner=owner, ttl=claim_ttl)
-        policy = _ClaimPolicy(queue)
+        policy = queue
         mode = "claims"
         label = queue.owner
     runner = _ShardExecutionCache(cache, policy)

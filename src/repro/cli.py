@@ -244,7 +244,8 @@ def _cache_command(args: argparse.Namespace) -> int:
         return 0
     if args.action == "verify":
         problems = cache.verify(delete=args.delete)
-        healthy = cache.count() - (0 if args.delete else len(problems))
+        bad_entries = 0 if args.delete else sum(cache.is_entry(path) for path, _ in problems)
+        healthy = cache.count() - bad_entries
         if not problems:
             print(f"ok: {healthy} cells verified under {cache.root}")
             return 0

@@ -811,26 +811,33 @@ class CellCache:
     #: :meth:`CellCache.put` — and swept by :meth:`CellCache.prune`.
     TMP_ORPHAN_SECONDS = 3600.0
 
+    @staticmethod
+    def is_entry(path: pathlib.Path) -> bool:
+        """Whether the ``*.json`` file ``path`` of a cache is a cell entry.
+
+        Trial-block files live inside ``<stream_key>.blocks/`` directories
+        and are not entries — they have their own integrity pass in
+        :meth:`verify`, and :meth:`count` does not count them.
+        """
+        return path.parent.suffix != ".blocks"
+
     def _entry_files(self, all_tags: bool = False) -> Iterator[pathlib.Path]:
         base = self.cache_dir if all_tags else self.root
         if not base.is_dir():
             return
         # rglob("*.json") never matches the ".tmp"-suffixed temp files of
         # in-flight writers, so concurrent puts are invisible here until
-        # their atomic os.replace lands.  Trial-block files live inside
-        # "<stream_key>.blocks/" directories and are not entries — they
-        # have their own integrity pass in verify().
+        # their atomic os.replace lands.
         for path in sorted(base.rglob("*.json")):
-            if path.parent.suffix == ".blocks":
-                continue
-            yield path
+            if self.is_entry(path):
+                yield path
 
     def _block_files(self, all_tags: bool = False) -> Iterator[pathlib.Path]:
         base = self.cache_dir if all_tags else self.root
         if not base.is_dir():
             return
         for path in sorted(base.rglob("*.json")):
-            if path.parent.suffix == ".blocks":
+            if not self.is_entry(path):
                 yield path
 
     def _block_dirs(self) -> Iterator[pathlib.Path]:

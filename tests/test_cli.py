@@ -217,6 +217,18 @@ class TestCacheWorkflow:
         err = capsys.readouterr().err
         assert "BAD" in err and "1 bad entries found" in err and "5 healthy" in err
 
+    def test_bad_trial_block_leaves_every_cell_healthy(self, capsys, tmp_path):
+        budget = ["--target-ci", "1e-9", "--max-trials", "4"]
+        assert main(self.ARGS + budget + ["--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        [block, *_] = sorted(tmp_path.rglob("*.blocks/*.json"))
+        block.write_text("garbage", encoding="utf-8")
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"BAD  {block}: " in err
+        # The garbage block and the gap it leaves are 2 problems, neither a cell entry.
+        assert "2 bad entries found" in err and "; 6 healthy" in err
+
 
 class TestDamagedCachePayload:
     """A damaged cached payload ends the run with one error line, and

@@ -30,14 +30,12 @@ and reported by :meth:`CellCache.verify`.
 
 Every cell is read and written through one path,
 :func:`repro.sim.experiment.run_cell` (:meth:`CellCache.get` /
-:meth:`CellCache.put`), and its payload is one of two kinds:
-
-* ``"evaluation"`` — a serialized
-  :class:`~repro.sim.experiment.RecoveryEvaluation` (including its
-  per-metric :class:`~repro.sim.engine.Welford` states), the cells of
-  :func:`repro.sim.experiment.evaluate_recovery`;
-* ``"row"`` — an exhibit row payload, the cells of every other
-  generator (Figures 8/9, Table I and the scenario sweeps).
+:meth:`CellCache.put`), and every cell's payload has one form: its
+per-metric :class:`~repro.sim.engine.Welford` states,
+``{metric: {count, mean, m2}}``.  A cell's rows are not stored: its
+exhibit renders them from those statistics on every read, on a hit and
+on a miss alike, so an entry that does not decode or does not render is
+one miss and is recomputed.
 
 The CLI exposes the store via ``--cache-dir`` / ``--no-cache`` /
 ``--cache-stats`` on ``run`` and a ``cache`` subcommand (``ls`` /
@@ -53,7 +51,7 @@ import pathlib
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -63,16 +61,12 @@ from repro.exceptions import InvalidParameterError
 from repro.protocols.base import DEFAULT_CHUNK_USERS, FrequencyOracle
 from repro.sim.engine import Welford, aggregate_metrics
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiment -> cache)
-    from repro.sim.experiment import RecoveryEvaluation
-
 __all__ = [
     "CACHE_SCHEMA",
     "CacheEntry",
     "CacheStats",
     "CellBlockStore",
     "CellCache",
-    "SHARD_PLACEHOLDER_KEY",
     "cache_tag",
     "canonical_key",
     "default_cache_dir",
@@ -93,14 +87,7 @@ __all__ = [
 
 #: Cache schema version: bump whenever the entry layout, the spec
 #: fingerprints, or the payload serialization change incompatibly.
-CACHE_SCHEMA = 2
-
-#: Marker key present on every placeholder row payload produced by the
-#: shard / enumeration cache adapters (:mod:`repro.sim.shard`).  Code that
-#: post-processes a cell's payload (``run_cell``'s ``rows_for``,
-#: ``evaluate_recovery``'s decode) must pass marked payloads through
-#: untouched — the callers that produce them discard the rows.
-SHARD_PLACEHOLDER_KEY = "__shard_placeholder__"
+CACHE_SCHEMA = 3
 
 #: Environment variable that overrides the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -440,22 +427,24 @@ def trial_stream_spec(spec: dict[str, Any]) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Payload (de)serialization
 # ----------------------------------------------------------------------
-def evaluation_to_payload(evaluation: "RecoveryEvaluation") -> dict[str, Any]:
-    """Serialize an ``evaluation`` to a plain JSON dict, each of its stats
-    as ``asdict`` of its :class:`~repro.sim.engine.Welford` state."""
-    payload = dict(evaluation.as_row())
-    payload["stats"] = {name: asdict(w) for name, w in evaluation.stats.items()}
-    return payload
+#: A cell's rows, as its exhibit renders them from the cell's statistics.
+_R = TypeVar("_R")
 
 
-def payload_to_evaluation(payload: dict[str, Any]) -> "RecoveryEvaluation":
-    """Rebuild a :class:`RecoveryEvaluation` from its cached payload."""
-    from repro.sim.experiment import RecoveryEvaluation  # deferred: import cycle
+def _welford_of(state: Any) -> Welford:
+    """Rebuild one stored ``asdict`` :class:`~repro.sim.engine.Welford` state.
 
-    data = dict(payload)
-    stats = {name: Welford(**d) for name, d in data.pop("stats", {}).items()}
-    data["trials"] = int(data["trials"])
-    return RecoveryEvaluation(stats=stats, **data)
+    Any ``state`` other than exactly ``{"count": int, "mean": float,
+    "m2": float}`` (a bool is no ``int`` here) raises :class:`ValueError`,
+    or :class:`TypeError` for a foreign key, so a reader treats it as
+    unreadable.
+    """
+    if type(state) is not dict or len(state) != 3:
+        raise ValueError(f"not a Welford state: {state!r}")
+    welford = Welford(**state)
+    if (type(welford.count), type(welford.mean), type(welford.m2)) != (int, float, float):
+        raise ValueError(f"not a Welford state: {state!r}")
+    return welford
 
 
 # ----------------------------------------------------------------------
@@ -572,6 +561,15 @@ def _read_entry(path: pathlib.Path) -> dict[str, Any]:
     if not isinstance(entry, dict):
         raise ValueError("cache entry is not a JSON object")
     return entry
+
+
+def _malformed_part(entry: dict[str, Any]) -> Optional[str]:
+    """``"spec"`` or ``"meta"`` when that part of ``entry`` is present but
+    not a JSON object, else ``None``."""
+    for part in ("spec", "meta"):
+        if not isinstance(entry.get(part, {}), dict):
+            return part
+    return None
 
 
 @dataclass
@@ -712,30 +710,29 @@ class CellCache:
         """The canonical content key of a cell spec."""
         return canonical_key(spec)
 
-    def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
-        """Return the cached payload for ``spec``, or ``None`` on a miss.
+    def get(
+        self,
+        spec: dict[str, Any],
+        rows_for: Callable[[dict[str, Welford]], list[_R]],
+    ) -> Optional[list[_R]]:
+        """Return ``spec``'s rows rendered from its cached statistics, or
+        ``None`` on a miss.
 
-        Unreadable or mismatched entries (truncated files, foreign kinds, a
-        payload that is not a JSON object) count as misses and bump
-        :attr:`CacheStats.errors`.  So does an ``"evaluation"`` payload
-        that does not decode into a
-        :class:`~repro.sim.experiment.RecoveryEvaluation` whose row, CI
-        columns included, renders (a damaged or hand-edited entry, or one
-        whose ``stats`` are not ``Welford`` states): the cell is
-        recomputed, not raised.  Each
-        lookup is counted once.  The payload digest is left to
-        :meth:`verify`, which keeps warm reads cheap.
+        The one decoder of every cell: the stored payload is rebuilt into
+        its per-metric :class:`~repro.sim.engine.Welford` states and
+        ``rows_for(stats)`` renders the cell's rows.  An entry that does
+        not do both — a truncated file, a payload that is not a JSON
+        object or holds a state that is not exactly ``{count: int, mean:
+        float, m2: float}``, statistics its renderer cannot read — counts
+        as one miss and bumps :attr:`CacheStats.errors`, so the cell is
+        recomputed and its entry overwritten.  Each lookup is counted
+        once.  The payload digest is left to :meth:`verify`, which keeps
+        warm reads cheap.
         """
         path = self._path(self.key_for(spec))
         try:
-            entry = _read_entry(path)
-            if entry.get("kind") != spec.get("kind"):
-                raise ValueError("cached kind does not match requested kind")
-            payload = entry["payload"]
-            if not isinstance(payload, dict):
-                raise ValueError("cached payload is not a JSON object")
-            if entry["kind"] == "evaluation":
-                payload_to_evaluation(payload).as_row(ci=True)  # raises on a stale shape
+            payload = _read_entry(path)["payload"]
+            rows = rows_for({name: _welford_of(state) for name, state in payload.items()})
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -744,7 +741,7 @@ class CellCache:
             self.stats.errors += 1
             return None
         self.stats.hits += 1
-        return payload
+        return rows
 
     def contains(self, key: str) -> bool:
         """Whether an entry file for ``key`` exists (readability unchecked).
@@ -759,11 +756,13 @@ class CellCache:
     def put(
         self,
         spec: dict[str, Any],
-        payload: dict[str, Any],
+        stats: dict[str, Welford],
         meta: Optional[dict[str, Any]] = None,
     ) -> pathlib.Path:
-        """Store ``payload`` under ``spec``'s key (atomic write); return path.
+        """Store ``spec``'s statistics (atomic write); return the entry path.
 
+        The payload is every state of ``stats`` as ``asdict`` of its
+        :class:`~repro.sim.engine.Welford`, sorted by metric name.
         ``meta``, when given, is stored on the entry *next to* the payload
         (never inside it): adaptive runs annotate block counts and achieved
         half-widths there without perturbing the cached result bytes.  So
@@ -773,6 +772,7 @@ class CellCache:
         key = self.key_for(spec)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        payload = {name: asdict(w) for name, w in sorted(stats.items())}
         entry = {
             "key": key,
             "kind": spec.get("kind", "row"),
@@ -876,11 +876,17 @@ class CellCache:
         return sum(1 for _ in self._entry_files(all_tags))
 
     def entries(self, all_tags: bool = False) -> list[CacheEntry]:
-        """Readable entries of this cache version (or of ``all_tags``)."""
+        """Readable entries of this cache version (or of ``all_tags``).
+
+        An entry whose ``spec`` or ``meta`` is not a JSON object is
+        unreadable here too; :meth:`verify` reports it.
+        """
         out = []
         for path in self._entry_files(all_tags):
             try:
                 entry = _read_entry(path)
+                if _malformed_part(entry) is not None:
+                    continue
                 out.append(
                     CacheEntry(
                         key=str(entry["key"]),
@@ -971,8 +977,11 @@ class CellCache:
             problem = None
             try:
                 entry = _read_entry(path)
+                malformed = _malformed_part(entry)
                 if "payload" not in entry:
                     problem = "missing payload"
+                elif malformed is not None:
+                    problem = f"{malformed} is not a JSON object"
                 elif canonical_key(entry.get("spec", {})) != entry.get("key"):
                     problem = "key does not match stored spec"
                 elif path.stem != entry.get("key"):

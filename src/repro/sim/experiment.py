@@ -3,7 +3,9 @@
 This is the layer the benchmarks and CLI sit on.  Every cell of every
 exhibit runs through :func:`run_cell`, which owns seed spawning, the
 cell spec, the cache lookup, the trials, the trial-block store and the
-store of the result.  :func:`evaluate_recovery` is one such cell: it runs
+store of the cell's statistics, and renders the cell's rows from those
+statistics with the exhibit's ``rows_for`` on a hit and on a miss alike.
+:func:`evaluate_recovery` is one such cell: it runs
 ``trials`` independent poisoning rounds, applies every recovery method
 under evaluation (before-recovery, LDPRecover, LDPRecover*, Detection)
 and averages the metrics — exactly the paper's protocol of averaging
@@ -28,22 +30,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, ClassVar, Optional, Sequence
+from typing import Any, Callable, ClassVar, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from repro._rng import RngLike, spawn_sequences
 from repro.attacks.base import PoisoningAttack
 from repro.datasets.base import Dataset
-from repro.exceptions import InvalidParameterError, ReproError
+from repro.exceptions import InvalidParameterError
 from repro.protocols.base import FrequencyOracle
 from repro.sim.cache import (
-    SHARD_PLACEHOLDER_KEY,
     CellCache,
-    canonical_key,
     evaluation_cell_spec,
-    evaluation_to_payload,
-    payload_to_evaluation,
     resolved_cohort_chunk,
     trial_stream_spec,
 )
@@ -275,20 +273,21 @@ def evaluate_recovery(
 
     attack_name = attack.describe() if attack is not None else "none"
 
-    def _payload(stats: dict[str, Welford]) -> dict[str, object]:
+    def _evaluation(stats: dict[str, Welford]) -> list[RecoveryEvaluation]:
         means = {
             metric: stats[metric].mean if metric in stats else None
             for metric in RecoveryEvaluation.METRIC_COLUMNS
         }
         # trial_metrics always emits mse_before (and mse_recover), so its
         # count is the trials run: ``trials``, or a budget's achieved count.
-        evaluation = RecoveryEvaluation(
-            dataset.name, protocol.name, attack_name, beta, eta,
-            trials=stats["mse_before"].count, stats=stats, **means,
-        )
-        return evaluation_to_payload(evaluation)
+        return [
+            RecoveryEvaluation(
+                dataset.name, protocol.name, attack_name, beta, eta,
+                trials=stats["mse_before"].count, stats=stats, **means,
+            )
+        ]
 
-    (payload,) = run_cell(
+    (evaluation,) = run_cell(
         rng,
         lambda seeds: evaluation_cell_spec(
             dataset,
@@ -308,15 +307,11 @@ def evaluate_recovery(
             trial_metrics, dataset, protocol, attack, beta, eta, mode,
             with_star, with_detection, aa_top_k, chunk_users,
         ),
-        _payload,
+        _evaluation,
         trials=trials,
         ctx=ctx,
     )
-    if SHARD_PLACEHOLDER_KEY in payload:
-        # A cell this process does not simulate (enumeration, or a peer
-        # shard's cell): the caller discards its rows.
-        return RecoveryEvaluation(dataset.name, protocol.name, attack_name, beta, eta, trials)
-    return payload_to_evaluation(payload)
+    return evaluation
 
 
 def apply_olh_cohort(
@@ -339,15 +334,18 @@ def apply_olh_cohort(
     return protocol if mode == "fast" else cohorted
 
 
+#: A cell's rows, as its exhibit renders them from the cell's statistics.
+_R = TypeVar("_R")
+
+
 def run_cell(
     rng: RngLike,
     spec_for: Callable[[list[np.random.SeedSequence]], dict[str, Any]],
     trial: Callable[[np.random.SeedSequence], dict[str, float]],
-    payload_for: Callable[[dict[str, Welford]], dict[str, object]],
+    rows_for: Callable[[dict[str, Welford]], list[_R]],
     trials: int = 5,
     ctx: RunContext = RunContext(),
-    rows_for: Optional[Callable[[dict[str, Any]], list[dict[str, object]]]] = None,
-) -> list[dict[str, object]]:
+) -> list[_R]:
     """Run one cached cell of an exhibit and return its rows.
 
     The one cell runner behind every exhibit, evaluation cells
@@ -357,24 +355,23 @@ def run_cell(
        the ``ctx.budget``'s ``max_trials`` — before any lookup, so the
        parent stream advances identically on hits and misses;
     2. with a ``ctx.cache``, key the cell by ``spec_for(seeds)`` plus the
-       budget fingerprint and serve a stored payload;
+       budget fingerprint and return the rows
+       :meth:`~repro.sim.cache.CellCache.get` renders with ``rows_for``
+       from the stored statistics;
     3. otherwise run the trials through
        :func:`repro.sim.engine.run_adaptive_trials` — the picklable
        ``trial`` callable on each seed, on ``ctx.workers`` processes,
        under ``ctx.budget`` (resuming the cell's cached trial blocks) or
-       else a budget of exactly ``trials`` — and turn the aggregated
-       statistics into the payload with ``payload_for``, stored with a
+       else a budget of exactly ``trials`` — and store the aggregated
+       per-metric :class:`~repro.sim.engine.Welford` statistics, with a
        budgeted cell's outcome as entry metadata;
-    4. expand the payload into rows with ``rows_for`` (default: the
-       payload is the one row).  Placeholder payloads of the shard and
-       enumeration caches pass through unexpanded: their callers discard
-       the rows.
+    4. return ``rows_for`` of those statistics, so a cell renders its
+       rows the same way on a hit and on a miss.
 
     Raises :class:`~repro.exceptions.InvalidParameterError` for
-    ``trials < 1``, and :class:`~repro.exceptions.ReproError` naming the
-    cell when ``rows_for`` cannot expand a *cached* payload (a damaged
-    entry, which ``ldprecover cache verify --delete`` removes); the same
-    failure on a freshly computed payload propagates unchanged.
+    ``trials < 1``.  A cached entry that does not render is a miss, and
+    the cell is recomputed; ``rows_for`` failing on freshly computed
+    statistics propagates unchanged.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -383,33 +380,18 @@ def run_cell(
     # A budget spawns its whole max_trials stream up front: the first k
     # children equal a fixed k-trial run's seeds (the bit-identity anchor).
     seeds = spawn_sequences(rng, budget.max_trials)
-    spec: Optional[dict[str, Any]] = None
-    payload: Optional[dict[str, Any]] = None
-    if cache is not None:
-        spec = spec_for(seeds)
-        if budgeted:
-            spec["budget"] = budget.fingerprint()
-        payload = cache.get(spec)
-    cached = payload is not None
-    if payload is None:
-        store = None
-        if budgeted and cache is not None and spec is not None:
-            store = cache.block_store(trial_stream_spec(spec))
-        outcome = run_adaptive_trials(budget, trial, seeds, ctx.workers, store)
-        payload = payload_for(outcome.stats)
-        if cache is not None and spec is not None:
-            cache.put(spec, payload, meta=outcome.meta() if budgeted else None)
-    if rows_for is None or SHARD_PLACEHOLDER_KEY in payload:
-        return [payload]
-    try:
-        return rows_for(payload)
-    except (KeyError, TypeError) as exc:
-        if not cached or spec is None:
-            raise
-        raise ReproError(
-            f"cached cell {canonical_key(spec)} cannot be expanded into rows ({exc!r}); "
-            "run 'ldprecover cache verify --delete' to remove the damaged entry"
-        ) from exc
+    if cache is None:
+        return rows_for(run_adaptive_trials(budget, trial, seeds, ctx.workers).stats)
+    spec = spec_for(seeds)
+    if budgeted:
+        spec["budget"] = budget.fingerprint()
+    rows = cache.get(spec, rows_for)
+    if rows is not None:
+        return rows
+    store = cache.block_store(trial_stream_spec(spec)) if budgeted else None
+    outcome = run_adaptive_trials(budget, trial, seeds, ctx.workers, store)
+    cache.put(spec, outcome.stats, meta=outcome.meta() if budgeted else None)
+    return rows_for(outcome.stats)
 
 
 def format_table(rows: Sequence[dict[str, object]], float_format: str = "{:.3e}") -> str:

@@ -20,7 +20,7 @@ and passes it on unchanged to each cell, which runs through
 canonical hash of their full spec and serves them on repeat runs.  An
 interrupted sweep therefore resumes where it stopped, warm regeneration
 performs zero simulation trials, and :mod:`repro.sim.shard` merges
-multi-machine sweeps by rendering every row from cached payloads,
+multi-machine sweeps by rendering every row from the cached statistics,
 bit-identical to the run that produced them.
 
 The fast-mode exhibits also take ``chunk_users=`` to switch to the
@@ -540,7 +540,7 @@ def figure8_rows(
             gen,
             lambda seeds: row_cell_spec("figure8", dataset, protocol, (mga, ipa), params, seeds),
             partial(_figure8_trial, dataset, protocol, mga, ipa, beta, mode, chunk_users),
-            lambda stats: {"cell": protocol_name, "beta": beta, **_stat_columns(stats, columns)},
+            lambda stats: [{"cell": protocol_name, "beta": beta, **_stat_columns(stats, columns)}],
             trials=trials, ctx=ctx,
         )
     return rows
@@ -599,7 +599,7 @@ def figure9_rows(
             gen,
             lambda seeds: row_cell_spec("figure9", dataset, protocol, (attack,), params, seeds),
             partial(_figure9_trial, dataset, protocol, attack, beta, xi),
-            lambda stats: {"cell": protocol_name, "xi": xi, **_stat_columns(stats, columns)},
+            lambda stats: [{"cell": protocol_name, "xi": xi, **_stat_columns(stats, columns)}],
             trials=trials, ctx=ctx,
         )
     return rows
@@ -702,11 +702,11 @@ def table1_rows(
                 trial_metrics, dataset, protocol, None, 0.0, DEFAULT_ETA, mode,
                 False, False, DEFAULT_R // 2, chunk_users,
             ),
-            lambda stats: {
+            lambda stats: [{
                 "dataset": dataset.name,
                 "protocol": protocol_name,
                 **_stat_columns(stats, columns),
-            },
+            }],
             trials=trials, ctx=ctx,
         )
     return rows

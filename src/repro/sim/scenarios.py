@@ -18,9 +18,10 @@ experiment stack:
   bit-identical to ``workers=1``); metrics accumulate through
   streaming :class:`~repro.sim.engine.Welford` statistics, so every
   column carries a ``±`` 95%-CI companion.
-* **Cache** — each cell emits one cacheable row payload keyed by a
-  canonical :func:`repro.sim.cache.scenario_cell_spec`, so interrupted
-  sweeps resume and warm reruns execute zero simulation tasks.
+* **Cache** — each cell caches its per-metric statistics keyed by a
+  canonical :func:`repro.sim.cache.scenario_cell_spec` and renders its
+  rows from them, so interrupted sweeps resume and warm reruns execute
+  zero simulation tasks.
 * **Registry** — :data:`EXHIBITS` holds every exhibit, the nine paper
   figures of :mod:`repro.sim.figures` first, each an :class:`Exhibit`
   naming its generator, whose signature says which optional sweep
@@ -43,7 +44,7 @@ import inspect
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from repro.datasets.synthetic import zipf_dataset
 from repro.exceptions import InvalidParameterError
 from repro.kv import KeyValueProtocol, KVPoisoningAttack, recover_key_value
 from repro.sim.cache import fingerprint_attack_schedule, scenario_cell_spec
-from repro.sim.engine import resolve_star_targets
+from repro.sim.engine import Welford, resolve_star_targets
 from repro.sim.experiment import RunContext, run_cell
 from repro.sim.figures import (
     DEFAULT_EPSILON,
@@ -325,7 +326,7 @@ def kv_rows(
     :func:`kv_trial_metrics` are averaged per cell through the cell
     runner :func:`repro.sim.experiment.run_cell`, ``rng`` seeds the cells
     independently, and ``ctx`` runs the cells: worker fan-out, a cache
-    serving completed cells across runs (row payloads keyed by
+    serving completed cells across runs (statistics keyed by
     :func:`repro.sim.cache.scenario_cell_spec`), and a trial budget whose
     cached trial blocks are resumed and extended rather than recomputed.
     """
@@ -347,12 +348,12 @@ def kv_rows(
                 "kv", population, protocol, (attack,), params, seeds
             ),
             partial(kv_trial_metrics, population, protocol, attack, beta, DEFAULT_ETA),
-            lambda stats: {
+            lambda stats: [{
                 "cell": attack.describe(),
                 "epsilon": epsilon,
                 "beta": beta,
                 **_stat_columns(stats, _KV_COLUMNS),
-            },
+            }],
             trials=trials, ctx=ctx,
         )
     return rows
@@ -435,11 +436,11 @@ def heavyhitter_rows(
     One simulated cell per (protocol, beta) over all three frequency
     oracles and :data:`HH_BETAS` — the trials do not depend on ``k``, so
     every :data:`HH_KS` entry is read off the same recovered vectors and
-    the cell expands into one output row per ``k``.  MGA targets the
-    :data:`HH_TARGET_COUNT` least frequent IPUMS items (deterministic
-    targets, so cells cache stably) and each row reports top-k
-    precision (= recall for equal-size sets) and promoted-item counts of
-    the poisoned, LDPRecover and LDPRecover* estimates.  ``num_users``
+    the cell renders one output row per ``k`` from its statistics.  MGA
+    targets the :data:`HH_TARGET_COUNT` least frequent IPUMS items
+    (deterministic targets, so cells cache stably) and each row reports
+    top-k precision (= recall for equal-size sets) and promoted-item
+    counts of the poisoned, LDPRecover and LDPRecover* estimates.  ``num_users``
     rescales the population (``None`` = paper scale), ``trials`` rounds
     average per cell, ``rng`` seeds the cells, ``chunk_users`` switches to
     the bounded-memory exact simulation, ``olh_cohort`` applies
@@ -461,7 +462,7 @@ def heavyhitter_rows(
         )
         # One cell per (protocol, beta): the simulation does not depend on
         # k, so every HH_KS entry is read off the same trials and the
-        # cached payload carries all of them.
+        # cell renders one row per k from its statistics.
         rows += run_cell(
             gen,
             lambda seeds: scenario_cell_spec(
@@ -471,25 +472,18 @@ def heavyhitter_rows(
                 _heavyhitter_trial, dataset, protocol, attack, beta, HH_KS,
                 DEFAULT_ETA, mode, chunk_users,
             ),
-            lambda stats: {
-                "cell": f"mga-{protocol_name}",
-                "beta": beta,
-                "per_k": {
-                    str(k): _stat_columns(stats, _HH_COLUMNS, f"_k{k}") for k in HH_KS
-                },
-            },
+            lambda stats: [
+                {
+                    "cell": f"mga-{protocol_name}",
+                    "beta": beta,
+                    "k": k,
+                    **_stat_columns(stats, _HH_COLUMNS, f"_k{k}"),
+                }
+                for k in HH_KS
+            ],
             trials=trials, ctx=ctx,
-            rows_for=_heavyhitter_rows_of,
         )
     return rows
-
-
-def _heavyhitter_rows_of(payload: dict[str, Any]) -> list[dict[str, object]]:
-    """One row per :data:`HH_KS` entry of a ``heavyhitter`` cell payload."""
-    return [
-        {"cell": payload["cell"], "beta": payload["beta"], "k": k, **payload["per_k"][str(k)]}
-        for k in HH_KS
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -640,11 +634,15 @@ def _epoch_trial(
     return out
 
 
-def _epoch_columns(epoch: int) -> tuple[str, ...]:
-    """The metric columns epoch ``epoch``'s row carries."""
+def _epoch_columns(stats: dict[str, Welford], epoch: int) -> dict[str, object]:
+    """The metric columns of epoch ``epoch``'s row, read off ``stats``."""
     if epoch >= EPOCH_HISTORY_MIN:
-        return _EPOCH_COLUMNS + ("detection_f1",)
-    return _EPOCH_COLUMNS
+        return _stat_columns(stats, _EPOCH_COLUMNS + ("detection_f1",), f"_e{epoch}")
+    # The exporters require uniform columns across rows, so warm-up epochs
+    # (no usable history yet) carry null detection scores instead of
+    # omitting the columns.
+    columns = _stat_columns(stats, _EPOCH_COLUMNS, f"_e{epoch}")
+    return {**columns, "detection_f1": None, "detection_f1±": None}
 
 
 def epochs_rows(
@@ -698,8 +696,8 @@ def epochs_rows(
             "collectors": collectors,
         }
         # One cell per (protocol, schedule, collectors): every epoch is read
-        # off the same streamed trials, so the cached payload carries all of
-        # them (the per_k pattern of heavyhitter_rows).
+        # off the same streamed trials, so the cell renders one row per
+        # epoch from its statistics (as heavyhitter_rows renders one per k).
         rows += run_cell(
             gen,
             lambda seeds: scenario_cell_spec(
@@ -709,42 +707,19 @@ def epochs_rows(
                 _epoch_trial, dataset, protocol, scheduled, EPOCH_DRIFT, DEFAULT_ETA,
                 collectors,
             ),
-            lambda stats: {
-                "cell": f"{schedule.kind}-{protocol_name}-c{collectors}",
-                "protocol": protocol_name,
-                "schedule": schedule.describe(),
-                "collectors": collectors,
-                "betas": list(schedule.betas(EPOCH_COUNT)),
-                "per_epoch": {
-                    str(epoch): _stat_columns(stats, _epoch_columns(epoch), f"_e{epoch}")
-                    for epoch in range(EPOCH_COUNT)
-                },
-            },
+            lambda stats: [
+                {
+                    "cell": f"{schedule.kind}-{protocol_name}-c{collectors}",
+                    "schedule": schedule.describe(),
+                    "collectors": collectors,
+                    "epoch": epoch,
+                    "beta": beta,
+                    **_epoch_columns(stats, epoch),
+                }
+                for epoch, beta in enumerate(schedule.betas(EPOCH_COUNT))
+            ],
             trials=trials, ctx=ctx,
-            rows_for=_epoch_rows_of,
         )
-    return rows
-
-
-def _epoch_rows_of(payload: dict[str, Any]) -> list[dict[str, object]]:
-    """One row per epoch of an ``epochs`` cell payload."""
-    rows: list[dict[str, object]] = []
-    for epoch in range(EPOCH_COUNT):
-        row: dict[str, object] = {
-            "cell": payload["cell"],
-            "schedule": payload["schedule"],
-            "collectors": payload["collectors"],
-            "epoch": epoch,
-            "beta": payload["betas"][epoch],
-            **payload["per_epoch"][str(epoch)],
-        }
-        if epoch < EPOCH_HISTORY_MIN:
-            # The exporters require uniform columns across rows, so warm-up
-            # epochs (no usable history yet) carry null detection scores
-            # instead of omitting the columns.
-            row["detection_f1"] = None
-            row["detection_f1±"] = None
-        rows.append(row)
     return rows
 
 
@@ -869,14 +844,14 @@ def defenses_rows(
                 "defenses", dataset, protocol, (attack,), params, seeds
             ),
             partial(_defense_trial, dataset, protocol, attack, beta, DEFAULT_ETA, 5),
-            lambda stats: {
+            lambda stats: [{
                 "cell": f"{attack_kind}-oue",
                 "attack": attack_kind,
                 "epsilon": epsilon,
                 "beta": beta,
                 "winner": min(DEFENSE_METHODS, key=lambda m: stats[f"mse_{m}"].mean),
                 **_stat_columns(stats, _DEFENSE_COLUMNS),
-            },
+            }],
             trials=trials, ctx=ctx,
         )
     return rows

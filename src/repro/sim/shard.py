@@ -10,8 +10,9 @@ machines:
   ``run`` subcommand takes — and can execute it against any cache.
 * :func:`enumerate_cells` lists the sweep's cells (key + kind, in
   generation order) **without simulating anything**: the generators run
-  against a recording cache whose every lookup "hits" with a placeholder,
-  so the exact per-cell specs/seeds are reproduced at zero cost.
+  against a recording cache whose every lookup "hits" with rows rendered
+  from empty statistics, so the exact per-cell specs/seeds are reproduced
+  at zero cost.
 * :func:`run_shard` executes one shard's share of the cells through the
   ordinary engine, writing results into the shared cache.  Cells are
   assigned either **statically** (``shard_index``/``shard_count``,
@@ -22,7 +23,7 @@ machines:
 * :func:`sweep_status` reports done / claimed / missing cells, and
   :func:`merge_sweep` renders the final rows from the fully populated
   cache — bit-identical to an unsharded run, because every row is
-  rendered from the same stored payload; per-shard timing statistics
+  rendered from the same stored statistics; per-shard timing statistics
   merge exactly via :meth:`repro.sim.engine.Welford.merge`.
 
 Determinism: a cell's spec (and therefore its key, its seeds, and its
@@ -48,14 +49,15 @@ import pathlib
 import socket
 import tempfile
 import time
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional, TypeVar
 
 from repro.exceptions import InvalidParameterError, ShardIncompleteError
 from repro.sim.cache import (
-    SHARD_PLACEHOLDER_KEY,
     CellBlockStore,
     CellCache,
+    _welford_of,
     canonical_key,
     write_json_atomic,
 )
@@ -223,38 +225,40 @@ class SweepConfig:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EnumeratedCell:
-    """One cell of a sweep: its position, canonical key, and payload kind."""
+    """One cell of a sweep: its position, canonical key, and spec kind."""
 
     index: int
     key: str
     kind: str
 
 
-#: Marker key identifying placeholder rows produced for skipped cells
-#: (the shared :data:`repro.sim.cache.SHARD_PLACEHOLDER_KEY`, so row
-#: generators can recognize pass-through payloads without importing this
-#: module).
-_PLACEHOLDER = SHARD_PLACEHOLDER_KEY
+#: A cell's rows, as its exhibit renders them from the cell's statistics.
+_R = TypeVar("_R")
 
 
 class _RecordingCache(CellCache):
-    """A cache whose every lookup hits with a placeholder: running a
-    generator against it records each cell's spec (in generation order)
-    while executing zero simulation tasks and touching no disk."""
+    """A cache whose every lookup hits with rows rendered from empty
+    statistics: running a generator against it records each cell's spec
+    (in generation order) while executing zero simulation tasks and
+    touching no disk."""
 
     def __init__(self) -> None:
         super().__init__(cache_dir=os.devnull, tag="enumeration")
         self.specs: list[dict[str, Any]] = []
 
-    def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
-        """Record ``spec`` and report a (placeholder) hit."""
+    def get(
+        self,
+        spec: dict[str, Any],
+        rows_for: Callable[[dict[str, Welford]], list[_R]],
+    ) -> Optional[list[_R]]:
+        """Record ``spec`` and report a hit; its rows are discarded."""
         self.specs.append(spec)
-        return {_PLACEHOLDER: True}
+        return rows_for(defaultdict(Welford))
 
     def put(
         self,
         spec: dict[str, Any],
-        payload: dict[str, Any],
+        stats: dict[str, Welford],
         meta: Optional[dict[str, Any]] = None,
     ) -> pathlib.Path:
         """Unreachable in normal enumeration (every get hits); no disk IO."""
@@ -469,12 +473,13 @@ class _ShardExecutionCache:
     """Cache adapter steering a generator to compute only owned cells.
 
     Wraps the shared :class:`CellCache`: lookups that hit serve the real
-    payload (another shard — or a previous pass — completed the cell);
+    rows (another shard — or a previous pass — completed the cell);
     misses consult the assignment policy: a ``_StaticPolicy``, or the
     :class:`ClaimQueue` itself under claims.  Owned cells report the miss so
-    the generator computes and stores them; foreign cells return a
-    placeholder so the generator moves on without simulating.  Per-cell
-    wall times accumulate into a :class:`~repro.sim.engine.Welford`.
+    the generator computes and stores them; foreign cells answer with rows
+    rendered from empty statistics, which :func:`run_shard` discards, so
+    the generator moves on without simulating.  Per-cell wall times
+    accumulate into a :class:`~repro.sim.engine.Welford`.
     """
 
     def __init__(self, base: CellCache, policy: _StaticPolicy | ClaimQueue) -> None:
@@ -487,25 +492,31 @@ class _ShardExecutionCache:
         self._pending: dict[str, float] = {}
 
     # -- lookup ---------------------------------------------------------
-    def _route(self, spec: dict[str, Any]) -> tuple[str, Optional[dict[str, Any]], bool]:
-        """Resolve one lookup: ``(key, payload-if-served, compute?)``.
+    def get(
+        self,
+        spec: dict[str, Any],
+        rows_for: Callable[[dict[str, Welford]], list[_R]],
+    ) -> Optional[list[_R]]:
+        """Resolve one lookup: the served rows, ``None`` for a cell this
+        shard computes, or rows rendered from empty statistics for a cell
+        it skips.
 
         Reads go through the base's :meth:`CellCache.get`, so decode
         failures are counted by its own once-per-lookup logic.  Stats
         contract of a shard run: hits count the cells served from the
         shared store, misses the cells this shard simulates (including
-        the rare unreadable/stale-shape entry it heals) — cells skipped
-        because a peer owns them touch neither counter (existence is
-        probed via :meth:`CellCache.contains`, outside the stats).
+        the rare unreadable entry it heals) — cells skipped because a
+        peer owns them touch neither counter (existence is probed via
+        :meth:`CellCache.contains`, outside the stats).
         """
         key = self.base.key_for(spec)
         counted_miss = False
         if self.base.contains(key):
-            payload = self.base.get(spec)
-            if payload is not None:
+            rows = self.base.get(spec, rows_for)
+            if rows is not None:
                 self.served.append(key)
-                return key, payload, False
-            counted_miss = True  # unreadable/stale entry: get counted it
+                return rows
+            counted_miss = True  # unreadable entry: get counted it
         if self.policy.acquire(key):
             # Claim races lose to completed entries: a peer may finish and
             # release a cell between our probe and our acquire, so re-check
@@ -513,26 +524,18 @@ class _ShardExecutionCache:
             # entry that just failed to read should be recomputed, not
             # re-fetched and double-counted.
             if not counted_miss and self.base.contains(key):
-                payload = self.base.get(spec)
-                if payload is not None:
+                rows = self.base.get(spec, rows_for)
+                if rows is not None:
                     self.policy.release(key)
                     self.served.append(key)
-                    return key, payload, False
+                    return rows
                 counted_miss = True
             if not counted_miss:
                 self.base.stats.misses += 1
             self._pending[key] = time.monotonic()
-            return key, None, True
-        self.skipped.append(key)
-        return key, None, False
-
-    def get(self, spec: dict[str, Any]) -> Optional[dict[str, Any]]:
-        key, payload, compute = self._route(spec)
-        if payload is not None:
-            return payload
-        if compute:
             return None
-        return {_PLACEHOLDER: True, "key": key}
+        self.skipped.append(key)
+        return rows_for(defaultdict(Welford))
 
     # -- store ----------------------------------------------------------
     def _complete(self, key: str) -> None:
@@ -545,10 +548,10 @@ class _ShardExecutionCache:
     def put(
         self,
         spec: dict[str, Any],
-        payload: dict[str, Any],
+        stats: dict[str, Welford],
         meta: Optional[dict[str, Any]] = None,
     ) -> pathlib.Path:
-        path = self.base.put(spec, payload, meta=meta)
+        path = self.base.put(spec, stats, meta=meta)
         self._complete(self.base.key_for(spec))
         return path
 
@@ -663,8 +666,23 @@ def _write_report(cache: CellCache, report: ShardReport) -> pathlib.Path:
     return path
 
 
+#: The JSON type of every :class:`ShardReport` field but ``cell_seconds``
+#: (a Welford state); a bool is no ``int`` here.
+_REPORT_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    **dict.fromkeys(("figure", "digest", "label", "mode"), (str,)),
+    **dict.fromkeys(
+        ("cells_total", "cells_run", "cells_served", "cells_skipped", "tasks_run"), (int,)
+    ),
+    **dict.fromkeys(("seconds", "created_at"), (int, float)),
+}
+
+
 def _read_reports(cache: CellCache, digest: str) -> list[ShardReport]:
-    """Load every shard report of a sweep ``digest`` (unreadable: skipped)."""
+    """Load every shard report of a sweep ``digest``.
+
+    A report that does not parse, or whose fields do not all have their
+    declared JSON types, is unreadable and skipped.
+    """
     directory = _shard_dir(cache) / "reports" / digest
     if not directory.is_dir():
         return []
@@ -672,10 +690,12 @@ def _read_reports(cache: CellCache, digest: str) -> list[ShardReport]:
     for path in sorted(directory.glob("*.report")):
         try:
             report = ShardReport(**json.loads(path.read_text(encoding="utf-8")))
-            report.welford()  # a cell_seconds that does not rebuild is unreadable
-            reports.append(report)
+            _welford_of(report.cell_seconds)
         except (ValueError, TypeError, OSError):
             continue
+        typed = (type(getattr(report, name)) in t for name, t in _REPORT_FIELD_TYPES.items())
+        if all(typed):
+            reports.append(report)
     return reports
 
 
@@ -854,11 +874,11 @@ def merge_sweep(
     """Render ``config``'s final exhibit rows from the shared ``cache``.
 
     With every cell present this runs zero simulation trials: every cell
-    renders its rows from its stored payload (evaluation cells' stats
-    included, bit-identical to the original computation), so the merged
-    table equals the unsharded run exactly.  When cells are missing,
-    ``require_complete=True`` (the default) raises
-    :class:`~repro.exceptions.ShardIncompleteError` naming the count;
+    renders its rows from its stored statistics, bit-identical to the
+    original computation, so the merged table equals the unsharded run
+    exactly.  When cells are missing, ``require_complete=True`` (the
+    default) raises :class:`~repro.exceptions.ShardIncompleteError`
+    naming the count;
     ``require_complete=False`` computes the stragglers locally instead —
     results are identical either way, merging strictly is about not
     silently absorbing another shard's workload.

@@ -245,20 +245,20 @@ class TestRunCellTrialStep:
 
     @staticmethod
     def _states(stats):
-        return {metric: asdict(w) for metric, w in stats.items()}
+        return [{metric: asdict(w) for metric, w in stats.items()}]
 
     def test_fixed_count_is_one_budget_of_exactly_trials(self):
         TASK_COUNTER.reset()
-        [payload] = run_cell(7, self._spec, _normal_metric, self._states, trials=3)
+        rows = run_cell(7, self._spec, _normal_metric, self._states, trials=3)
         assert TASK_COUNTER.count == 3
         budget = TrialBudget(min_trials=3, max_trials=3)
         outcome = run_adaptive_trials(budget, _normal_metric, spawn_sequences(7, 3))
-        assert payload == self._states(outcome.stats) and payload["x"]["count"] == 3
+        assert rows == self._states(outcome.stats) and rows[0]["x"]["count"] == 3
 
     def test_only_a_budgeted_cell_stores_meta(self, tmp_path):
         cache = CellCache(tmp_path / "cache")
         for budget in (None, self.BUDGET):
-            run_cell(7, self._spec, _normal_metric, lambda stats: {"x": stats["x"].mean},
+            run_cell(7, self._spec, _normal_metric, self._states,
                      trials=3, ctx=RunContext(cache=cache, budget=budget))
         stored = {
             "budget" in entry.spec: json.loads(entry.path.read_text(encoding="utf-8"))

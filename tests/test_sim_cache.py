@@ -24,7 +24,7 @@ import pytest
 
 from repro.attacks import AdaptiveAttack, MGAAttack, MultiAttacker
 from repro.datasets import zipf_dataset
-from repro.exceptions import InvalidParameterError, ReproError
+from repro.exceptions import InvalidParameterError
 from repro.protocols import GRR, OLH, OUE
 from repro.sim import figures
 from repro.sim.cache import (
@@ -50,8 +50,8 @@ DATASET = zipf_dataset(domain_size=D, num_users=5_000, exponent=1.0, rng=7)
 def _old_stats_shape(payload):
     """Store one evaluation stat in the ``{mean, variance, stderr, count}``
     form that preceded stored Welford states."""
-    stat = Welford(**payload["stats"]["mse_before"])
-    payload["stats"]["mse_before"] = {
+    stat = Welford(**payload["mse_before"])
+    payload["mse_before"] = {
         "mean": stat.mean, "variance": stat.variance, "stderr": stat.stderr, "count": stat.count,
     }
 
@@ -313,14 +313,14 @@ class TestStoreMaintenance:
             lambda p: p.update(metric_from_the_future=p.pop("mse_before")),
             _old_stats_shape,
             lambda p: p.update(stats=[]),
-            lambda p: p["stats"]["mse_before"].update(count="2"),
+            lambda p: p["mse_before"].update(count="2"),
         ],
         ids=["renamed-metric", "old-stats-shape", "stats-not-an-object", "string-count"],
     )
     def test_stale_payload_shape_is_a_miss(self, tmp_path, damage):
-        """An entry whose payload no longer decodes into a
-        RecoveryEvaluation (a damaged or hand-edited file; a code edit
-        moves the tag instead) is recomputed, not raised."""
+        """An entry whose payload no longer decodes into Welford states
+        that render a RecoveryEvaluation (a damaged or hand-edited file; a
+        code edit moves the tag instead) is recomputed, not raised."""
         cache = self._fill(tmp_path, n=1)
         [entry] = cache.entries()
         data = json.loads(entry.path.read_text(encoding="utf-8"))
@@ -354,54 +354,102 @@ class TestStoreMaintenance:
         assert new.stats.misses == 1
 
 
-class TestDamagedPayloads:
-    """A damaged row payload never reaches the rows unnoticed: a non-object
-    payload is a miss, ``verify`` checks every payload against the digest
-    ``put`` stored, and a cached payload its renderer cannot expand ends
-    in one :class:`ReproError`."""
+def _evaluation_cell(cache):
+    """One evaluation cell (:func:`evaluate_recovery`) as its one row."""
+    evaluation = evaluate_recovery(
+        DATASET, GRR(epsilon=0.5, domain_size=D), MGAAttack(domain_size=D, r=3, rng=0),
+        trials=2, rng=0, ctx=RunContext(cache=cache),
+    )
+    return [evaluation.as_row(ci=True)]
 
-    def _table1(self, cache):
-        return figures.table1_rows(num_users=2_000, trials=1, ctx=RunContext(cache=cache))
+
+def _table1_cells(cache):
+    """Table I's six row cells."""
+    return figures.table1_rows(num_users=2_000, trials=1, ctx=RunContext(cache=cache))
+
+
+def _with_state(metric, **change):
+    """A damage that edits one field of ``metric``'s stored state."""
+    return lambda p: {**p, metric: {**p[metric], **change}}
+
+
+class TestDamagedPayloads:
+    """A damaged payload never reaches the rows unnoticed: one that does
+    not decode into Welford states, or whose states do not render, is one
+    miss and the cell is recomputed and its entry rewritten; ``verify``
+    checks every payload against the digest ``put`` stored, which is how a
+    changed number that still renders is found."""
 
     def _damage(self, entry, change):
         data = json.loads(entry.path.read_text(encoding="utf-8"))
         change(data)
         entry.path.write_text(json.dumps(data), encoding="utf-8")
 
-    def test_non_object_payload_is_a_miss(self, tmp_path):
-        cache = CellCache(tmp_path)
-        clean = self._table1(cache)
-        first = cache.entries()[0]
-        self._damage(first, lambda data: data.update(payload="not a row"))
+    @pytest.mark.parametrize(
+        "cells, n", [(_table1_cells, 6), (_evaluation_cell, 1)], ids=["table1", "evaluation"]
+    )
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: "not a row",
+            # The form before stored statistics: rendered columns, and for
+            # evaluation cells the states beside them.
+            lambda p: {"dataset": "x", **{m: s["mean"] for m, s in p.items()}, "stats": p},
+            _with_state("mse_before", count="2"),
+            _with_state("mse_before", mean="0.1"),
+            lambda p: {m: s for m, s in p.items() if m != "mse_before"},
+        ],
+        ids=["not-an-object", "old-form", "string-count", "string-mean", "dropped-metric"],
+    )
+    def test_damaged_payload_is_one_miss_and_is_rewritten(self, tmp_path, cells, n, damage):
+        clean = cells(CellCache(tmp_path))
+        first = CellCache(tmp_path).entries()[0]
+        stored = json.loads(first.path.read_text(encoding="utf-8"))["payload"]
+        self._damage(first, lambda data: data.update(payload=damage(data["payload"])))
         healed = CellCache(tmp_path)
-        assert self._table1(healed) == clean
-        assert (healed.stats.hits, healed.stats.misses, healed.stats.errors) == (5, 1, 1)
+        assert cells(healed) == clean
+        assert (healed.stats.hits, healed.stats.misses, healed.stats.errors) == (n - 1, 1, 1)
+        assert json.loads(first.path.read_text(encoding="utf-8"))["payload"] == stored
+        assert healed.verify() == []
 
     @pytest.mark.parametrize("text", ["[1, 2]", "7", '"entry"', "null"])
     def test_non_object_entry_is_unreadable_everywhere(self, tmp_path, text):
         cache = CellCache(tmp_path)
-        clean = self._table1(cache)
+        clean = _table1_cells(cache)
         first = cache.entries()[0]
         first.path.write_text(text, encoding="utf-8")
         assert len(cache.entries()) == 5
         assert cache.verify() == [(first.path, "unreadable: cache entry is not a JSON object")]
         healed = CellCache(tmp_path)
-        assert self._table1(healed) == clean
+        assert _table1_cells(healed) == clean
         assert (healed.stats.hits, healed.stats.errors) == (5, 1)
         first.path.write_text(text, encoding="utf-8")
         assert cache.prune(older_than_days=1.0) == 1  # unreadable: always eligible
 
+    @pytest.mark.parametrize("part, value", [("meta", "x"), ("spec", [1, 2])])
+    def test_meta_or_spec_that_is_not_an_object(self, tmp_path, part, value):
+        """``cache ls`` lists the other entries and ``verify`` names this one."""
+        cache = CellCache(tmp_path)
+        _table1_cells(cache)
+        first = cache.entries()[0]
+        self._damage(first, lambda data: data.update({part: value}))
+        assert len([entry.summary_row() for entry in cache.entries()]) == 5
+        assert cache.verify() == [(first.path, f"{part} is not a JSON object")]
+
     def test_verify_checks_the_payload_digest(self, tmp_path):
         cache = CellCache(tmp_path)
-        self._table1(cache)
+        clean = _table1_cells(cache)
         assert cache.verify() == []
         changed, dropped, *_ = cache.entries()
-        self._damage(changed, lambda data: data["payload"].update(mse_after_recovery=123.0))
+        self._damage(changed, lambda data: data["payload"]["mse_recover"].update(mean=123.0))
         self._damage(dropped, lambda data: data.pop("payload_sha256"))
+        # A changed number still renders: reads serve it, only verify finds it.
+        assert 123.0 in [row["mse_after_recovery"] for row in _table1_cells(CellCache(tmp_path))]
         problems = dict(cache.verify(delete=True))
         assert set(problems) == {changed.path, dropped.path}
         assert all("payload digest" in problem for problem in problems.values())
         assert cache.verify() == []
+        assert _table1_cells(CellCache(tmp_path)) == clean
 
     @staticmethod
     def _cell(cache, rows_for):
@@ -410,22 +458,33 @@ class TestDamagedPayloads:
             lambda seeds: {"kind": "row", "exhibit": "toy",
                            "seeds": fingerprint_seed_sequences(seeds)},
             lambda seed: {"x": 1.0},
-            lambda stats: {"x": stats["x"].mean},
-            trials=1, ctx=RunContext(cache=cache), rows_for=rows_for,
+            rows_for,
+            trials=1, ctx=RunContext(cache=cache),
         )
 
-    def test_renderer_error_names_a_cached_cell_only(self, tmp_path):
+    def test_unrenderable_cached_stats_are_recomputed(self, tmp_path):
+        def rows(stats):
+            return [{"x": stats["x"].mean}]
+
+        def broken(stats):
+            return [{"y": stats["y"].mean}]
+
         cache = CellCache(tmp_path)
-        assert self._cell(cache, lambda payload: [payload]) == [{"x": 1.0}]
+        assert self._cell(cache, rows) == [{"x": 1.0}]
         [entry] = cache.entries()
-
-        def broken(payload):
-            return [{"y": payload["y"]}]
-
-        with pytest.raises(ReproError, match=f"cached cell {entry.key}.*cache verify --delete"):
-            self._cell(cache, broken)
-        # The same renderer on a freshly computed payload is a bug in the
-        # renderer, not a damaged entry: its KeyError propagates as is.
+        self._damage(entry, lambda data: data["payload"].update(y=data["payload"].pop("x")))
+        healed = CellCache(tmp_path)
+        TASK_COUNTER.reset()
+        assert self._cell(healed, rows) == [{"x": 1.0}]
+        assert TASK_COUNTER.count == 1  # recomputed, and the entry rewritten
+        assert (healed.stats.hits, healed.stats.misses, healed.stats.errors) == (0, 1, 1)
+        assert healed.verify() == [] and self._cell(healed, rows) == [{"x": 1.0}]
+        # A renderer that fails on freshly computed statistics is a bug in
+        # the renderer, not a damaged entry: its KeyError propagates as is,
+        # after the cached statistics it could not read counted one miss.
+        with pytest.raises(KeyError):
+            self._cell(healed, broken)
+        assert (healed.stats.misses, healed.stats.errors) == (2, 2)
         with pytest.raises(KeyError):
             self._cell(CellCache(tmp_path / "cold"), broken)
         with pytest.raises(KeyError):
@@ -679,16 +738,16 @@ class TestGetEvaluationStatsCounting:
             beta=0.05, eta=0.2, trials=3, rng=1, ctx=RunContext(cache=warm),
         )
         assert evaluation is not None
-        # Corrupt the payload shape of the stored entry (field renamed by
+        # Corrupt the payload shape of the stored entry (metric renamed by
         # a hypothetical in-place edit under the same tag).
         [entry] = warm.entries()
         data = json.loads(entry.path.read_text(encoding="utf-8"))
-        data["payload"]["renamed"] = data["payload"].pop("trials")
+        data["payload"]["renamed"] = data["payload"].pop("mse_before")
         entry.path.write_text(json.dumps(data), encoding="utf-8")
         # A *fresh* cache whose very first access is the mismatch: the old
         # rollback produced hits == -1 here.
         fresh = CellCache(tmp_path)
-        assert fresh.get(data["spec"]) is None
+        assert fresh.get(data["spec"], lambda stats: [stats["mse_before"].count]) is None
         assert fresh.stats.hits == 0
         assert fresh.stats.misses == 1
         assert fresh.stats.errors == 1
@@ -735,6 +794,16 @@ class TestOrphanTmpSweep:
         assert cache.count() == 0
 
 
+def _churn_stats(worker_id, i):
+    """The statistics the churn test stores for cell ``i`` of a worker."""
+    return {"worker": Welford(1, float(worker_id), 0.0), "i": Welford(1, float(i), 0.0)}
+
+
+def _churn_rows(stats):
+    """The one row of a churn cell: each metric's mean."""
+    return [{name: w.mean for name, w in stats.items()}]
+
+
 def _cache_churn_worker(cache_dir, tag, worker_id, cells, failures_path):
     """One process of the concurrent-access test: interleaves puts, gets,
     and every maintenance operation against the shared store, recording
@@ -745,9 +814,9 @@ def _cache_churn_worker(cache_dir, tag, worker_id, cells, failures_path):
     cache = CellCache(cache_dir, tag=tag)
     for i in range(cells):
         spec = {"kind": "row", "worker": worker_id, "i": i}
-        cache.put(spec, {"worker": worker_id, "i": i})
-        got = cache.get(spec)
-        if got != {"worker": worker_id, "i": i}:
+        cache.put(spec, _churn_stats(worker_id, i))
+        got = cache.get(spec, _churn_rows)
+        if got != _churn_rows(_churn_stats(worker_id, i)):
             failures.append(f"lost own cell {worker_id}/{i}: {got!r}")
         # Maintenance racing the other worker's writes: must neither
         # crash nor flag healthy entries.
@@ -807,7 +876,7 @@ class TestConcurrentAccess:
                 if (worker_id, i) in deleted:
                     continue
                 spec = {"kind": "row", "worker": worker_id, "i": i}
-                assert cache.get(spec) == {"worker": worker_id, "i": i}, (
+                assert cache.get(spec, _churn_rows) == _churn_rows(_churn_stats(worker_id, i)), (
                     f"completed cell {worker_id}/{i} was lost"
                 )
         assert cache.stats.errors == 0

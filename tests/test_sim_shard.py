@@ -509,6 +509,32 @@ class TestReports:
         status = sweep_status(CONFIG, cache)
         assert status.reports == [] and "shard reports" not in status.summary()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cells_run", "x"),
+            ("cells_total", True),
+            ("tasks_run", 1.5),
+            ("seconds", "slow"),
+            ("created_at", None),
+            ("label", 7),
+            ("cell_seconds", {"count": "6", "mean": 0.5, "m2": 0.1}),
+        ],
+    )
+    def test_mistyped_field_skips_the_report(self, tmp_path, field, value):
+        """A report is read only when every field has its declared JSON
+        type; otherwise it is skipped like an unreadable report, and
+        ``status`` still renders."""
+        cache = CellCache(tmp_path)
+        run_shard(CONFIG, cache, shard_index=0, shard_count=1)
+        [path] = cache.root.rglob("*.report")
+        assert len(sweep_status(CONFIG, cache).reports) == 1
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data[field] = value
+        path.write_text(json.dumps(data), encoding="utf-8")
+        status = sweep_status(CONFIG, cache)
+        assert status.reports == [] and "shard reports" not in status.summary()
+
     def test_unreadable_entry_is_healed_and_counted_once(self, tmp_path):
         """Claims mode over a store with one truncated entry: the cell is
         recomputed with exactly one miss+error in the stats."""

@@ -8,8 +8,8 @@ an early checkpoint; only noisy cells spend the full cap, so the adaptive
 sweep must never cost more than the fixed one and (at the generous
 target used here) must cost strictly less.
 
-A warm rerun against the same cache directory then proves the appendable
-block store: zero tasks, rows identical to the first adaptive pass.
+A warm rerun against the same cache directory then proves the cached
+cells: zero tasks, rows identical to the first adaptive pass.
 
 Scale knobs: ``REPRO_BENCH_USERS`` / ``REPRO_BENCH_TRIALS`` (the fixed
 cap) / ``REPRO_BENCH_WORKERS`` as everywhere in this suite.
@@ -56,8 +56,8 @@ def test_adaptive_budget_saves_trials(run_once, benchmark, tmp_path):
         adaptive = figures.figure8_rows(num_users=num_users, rng=8, ctx=ctx)
         tasks_adaptive = TASK_COUNTER.count
         trials_per_cell = [entry.meta["trials"] for entry in cache.entries()]
-        # Warm rerun: the summary entries (and behind them the appendable
-        # trial blocks) serve the whole sweep without a single task.
+        # Warm rerun: the summary entries (and behind them the cells'
+        # trial streams) serve the whole sweep without a single task.
         TASK_COUNTER.reset()
         warm = figures.figure8_rows(num_users=num_users, rng=8, ctx=ctx)
         return {

@@ -36,11 +36,12 @@ simulation time.  ``--no-cache`` bypasses the store, ``--cache-stats``
 prints the hit/miss summary after a run, and the ``cache`` subcommand
 inspects (``ls``), garbage-collects (``prune``) and integrity-checks
 (``verify``) the store.  With ``--target-ci`` (adaptive CI-targeted
-trial allocation, see :class:`repro.sim.engine.TrialBudget`) cells also
-persist appendable per-trial blocks, so a later run with a higher
-``--max-trials`` resumes every cell from its stored trials instead of
-recomputing; ``cache ls`` then shows per-cell block counts and achieved
-half-widths, and ``cache verify`` checks block-chain integrity.
+trial allocation, see :class:`repro.sim.engine.TrialBudget`) each cell
+also keeps its per-trial metrics in one trial stream file, so a later
+run with a higher ``--max-trials`` resumes every cell from its stored
+trials instead of recomputing; ``cache ls`` then shows per-cell block
+counts (one block per trial batch) and achieved half-widths, and
+``cache verify`` checks every stream's digest.
 
 The ``shard`` subcommand splits one sweep across machines that share a
 cache directory (see :mod:`repro.sim.shard`): ``shard run`` executes one

@@ -26,7 +26,9 @@ and a content hash of the simulation-relevant source tree
 invalidates old entries wholesale instead of serving stale rows.
 Writes are atomic (temp file + ``os.replace``) so a Ctrl-C never
 leaves a truncated entry behind; unreadable entries are treated as misses
-and reported by :meth:`CellCache.verify`.
+and reported by :meth:`CellCache.verify`.  A budgeted cell also keeps
+its per-trial metrics, in trial order, in one stream file beside the
+entries (:class:`CellBlockStore`), so a larger budget resumes from them.
 
 Every cell is read and written through one path,
 :func:`repro.sim.experiment.run_cell` (:meth:`CellCache.get` /
@@ -48,10 +50,11 @@ import hashlib
 import json
 import os
 import pathlib
+import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -59,7 +62,7 @@ from repro.attacks.base import PoisoningAttack
 from repro.datasets.base import Dataset
 from repro.exceptions import InvalidParameterError
 from repro.protocols.base import DEFAULT_CHUNK_USERS, FrequencyOracle
-from repro.sim.engine import Welford, aggregate_metrics
+from repro.sim.engine import Welford
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -87,7 +90,7 @@ __all__ = [
 
 #: Cache schema version: bump whenever the entry layout, the spec
 #: fingerprints, or the payload serialization change incompatibly.
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 #: Environment variable that overrides the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -401,7 +404,7 @@ def _payload_digest(payload: Any) -> str:
 
 
 def trial_stream_spec(spec: dict[str, Any]) -> dict[str, Any]:
-    """The spec addressing a budgeted cell's appendable trial-block stream.
+    """The spec addressing a budgeted cell's trial stream file.
 
     Derived from a cell's summary ``spec`` by dropping the fields that
     vary with the trial budget — ``trials``, the full ``seeds`` list, and
@@ -410,7 +413,7 @@ def trial_stream_spec(spec: dict[str, Any]) -> dict[str, Any]:
     are consecutive siblings of one parent :class:`~numpy.random.SeedSequence`
     (``spawn_key`` suffixes ``i, i+1, ...``), the first child pins the
     entire canonical trial stream: every budget over the same cell shares
-    one block directory, so topping a cell up never re-simulates trials a
+    one stream file, so topping a cell up never re-simulates trials a
     smaller budget already ran.
     """
     stream = {
@@ -553,23 +556,59 @@ def write_json_atomic(
 def _read_entry(path: pathlib.Path) -> dict[str, Any]:
     """The JSON object stored in the entry file ``path``.
 
-    Raises :class:`ValueError` when the file is not JSON or holds another
-    JSON value, so every reader treats both as one unreadable entry.
+    Raises :class:`ValueError` when the file is not JSON (nesting too deep
+    for the parser included) or holds another JSON value, so every reader
+    treats both as one unreadable entry.
     """
     with path.open("r", encoding="utf-8") as handle:
-        entry = json.load(handle)
+        try:
+            entry = json.load(handle)
+        except RecursionError as exc:
+            raise ValueError("cache file nests too deeply to parse") from exc
     if not isinstance(entry, dict):
         raise ValueError("cache entry is not a JSON object")
     return entry
 
 
 def _malformed_part(entry: dict[str, Any]) -> Optional[str]:
-    """``"spec"`` or ``"meta"`` when that part of ``entry`` is present but
-    not a JSON object, else ``None``."""
+    """The problem of a part of ``entry`` that is present with the wrong
+    JSON type — ``spec`` or ``meta`` not an object, ``created_at`` not a
+    finite number a float can hold (a bool is none) — else ``None``."""
     for part in ("spec", "meta"):
         if not isinstance(entry.get(part, {}), dict):
-            return part
+            return f"{part} is not a JSON object"
+    created_at = entry.get("created_at", 0.0)
+    if type(created_at) not in (int, float) or not abs(created_at) <= sys.float_info.max:
+        return "created_at is not a JSON number"
     return None
+
+
+def _part(value: Any, kind: type = dict) -> Any:
+    """``value`` when it is a ``kind`` (a JSON object by default), else an
+    empty one: a mistyped spec part reads as absent."""
+    return value if isinstance(value, kind) else kind()
+
+
+def _read_stream(path: pathlib.Path, stream_key: str) -> list[dict[str, float]]:
+    """The per-trial metric dicts stored in the trial stream file ``path``.
+
+    Raises :class:`ValueError` unless the file is a JSON object that names
+    ``stream_key``, holds ``per_trial`` as a list of ``{str: number}``
+    objects, and carries that list's ``payload_sha256``.
+    """
+    data = _read_entry(path)
+    per_trial = data.get("per_trial")
+    if data.get("stream_key") != stream_key:
+        raise ValueError("stream key does not match the file name")
+    if not isinstance(per_trial, list) or not all(
+        isinstance(metrics, dict)
+        and all(type(value) in (int, float) for value in metrics.values())
+        for metrics in per_trial
+    ):
+        raise ValueError("per_trial is not a list of metric objects")
+    if _payload_digest(per_trial) != data.get("payload_sha256"):
+        raise ValueError("payload digest missing or does not match the trials")
+    return per_trial
 
 
 @dataclass
@@ -577,9 +616,11 @@ class CacheStats:
     """Hit/miss/store counters of one :class:`CellCache` instance.
 
     Besides the whole-cell counters, adaptive (budgeted) runs maintain
-    trial-block counters: ``block_hits`` / ``block_trials_reused`` count
-    blocks (and the trials inside them) served from disk instead of being
-    re-simulated, ``block_stores`` counts freshly appended blocks.
+    trial-block counters, where a block is the batch of trials one budget
+    checkpoint adds: ``block_hits`` counts checkpoints whose trials were
+    all read from a stored trial stream, ``block_trials_reused`` the
+    trials those streams held, and ``block_stores`` the blocks freshly
+    run and appended.
     """
 
     hits: int = 0
@@ -629,7 +670,6 @@ class CacheEntry:
     """
 
     key: str
-    kind: str
     path: pathlib.Path
     created_at: float
     size_bytes: int
@@ -637,26 +677,28 @@ class CacheEntry:
     meta: Optional[dict[str, Any]] = field(default=None, repr=False)
 
     def summary_row(self) -> dict[str, object]:
-        """Flat row for ``cache ls`` tables (best-effort spec highlights)."""
+        """Flat row for ``cache ls`` tables (best-effort spec highlights).
+
+        Every nested spec part is read through :func:`_part`, so a part of
+        the wrong JSON type shows as absent (``-``) instead of failing.
+        """
         spec = self.spec
         # Scenario rows carry their population under "source" instead of
         # "dataset" (it need not be a Dataset); show whichever is present.
-        source = spec.get("dataset") or spec.get("source")
-        dataset = source.get("name", "-") if isinstance(source, dict) else "-"
-        protocol = (spec.get("protocol") or {}).get("describe") or (
-            spec.get("protocol") or {}
-        ).get("__type__", "-")
+        dataset = _part(spec.get("dataset") or spec.get("source")).get("name", "-")
+        oracle = _part(spec.get("protocol"))
+        protocol = oracle.get("describe") or oracle.get("__type__", "-")
         if spec.get("kind") == "evaluation":
-            attack = (spec.get("attack") or {}).get("describe", "none")
+            attack = _part(spec.get("attack")).get("describe", "none")
             exhibit = "evaluation"
             beta, eta, trials = spec.get("beta"), spec.get("eta"), spec.get("trials")
         else:
-            attacks = spec.get("attacks") or []
+            attacks = [_part(a) for a in _part(spec.get("attacks"), list)]
             attack = ", ".join(a.get("describe", a.get("__type__", "?")) for a in attacks) or "none"
             exhibit = spec.get("exhibit", "row")
-            params = spec.get("params") or {}
+            params = _part(spec.get("params"))
             beta, eta = params.get("beta"), params.get("eta")
-            trials = len(spec.get("seeds") or [])
+            trials = len(_part(spec.get("seeds"), list))
         meta = self.meta or {}
         if meta.get("trials") is not None:
             trials = meta["trials"]  # adaptive cells: the achieved count
@@ -775,7 +817,6 @@ class CellCache:
         payload = {name: asdict(w) for name, w in sorted(stats.items())}
         entry = {
             "key": key,
-            "kind": spec.get("kind", "row"),
             "schema": CACHE_SCHEMA,
             "created_at": time.time(),
             "spec": spec,
@@ -788,9 +829,9 @@ class CellCache:
         self.stats.stores += 1
         return path
 
-    # -- appendable trial blocks (adaptive budgets) --------------------
+    # -- trial streams (adaptive budgets) ------------------------------
     def block_store(self, stream_spec: dict[str, Any]) -> "CellBlockStore":
-        """The appendable trial-block store for one cell's trial stream.
+        """The trial stream store of one budgeted cell.
 
         ``stream_spec`` is the cell's :func:`trial_stream_spec`; the
         returned :class:`CellBlockStore` satisfies the engine's
@@ -803,8 +844,9 @@ class CellCache:
     # Maintenance may run while other processes (shard peers sharing this
     # cache directory) are writing and pruning concurrently.  Two rules
     # keep it race-free: in-flight temp files (``*.tmp``, non-atomic by
-    # definition) are never treated as entries, and a file that vanishes
-    # between listing and stat/open/unlink is already-gone, not an error.
+    # definition) are never treated as entries or streams, and a file
+    # that vanishes between listing and stat/open/unlink is already-gone,
+    # not an error.
 
     #: Age (seconds) past which a ``*.tmp`` file is considered orphaned —
     #: left behind by a SIGKILLed writer rather than an in-flight
@@ -813,37 +855,17 @@ class CellCache:
 
     @staticmethod
     def is_entry(path: pathlib.Path) -> bool:
-        """Whether the ``*.json`` file ``path`` of a cache is a cell entry.
+        """Whether the cache file ``path`` is a cell entry (``*.json``)
+        rather than a trial stream (``*.trials``)."""
+        return path.suffix == ".json"
 
-        Trial-block files live inside ``<stream_key>.blocks/`` directories
-        and are not entries — they have their own integrity pass in
-        :meth:`verify`, and :meth:`count` does not count them.
-        """
-        return path.parent.suffix != ".blocks"
-
-    def _entry_files(self, all_tags: bool = False) -> Iterator[pathlib.Path]:
+    def _files(self, pattern: str, all_tags: bool = False) -> list[pathlib.Path]:
+        """The files matching ``pattern`` under this cache's tag (or
+        ``all_tags``), sorted.  ``*.json`` never matches the ``.tmp``
+        files of in-flight writers, so concurrent writes are invisible
+        here until their atomic ``os.replace`` lands."""
         base = self.cache_dir if all_tags else self.root
-        if not base.is_dir():
-            return
-        # rglob("*.json") never matches the ".tmp"-suffixed temp files of
-        # in-flight writers, so concurrent puts are invisible here until
-        # their atomic os.replace lands.
-        for path in sorted(base.rglob("*.json")):
-            if self.is_entry(path):
-                yield path
-
-    def _block_files(self, all_tags: bool = False) -> Iterator[pathlib.Path]:
-        base = self.cache_dir if all_tags else self.root
-        if not base.is_dir():
-            return
-        for path in sorted(base.rglob("*.json")):
-            if not self.is_entry(path):
-                yield path
-
-    def _block_dirs(self) -> Iterator[pathlib.Path]:
-        if not self.root.is_dir():
-            return
-        yield from sorted(self.root.rglob("*.blocks"))
+        return sorted(base.rglob(pattern)) if base.is_dir() else []
 
     def _sweep_orphan_tmp(self, all_tags: bool = False) -> int:
         """Delete orphaned writer temp files; return the number removed.
@@ -854,12 +876,9 @@ class CellCache:
         to a live writer on this or another machine.  ``all_tags``
         extends the sweep beyond the current version tag.
         """
-        base = self.cache_dir if all_tags else self.root
-        if not base.is_dir():
-            return 0
         horizon = time.time() - self.TMP_ORPHAN_SECONDS
         removed = 0
-        for path in sorted(base.rglob("*.tmp")):
+        for path in self._files("*.tmp", all_tags):
             try:
                 if path.stat().st_mtime > horizon:
                     continue
@@ -873,16 +892,17 @@ class CellCache:
 
     def count(self, all_tags: bool = False) -> int:
         """Number of entry files on disk (readable or not)."""
-        return sum(1 for _ in self._entry_files(all_tags))
+        return len(self._files("*.json", all_tags))
 
     def entries(self, all_tags: bool = False) -> list[CacheEntry]:
         """Readable entries of this cache version (or of ``all_tags``).
 
-        An entry whose ``spec`` or ``meta`` is not a JSON object is
-        unreadable here too; :meth:`verify` reports it.
+        An entry whose ``spec`` or ``meta`` is not a JSON object, or whose
+        ``created_at`` is not a number a float can hold, is unreadable
+        here too; :meth:`verify` reports it.
         """
         out = []
-        for path in self._entry_files(all_tags):
+        for path in self._files("*.json", all_tags):
             try:
                 entry = _read_entry(path)
                 if _malformed_part(entry) is not None:
@@ -890,7 +910,6 @@ class CellCache:
                 out.append(
                     CacheEntry(
                         key=str(entry["key"]),
-                        kind=str(entry.get("kind", "row")),
                         path=path,
                         created_at=float(entry.get("created_at", 0.0)),
                         size_bytes=path.stat().st_size,
@@ -915,10 +934,11 @@ class CellCache:
         reclaim space after upgrades).  Every prune also sweeps orphaned
         writer temp files (``*.tmp`` older than
         :attr:`TMP_ORPHAN_SECONDS`, left by SIGKILLed writers) and trial
-        block files (aged by file modification time — blocks carry no
+        streams (aged by file modification time — streams carry no
         timestamps of their own); both count toward the returned total.
-        Entries deleted concurrently by another process are treated as
-        already gone, not errors.
+        An unreadable entry is always old enough.  Entries deleted
+        concurrently by another process are treated as already gone, not
+        errors.
         """
         if older_than_days is not None and older_than_days < 0:
             raise InvalidParameterError(
@@ -928,26 +948,9 @@ class CellCache:
             None if older_than_days is None else time.time() - 86_400.0 * older_than_days
         )
         removed = self._sweep_orphan_tmp(all_tags)
-        for path in list(self._entry_files(all_tags)):
-            if horizon is not None:
-                try:
-                    created = float(_read_entry(path).get("created_at", 0.0))
-                except FileNotFoundError:
-                    continue  # pruned by a concurrent process: already gone
-                except (ValueError, OSError):
-                    created = 0.0  # unreadable: always eligible
-                if created > horizon:
-                    continue
+        for path in [*self._files("*.json", all_tags), *self._files("*.trials", all_tags)]:
             try:
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
-                continue  # pruned by a concurrent process: already gone
-            except OSError:  # pragma: no cover - permission problems etc.
-                continue
-        for path in list(self._block_files(all_tags)):
-            try:
-                if horizon is not None and path.stat().st_mtime > horizon:
+                if horizon is not None and _stamp(path) > horizon:
                     continue
                 path.unlink()
                 removed += 1
@@ -958,36 +961,22 @@ class CellCache:
         return removed
 
     def verify(self, delete: bool = False) -> list[tuple[pathlib.Path, str]]:
-        """Check every entry's integrity; return ``(path, problem)`` pairs.
+        """Check every entry's and stream's integrity; return ``(path,
+        problem)`` pairs.
 
         An entry is healthy when it parses as a JSON object, carries a
         payload, its stored key equals the canonical hash recomputed from
         its stored spec, and its stored ``payload_sha256`` equals the
         digest recomputed from its payload (i.e. the file content was not
-        tampered with or half-written).  Trial-block directories get their
-        own pass: every block must parse, match its filename range, carry
-        one metric dict per trial with Welford states that refold exactly,
-        and the blocks of a stream must tile ``[0, stop)`` contiguously
-        without overlap (see :meth:`CellBlockStore.problems`).  ``delete``
-        removes the offenders.  Entries pruned by a concurrent process mid-check
-        are skipped, not reported — a vanished file is not a corrupt file.
+        tampered with or half-written).  A trial stream is healthy when
+        :meth:`CellBlockStore.load` would serve it.  ``delete`` removes
+        the offenders.  Files pruned by a concurrent process mid-check are
+        skipped, not reported — a vanished file is not a corrupt file.
         """
         problems = []
-        for path in self._entry_files():
-            problem = None
+        for path in [*self._files("*.json"), *self._files("*.trials")]:
             try:
-                entry = _read_entry(path)
-                malformed = _malformed_part(entry)
-                if "payload" not in entry:
-                    problem = "missing payload"
-                elif malformed is not None:
-                    problem = f"{malformed} is not a JSON object"
-                elif canonical_key(entry.get("spec", {})) != entry.get("key"):
-                    problem = "key does not match stored spec"
-                elif path.stem != entry.get("key"):
-                    problem = "filename does not match stored key"
-                elif _payload_digest(entry["payload"]) != entry.get("payload_sha256"):
-                    problem = "payload digest missing or does not match the payload"
+                problem = _problem(path)
             except FileNotFoundError:
                 continue  # pruned by a concurrent process: nothing to verify
             except (ValueError, OSError) as exc:
@@ -999,220 +988,101 @@ class CellCache:
                         path.unlink()
                     except OSError:
                         pass
-        for directory in self._block_dirs():
-            store = CellBlockStore(self, directory.name.rsplit(".", 1)[0])
-            for path, problem in store.problems():
-                problems.append((path, problem))
-                if delete:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
         return problems
 
 
-def _block_welford_payload(
-    per_trial: Sequence[dict[str, float]],
-) -> dict[str, dict[str, Any]]:
-    """Serialized per-metric Welford states of one block's trials.
+def _stamp(path: pathlib.Path) -> float:
+    """When the cache file ``path`` was written, for ``prune``: an entry's
+    ``created_at`` (``0.0`` when unreadable), a stream's modification time."""
+    if path.suffix == ".trials":
+        return path.stat().st_mtime
+    try:
+        entry = _read_entry(path)
+    except FileNotFoundError:
+        raise
+    except (ValueError, OSError):
+        return 0.0  # unreadable: always eligible
+    return 0.0 if _malformed_part(entry) else float(entry.get("created_at", 0.0))
 
-    Folded through :func:`repro.sim.engine.aggregate_metrics` in trial
-    order — so the states are a pure function of the block's own
-    ``per_trial`` dicts and the read path can recompute and compare them
-    bit for bit.
-    """
-    return {key: asdict(w) for key, w in sorted(aggregate_metrics(per_trial).items())}
 
-
-#: Parsed block triple: (start, stop, per-trial metric dicts).
-_Block = tuple[int, int, list[dict[str, float]]]
+def _problem(path: pathlib.Path) -> Optional[str]:
+    """``verify``'s finding about the cache file ``path``, ``None`` when
+    healthy; raises :class:`ValueError` or :class:`OSError` when it is
+    unreadable."""
+    if path.suffix == ".trials":
+        _read_stream(path, path.stem)
+        return None
+    entry = _read_entry(path)
+    malformed = _malformed_part(entry)
+    if "payload" not in entry:
+        return "missing payload"
+    if malformed is not None:
+        return malformed
+    if canonical_key(entry.get("spec", {})) != entry.get("key"):
+        return "key does not match stored spec"
+    if path.stem != entry.get("key"):
+        return "filename does not match stored key"
+    if _payload_digest(entry["payload"]) != entry.get("payload_sha256"):
+        return "payload digest missing or does not match the payload"
+    return None
 
 
 class CellBlockStore:
-    """Appendable trial-block storage for one cell's canonical trial stream.
+    """The trial stream of one budgeted cell: one file, rewritten whole.
 
-    A budgeted cell's trials live as an ordered chain of *blocks* under
-    ``<root>/<key[:2]>/<key>.blocks/<start>-<stop>.json`` where ``key`` is
-    the :func:`canonical_key` of the cell's :func:`trial_stream_spec`.
-    Each block carries its trial-index range, the raw per-trial metric
-    dicts (the ground truth the adaptive driver refolds, which is what
-    makes adaptive results bit-identical to fixed-budget runs), and the
-    serialized Welford states of those trials (derived metadata the read
-    path and :meth:`CellCache.verify` cross-check).
+    A budgeted cell's per-trial metric dicts live, from trial 0 in trial
+    order, in ``<root>/<key[:2]>/<key>.trials`` where ``key`` is the
+    :func:`canonical_key` of the cell's :func:`trial_stream_spec`.  They
+    are the ground truth the adaptive driver refolds, which is what makes
+    adaptive results bit-identical to fixed-budget runs.  The file is
+    always a prefix of the cell's canonical trial stream: every append
+    rewrites the whole list atomically, so a concurrent writer can at
+    worst shorten it, losing work but never making a number wrong.
 
-    Integrity contract: a chain is served only when every block parses,
-    matches its filename range and Welford states, and the ranges tile
-    ``[0, stop)`` contiguously with no gap or overlap — any violation
-    makes the *whole cell* a miss (never a partial hit), counted through
-    :attr:`CacheStats.errors`.
+    A stream that does not load — not JSON, another stream's key, a
+    ``per_trial`` that is not a list of metric objects, or a digest that
+    does not match — is one :attr:`CacheStats.errors` and reads as empty,
+    so the cell reruns from trial 0 and rewrites it.
 
     This class satisfies the engine's
     :class:`repro.sim.engine.TrialBlockStore` protocol.  It takes no
     claims of its own: under shard claims, only the shard holding the
-    cell's claim extends its chain (see :mod:`repro.sim.shard`).
+    cell's claim extends its stream (see :mod:`repro.sim.shard`).
     """
 
     def __init__(self, cache: CellCache, stream_key: str) -> None:
         self.cache = cache
         self.stream_key = stream_key
+        self.path = cache.root / stream_key[:2] / f"{stream_key}.trials"
 
-    @property
-    def directory(self) -> pathlib.Path:
-        """The on-disk block directory of this trial stream."""
-        return self.cache.root / self.stream_key[:2] / f"{self.stream_key}.blocks"
+    def load(self) -> list[dict[str, float]]:
+        """The stored per-trial metric dicts, counting them as reused.
 
-    def _block_path(self, start: int, stop: int) -> pathlib.Path:
-        # Zero-padded so lexicographic listing order equals trial order.
-        return self.directory / f"{start:08d}-{stop:08d}.json"
-
-    def _read_block(self, path: pathlib.Path) -> Optional[_Block]:
-        """Parse and validate one block file; ``None`` when invalid.
-
-        Raises :class:`FileNotFoundError` through (a vanished file is a
-        concurrent prune, not corruption — callers skip it).
-        """
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            if data.get("stream_key") != self.stream_key:
-                return None
-            start, stop = int(data["start"]), int(data["stop"])
-            if start < 0 or stop <= start:
-                return None
-            if path.name != f"{start:08d}-{stop:08d}.json":
-                return None
-            raw = data["per_trial"]
-            if not isinstance(raw, list) or len(raw) != stop - start:
-                return None
-            per_trial = [
-                {str(key): float(value) for key, value in metrics.items()}
-                for metrics in raw
-            ]
-            if data.get("welford") != _block_welford_payload(per_trial):
-                return None
-            return start, stop, per_trial
-        except FileNotFoundError:
-            raise
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            return None
-
-    def _scan(self) -> tuple[list[_Block], list[tuple[pathlib.Path, str]]]:
-        """One pass over the block directory: valid blocks and problems.
-
-        Returns the blocks that parse and validate, in trial order, and the
-        ``(path, problem)`` pairs: per-file problems (unreadable,
-        range/Welford mismatch) first, then chain problems (gap or
-        overlap, reported on the offending file).  A file pruned
-        concurrently is neither.
-        """
-        directory = self.directory
-        if not directory.is_dir():
-            return [], []
-        problems: list[tuple[pathlib.Path, str]] = []
-        parsed_blocks: list[tuple[pathlib.Path, _Block]] = []
-        for path in sorted(directory.glob("*.json")):
-            try:
-                parsed = self._read_block(path)
-            except FileNotFoundError:
-                continue  # pruned concurrently: not part of the chain
-            if parsed is None:
-                problems.append((path, "unreadable or inconsistent trial block"))
-            else:
-                parsed_blocks.append((path, parsed))
-        parsed_blocks.sort(key=lambda item: item[1][0])
-        expected = 0
-        for path, (start, stop, _) in parsed_blocks:
-            if start != expected:
-                fault = "gapped" if start > expected else "overlapping"
-                problems.append(
-                    (path, f"{fault} trial blocks: expected start {expected}, got {start}")
-                )
-            expected = max(expected, stop)
-        return [block for _, block in parsed_blocks], problems
-
-    def _chain(self) -> Optional[list[_Block]]:
-        """Every block of the stream as a validated contiguous chain.
-
-        ``None`` signals an integrity violation (unreadable block, gap,
-        overlap) — the whole cell must then be treated as a miss.  An
-        empty directory is simply an empty (valid) chain.
-        """
-        blocks, problems = self._scan()
-        return None if problems else blocks
-
-    def load(self) -> list[_Block]:
-        """The validated block chain, counting reuse into the cache stats.
-
-        Any integrity violation yields ``[]`` (whole-cell miss) and bumps
+        A missing stream is empty; a damaged one is empty too and bumps
         :attr:`CacheStats.errors` once.
         """
-        chain = self._chain()
-        if chain is None:
+        try:
+            per_trial = _read_stream(self.path, self.stream_key)
+        except FileNotFoundError:
+            return []
+        except (ValueError, OSError):
             self.cache.stats.errors += 1
             return []
-        if chain:
-            self.cache.stats.block_hits += len(chain)
-            self.cache.stats.block_trials_reused += sum(
-                stop - start for start, stop, _ in chain
-            )
-        return chain
+        self.cache.stats.block_trials_reused += len(per_trial)
+        return per_trial
 
-    def peek(self, start: int, stop: int) -> Optional[list[dict[str, float]]]:
-        """The per-trial dicts of block ``[start, stop)`` if present and valid."""
-        path = self._block_path(start, stop)
-        try:
-            parsed = self._read_block(path)
-        except FileNotFoundError:
-            return None
-        if parsed is None:
-            self.cache.stats.errors += 1
-            return None
-        self.cache.stats.block_hits += 1
-        self.cache.stats.block_trials_reused += stop - start
-        return parsed[2]
-
-    def append(
-        self, start: int, stop: int, per_trial: Sequence[dict[str, float]]
-    ) -> Optional[pathlib.Path]:
-        """Persist block ``[start, stop)`` if it extends the chain; return path.
-
-        A block that does not start exactly at the current chain coverage
-        (or whose chain is invalid) is silently skipped — the caller keeps
-        its in-memory trials either way, and skipping preserves the
-        on-disk contiguity invariant instead of corrupting the stream.
-        """
-        if stop <= start or len(per_trial) != stop - start:
-            raise InvalidParameterError(
-                f"block [{start}, {stop}) needs exactly {stop - start} trials, "
-                f"got {len(per_trial)}"
-            )
-        chain = self._chain()
-        if chain is None:
-            return None
-        coverage = chain[-1][1] if chain else 0
-        if start != coverage:
-            return None
-        path = self._block_path(start, stop)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        block = {
+    def append(self, per_trial: list[dict[str, float]]) -> None:
+        """Store ``per_trial``, the stream from trial 0, as one new block
+        (atomic rewrite of the whole file)."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        stream = {
             "stream_key": self.stream_key,
             "schema": CACHE_SCHEMA,
-            "start": int(start),
-            "stop": int(stop),
-            "per_trial": list(per_trial),
-            "welford": _block_welford_payload(per_trial),
+            "per_trial": per_trial,
+            "payload_sha256": _payload_digest(per_trial),
         }
-        write_json_atomic(path, block, default=float)
+        write_json_atomic(self.path, stream, default=float)
         self.cache.stats.block_stores += 1
-        return path
-
-    def problems(self) -> list[tuple[pathlib.Path, str]]:
-        """Integrity problems of this stream's blocks, for ``cache verify``.
-
-        Per-file problems (unreadable, range/Welford mismatch) and chain
-        problems (gap or overlap, reported on the offending file).
-        """
-        return self._scan()[1]
 
 
 def resolve_cache(

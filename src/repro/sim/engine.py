@@ -15,9 +15,9 @@ is the execution substrate for that grid:
   whether the trials run inline (``workers=1``) or across a pool, and
   trial streams never overlap.  The pool lives as long as the
   enclosing :func:`run_scope` — one exhibit run, opened by
-  :meth:`repro.sim.shard.SweepConfig.run` — so every cell, adaptive block
-  and exhibit call of that run reuses the same workers; a call outside
-  any scope gets a pool of its own.
+  :meth:`repro.sim.shard.SweepConfig.run` — so every cell, adaptive
+  checkpoint and exhibit call of that run reuses the same workers; a call
+  outside any scope gets a pool of its own.
 * **Streaming metric accumulation** — :class:`Welford` keeps running
   mean/variance/count per metric instead of materializing per-trial metric
   lists, so cells can report confidence intervals at no extra memory cost.
@@ -150,8 +150,8 @@ class TrialBudget:
     bit-identical to a fixed-budget run at the same final trial count.
 
     ``target_halfwidth=None`` disables the convergence test: the cell runs
-    straight to ``max_trials`` (still in appendable batches, so it can be
-    topped up later).
+    straight to ``max_trials`` (still in batches, each stored as it
+    completes, so it can be topped up later).
     """
 
     target_halfwidth: Optional[float] = None
@@ -222,24 +222,20 @@ class TrialBudget:
 
 
 class TrialBlockStore(Protocol):
-    """Persistence hooks :func:`run_adaptive_trials` drives blocks through.
+    """The stored trial stream :func:`run_adaptive_trials` resumes and extends.
 
     Implemented by :class:`repro.sim.cache.CellBlockStore`; the engine
     only sees this structural interface, so it stays import-free of the
     cache layer.  A store is extended by one driver at a time: under shard
-    claims the shard holding a cell's claim runs all of its blocks.
+    claims the shard holding a cell's claim runs all of its trials.
     """
 
-    def load(self) -> list[tuple[int, int, list[dict[str, float]]]]:
-        """Validated, contiguous-from-zero ``(start, stop, per_trial)`` blocks."""
+    def load(self) -> list[dict[str, float]]:
+        """The stored per-trial metrics from trial 0, in trial order."""
         ...  # pragma: no cover - protocol stub
 
-    def peek(self, start: int, stop: int) -> Optional[list[dict[str, float]]]:
-        """The per-trial metrics of block ``[start, stop)`` if present and valid."""
-        ...  # pragma: no cover - protocol stub
-
-    def append(self, start: int, stop: int, per_trial: list[dict[str, float]]) -> None:
-        """Persist block ``[start, stop)``; a no-op unless it extends the chain."""
+    def append(self, per_trial: list[dict[str, float]]) -> None:
+        """Store ``per_trial``, the whole stream from trial 0."""
         ...  # pragma: no cover - protocol stub
 
 
@@ -248,9 +244,10 @@ class AdaptiveOutcome:
     """What :func:`run_adaptive_trials` produced for one cell.
 
     ``stats`` is folded from the first ``trials`` trials in trial order,
-    bit-identical to a fixed-budget run at ``trials`` total trials.
-    ``blocks_reused`` / ``blocks_run`` split the executed blocks into
-    served-from-cache and freshly simulated.
+    bit-identical to a fixed-budget run at ``trials`` total trials.  A
+    block is the batch of trials one checkpoint adds: ``blocks_reused``
+    counts the checkpoints reached whose trials were all stored already,
+    ``blocks_run`` those that ran trials.
     """
 
     stats: dict[str, Welford]
@@ -285,46 +282,36 @@ def run_adaptive_trials(
 ) -> AdaptiveOutcome:
     """Run one cell's trials until ``budget``'s stopping rule is satisfied.
 
-    At each checkpoint of ``budget`` the missing trial range of the
-    canonical per-trial ``seeds`` (one :class:`~numpy.random.SeedSequence`
-    child per trial index, at least ``budget.max_trials`` of them) runs
-    through ``trial`` via :func:`parallel_map` (``workers`` as
-    everywhere) and is appended to ``store`` as a block.  Blocks already
-    in ``store`` are reused instead of re-simulated.  The stopping rule
-    is evaluated over the *prefix* of trials at each checkpoint, so the
-    final trial count — and therefore the returned statistics — is
-    bit-identical to a fixed-budget run at that count, regardless of what
-    the store already held.  A fixed count ``n`` is
-    ``TrialBudget(min_trials=n, max_trials=n)``: its one checkpoint runs
-    the ``n`` trials in one :func:`parallel_map` call.
+    The trials already in ``store`` are loaded once.  At each checkpoint
+    of ``budget`` the missing trials of the canonical per-trial ``seeds``
+    (one :class:`~numpy.random.SeedSequence` child per trial index, at
+    least ``budget.max_trials`` of them) run through ``trial`` via
+    :func:`parallel_map` (``workers`` as everywhere), and the stream so
+    far is appended to ``store``.  The stopping rule is evaluated over
+    the *prefix* of trials at each checkpoint, so the final trial count —
+    and therefore the returned statistics — is bit-identical to a
+    fixed-budget run at that count, regardless of what the store already
+    held.  A fixed count ``n`` is ``TrialBudget(min_trials=n,
+    max_trials=n)``: its one checkpoint runs the ``n`` trials in one
+    :func:`parallel_map` call.
     """
     if len(seeds) < budget.max_trials:
         raise InvalidParameterError(
             f"need at least max_trials={budget.max_trials} seeds, got {len(seeds)}"
         )
-    per_trial: list[dict[str, float]] = []
+    per_trial: list[dict[str, float]] = [] if store is None else store.load()
     blocks_reused = 0
     blocks_run = 0
-    if store is not None:
-        for _start, _stop, chunk in store.load():
-            per_trial.extend(chunk)
-            blocks_reused += 1
-
     final = budget.max_trials
     stats: dict[str, Welford] = {}
     for checkpoint in budget.checkpoints():
         if checkpoint > len(per_trial):
-            start, stop = len(per_trial), checkpoint
-            stored = None if store is None else store.peek(start, stop)
-            if stored is None:
-                fresh = parallel_map(trial, seeds[start:stop], workers=workers)
-                if store is not None:
-                    store.append(start, stop, fresh)
-                per_trial.extend(fresh)
-                blocks_run += 1
-            else:
-                per_trial.extend(stored)
-                blocks_reused += 1
+            per_trial += parallel_map(trial, seeds[len(per_trial):checkpoint], workers=workers)
+            if store is not None:
+                store.append(per_trial)
+            blocks_run += 1
+        else:
+            blocks_reused += 1
         stats = aggregate_metrics(per_trial[:checkpoint])
         if checkpoint >= budget.max_trials or budget.met(stats):
             final = checkpoint

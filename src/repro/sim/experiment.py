@@ -2,8 +2,8 @@
 
 This is the layer the benchmarks and CLI sit on.  Every cell of every
 exhibit runs through :func:`run_cell`, which owns seed spawning, the
-cell spec, the cache lookup, the trials, the trial-block store and the
-store of the cell's statistics, and renders the cell's rows from those
+cell spec, the cache lookup, the trials, a budgeted cell's trial stream
+and the store of the cell's statistics, and renders the cell's rows from those
 statistics with the exhibit's ``rows_for`` on a hit and on a miss alike.
 :func:`evaluate_recovery` is one such cell: it runs
 ``trials`` independent poisoning rounds, applies every recovery method
@@ -80,7 +80,7 @@ class RunContext:
 
     ``cache`` is an optional :class:`~repro.sim.cache.CellCache`.  It
     serves completed cells and stores new ones; under a ``budget`` it also
-    keeps each cell's appendable trial blocks, so a larger budget resumes.
+    keeps each cell's trial stream, so a larger budget resumes.
 
     Exhibit generators only pass a context on; :func:`run_cell` is the
     only reader of its fields.  Construction rejects a negative
@@ -239,8 +239,8 @@ def evaluate_recovery(
         batches until every metric's 95% CI half-width reaches the
         target (or ``max_trials``), bit-identical to a fixed-budget call
         at the achieved trial count under the same ``rng``; with a
-        ``cache`` the trials persist as appendable blocks, so a later,
-        larger budget resumes instead of recomputing.
+        ``cache`` the trials persist as the cell's trial stream, so a
+        later, larger budget resumes instead of recomputing.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
@@ -361,7 +361,7 @@ def run_cell(
     3. otherwise run the trials through
        :func:`repro.sim.engine.run_adaptive_trials` — the picklable
        ``trial`` callable on each seed, on ``ctx.workers`` processes,
-       under ``ctx.budget`` (resuming the cell's cached trial blocks) or
+       under ``ctx.budget`` (resuming the cell's cached trial stream) or
        else a budget of exactly ``trials`` — and store the aggregated
        per-metric :class:`~repro.sim.engine.Welford` statistics, with a
        budgeted cell's outcome as entry metadata;
@@ -390,6 +390,8 @@ def run_cell(
         return rows
     store = cache.block_store(trial_stream_spec(spec)) if budgeted else None
     outcome = run_adaptive_trials(budget, trial, seeds, ctx.workers, store)
+    if store is not None:
+        store.cache.stats.block_hits += outcome.blocks_reused
     cache.put(spec, outcome.stats, meta=outcome.meta() if budgeted else None)
     return rows_for(outcome.stats)
 

@@ -522,8 +522,8 @@ def figure8_rows(
     pairs are averaged per (protocol, beta) cell, ``rng`` seeds the cells,
     ``chunk_users`` selects the chunked exact simulation, ``olh_cohort``
     switches the OLH cells to seed-cohort perturbation, and ``ctx`` runs
-    the cells (workers, cache, budget; under a budget, cached trial blocks
-    are resumed and extended rather than recomputed).
+    the cells (workers, cache, budget; under a budget, a cell's cached
+    trial stream is resumed and extended rather than recomputed).
     """
     dataset = load_dataset("ipums", num_users)
     mode: SimulationMode = "chunked" if chunk_users is not None else "fast"

@@ -328,7 +328,7 @@ def kv_rows(
     independently, and ``ctx`` runs the cells: worker fan-out, a cache
     serving completed cells across runs (statistics keyed by
     :func:`repro.sim.cache.scenario_cell_spec`), and a trial budget whose
-    cached trial blocks are resumed and extended rather than recomputed.
+    cached trial streams are resumed and extended rather than recomputed.
     """
     population = kv_population(
         num_keys=KV_NUM_KEYS,

@@ -36,7 +36,7 @@ run is harmless because both writers store identical payloads atomically.
 Shard coordination state lives under ``<cache root>/_shard/`` —
 ``claims/*.claim`` plus per-shard ``reports/**/*.report`` files — which
 the cache's own maintenance ignores (it only considers ``*.json``
-entries).  Because the root embeds the versioned cache tag, machines
+entries and ``*.trials`` streams).  Because the root embeds the versioned cache tag, machines
 running different code never share claims either.
 """
 
@@ -555,14 +555,14 @@ class _ShardExecutionCache:
         self._complete(self.base.key_for(spec))
         return path
 
-    # -- appendable trial blocks (adaptive budgets) ---------------------
+    # -- trial streams (adaptive budgets) -------------------------------
     def block_store(self, stream_spec: dict[str, Any]) -> CellBlockStore:
-        """The base cache's trial-block store of one owned cell's stream.
+        """The base cache's trial stream store of one owned cell.
 
         Generators running under an adaptive budget fetch this for every
         cell they compute.  It needs no arbitration of its own: the cell
-        is this shard's under either policy, and its blocks run one after
-        another inside this shard.
+        is this shard's under either policy, and its trials run one
+        checkpoint after another inside this shard.
         """
         return self.base.block_store(stream_spec)
 
@@ -723,7 +723,7 @@ def run_shard(
     ``status``/``merge`` can aggregate.  Already-cached cells are served,
     not re-run — rerunning a finished shard is free.  A budgeted
     ``config`` is assigned the same way, one whole cell at a time: the
-    shard that owns a cell runs or resumes all of its trial blocks.
+    shard that owns a cell runs or resumes all of its trials.
 
     In claims mode the on-disk claim owner is always ``label`` (or the
     host-pid default) suffixed with this process's identity, so two

@@ -327,11 +327,11 @@ class TestWelfordPartitionProperties:
 
     @pytest.mark.parametrize("entropy", [1, 2, 3])
     def test_block_reassembly_is_bit_identical(self, entropy, tmp_path):
-        # Persist the same trials as differently-shaped block chains (one
-        # store per partition) and serve them back: the refolded stats
-        # must equal the monolithic fold EXACTLY — JSON round-trips of
-        # shortest-repr floats are lossless and refolding preserves trial
-        # order, so no tolerance is needed or allowed here.
+        # Store the same trials through appends of differently-sized
+        # prefixes (one stream per partition) and serve them back: the
+        # refolded stats must equal the monolithic fold EXACTLY — JSON
+        # round-trips of shortest-repr floats are lossless and refolding
+        # preserves trial order, so no tolerance is needed or allowed here.
         per_trial = [{"x": v, "y": v * v} for v in self._values(entropy)]
         monolithic = aggregate_metrics(per_trial)
         cache = CellCache(tmp_path / "cache")
@@ -339,14 +339,10 @@ class TestWelfordPartitionProperties:
             store = cache.block_store(
                 {"kind": "trial-stream", "suite": "partition", "index": index}
             )
-            for start, stop in zip(bounds[:-1], bounds[1:]):
-                if stop > start:
-                    store.append(start, stop, per_trial[start:stop])
-            chain = store.load()
-            assert [b[:2] for b in chain] == [
-                (s, t) for s, t in zip(bounds[:-1], bounds[1:]) if t > s
-            ]
-            served = [metrics for _, _, chunk in chain for metrics in chunk]
+            for stop in sorted(set(bounds) - {0}):
+                store.append(per_trial[:stop])
+            served = store.load()
+            assert served == per_trial
             assert aggregate_metrics(served) == monolithic
 
     def test_merge_with_empty_accumulator_is_exact(self):

@@ -217,17 +217,59 @@ class TestCacheWorkflow:
         err = capsys.readouterr().err
         assert "BAD" in err and "1 bad entries found" in err and "5 healthy" in err
 
-    def test_bad_trial_block_leaves_every_cell_healthy(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "change, listed, pruned",
+        [
+            (lambda entry: entry["spec"].update(protocol="x"), 6, 0),
+            (lambda entry: entry["spec"].update(attacks=["x"], params=[1]), 6, 0),
+            (lambda entry: entry.update(created_at=[1]), 5, 1),
+        ],
+        ids=["spec-protocol", "spec-attacks-and-params", "created-at"],
+    )
+    def test_ls_and_prune_survive_a_mistyped_field(self, capsys, tmp_path, change, listed, pruned):
+        from repro.sim.cache import CellCache
+
+        assert main(self.ARGS + ["--cache-dir", str(tmp_path)]) == 0
+        [first, *_] = CellCache(tmp_path).entries()
+        entry = json.loads(first.path.read_text(encoding="utf-8"))
+        change(entry)
+        first.path.write_text(json.dumps(entry), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["cache", "ls", "--cache-dir", str(tmp_path)]) == 0
+        assert f"{listed} cells" in capsys.readouterr().out
+        assert main(["cache", "prune", "--older-than-days", "1", "--cache-dir", str(tmp_path)]) == 0
+        assert f"pruned {pruned} cached cells" in capsys.readouterr().out
+
+    def test_bad_trial_stream_leaves_every_cell_healthy(self, capsys, tmp_path):
         budget = ["--target-ci", "1e-9", "--max-trials", "4"]
         assert main(self.ARGS + budget + ["--cache-dir", str(tmp_path)]) == 0
         capsys.readouterr()
-        [block, *_] = sorted(tmp_path.rglob("*.blocks/*.json"))
-        block.write_text("garbage", encoding="utf-8")
+        [stream, *_] = sorted(tmp_path.rglob("*.trials"))
+        stream.write_text("garbage", encoding="utf-8")
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert f"BAD  {block}: " in err
-        # The garbage block and the gap it leaves are 2 problems, neither a cell entry.
-        assert "2 bad entries found" in err and "; 6 healthy" in err
+        assert f"BAD  {stream}: " in err
+        # The garbage stream is one problem, and not a cell entry.
+        assert "1 bad entries found" in err and "; 6 healthy" in err
+
+    def test_bad_trial_stream_heals_on_top_up(self, capsys, tmp_path):
+        """A top-up over a damaged stream counts one unreadable entry,
+        reruns that cell from trial 0 and renders the uncached rows."""
+        budget = ["--target-ci", "1e-9", "--trial-batch", "2"]
+        flags = ["--cache-dir", str(tmp_path), "--cache-stats"]
+        assert main(self.ARGS + budget + ["--max-trials", "4"] + flags) == 0
+        capsys.readouterr()
+        [stream, *_] = sorted(tmp_path.rglob("*.trials"))
+        stream.write_text("garbage", encoding="utf-8")
+        assert main(self.ARGS + budget + ["--max-trials", "6"] + flags) == 0
+        topped = capsys.readouterr()
+        assert topped.err == ""
+        assert "1 unreadable entries, 10 trial blocks reused (20 trials), 8 appended" in topped.out
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        assert "ok: 12 cells verified" in capsys.readouterr().out
+        fixed = ["run", "--figure", "table1", "--trials", "6", "--num-users", "4000", "--no-cache"]
+        assert main(fixed) == 0
+        assert topped.out.splitlines()[:-1] == capsys.readouterr().out.splitlines()
 
 
 class TestDamagedCachePayload:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.protocols import GRR, OLH, OUE
 from repro.sim import figures
 from repro.sim.cache import (
     CellCache,
+    _payload_digest,
     cache_tag,
     canonical_key,
     default_cache_dir,
@@ -40,7 +42,7 @@ from repro.sim.cache import (
     source_digest,
     write_json_atomic,
 )
-from repro.sim.engine import TASK_COUNTER, Welford
+from repro.sim.engine import TASK_COUNTER, TrialBudget, Welford
 from repro.sim.experiment import RunContext, evaluate_recovery, run_cell
 
 D = 16
@@ -412,29 +414,70 @@ class TestDamagedPayloads:
         assert json.loads(first.path.read_text(encoding="utf-8"))["payload"] == stored
         assert healed.verify() == []
 
-    @pytest.mark.parametrize("text", ["[1, 2]", "7", '"entry"', "null"])
-    def test_non_object_entry_is_unreadable_everywhere(self, tmp_path, text):
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            *[(text, "cache entry is not a JSON object") for text in ["[1, 2]", "7", '"entry"', "null"]],
+            ("[" * 100_000 + "]" * 100_000, "cache file nests too deeply to parse"),
+        ],
+        ids=["list", "number", "string", "null", "deeply-nested"],
+    )
+    def test_non_object_entry_is_unreadable_everywhere(self, tmp_path, text, problem):
         cache = CellCache(tmp_path)
         clean = _table1_cells(cache)
         first = cache.entries()[0]
         first.path.write_text(text, encoding="utf-8")
         assert len(cache.entries()) == 5
-        assert cache.verify() == [(first.path, "unreadable: cache entry is not a JSON object")]
+        assert cache.verify() == [(first.path, f"unreadable: {problem}")]
         healed = CellCache(tmp_path)
         assert _table1_cells(healed) == clean
         assert (healed.stats.hits, healed.stats.errors) == (5, 1)
         first.path.write_text(text, encoding="utf-8")
         assert cache.prune(older_than_days=1.0) == 1  # unreadable: always eligible
 
-    @pytest.mark.parametrize("part, value", [("meta", "x"), ("spec", [1, 2])])
-    def test_meta_or_spec_that_is_not_an_object(self, tmp_path, part, value):
-        """``cache ls`` lists the other entries and ``verify`` names this one."""
+    @pytest.mark.parametrize(
+        "part, value, problem",
+        [
+            ("meta", "x", "meta is not a JSON object"),
+            ("spec", [1, 2], "spec is not a JSON object"),
+            ("created_at", [1], "created_at is not a JSON number"),
+            ("created_at", True, "created_at is not a JSON number"),
+            ("created_at", 10**400, "created_at is not a JSON number"),
+        ],
+        ids=["meta", "spec", "created-at-list", "created-at-bool", "created-at-too-large"],
+    )
+    def test_meta_or_spec_that_is_not_an_object(self, tmp_path, part, value, problem):
+        """``cache ls`` lists the other entries, ``verify`` names this one,
+        and ``prune`` counts it as unreadable, so old enough at any age."""
         cache = CellCache(tmp_path)
         _table1_cells(cache)
         first = cache.entries()[0]
         self._damage(first, lambda data: data.update({part: value}))
         assert len([entry.summary_row() for entry in cache.entries()]) == 5
-        assert cache.verify() == [(first.path, f"{part} is not a JSON object")]
+        assert cache.verify() == [(first.path, problem)]
+        assert cache.prune(older_than_days=1.0) == 1 and not first.path.exists()
+
+    @pytest.mark.parametrize(
+        "part, value, column, shown",
+        [
+            ("protocol", "x", "protocol", "-"),
+            ("attacks", ["x"], "attack", "?"),
+            ("attacks", 7, "attack", "none"),
+            ("params", [1], "beta", None),
+            ("dataset", "x", "dataset", "-"),
+        ],
+        ids=["protocol", "attack-not-an-object", "attacks-not-a-list", "params", "dataset"],
+    )
+    def test_mistyped_spec_part_lists_as_absent(self, tmp_path, part, value, column, shown):
+        """``cache ls`` shows a spec part of the wrong JSON type as absent;
+        ``verify`` finds the entry because its key no longer matches."""
+        cache = CellCache(tmp_path)
+        _table1_cells(cache)
+        first = cache.entries()[0]
+        self._damage(first, lambda data: data["spec"].update({part: value}))
+        rows = {entry.path: entry.summary_row() for entry in cache.entries()}
+        assert len(rows) == 6 and rows[first.path][column] == shown
+        assert cache.verify() == [(first.path, "key does not match stored spec")]
 
     def test_verify_checks_the_payload_digest(self, tmp_path):
         cache = CellCache(tmp_path)
@@ -491,170 +534,162 @@ class TestDamagedPayloads:
             self._cell(None, broken)
 
 
-class TestTrialBlockIntegrity:
-    """Appendable trial blocks (ISSUE 7): integrity of the block chain.
+def _stream_data(change):
+    """A damage that edits a trial stream's parsed JSON with ``change``."""
+    def damage(path):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        change(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+    return damage
 
-    A budgeted cell's trials persist as contiguous ``[start, stop)``
-    blocks; any violation — corrupt file, gap, overlap, tampered Welford
-    payload — must turn the *whole cell* into a miss (never a partial
-    hit), be reported by ``verify``, and never break the summary-entry
-    store the blocks live beside.
-    """
 
-    SPEC = {"kind": "trial-stream", "suite": "block-integrity"}
+def _stored_trials(per_trial):
+    """A damage that stores ``per_trial`` under its own correct digest, so
+    only the shape check can reject it."""
+    return _stream_data(
+        lambda data: data.update(per_trial=per_trial, payload_sha256=_payload_digest(per_trial))
+    )
+
+
+#: Every way a trial stream can be damaged; each must read as one error.
+STREAM_DAMAGES = pytest.mark.parametrize(
+    "damage",
+    [
+        lambda path: path.write_text("{ truncated", encoding="utf-8"),
+        lambda path: path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8"),
+        _stream_data(lambda data: data["per_trial"][1].update(
+            {metric: value + 1.0 for metric, value in data["per_trial"][1].items()}
+        )),
+        _stream_data(lambda data: data.update(stream_key=canonical_key({"other": "stream"}))),
+        _stored_trials({"x": 1.0}),
+        _stored_trials([1.0, 2.0]),
+        _stored_trials([{"x": "1.0"}]),
+    ],
+    ids=["garbage", "deeply-nested", "changed-number", "foreign-stream-key",
+         "per-trial-not-a-list", "per-trial-not-objects", "string-number"],
+)
+
+
+class TestTrialStream:
+    """A budgeted cell's trials persist as one stream file, ``*.trials``,
+    rewritten whole by every checkpoint that runs trials.  A stream that
+    does not load is a whole-cell miss with exactly one error, ``verify``
+    reports it, and a rerun rewrites it from trial 0."""
+
+    SPEC = {"kind": "trial-stream", "suite": "stream"}
 
     def _store(self, root):
         cache = CellCache(root)
         return cache, cache.block_store(self.SPEC)
 
     def _fill(self, store, stop=6, batch=2):
+        per_trial = []
         for start in range(0, stop, batch):
-            per_trial = [{"x": float(i)} for i in range(start, start + batch)]
-            assert store.append(start, start + batch, per_trial) is not None
+            per_trial += [{"x": float(i)} for i in range(start, start + batch)]
+            store.append(per_trial)
 
     def test_roundtrip_preserves_trials_and_counts_reuse(self, tmp_path):
         cache, store = self._store(tmp_path)
         self._fill(store)
-        chain = store.load()
-        assert [(start, stop) for start, stop, _ in chain] == [(0, 2), (2, 4), (4, 6)]
-        values = [m["x"] for _, _, chunk in chain for m in chunk]
-        assert values == [float(i) for i in range(6)]
-        assert cache.stats.block_hits == 3
-        assert cache.stats.block_trials_reused == 6
         assert cache.stats.block_stores == 3
+        assert list(tmp_path.rglob("*.trials")) == [store.path]
+        assert store.load() == [{"x": float(i)} for i in range(6)]
+        assert (cache.stats.block_trials_reused, cache.stats.errors) == (6, 0)
 
-    def test_corrupt_block_is_a_whole_cell_miss(self, tmp_path):
+    @STREAM_DAMAGES
+    def test_damaged_stream_is_a_whole_cell_miss(self, tmp_path, damage):
         _, store = self._store(tmp_path)
         self._fill(store)
-        store._block_path(2, 4).write_text("{ truncated", encoding="utf-8")
+        damage(store.path)
         cache, store = self._store(tmp_path)  # fresh stats
         assert store.load() == []
-        assert cache.stats.errors == 1
-        assert cache.stats.block_hits == 0, "no partial hit from the valid blocks"
+        assert (cache.stats.errors, cache.stats.block_trials_reused) == (1, 0)
 
-    def test_gapped_chain_is_a_whole_cell_miss(self, tmp_path):
-        _, store = self._store(tmp_path)
-        self._fill(store)
-        store._block_path(0, 2).unlink()
-        cache, store = self._store(tmp_path)
-        assert store.load() == []
-        assert cache.stats.errors == 1
-
-    def test_overlapping_chain_is_a_whole_cell_miss(self, tmp_path):
-        # append refuses overlaps, so forge one: build the [1, 3) block in
-        # a scratch cache (same spec => same stream key => valid content)
-        # and drop its file into the real chain.
-        scratch_cache, scratch = self._store(tmp_path / "scratch")
-        scratch.append(0, 1, [{"x": 0.5}])
-        scratch.append(1, 3, [{"x": 1.5}, {"x": 2.5}])
-        _, store = self._store(tmp_path / "real")
-        self._fill(store)
-        overlap = scratch._block_path(1, 3)
-        (store._block_path(1, 3)).write_text(
-            overlap.read_text(encoding="utf-8"), encoding="utf-8"
-        )
-        cache, store = self._store(tmp_path / "real")
-        assert store.load() == []
-        assert cache.stats.errors == 1
-
-    def test_tampered_welford_payload_is_rejected(self, tmp_path):
-        _, store = self._store(tmp_path)
-        self._fill(store)
-        path = store._block_path(4, 6)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        data["welford"]["x"]["mean"] += 1.0  # stats no longer refold
-        path.write_text(json.dumps(data), encoding="utf-8")
-        cache, store = self._store(tmp_path)
-        assert store.peek(4, 6) is None
-        assert store.load() == []
-        assert cache.stats.errors == 2  # one per failed read path
-
-    def test_append_refuses_gaps_and_invalid_ranges(self, tmp_path):
-        _, store = self._store(tmp_path)
-        assert store.append(2, 4, [{"x": 0.0}, {"x": 1.0}]) is None  # gap at 0
-        assert store.append(0, 2, [{"x": 0.0}, {"x": 1.0}]) is not None
-        assert store.append(4, 6, [{"x": 0.0}, {"x": 1.0}]) is None  # gap at 2
-        assert store.append(0, 2, [{"x": 9.0}, {"x": 9.0}]) is None  # re-append
-        assert [(s, t) for s, t, _ in store.load()] == [(0, 2)]
-        with pytest.raises(InvalidParameterError):
-            store.append(2, 2, [])
-        with pytest.raises(InvalidParameterError):
-            store.append(2, 4, [{"x": 0.0}])  # wrong trial count
-
-    def test_verify_walks_block_problems_to_a_clean_store(self, tmp_path):
+    @STREAM_DAMAGES
+    def test_verify_reports_a_damaged_stream_and_deletes_it(self, tmp_path, damage):
         cache, store = self._store(tmp_path)
         self._fill(store)
-        store._block_path(2, 4).write_text("{ truncated", encoding="utf-8")
-        # One pass reports the corrupt block AND the chain gap it leaves:
-        # the valid tail no longer connects to the valid head.
-        problems = dict(cache.verify())
-        assert len(problems) == 2
-        assert any("unreadable or inconsistent trial block" in p for p in problems.values())
-        assert any("gapped trial blocks" in p for p in problems.values())
-        # Deleting both offenders yields a clean (short) chain.
-        assert dict(cache.verify(delete=True)) == problems
-        assert cache.verify() == []
-        assert [(s, t) for s, t, _ in store.load()] == [(0, 2)]
+        damage(store.path)
+        [(path, problem)] = cache.verify()
+        assert path == store.path and problem.startswith("unreadable: ")
+        assert cache.verify(delete=True) == [(path, problem)]
+        assert cache.verify() == [] and not store.path.exists()
+        assert store.load() == [] and cache.stats.errors == 0  # missing is empty
 
-    def test_blocks_are_invisible_to_entries_and_count(self, tmp_path):
+    def test_streams_are_invisible_to_entries_and_count(self, tmp_path):
         cache, store = self._store(tmp_path)
         self._fill(store)
         assert cache.entries() == []
         assert cache.count() == 0
         assert cache.verify() == []
 
-    def test_prune_sweeps_aged_blocks(self, tmp_path):
+    def test_prune_sweeps_aged_streams(self, tmp_path):
         cache, store = self._store(tmp_path)
         self._fill(store)
-        assert cache.prune(older_than_days=1.0) == 0  # all fresh
+        assert cache.prune(older_than_days=1.0) == 0  # fresh
         old = time.time() - 2 * 86_400.0
-        for _, _, _ in store.load():
-            pass
-        for path in sorted(store.directory.glob("*.json")):
-            os.utime(path, (old, old))
-        assert cache.prune(older_than_days=1.0) == 3
+        os.utime(store.path, (old, old))
+        assert cache.prune(older_than_days=1.0) == 1
         assert store.load() == []
 
-    def test_corrupt_block_recovers_bit_identically(self, tmp_path):
-        """End to end through evaluate_recovery: a corrupt block voids the
-        chain (the cell-level load is a miss, never a partial chain), the
-        adaptive driver re-simulates the corrupt range — reusing only
-        blocks that individually revalidate (range, stream key, Welford
-        refold) — and the result equals the uncached run bit for bit."""
-        from repro.sim.engine import TrialBudget
+    def test_old_block_files_go_with_other_versions(self, tmp_path):
+        """Trial blocks of the layout before streams match ``*.json``:
+        ``ls --all-versions`` skips them (they carry no key) and ``prune
+        --all-versions`` removes them."""
+        blocks = tmp_path / "v3-repro-0.1.0-abc" / "ab" / f"{'ab' * 32}.blocks"
+        blocks.mkdir(parents=True)
+        (blocks / "00000000-00000002.json").write_text(
+            json.dumps({"stream_key": "ab" * 32, "start": 0, "stop": 2,
+                        "per_trial": [{"x": 0.0}, {"x": 1.0}]}),
+            encoding="utf-8",
+        )
+        cache = CellCache(tmp_path)
+        assert cache.entries(all_tags=True) == []
+        assert cache.prune(all_tags=True) == 1
 
-        budget = TrialBudget(target_halfwidth=1e-12, min_trials=2, max_trials=4, batch=2)
+    @STREAM_DAMAGES
+    def test_damaged_stream_heals_bit_identically(self, tmp_path, damage):
+        """End to end through evaluate_recovery: after the damage a top-up
+        counts one error, reruns every trial from trial 0, rewrites the
+        stream and equals the uncached run; the next top-up runs only its
+        new trials."""
+        short = TrialBudget(target_halfwidth=1e-12, min_trials=2, max_trials=4, batch=2)
 
-        def run(cache):
+        def run(cache, max_trials):
+            budget = replace(short, max_trials=max_trials)
             return evaluate_recovery(
                 DATASET, GRR(epsilon=0.5, domain_size=D),
                 MGAAttack(domain_size=D, r=3, rng=0),
                 trials=2, rng=4, ctx=RunContext(cache=cache, budget=budget),
             )
 
-        cache = CellCache(tmp_path)
-        reference = run(cache)
-        block_dirs = sorted(tmp_path.rglob("*.blocks"))
-        assert len(block_dirs) == 1
-        victim, survivor = sorted(block_dirs[0].glob("*.json"))
-        victim.write_text("{ truncated", encoding="utf-8")
-        [entry] = cache.entries()
-        entry.path.unlink()  # force the rerun past the summary entry
-        fresh = CellCache(tmp_path)
+        run(CellCache(tmp_path), 4)
+        [stream] = tmp_path.rglob("*.trials")
+        damage(stream)
+        healed = CellCache(tmp_path)
         TASK_COUNTER.reset()
-        healed = run(fresh)
-        # Trials [0, 2) re-simulate; the [2, 4) block revalidates and is
-        # reused — never the voided chain as a whole.
-        assert TASK_COUNTER.count == 2
-        assert fresh.stats.errors >= 1
-        assert fresh.stats.block_trials_reused == 2
-        assert healed == reference
-        assert survivor.exists()
+        topped = run(healed, 6)
+        assert TASK_COUNTER.count == 6  # every trial reruns
+        assert (healed.stats.errors, healed.stats.block_hits, healed.stats.block_stores) == (1, 0, 3)
+        assert len(json.loads(stream.read_text(encoding="utf-8"))["per_trial"]) == 6
+        assert healed.verify() == []
+        assert topped == evaluate_recovery(
+            DATASET, GRR(epsilon=0.5, domain_size=D), MGAAttack(domain_size=D, r=3, rng=0),
+            trials=6, rng=4,
+        )
+        again = CellCache(tmp_path)
+        TASK_COUNTER.reset()
+        run(again, 8)
+        assert TASK_COUNTER.count == 2  # only trials [6, 8) are new
+        stats = again.stats
+        assert (stats.errors, stats.block_hits, stats.block_trials_reused, stats.block_stores) == (
+            0, 3, 6, 1,
+        )
 
 
 class TestAtomicJsonWriter:
     def test_unserializable_payload_raises_and_leaves_no_file(self, tmp_path):
-        """The cache entries, trial blocks and shard reports share one
+        """The cache entries, trial streams and shard reports share one
         writer: a payload ``json.dump`` rejects midway leaves neither the
         target nor the temp file behind."""
         target = tmp_path / "entry.json"

@@ -393,7 +393,7 @@ class TestConcurrentClaimRace:
 
 
 #: Adaptive sweep over the same 6 table1 cells: an unreachable CI target
-#: drives every cell to max_trials, in appendable 2-trial blocks.
+#: drives every cell to max_trials, in 2-trial blocks.
 BUDGET_CONFIG = dataclasses.replace(CONFIG, target_ci=1e-12, max_trials=4, trial_batch=2)
 
 #: The same sweep extended: trials [4, 6) of every cell are the only new work.
@@ -431,7 +431,7 @@ class TestAdaptiveBudgetSharding:
     def test_budgeted_claims_shard_skips_a_cell_a_live_peer_holds(self, tmp_path):
         """Under a budget, claims arbitrate whole cells as they do without
         one: a cell whose claim a live peer holds is skipped, and none of
-        its trial blocks is simulated here."""
+        its trials is simulated here."""
         cache = CellCache(tmp_path)
         target = enumerate_cells(BUDGET_CONFIG)[0]
         foreign = ClaimQueue(cache.root / "_shard" / "claims", owner="peer")

@@ -22,11 +22,16 @@ the same reports: ingest folds through
 :meth:`repro.protocols.base.FrequencyOracle.fold_support_counts` (a sum
 over reports, so equal to one ``support_counts`` pass over the epoch) and
 the views call the exact recovery functions the exhibits use.
+
+The ingest totals (:attr:`RecoveryService.ingested_reports` /
+:attr:`~RecoveryService.ingested_batches`) are derived from the
+aggregator's epochs, never kept beside them, so a snapshot carries the
+state once.  A snapshot read back is checked field by field under the
+cell cache's one type rule (:func:`repro.sim.cache.json_typed`).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -38,8 +43,9 @@ from repro.core.detection import detect_and_aggregate
 from repro.core.recover import DEFAULT_ETA, recover_frequencies
 from repro.exceptions import InvalidParameterError, ProtocolError
 from repro.protocols.base import FrequencyOracle
+from repro.sim.cache import json_typed
 from repro.sim.engine import CallCounter
-from repro.sim.streaming import AggregatorState, snapshot_count, snapshot_object
+from repro.sim.streaming import AggregatorState, snapshot_object
 
 #: The frequency views a service can serve per epoch.
 METHODS = ("raw", "recover", "recover_star", "detection")
@@ -123,8 +129,6 @@ class RecoveryService:
         #: Counts actual recovery recomputations (cache misses); warm
         #: reads leave it untouched, which tests assert directly.
         self.recomputes = CallCounter()
-        self.ingested_reports = 0
-        self.ingested_batches = 0
         self._dirty: set[str] = set()
         self._views: dict[str, OrderedDict[tuple[str, tuple[int, ...]], np.ndarray]] = {}
         self._retained: dict[str, list[Any]] = {}
@@ -142,8 +146,6 @@ class RecoveryService:
         n = self.state.ingest(epoch, reports)
         if self.retain_reports:
             self._retained.setdefault(epoch, []).append(reports)
-        self.ingested_reports += n
-        self.ingested_batches += 1
         self._dirty.add(epoch)
         return n
 
@@ -163,13 +165,21 @@ class RecoveryService:
         byte-equal to having ingested the collector's batches directly.
         Returns the number of reports absorbed.
         """
-        absorbed_reports = sum(state.num_reports for state in other.epochs.values())
-        absorbed_batches = sum(state.batches for state in other.epochs.values())
+        absorbed = sum(state.num_reports for state in other.epochs.values())
         self.state.merge(other)
-        self.ingested_reports += absorbed_reports
-        self.ingested_batches += absorbed_batches
         self._dirty.update(other.epoch_names())
-        return absorbed_reports
+        return absorbed
+
+    @property
+    def ingested_reports(self) -> int:
+        """Reports folded in so far: the sum of every epoch's
+        ``num_reports`` (restored ones included)."""
+        return sum(state.num_reports for state in self.state.epochs.values())
+
+    @property
+    def ingested_batches(self) -> int:
+        """Batches folded in so far: the sum of every epoch's ``batches``."""
+        return sum(state.batches for state in self.state.epochs.values())
 
     # ------------------------------------------------------------------
     # Read path (lazy, dirty-epoch invalidated)
@@ -290,17 +300,17 @@ class RecoveryService:
         }
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-safe snapshot: the aggregator state plus ingest counters.
+        """JSON-safe snapshot: ``eta`` and the aggregator state.
 
-        Cached views and retained raw reports are *not* persisted — views
-        recompute lazily after restore, and a restored service serves
-        ``detection`` only for reports ingested after the restore.
+        The ingest totals are not stored: they are sums over the
+        aggregator's epochs.  Cached views and retained raw reports are
+        *not* persisted either — views recompute lazily after restore, and
+        a restored service serves ``detection`` only for reports ingested
+        after the restore.
         """
         return {
             "format": SERVICE_SNAPSHOT_FORMAT,
             "eta": self.eta,
-            "ingested_reports": self.ingested_reports,
-            "ingested_batches": self.ingested_batches,
             "aggregator": self.state.snapshot(),
         }
 
@@ -318,9 +328,12 @@ class RecoveryService:
         remainder of a stream into the restored service yields the same
         counts as an uninterrupted run — nothing is double-counted
         because the snapshot holds folded partial sums, not batches.
-        Snapshots are read back from files, so every field is checked: a
-        malformed one raises :class:`~repro.exceptions.ProtocolError`
-        naming it.
+        Snapshots are read back from files, so every field is checked
+        under :func:`~repro.sim.cache.json_typed` (``eta`` a number a
+        float can hold): a malformed one raises
+        :class:`~repro.exceptions.ProtocolError` naming it.  The
+        ``ingested_reports`` / ``ingested_batches`` fields that earlier
+        snapshots carry are ignored; the totals are the epochs' sums.
         """
         snapshot = snapshot_object(snapshot, "service snapshot")
         if snapshot.get("format") != SERVICE_SNAPSHOT_FORMAT:
@@ -329,7 +342,7 @@ class RecoveryService:
                 f"expected {SERVICE_SNAPSHOT_FORMAT}"
             )
         eta = snapshot.get("eta", DEFAULT_ETA)
-        if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not math.isfinite(eta):
+        if not json_typed(eta, float):
             raise ProtocolError(
                 f"service snapshot field 'eta' must be a finite number, got {eta!r}"
             )
@@ -337,12 +350,6 @@ class RecoveryService:
         service.state = AggregatorState.restore(
             snapshot_object(snapshot.get("aggregator"), "service snapshot field 'aggregator'"),
             protocol,
-        )
-        service.ingested_reports = snapshot_count(
-            snapshot.get("ingested_reports", 0), "service snapshot field 'ingested_reports'"
-        )
-        service.ingested_batches = snapshot_count(
-            snapshot.get("ingested_batches", 0), "service snapshot field 'ingested_batches'"
         )
         return service
 

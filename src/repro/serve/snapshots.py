@@ -4,7 +4,9 @@ One JSON file per snapshot under a directory, written through the cell
 cache's atomic writer (:func:`repro.sim.cache.write_json_atomic`: temp
 file + ``os.replace``) so a kill mid-write never leaves a truncated
 snapshot behind — the previous snapshot stays the latest readable
-one.  File names carry a
+one — and read back through its one reader
+(:func:`repro.sim.cache.read_json_object`), so a snapshot file that does
+not read is skipped like a truncated one.  File names carry a
 monotonically increasing sequence number (``snapshot-00000001.json``),
 derived by scanning the directory, so ordering never depends on the
 clock; the wall-clock ``created_at`` stamp inside each file is
@@ -13,14 +15,13 @@ operational metadata only and never enters any identity.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import re
 import time
 from typing import Any, Optional
 
-from repro.sim.cache import write_json_atomic
+from repro.sim.cache import read_json_object, write_json_atomic
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.json$")
 
@@ -59,7 +60,6 @@ class SnapshotStore:
         The payload is wrapped with the sequence number and a wall-clock
         ``created_at`` stamp (metadata for operators; restore ignores it).
         """
-        self.root.mkdir(parents=True, exist_ok=True)
         index = self._next_index()
         path = self.root / f"snapshot-{index:08d}.json"
         entry = {
@@ -73,16 +73,16 @@ class SnapshotStore:
     def latest(self) -> Optional[dict[str, Any]]:
         """The newest readable snapshot payload, or ``None`` if there is none.
 
-        Unreadable or truncated files (a crash racing ``os.replace`` on a
-        non-atomic filesystem) are skipped in favor of the next-newest —
-        the same treat-as-miss policy the cell cache applies.
+        Files that :func:`~repro.sim.cache.read_json_object` cannot read
+        with a ``snapshot`` object — truncated (a crash racing
+        ``os.replace`` on a non-atomic filesystem), nested too deeply to
+        parse, or of another shape — are skipped in favor of the
+        next-newest, the same treat-as-miss policy the cell cache applies.
         """
         for path in reversed(self.paths()):
             try:
-                with open(path, encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                return dict(entry["snapshot"])
-            except (OSError, ValueError, KeyError, TypeError):
+                return read_json_object(path, {"snapshot": dict})["snapshot"]
+            except (OSError, ValueError, KeyError):
                 continue
         return None
 

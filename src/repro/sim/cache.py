@@ -30,6 +30,17 @@ and reported by :meth:`CellCache.verify`.  A budgeted cell also keeps
 its per-trial metrics, in trial order, in one stream file beside the
 entries (:class:`CellBlockStore`), so a larger budget resumes from them.
 
+Every record the tool writes goes through one writer,
+:func:`write_json_atomic`, and every record it reads back — cache
+entries and trial streams here, shard reports and claims
+(:mod:`repro.sim.shard`), service snapshots (:mod:`repro.serve`) —
+through one reader, :func:`read_json_object`, under one type rule,
+:func:`json_typed`.  A file that is not JSON, nests too deeply to parse,
+holds another JSON value or a field of another JSON type is one
+unreadable record, never a traceback; each kind then keeps its own
+outcome (a miss, an empty stream, a skipped report, an ownerless claim,
+the next-newest snapshot).
+
 Every cell is read and written through one path,
 :func:`repro.sim.experiment.run_cell` (:meth:`CellCache.get` /
 :meth:`CellCache.put`), and every cell's payload has one form: its
@@ -79,6 +90,8 @@ __all__ = [
     "fingerprint_kv_population",
     "fingerprint_object",
     "fingerprint_seed_sequences",
+    "json_typed",
+    "read_json_object",
     "resolve_cache",
     "resolved_cohort_chunk",
     "row_cell_spec",
@@ -437,15 +450,17 @@ _R = TypeVar("_R")
 def _welford_of(state: Any) -> Welford:
     """Rebuild one stored ``asdict`` :class:`~repro.sim.engine.Welford` state.
 
-    Any ``state`` other than exactly ``{"count": int, "mean": float,
-    "m2": float}`` (a bool is no ``int`` here) raises :class:`ValueError`,
-    or :class:`TypeError` for a foreign key, so a reader treats it as
-    unreadable.
+    Any ``state`` other than exactly ``{"count": integer, "mean": float,
+    "m2": float}`` (``count`` under :func:`json_typed`'s integer rule, so
+    neither a bool nor an int a float cannot hold) raises
+    :class:`ValueError`, or :class:`TypeError` for a foreign key, so a
+    reader treats it as unreadable.
     """
     if type(state) is not dict or len(state) != 3:
         raise ValueError(f"not a Welford state: {state!r}")
     welford = Welford(**state)
-    if (type(welford.count), type(welford.mean), type(welford.m2)) != (int, float, float):
+    floats = (type(welford.mean), type(welford.m2)) == (float, float)
+    if not floats or not json_typed(welford.count, int):
         raise ValueError(f"not a Welford state: {state!r}")
     return welford
 
@@ -533,14 +548,22 @@ def write_json_atomic(
 ) -> None:
     """Write ``obj`` as compact JSON to ``path``, atomically.
 
-    The JSON goes to a temp file beside ``path`` (``separators=(",", ":")``
-    and ``default`` as given to :func:`json.dump`), which ``os.replace``
-    then moves over ``path``, so a reader sees the old file or the whole
-    new one and never a truncated write.  On any exception, including an
-    ``obj`` that cannot serialize, the temp file is removed and the
-    exception re-raised, leaving ``path`` untouched.
+    The one writer of every record the tool reads back.  The JSON goes to
+    a temp file beside ``path`` (``separators=(",", ":")`` and ``default``
+    as given to :func:`json.dump`), which ``os.replace`` then moves over
+    ``path``, so a reader sees the old file or the whole new one and never
+    a truncated write.  The directory of ``path`` is created when missing,
+    and created once more when a concurrent :meth:`CellCache.prune`
+    removes it, emptied, before the temp file lands.  On any exception,
+    including an ``obj`` that cannot serialize, the temp file is removed
+    and the exception re-raised, leaving ``path`` untouched.
     """
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except FileNotFoundError:  # a concurrent prune removed the emptied directory
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             json.dump(obj, handle, separators=(",", ":"), default=default)
@@ -553,34 +576,57 @@ def write_json_atomic(
         raise
 
 
-def _read_entry(path: pathlib.Path) -> dict[str, Any]:
-    """The JSON object stored in the entry file ``path``.
+#: The JSON type each Python type stands for in :func:`json_typed`.
+_JSON_TYPES: dict[type, str] = {
+    dict: "object", list: "array", str: "string", float: "number", int: "integer"
+}
 
-    Raises :class:`ValueError` when the file is not JSON (nesting too deep
-    for the parser included) or holds another JSON value, so every reader
-    treats both as one unreadable entry.
+
+def json_typed(value: Any, kind: type) -> bool:
+    """Whether ``value``, read back from JSON, has the JSON type ``kind``.
+
+    The one type rule of every record the tool reads back.  ``kind`` is
+    ``dict``, ``list`` or ``str`` for an object, an array or a string,
+    checked with ``isinstance``; ``float`` for a number: an ``int`` or a
+    ``float``, never a ``bool``, that a float can hold (``abs(value) <=
+    sys.float_info.max``), so a 400-digit integer, NaN and ±inf are none;
+    and ``int`` for an integer, the same rule for an ``int`` alone.
+    """
+    if kind is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if kind is int:
+        return type(value) is int and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def read_json_object(
+    path: pathlib.Path, fields: Optional[dict[str, type]] = None
+) -> dict[str, Any]:
+    """The JSON object stored in the file ``path``.
+
+    The one reader of every record the tool reads back: cache entries
+    and trial streams, shard reports and claims, service snapshots.
+    Raises :class:`ValueError` when the file is not JSON (nesting too
+    deep for the parser included), holds another JSON value, or has one
+    of ``fields`` (``{name: kind}``) present with another JSON type under
+    :func:`json_typed`, and :class:`OSError` when it cannot be read, so
+    every caller treats all of these as one unreadable record.
     """
     with path.open("r", encoding="utf-8") as handle:
         try:
-            entry = json.load(handle)
+            record = json.load(handle)
         except RecursionError as exc:
             raise ValueError("cache file nests too deeply to parse") from exc
-    if not isinstance(entry, dict):
+    if not isinstance(record, dict):
         raise ValueError("cache entry is not a JSON object")
-    return entry
+    for name, kind in (fields or {}).items():
+        if name in record and not json_typed(record[name], kind):
+            raise ValueError(f"{name} is not a JSON {_JSON_TYPES[kind]}")
+    return record
 
 
-def _malformed_part(entry: dict[str, Any]) -> Optional[str]:
-    """The problem of a part of ``entry`` that is present with the wrong
-    JSON type — ``spec`` or ``meta`` not an object, ``created_at`` not a
-    finite number a float can hold (a bool is none) — else ``None``."""
-    for part in ("spec", "meta"):
-        if not isinstance(entry.get(part, {}), dict):
-            return f"{part} is not a JSON object"
-    created_at = entry.get("created_at", 0.0)
-    if type(created_at) not in (int, float) or not abs(created_at) <= sys.float_info.max:
-        return "created_at is not a JSON number"
-    return None
+#: The typed parts of a cache entry: a mistyped one makes it unreadable.
+_ENTRY_FIELDS: dict[str, type] = {"spec": dict, "meta": dict, "created_at": float}
 
 
 def _part(value: Any, kind: type = dict) -> Any:
@@ -594,15 +640,15 @@ def _read_stream(path: pathlib.Path, stream_key: str) -> list[dict[str, float]]:
 
     Raises :class:`ValueError` unless the file is a JSON object that names
     ``stream_key``, holds ``per_trial`` as a list of ``{str: number}``
-    objects, and carries that list's ``payload_sha256``.
+    objects (numbers under :func:`json_typed`), and carries that list's
+    ``payload_sha256``.
     """
-    data = _read_entry(path)
+    data = read_json_object(path)
     per_trial = data.get("per_trial")
     if data.get("stream_key") != stream_key:
         raise ValueError("stream key does not match the file name")
-    if not isinstance(per_trial, list) or not all(
-        isinstance(metrics, dict)
-        and all(type(value) in (int, float) for value in metrics.values())
+    if not json_typed(per_trial, list) or not all(
+        json_typed(metrics, dict) and all(json_typed(value, float) for value in metrics.values())
         for metrics in per_trial
     ):
         raise ValueError("per_trial is not a list of metric objects")
@@ -763,17 +809,19 @@ class CellCache:
         The one decoder of every cell: the stored payload is rebuilt into
         its per-metric :class:`~repro.sim.engine.Welford` states and
         ``rows_for(stats)`` renders the cell's rows.  An entry that does
-        not do both — a truncated file, a payload that is not a JSON
-        object or holds a state that is not exactly ``{count: int, mean:
-        float, m2: float}``, statistics its renderer cannot read — counts
-        as one miss and bumps :attr:`CacheStats.errors`, so the cell is
-        recomputed and its entry overwritten.  Each lookup is counted
-        once.  The payload digest is left to :meth:`verify`, which keeps
-        warm reads cheap.
+        not do both — a file :func:`read_json_object` cannot read (``spec``
+        or ``meta`` not an object, ``created_at`` not a number included, as
+        for :meth:`entries`, :meth:`verify` and :meth:`prune`), a payload
+        that is not a JSON object or holds a state that is not exactly
+        ``{count: integer, mean: float, m2: float}``, statistics its
+        renderer cannot read — counts as one miss and bumps
+        :attr:`CacheStats.errors`, so the cell is recomputed and its entry
+        overwritten.  Each lookup is counted once.  The payload digest is
+        left to :meth:`verify`, which keeps warm reads cheap.
         """
         path = self._path(self.key_for(spec))
         try:
-            payload = _read_entry(path)["payload"]
+            payload = read_json_object(path, _ENTRY_FIELDS)["payload"]
             rows = rows_for({name: _welford_of(state) for name, state in payload.items()})
         except FileNotFoundError:
             self.stats.misses += 1
@@ -813,7 +861,6 @@ class CellCache:
         """
         key = self.key_for(spec)
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {name: asdict(w) for name, w in sorted(stats.items())}
         entry = {
             "key": key,
@@ -867,8 +914,8 @@ class CellCache:
         base = self.cache_dir if all_tags else self.root
         return sorted(base.rglob(pattern)) if base.is_dir() else []
 
-    def _sweep_orphan_tmp(self, all_tags: bool = False) -> int:
-        """Delete orphaned writer temp files; return the number removed.
+    def _sweep_orphan_tmp(self, all_tags: bool = False) -> None:
+        """Delete orphaned writer temp files.
 
         A crashed (SIGKILLed) :meth:`put` cannot reach its cleanup
         handler, leaving a ``*.tmp`` file behind forever.  Files younger
@@ -877,18 +924,12 @@ class CellCache:
         extends the sweep beyond the current version tag.
         """
         horizon = time.time() - self.TMP_ORPHAN_SECONDS
-        removed = 0
         for path in self._files("*.tmp", all_tags):
             try:
-                if path.stat().st_mtime > horizon:
-                    continue
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
+                if path.stat().st_mtime <= horizon:
+                    _remove(path)
+            except OSError:
                 continue  # a concurrent sweep (or the writer) got there first
-            except OSError:  # pragma: no cover - permission problems etc.
-                continue
-        return removed
 
     def count(self, all_tags: bool = False) -> int:
         """Number of entry files on disk (readable or not)."""
@@ -899,14 +940,12 @@ class CellCache:
 
         An entry whose ``spec`` or ``meta`` is not a JSON object, or whose
         ``created_at`` is not a number a float can hold, is unreadable
-        here too; :meth:`verify` reports it.
+        here as in :meth:`get`; :meth:`verify` reports it.
         """
         out = []
         for path in self._files("*.json", all_tags):
             try:
-                entry = _read_entry(path)
-                if _malformed_part(entry) is not None:
-                    continue
+                entry = read_json_object(path, _ENTRY_FIELDS)
                 out.append(
                     CacheEntry(
                         key=str(entry["key"]),
@@ -917,16 +956,14 @@ class CellCache:
                         meta=entry.get("meta"),
                     )
                 )
-            except FileNotFoundError:
-                continue  # pruned by a concurrent process: already gone
             except (ValueError, KeyError, OSError):
-                continue
+                continue  # unreadable, or pruned by a concurrent process
         return out
 
     def prune(
         self, older_than_days: Optional[float] = None, all_tags: bool = False
     ) -> int:
-        """Delete cached cells; return the number of files removed.
+        """Delete cached cells; return the number of entries removed.
 
         ``older_than_days`` keeps entries younger than the horizon;
         ``None`` removes everything.  ``all_tags`` extends the sweep to
@@ -935,10 +972,12 @@ class CellCache:
         writer temp files (``*.tmp`` older than
         :attr:`TMP_ORPHAN_SECONDS`, left by SIGKILLed writers) and trial
         streams (aged by file modification time — streams carry no
-        timestamps of their own); both count toward the returned total.
-        An unreadable entry is always old enough.  Entries deleted
-        concurrently by another process are treated as already gone, not
-        errors.
+        timestamps of their own); neither counts toward the returned
+        total.  Each removal also removes the file's directory once it is
+        empty (a concurrent writer recreates it; see
+        :func:`write_json_atomic`).  An unreadable entry is always old
+        enough.  Entries deleted concurrently by another process are
+        treated as already gone, not errors.
         """
         if older_than_days is not None and older_than_days < 0:
             raise InvalidParameterError(
@@ -947,25 +986,24 @@ class CellCache:
         horizon = (
             None if older_than_days is None else time.time() - 86_400.0 * older_than_days
         )
-        removed = self._sweep_orphan_tmp(all_tags)
+        self._sweep_orphan_tmp(all_tags)
+        removed = 0
         for path in [*self._files("*.json", all_tags), *self._files("*.trials", all_tags)]:
             try:
-                if horizon is not None and _stamp(path) > horizon:
-                    continue
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
+                if (horizon is None or _stamp(path) <= horizon) and _remove(path):
+                    removed += self.is_entry(path)
+            except OSError:
                 continue  # pruned by a concurrent process: already gone
-            except OSError:  # pragma: no cover - permission problems etc.
-                continue
         return removed
 
     def verify(self, delete: bool = False) -> list[tuple[pathlib.Path, str]]:
         """Check every entry's and stream's integrity; return ``(path,
         problem)`` pairs.
 
-        An entry is healthy when it parses as a JSON object, carries a
-        payload, its stored key equals the canonical hash recomputed from
+        An entry is healthy when :func:`read_json_object` reads it (a JSON
+        object whose ``spec`` and ``meta`` are objects and ``created_at``
+        a number, like :meth:`get` requires), it carries a payload, its
+        stored key equals the canonical hash recomputed from
         its stored spec, and its stored ``payload_sha256`` equals the
         digest recomputed from its payload (i.e. the file content was not
         tampered with or half-written).  A trial stream is healthy when
@@ -991,18 +1029,31 @@ class CellCache:
         return problems
 
 
+def _remove(path: pathlib.Path) -> bool:
+    """Delete the cache file ``path``, then its directory if that is now
+    empty; ``False`` when another process removed the file first."""
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        return False
+    try:
+        path.parent.rmdir()
+    except OSError:
+        pass  # not empty, or already gone
+    return True
+
+
 def _stamp(path: pathlib.Path) -> float:
     """When the cache file ``path`` was written, for ``prune``: an entry's
     ``created_at`` (``0.0`` when unreadable), a stream's modification time."""
     if path.suffix == ".trials":
         return path.stat().st_mtime
     try:
-        entry = _read_entry(path)
+        return float(read_json_object(path, _ENTRY_FIELDS).get("created_at", 0.0))
     except FileNotFoundError:
         raise
     except (ValueError, OSError):
         return 0.0  # unreadable: always eligible
-    return 0.0 if _malformed_part(entry) else float(entry.get("created_at", 0.0))
 
 
 def _problem(path: pathlib.Path) -> Optional[str]:
@@ -1012,12 +1063,9 @@ def _problem(path: pathlib.Path) -> Optional[str]:
     if path.suffix == ".trials":
         _read_stream(path, path.stem)
         return None
-    entry = _read_entry(path)
-    malformed = _malformed_part(entry)
+    entry = read_json_object(path, _ENTRY_FIELDS)
     if "payload" not in entry:
         return "missing payload"
-    if malformed is not None:
-        return malformed
     if canonical_key(entry.get("spec", {})) != entry.get("key"):
         return "key does not match stored spec"
     if path.stem != entry.get("key"):
@@ -1040,8 +1088,9 @@ class CellBlockStore:
     worst shorten it, losing work but never making a number wrong.
 
     A stream that does not load — not JSON, another stream's key, a
-    ``per_trial`` that is not a list of metric objects, or a digest that
-    does not match — is one :attr:`CacheStats.errors` and reads as empty,
+    ``per_trial`` that is not a list of metric objects, a value that is
+    not a number a float can hold, or a digest that does not match — is
+    one :attr:`CacheStats.errors` and reads as empty,
     so the cell reruns from trial 0 and rewrites it.
 
     This class satisfies the engine's
@@ -1074,7 +1123,6 @@ class CellBlockStore:
     def append(self, per_trial: list[dict[str, float]]) -> None:
         """Store ``per_trial``, the stream from trial 0, as one new block
         (atomic rewrite of the whole file)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         stream = {
             "stream_key": self.stream_key,
             "schema": CACHE_SCHEMA,

@@ -37,7 +37,13 @@ Shard coordination state lives under ``<cache root>/_shard/`` —
 ``claims/*.claim`` plus per-shard ``reports/**/*.report`` files — which
 the cache's own maintenance ignores (it only considers ``*.json``
 entries and ``*.trials`` streams).  Because the root embeds the versioned cache tag, machines
-running different code never share claims either.
+running different code never share claims either.  Both are written and
+read back through the cache's one writer and one reader
+(:func:`~repro.sim.cache.write_json_atomic`,
+:func:`~repro.sim.cache.read_json_object`), so a damaged record ends no
+command with a traceback: a report that does not read is skipped, and a
+claim that does not read is an ownerless claim aged by its file's
+modification time.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ import json
 import os
 import pathlib
 import socket
-import tempfile
 import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
@@ -59,6 +64,7 @@ from repro.sim.cache import (
     CellCache,
     _welford_of,
     canonical_key,
+    read_json_object,
     write_json_atomic,
 )
 from repro.sim.engine import TASK_COUNTER, TrialBudget, Welford, run_scope
@@ -313,10 +319,15 @@ class ClaimQueue:
     machines polling the same shared cache directory never both own a
     live claim.  A claim whose recorded ``claimed_at`` is older than
     ``ttl`` seconds is *stale* (its owner crashed without releasing):
-    stealing rewrites it via a temp file + ``os.replace`` (atomic on
-    POSIX) and then reads the file back, only treating the claim as won
-    when the readback carries the stealer's own token.  Completed cells
-    release their claim; crashes release implicitly via the TTL.
+    stealing rewrites it through
+    :func:`~repro.sim.cache.write_json_atomic` (temp file + ``os.replace``,
+    atomic on POSIX) and then reads the record back, only treating the
+    claim as won when the readback is the stealer's own record.  A claim
+    file that :func:`~repro.sim.cache.read_json_object` cannot read (not
+    JSON, nested too deeply, or a ``claimed_at`` that is not a number)
+    is an ownerless claim aged by the file's modification time.
+    Completed cells release their claim; crashes release implicitly via
+    the TTL.
 
     Parameters
     ----------
@@ -353,16 +364,14 @@ class ClaimQueue:
     def peek(self, key: str) -> Optional[dict[str, Any]]:
         """The current claim record of ``key``, or ``None`` when unclaimed.
 
-        An unreadable (half-written or corrupt) claim file reads as a
-        record with no owner and ``claimed_at`` taken from the file's
-        mtime, so it still ages out via the TTL.
+        An unreadable (half-written or corrupt) claim file, or one whose
+        ``claimed_at`` is not a number, reads as a record with no owner and
+        ``claimed_at`` taken from the file's mtime, so it still ages out
+        via the TTL.
         """
         path = self.path_for(key)
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError("claim is not an object")
-            return record
+            return read_json_object(path, {"claimed_at": float})
         except FileNotFoundError:
             return None
         except (ValueError, OSError):
@@ -372,12 +381,9 @@ class ClaimQueue:
                 return None
 
     def is_stale(self, record: dict[str, Any]) -> bool:
-        """Whether a claim ``record`` has outlived the TTL."""
-        try:
-            claimed_at = float(record.get("claimed_at", 0.0))
-        except (TypeError, ValueError):
-            claimed_at = 0.0
-        return (time.time() - claimed_at) > self.ttl
+        """Whether a claim ``record`` (as :meth:`peek` returns it) has
+        outlived the TTL; a record without ``claimed_at`` has."""
+        return (time.time() - record.get("claimed_at", 0.0)) > self.ttl
 
     def acquire(self, key: str) -> bool:
         """Try to claim cell ``key``; return whether this queue now owns it.
@@ -387,12 +393,12 @@ class ClaimQueue:
         """
         path = self.path_for(key)
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(self._record(), separators=(",", ":"))
+        record = self._record()
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            record = self.peek(key)
-            if record is None:
+            current = self.peek(key)
+            if current is None:
                 # Released between our create attempt and the peek; retry
                 # once — losing the retry race just means someone else won.
                 try:
@@ -400,37 +406,28 @@ class ClaimQueue:
                 except FileExistsError:
                     return False
             else:
-                if record.get("owner") == self.owner:
+                if current.get("owner") == self.owner:
                     return True
-                if not self.is_stale(record):
+                if not self.is_stale(current):
                     return False
-                return self._steal(path, payload)
+                return self._steal(path, record)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            json.dump(record, handle, separators=(",", ":"))
         return True
 
-    def _steal(self, path: pathlib.Path, payload: str) -> bool:
-        """Atomically overwrite a stale claim and confirm ownership.
+    def _steal(self, path: pathlib.Path, record: dict[str, Any]) -> bool:
+        """Atomically overwrite a stale claim with ``record`` and confirm
+        ownership.
 
         Two stealers may both ``os.replace``; the readback disambiguates —
-        only the one whose token survives owns the cell.  (The tiny window
+        only the one whose record survives owns the cell.  (The tiny window
         where a loser's replace clobbers a winner mid-cell can duplicate
         work, never corrupt it; see the class docstring.)
         """
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".claim.tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except OSError:  # pragma: no cover - shared-dir permission races
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            return False
-        try:
-            return path.read_text(encoding="utf-8") == payload
-        except OSError:  # pragma: no cover - claim released mid-steal
+            write_json_atomic(path, record)
+            return read_json_object(path) == record
+        except (OSError, ValueError):  # pragma: no cover - claim released mid-steal
             return False
 
     def release(self, key: str) -> None:
@@ -439,17 +436,6 @@ class ClaimQueue:
             self.path_for(key).unlink()
         except FileNotFoundError:
             pass
-
-    def active(self) -> list[tuple[str, dict[str, Any]]]:
-        """All outstanding ``(key, record)`` claims, stale ones included."""
-        if not self.directory.is_dir():
-            return []
-        out = []
-        for path in sorted(self.directory.glob("*.claim")):
-            record = self.peek(path.name[: -len(".claim")])
-            if record is not None:
-                out.append((path.name[: -len(".claim")], record))
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -658,7 +644,6 @@ def _write_report(cache: CellCache, report: ShardReport) -> pathlib.Path:
     overwrite would silently swallow an earlier pass's cells.
     """
     directory = _shard_dir(cache) / "reports" / report.digest
-    directory.mkdir(parents=True, exist_ok=True)
     safe_label = "".join(c if c.isalnum() or c in "-_." else "_" for c in report.label)
     stamp = f"{os.getpid()}-{time.time_ns()}-{next(_REPORT_SEQUENCE)}"
     path = directory / f"{safe_label}-{stamp}.report"
@@ -666,36 +651,39 @@ def _write_report(cache: CellCache, report: ShardReport) -> pathlib.Path:
     return path
 
 
-#: The JSON type of every :class:`ShardReport` field but ``cell_seconds``
-#: (a Welford state); a bool is no ``int`` here.
-_REPORT_FIELD_TYPES: dict[str, tuple[type, ...]] = {
-    **dict.fromkeys(("figure", "digest", "label", "mode"), (str,)),
-    **dict.fromkeys(
-        ("cells_total", "cells_run", "cells_served", "cells_skipped", "tasks_run"), (int,)
-    ),
-    **dict.fromkeys(("seconds", "created_at"), (int, float)),
+#: The JSON type of every :class:`ShardReport` field, in the sense of
+#: :func:`~repro.sim.cache.json_typed`.
+_REPORT_FIELD_TYPES: dict[str, type] = {
+    "figure": str,
+    "digest": str,
+    "label": str,
+    "mode": str,
+    "cells_total": int,
+    "cells_run": int,
+    "cells_served": int,
+    "cells_skipped": int,
+    "tasks_run": int,
+    "seconds": float,
+    "cell_seconds": dict,
+    "created_at": float,
 }
 
 
 def _read_reports(cache: CellCache, digest: str) -> list[ShardReport]:
     """Load every shard report of a sweep ``digest``.
 
-    A report that does not parse, or whose fields do not all have their
-    declared JSON types, is unreadable and skipped.
+    A report that :func:`~repro.sim.cache.read_json_object` cannot read
+    with every field of its declared JSON type, that lacks a field, or
+    whose ``cell_seconds`` does not rebuild a Welford state is skipped.
     """
-    directory = _shard_dir(cache) / "reports" / digest
-    if not directory.is_dir():
-        return []
     reports = []
-    for path in sorted(directory.glob("*.report")):
+    for path in sorted((_shard_dir(cache) / "reports" / digest).glob("*.report")):
         try:
-            report = ShardReport(**json.loads(path.read_text(encoding="utf-8")))
+            report = ShardReport(**read_json_object(path, _REPORT_FIELD_TYPES))
             _welford_of(report.cell_seconds)
         except (ValueError, TypeError, OSError):
             continue
-        typed = (type(getattr(report, name)) in t for name, t in _REPORT_FIELD_TYPES.items())
-        if all(typed):
-            reports.append(report)
+        reports.append(report)
     return reports
 
 

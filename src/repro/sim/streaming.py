@@ -20,7 +20,10 @@ State survives restarts and shards:
 * :meth:`AggregatorState.snapshot` /
   :meth:`AggregatorState.restore` round-trip the state through a JSON-safe
   dict, pinned to the protocol's cache fingerprint so a snapshot can never
-  silently resume under a different protocol configuration.
+  silently resume under a different protocol configuration.  Restore
+  checks every count it reads under the cell cache's one type rule
+  (:func:`repro.sim.cache.json_typed`), so a count no float can hold is
+  refused with :class:`~repro.exceptions.ProtocolError`, not folded in.
 
 :mod:`repro.serve` builds the online recovery service on top of this
 state.
@@ -35,7 +38,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError, ProtocolError
 from repro.protocols.base import FrequencyOracle, decode_array, encode_array
-from repro.sim.cache import canonical_key, fingerprint_object
+from repro.sim.cache import canonical_key, fingerprint_object, json_typed
 
 #: Version tag of the :meth:`AggregatorState.snapshot` wire format; bumped
 #: on incompatible layout changes so stale snapshots fail loudly.
@@ -243,9 +246,11 @@ def snapshot_object(value: Any, what: str) -> dict[str, Any]:
 
 
 def snapshot_count(value: Any, what: str) -> int:
-    """``value`` if it is a non-negative integer, else :class:`ProtocolError`
-    naming ``what`` (see :func:`snapshot_object`)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    """``value`` if it is a non-negative integer under the cache's type rule
+    (:func:`repro.sim.cache.json_typed`, so neither a bool nor an int a
+    float cannot hold), else :class:`ProtocolError` naming ``what`` (see
+    :func:`snapshot_object`)."""
+    if not json_typed(value, int) or value < 0:
         raise ProtocolError(f"{what} must be a non-negative integer, got {value!r}")
     return value
 

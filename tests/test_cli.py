@@ -206,6 +206,17 @@ class TestCacheWorkflow:
         assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 0
         assert "pruned 6 cached cells" in capsys.readouterr().out
 
+    def test_prune_counts_cells_and_removes_emptied_directories(self, capsys, tmp_path):
+        """A budgeted cache holds 6 cell entries and 6 trial streams: prune
+        reports the 6 cells and leaves only the empty tag directory."""
+        budget = ["--target-ci", "1e-9", "--max-trials", "4"]
+        assert main(self.ARGS + budget + ["--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 0
+        assert "pruned 6 cached cells" in capsys.readouterr().out
+        [tag] = tmp_path.iterdir()
+        assert list(tag.iterdir()) == []
+
     def test_verify_reports_corruption(self, capsys, tmp_path):
         from repro.sim.cache import CellCache
 
@@ -385,6 +396,19 @@ class TestShardWorkflow:
         assert "ttl" in capsys.readouterr().err
         assert main(["shard", "run", "--claims"] + flags) == 2
         capsys.readouterr()
+
+    def test_status_skips_a_report_nested_too_deeply(self, capsys, tmp_path):
+        """A shard report the JSON parser cannot read is skipped: ``status``
+        exits 0 over the complete sweep and writes nothing to stderr."""
+        flags = self._flags(tmp_path)
+        assert main(["shard", "run"] + flags + ["--shard-index", "0",
+                                                "--shard-count", "1"]) == 0
+        [report] = tmp_path.rglob("*.report")
+        report.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["shard", "status"] + flags) == 0
+        out, err = capsys.readouterr()
+        assert "6/6 cells done" in out and "shard reports" not in out and err == ""
 
     def test_shard_shares_run_cache_entries(self, capsys, tmp_path):
         """`run` warms the cache; a later shard run serves everything."""

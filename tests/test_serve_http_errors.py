@@ -10,9 +10,10 @@ modes a long-lived deployment actually hits:
 * an ingest body nested too deeply for the JSON parser answers ``400``
   and leaves ``/stats`` unchanged, while a ``RecursionError`` from any
   other handler still answers ``500``;
-* snapshot-directory corruption on ``--resume``: unparseable files are
-  skipped to the newest intact snapshot, while a parseable-but-invalid
-  snapshot fails the CLI fast with exit code 2;
+* snapshot-directory corruption on ``--resume``: unparseable files
+  (nested too deeply for the parser included) are skipped to the newest
+  intact snapshot, while a parseable-but-invalid snapshot fails the CLI
+  fast with exit code 2;
 * ingests racing a ``/frequencies`` recompute over concurrent
   connections interleave without corrupting state — the final views are
   byte-equal to an uncontended service fed the same reports;
@@ -372,6 +373,9 @@ class TestSnapshotDirCorruptionOnResume:
         store.save(json.loads(json.dumps(service.snapshot(), default=float)))
         (tmp_path / "snapshot-00000007.json").write_text("{trunc", encoding="utf-8")
         (tmp_path / "snapshot-00000009.json").write_bytes(b"\x00\xffgarbage")
+        (tmp_path / "snapshot-00000011.json").write_text(
+            "[" * 100_000 + "]" * 100_000, encoding="utf-8"
+        )
         latest = SnapshotStore(tmp_path).latest()
         assert latest is not None
         resumed = RecoveryService.restore(latest, protocol)
@@ -449,19 +453,21 @@ class TestSnapshotDirCorruptionOnResume:
              "service snapshot field 'aggregator' must be a JSON object, got NoneType"),
             (lambda snap: snap.update(eta="0.1"),
              "service snapshot field 'eta' must be a finite number"),
-            (lambda snap: snap.update(ingested_reports=-1),
-             "service snapshot field 'ingested_reports' must be a non-negative integer"),
+            (lambda snap: snap.update(eta=10**400),
+             "service snapshot field 'eta' must be a finite number"),
             (lambda snap: snap["aggregator"].update(epochs=[]),
              "snapshot field 'epochs' must be a JSON object, got list"),
             (lambda snap: snap["aggregator"]["epochs"]["e"].update(batches=1.5),
              "snapshot epoch 'e' field 'batches' must be a non-negative integer"),
+            (lambda snap: snap["aggregator"]["epochs"]["e"].update(num_reports=10**400),
+             "snapshot epoch 'e' field 'num_reports' must be a non-negative integer"),
             (lambda snap: snap["aggregator"]["epochs"]["e"]["support_counts"].update(data="!"),
              "snapshot epoch 'e' field 'support_counts'"),
             (lambda snap: snap["aggregator"]["epochs"]["e"]["support_counts"].update(shape=["x"]),
              "snapshot epoch 'e' field 'support_counts'"),
         ],
-        ids=["no-aggregator", "string-eta", "negative-ingested", "epochs-list",
-             "float-batches", "bad-base64", "bad-shape"],
+        ids=["no-aggregator", "string-eta", "eta-too-large", "epochs-list",
+             "float-batches", "num-reports-too-large", "bad-base64", "bad-shape"],
     )
     def test_restore_names_the_forged_field(self, forge, message):
         protocol, reports = _poisoned_reports()

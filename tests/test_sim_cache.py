@@ -273,6 +273,7 @@ class TestStoreMaintenance:
         cache = self._fill(tmp_path)
         assert cache.prune() == 3
         assert cache.entries() == []
+        assert list(cache.root.iterdir()) == []  # the emptied directories went too
 
     def test_prune_respects_age_horizon(self, tmp_path):
         cache = self._fill(tmp_path)
@@ -398,10 +399,12 @@ class TestDamagedPayloads:
             # evaluation cells the states beside them.
             lambda p: {"dataset": "x", **{m: s["mean"] for m, s in p.items()}, "stats": p},
             _with_state("mse_before", count="2"),
+            _with_state("mse_before", count=10**400),
             _with_state("mse_before", mean="0.1"),
             lambda p: {m: s for m, s in p.items() if m != "mse_before"},
         ],
-        ids=["not-an-object", "old-form", "string-count", "string-mean", "dropped-metric"],
+        ids=["not-an-object", "old-form", "string-count", "count-too-large", "string-mean",
+             "dropped-metric"],
     )
     def test_damaged_payload_is_one_miss_and_is_rewritten(self, tmp_path, cells, n, damage):
         clean = cells(CellCache(tmp_path))
@@ -447,14 +450,21 @@ class TestDamagedPayloads:
         ids=["meta", "spec", "created-at-list", "created-at-bool", "created-at-too-large"],
     )
     def test_meta_or_spec_that_is_not_an_object(self, tmp_path, part, value, problem):
-        """``cache ls`` lists the other entries, ``verify`` names this one,
-        and ``prune`` counts it as unreadable, so old enough at any age."""
+        """One verdict for every reader: ``cache ls`` lists the other
+        entries, ``verify`` names this one as unreadable, a run counts it
+        as one unreadable entry and rewrites it, and ``prune`` counts it as
+        unreadable, so old enough at any age."""
         cache = CellCache(tmp_path)
-        _table1_cells(cache)
+        clean = _table1_cells(cache)
         first = cache.entries()[0]
         self._damage(first, lambda data: data.update({part: value}))
         assert len([entry.summary_row() for entry in cache.entries()]) == 5
-        assert cache.verify() == [(first.path, problem)]
+        assert cache.verify() == [(first.path, f"unreadable: {problem}")]
+        healed = CellCache(tmp_path)
+        assert _table1_cells(healed) == clean
+        assert (healed.stats.hits, healed.stats.misses, healed.stats.errors) == (5, 1, 1)
+        assert healed.verify() == []
+        self._damage(first, lambda data: data.update({part: value}))
         assert cache.prune(older_than_days=1.0) == 1 and not first.path.exists()
 
     @pytest.mark.parametrize(
@@ -543,6 +553,14 @@ def _stream_data(change):
     return damage
 
 
+def _huge_value(data):
+    """Store one per-trial value as a 400-digit integer, a float cannot
+    hold, under the stream's correct digest."""
+    trial = data["per_trial"][1]
+    trial[min(trial)] = 10**400
+    data["payload_sha256"] = _payload_digest(data["per_trial"])
+
+
 def _stored_trials(per_trial):
     """A damage that stores ``per_trial`` under its own correct digest, so
     only the shape check can reject it."""
@@ -564,9 +582,10 @@ STREAM_DAMAGES = pytest.mark.parametrize(
         _stored_trials({"x": 1.0}),
         _stored_trials([1.0, 2.0]),
         _stored_trials([{"x": "1.0"}]),
+        _stream_data(_huge_value),
     ],
     ids=["garbage", "deeply-nested", "changed-number", "foreign-stream-key",
-         "per-trial-not-a-list", "per-trial-not-objects", "string-number"],
+         "per-trial-not-a-list", "per-trial-not-objects", "string-number", "number-too-large"],
 )
 
 
@@ -624,12 +643,16 @@ class TestTrialStream:
         assert cache.verify() == []
 
     def test_prune_sweeps_aged_streams(self, tmp_path):
+        """An aged stream goes with its emptied directory, and counts as
+        no cell."""
         cache, store = self._store(tmp_path)
         self._fill(store)
-        assert cache.prune(older_than_days=1.0) == 0  # fresh
+        cache.prune(older_than_days=1.0)
+        assert store.path.exists()  # fresh
         old = time.time() - 2 * 86_400.0
         os.utime(store.path, (old, old))
-        assert cache.prune(older_than_days=1.0) == 1
+        assert cache.prune(older_than_days=1.0) == 0
+        assert not store.path.parent.exists()
         assert store.load() == []
 
     def test_old_block_files_go_with_other_versions(self, tmp_path):
@@ -697,6 +720,29 @@ class TestAtomicJsonWriter:
             write_json_atomic(target, {"ok": 1.0, "bad": object()}, default=float)
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_put_lands_when_a_prune_removes_its_directory(self, tmp_path, monkeypatch):
+        """A concurrent prune may remove an emptied directory between the
+        writer creating it and creating its temp file there: the writer
+        creates it once more, and the entry lands."""
+        import tempfile
+
+        mkstemp = tempfile.mkstemp
+        calls = []
+
+        def pruned_first(dir, suffix):
+            calls.append(dir)
+            if len(calls) == 1:
+                os.rmdir(dir)  # a peer's prune empties and removes it
+            return mkstemp(dir=dir, suffix=suffix)
+
+        monkeypatch.setattr(tempfile, "mkstemp", pruned_first)
+        cache = CellCache(tmp_path)
+        spec = {"kind": "row", "exhibit": "toy"}
+        path = cache.put(spec, {"x": Welford(1, 1.0, 0.0)})
+        assert len(calls) == 2 and path.is_file()
+        assert cache.get(spec, lambda stats: [stats["x"].mean]) == [1.0]
+        assert cache.verify() == []
 
 
 class TestSourceDigest:
@@ -809,10 +855,12 @@ class TestOrphanTmpSweep:
         return path
 
     def test_prune_sweeps_old_tmp_files(self, tmp_path):
+        """An orphaned temp file goes with its emptied directory, and counts
+        as no cell."""
         cache = CellCache(tmp_path)
         orphan = self._orphan(cache, age_seconds=2 * cache.TMP_ORPHAN_SECONDS)
-        assert cache.prune() == 1
-        assert not orphan.exists()
+        assert cache.prune() == 0
+        assert not orphan.exists() and not orphan.parent.exists()
 
     def test_fresh_tmp_files_survive(self, tmp_path):
         """A young .tmp may belong to a live writer mid-put."""

@@ -281,25 +281,36 @@ class TestClaimQueue:
         ClaimQueue(tmp_path, owner="alive", ttl=1000.0).acquire("k1")
         assert not ClaimQueue(tmp_path, owner="thief", ttl=1000.0).acquire("k1")
 
-    def test_corrupt_claim_ages_out_via_mtime(self, tmp_path):
-        queue = ClaimQueue(tmp_path, owner="a", ttl=10.0)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{ truncated",
+            "[" * 100_000 + "]" * 100_000,
+            '{"owner": "peer", "pid": 1, "claimed_at": ' + "9" * 400 + "}",
+        ],
+        ids=["truncated", "deeply-nested", "claimed-at-too-large"],
+    )
+    def test_corrupt_claim_ages_out_via_mtime(self, tmp_path, text):
+        """A claim file that does not read is an ownerless claim aged by
+        its file's mtime, for ``peek``, ``is_stale``, ``acquire`` and
+        ``sweep_status`` alike."""
+        cache = CellCache(tmp_path)
+        key = enumerate_cells(CONFIG)[0].key
+        queue = ClaimQueue(cache.root / "_shard" / "claims", owner="a", ttl=10.0)
         queue.directory.mkdir(parents=True, exist_ok=True)
-        path = queue.path_for("k1")
-        path.write_text("{ truncated", encoding="utf-8")
-        record = queue.peek("k1")
+        path = queue.path_for(key)
+        path.write_text(text, encoding="utf-8")
+        record = queue.peek(key)
         assert record["owner"] is None
         assert not queue.is_stale(record)  # fresh mtime: maybe mid-write
+        assert not ClaimQueue(queue.directory, owner="b", ttl=10.0).acquire(key)
+        status = sweep_status(CONFIG, cache, claim_ttl=10.0)
+        assert (status.missing, status.claimed, status.stale_claims) == (6, 1, 0)
         os.utime(path, (time.time() - 60.0, time.time() - 60.0))
-        assert queue.is_stale(queue.peek("k1"))
-        assert queue.acquire("k1")
-
-    def test_active_lists_outstanding_claims(self, tmp_path):
-        queue = ClaimQueue(tmp_path, owner="a")
-        assert queue.active() == []
-        queue.acquire("k1")
-        queue.acquire("k2")
-        queue.release("k1")
-        assert [key for key, _ in queue.active()] == ["k2"]
+        assert queue.is_stale(queue.peek(key))
+        assert sweep_status(CONFIG, cache, claim_ttl=10.0).stale_claims == 1
+        assert queue.acquire(key)
+        assert queue.peek(key)["owner"] == "a"
 
     def test_ttl_validation(self, tmp_path):
         with pytest.raises(InvalidParameterError):
@@ -510,30 +521,42 @@ class TestReports:
         assert status.reports == [] and "shard reports" not in status.summary()
 
     @pytest.mark.parametrize(
-        "field, value",
+        "damage",
         [
-            ("cells_run", "x"),
-            ("cells_total", True),
-            ("tasks_run", 1.5),
-            ("seconds", "slow"),
-            ("created_at", None),
-            ("label", 7),
-            ("cell_seconds", {"count": "6", "mean": 0.5, "m2": 0.1}),
+            *[
+                lambda data, field=field, value=value: json.dumps({**data, field: value})
+                for field, value in [
+                    ("cells_run", "x"),
+                    ("cells_total", True),
+                    ("tasks_run", 1.5),
+                    ("seconds", "slow"),
+                    ("seconds", 10**400),
+                    ("created_at", None),
+                    ("label", 7),
+                    ("cell_seconds", {"count": "6", "mean": 0.5, "m2": 0.1}),
+                    ("cell_seconds", {"count": 10**400, "mean": 0.5, "m2": 0.1}),
+                ]
+            ],
+            lambda data: "[" * 100_000 + "]" * 100_000,
         ],
+        ids=["string-cells-run", "bool-cells-total", "float-tasks-run", "string-seconds",
+             "seconds-too-large", "null-created-at", "int-label", "string-count",
+             "count-too-large", "deeply-nested"],
     )
-    def test_mistyped_field_skips_the_report(self, tmp_path, field, value):
-        """A report is read only when every field has its declared JSON
-        type; otherwise it is skipped like an unreadable report, and
-        ``status`` still renders."""
+    def test_mistyped_field_skips_the_report(self, tmp_path, damage):
+        """A report is read only when it parses and every field has its
+        declared JSON type; otherwise it is skipped like an unreadable
+        report, and ``status`` renders the healthy report beside it."""
         cache = CellCache(tmp_path)
-        run_shard(CONFIG, cache, shard_index=0, shard_count=1)
-        [path] = cache.root.rglob("*.report")
-        assert len(sweep_status(CONFIG, cache).reports) == 1
-        data = json.loads(path.read_text(encoding="utf-8"))
-        data[field] = value
-        path.write_text(json.dumps(data), encoding="utf-8")
+        for index in range(2):
+            run_shard(CONFIG, cache, shard_index=index, shard_count=2)
+        damaged, _ = sorted(cache.root.rglob("*.report"))
+        assert len(sweep_status(CONFIG, cache).reports) == 2
+        damaged.write_text(damage(json.loads(damaged.read_text(encoding="utf-8"))),
+                           encoding="utf-8")
         status = sweep_status(CONFIG, cache)
-        assert status.reports == [] and "shard reports" not in status.summary()
+        assert [report.label for report in status.reports] == ["static-1of2"]
+        assert "; 1 shard reports" in status.summary()
 
     def test_unreadable_entry_is_healed_and_counted_once(self, tmp_path):
         """Claims mode over a store with one truncated entry: the cell is
